@@ -29,6 +29,7 @@ from .fullinfo import (
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
     V_UPPER_BOUND,
+    continuation_curve,
     continuation_value,
     continuation_value_neg,
     continuation_value_pos,
@@ -46,6 +47,7 @@ from .numerics import (
     RootConfig,
     find_root,
     integrate,
+    integrate_batch,
 )
 from .oracle import (
     GridDPResult,
@@ -98,7 +100,7 @@ __all__ = [
     "builtin_suite",
     # numerics
     "QuadratureConfig", "RootConfig", "QuadratureError", "BracketError",
-    "integrate", "find_root",
+    "integrate", "integrate_batch", "find_root",
     # walkcore
     "FULL_INFORMATION", "RELATIVE_RANKS", "WalkPath", "RankView",
     "compute_ranks", "StoppingPolicy", "run_policy", "monotone_transform",
@@ -106,6 +108,7 @@ __all__ = [
     # fullinfo
     "FullInfoSolution", "V_LOWER_BOUND", "V_UPPER_BOUND",
     "THRESHOLD_QUANTILE_BOUND", "stage2_value", "continuation_value",
+    "continuation_curve",
     "continuation_value_pos", "continuation_value_neg", "solve_threshold",
     "solve_full_info", "stage2_stop_region", "full_info_policy",
     "lower_bound_check",

@@ -23,10 +23,13 @@ import numpy as np
 from . import __version__
 from .distributions import DistributionError, from_spec
 from .fullinfo import (
+    FULL_INNER_CFG,
+    FULL_OUTER_CFG,
     THRESHOLD_QUANTILE_BOUND,
+    THRESHOLD_ROOT_CFG,
     V_LOWER_BOUND,
     V_UPPER_BOUND,
-    continuation_value,
+    continuation_curve,
     full_info_policy,
     lower_bound_check,
     solve_full_info,
@@ -35,6 +38,8 @@ from .fullinfo import (
 from .numerics import BracketError, QuadratureConfig, QuadratureError
 from .oracle import RankPolicyTable, canonical_rules, enumerate_rank_policies
 from .relranks import (
+    PQ_INNER_CFG,
+    PQ_OUTER_CFG,
     compute_pq,
     optimal_rank_policy,
     optimal_rank_value,
@@ -49,16 +54,27 @@ from .walkcore import StoppingPolicy, stop_at_policy, two_step_policy
 DEFAULT_SEED = 20260808
 
 
-def _quad_cfg(abs_tol, rel_tol, default_abs, default_rel):
-    """Quadrature config from optional flags: (cfg_or_None, effective pair).
+def _quad_cfg(abs_tol, rel_tol, default: QuadratureConfig) -> QuadratureConfig | None:
+    """Quadrature config from optional flags; None leaves a solver on its defaults.
 
-    None leaves a solver on its own default; the effective values are what
-    the manifest records either way.
+    A flag left out takes its value from ``default``.
     """
     if abs_tol is None and rel_tol is None:
-        return None, (default_abs, default_rel)
-    cfg = QuadratureConfig(abs_tol=abs_tol or default_abs, rel_tol=rel_tol or default_rel)
-    return cfg, (cfg.abs_tol, cfg.rel_tol)
+        return None
+    return QuadratureConfig(abs_tol=abs_tol or default.abs_tol, rel_tol=rel_tol or default.rel_tol)
+
+
+def _tolerances(inner: QuadratureConfig, outer: QuadratureConfig) -> dict:
+    """Manifest record of an iterated quadrature's two tolerance pairs."""
+    return {"inner_abs_tol": inner.abs_tol, "inner_rel_tol": inner.rel_tol,
+            "outer_abs_tol": outer.abs_tol, "outer_rel_tol": outer.rel_tol}
+
+
+def _pq_tolerances(cfg: QuadratureConfig | None) -> dict:
+    """compute_pq uses a given config for both levels, else its two defaults."""
+    if cfg is None:
+        return _tolerances(PQ_INNER_CFG, PQ_OUTER_CFG)
+    return {"abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol}
 
 
 def _seed_default() -> int:
@@ -141,9 +157,9 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
     """Solve the three-step problem for one distribution."""
     dist, spec = _load_dist(dist_spec)
     if model == "full":
-        cfg, (ia, ir) = _quad_cfg(abs_tol, rel_tol, 1e-12, 1e-12)
-        tols = {"inner_abs_tol": ia, "inner_rel_tol": ir,
-                "outer_abs_tol": 1e-10, "outer_rel_tol": 1e-10}
+        cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
+        tols = _tolerances(cfg or FULL_INNER_CFG, FULL_OUTER_CFG)
+        tols.update(root_x_tol=THRESHOLD_ROOT_CFG.x_tol, root_f_tol=THRESHOLD_ROOT_CFG.f_tol)
         sol = _numeric_guard(lambda: solve_full_info(dist, cfg))
         payload = {
             "manifest": _manifest("solve", spec, model="full", tolerances=tols),
@@ -153,10 +169,8 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
             "diagnostics": sol.diagnostics,
         }
     else:
-        cfg, _ = _quad_cfg(abs_tol, rel_tol, 1e-13, 1e-13)
-        tols = ({"abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol} if cfg else
-                {"inner_abs_tol": 1e-13, "inner_rel_tol": 1e-13,
-                 "outer_abs_tol": 1e-11, "outer_rel_tol": 1e-11})
+        cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
+        tols = _pq_tolerances(cfg)
         pq = _numeric_guard(lambda: compute_pq(dist, cfg))
         policy, branch = optimal_rank_policy(pq)
         payload = {
@@ -312,18 +326,19 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     if not lo < hi or points < 2:
         raise click.UsageError("need lo < hi and at least two points")
     dist, spec = _load_dist(dist_spec)
-    cfg, (ea, er) = _quad_cfg(abs_tol, rel_tol, 1e-12, 1e-12)
-    tols = {"abs_tol": ea, "rel_tol": er}
+    cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
+    effective = cfg or FULL_INNER_CFG
+    tols = {"abs_tol": effective.abs_tol, "rel_tol": effective.rel_tol}
 
     def run():
         x1s = solve_threshold(dist, cfg)
-        xs = np.linspace(lo, hi, points).tolist()
-        rows = [
-            {"x": x, "continuation_value": continuation_value(dist, x, cfg), "is_threshold": 0}
-            for x in xs
-        ]
-        if lo <= x1s <= hi:
-            rows.append({"x": x1s, "continuation_value": continuation_value(dist, x1s, cfg), "is_threshold": 1})
+        xs = np.linspace(lo, hi, points)
+        marked = lo <= x1s <= hi
+        values = continuation_curve(dist, np.append(xs, x1s) if marked else xs, cfg).tolist()
+        rows = [{"x": x, "continuation_value": v, "is_threshold": 0}
+                for x, v in zip(xs.tolist(), values)]
+        if marked:
+            rows.append({"x": x1s, "continuation_value": values[-1], "is_threshold": 1})
             rows.sort(key=lambda r: r["x"])
         return x1s, rows
 
@@ -419,10 +434,8 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
 def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
     """The ordering parameters (p, q) of a distribution."""
     dist, spec = _load_dist(dist_spec)
-    cfg, _ = _quad_cfg(abs_tol, rel_tol, 1e-13, 1e-13)
-    tols = ({"abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol} if cfg else
-            {"inner_abs_tol": 1e-13, "inner_rel_tol": 1e-13,
-             "outer_abs_tol": 1e-11, "outer_rel_tol": 1e-11})
+    cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
+    tols = _pq_tolerances(cfg)
     params = _numeric_guard(lambda: compute_pq(dist, cfg))
     tab = permutation_table(params.p, params.q)
     if as_csv:

@@ -217,8 +217,20 @@ class TabulatedCdf(SymmetricDistribution):
     relies on continuity of F throughout.
 
     Every knot is a kink of the CDF, and the solvers split quadrature
-    panels at all of them, so solve cost grows roughly quadratically in
-    the knot count; tables with more than a hundred or so knots get slow.
+    panels at all of them; the full-information solver also splits at
+    every difference of two knots.  Measured on a 2-core Xeon, one
+    ``solve_full_info`` plus one ``compute_pq``:
+
+    ======  =====================  =====================
+    knots   even spacing           irregular spacing
+    ======  =====================  =====================
+    20      0.12 s, 41 MB peak     0.37 s, 46 MB peak
+    60      0.55 s, 66 MB peak     2.3 s, 87 MB peak
+    120     2.6 s, 131 MB peak     8.5 s, 133 MB peak
+    ======  =====================  =====================
+
+    Evenly spaced knots share their differences, so they cost less.  The
+    peak is the memory of the whole process, about 38 MB of it imports.
     """
 
     def __init__(self, grid):

@@ -10,7 +10,9 @@ step gives the optimal expected rank V.
 
 All dF-integrals are evaluated in u-space through the substitution
 u = F(y), so unbounded supports never appear explicitly and the error
-control is uniform across distributions.
+control is uniform across distributions.  The curve is evaluated at whole
+arrays of first steps: the two dF-integrals of every point go to the
+integrator as one batch.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import numpy as np
 
 from .distributions import SymmetricDistribution
 from .numerics import (
+    EPS_U,
     BracketError,
     QuadratureConfig,
     RootConfig,
     find_root,
+    integrate_batch,
     integrate_detailed,
 )
 from .walkcore import FULL_INFORMATION, StoppingPolicy
@@ -34,12 +38,16 @@ __all__ = [
     "V_LOWER_BOUND",
     "V_UPPER_BOUND",
     "THRESHOLD_QUANTILE_BOUND",
+    "FULL_INNER_CFG",
+    "FULL_OUTER_CFG",
+    "THRESHOLD_ROOT_CFG",
     "FullInfoSolution",
     "ThresholdError",
     "stage2_value",
     "continuation_value_pos",
     "continuation_value_neg",
     "continuation_value",
+    "continuation_curve",
     "solve_threshold",
     "solve_full_info",
     "stage2_stop_region",
@@ -53,15 +61,14 @@ V_UPPER_BOUND = 55.0 / 24.0
 #: F(x1*) always sits at least this high.
 THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 
-# u-space integrals are clipped to [EPS_U, 1 - EPS_U]; the integrands are
-# bounded by constants, so the truncation error is below every tolerance
-# used in this package.
-_EPS_U = 1e-13
-
-# Inner (continuation-curve) quadratures sit two decades below the outer
-# tolerance so the outer refinement never chases the inner noise floor.
-_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-_OUTER_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+#: Inner (continuation-curve) quadratures sit two decades below the outer
+#: V tolerance so the outer refinement never chases the inner noise floor.
+FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+FULL_OUTER_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+#: The threshold search stops once its bracket is narrower than x_tol, or
+#: earlier on a residual below the inner quadrature tolerance, where the
+#: curve cannot be told from 2.
+THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 _BOUND_TOL = 1e-9
 
 
@@ -91,23 +98,22 @@ class FullInfoSolution:
             )
 
 
-def _df_integral(dist, x_shift, u_lo, u_hi, cfg):
-    """(value, bound) of the dF-integral of F(y - x_shift) over a u-interval.
+def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
+    """(values, bounds, panels) of the dF-integrals of F(y - x_shift[i]) over u-intervals.
 
     The integrand u -> F(Q(u) - x) kinks where Q(u) - x crosses a CDF knot
     and where Q itself kinks; both sets are handed to the integrator as
     panel edges.
     """
-    lo = max(float(u_lo), _EPS_U)
-    hi = min(float(u_hi), 1.0 - _EPS_U)
-    if hi <= lo:
-        return 0.0, 0.0
+    lo = np.maximum(u_lo, EPS_U)
+    hi = np.maximum(np.minimum(u_hi, 1.0 - EPS_U), lo)  # empty ranges integrate to 0
     knots = dist.cdf_break_points()
-    cuts = dist.cdf(np.concatenate([knots + x_shift, knots])) if len(knots) else None
-    val, err, _ = integrate_detailed(
-        lambda u: dist.cdf(dist.ppf(u) - x_shift), lo, hi, cfg, break_points=cuts
-    )
-    return val, err
+    cuts = None
+    if len(knots):
+        own = np.broadcast_to(dist.cdf(knots), (len(x_shift), len(knots)))
+        cuts = np.concatenate([dist.cdf(knots + x_shift[:, None]), own], axis=1)
+    return integrate_batch(lambda u, i: dist.cdf(dist.ppf(u) - x_shift[i]), lo, hi, cfg,
+                           break_points=cuts)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -123,22 +129,31 @@ def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
     return min(stop, cont)
 
 
-def _continue_pos(dist, x, cfg):
-    fx = float(dist.cdf(x))
-    fh = float(dist.cdf(0.5 * x))
-    i1, e1 = _df_integral(dist, x, 0.5, fh, cfg)
-    i2, e2 = _df_integral(dist, x, fx, 1.0, cfg)
-    value = 15.0 / 8.0 + i1 + i2 + fx - fh - 0.5 * (fx * fx - fh * fh)
-    return value, e1 + e2
+def _continuation(dist, x, cfg):
+    """(values, error bounds, panels) of the continuation curve at an array of x.
+
+    With I the sum of two dF-integrals of F(y - x), the curve is
+    15/8 + F(x) - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over (1/2, F(x/2)) and
+    (F(x), 1) for x > 0, and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over
+    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one batch.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    pos = x > 0
+    fx = dist.cdf(x)
+    fh = dist.cdf(0.5 * x)
+    vals, errs, panels = _df_integrals(
+        dist, np.concatenate([x, x]),
+        np.concatenate([np.where(pos, 0.5, fx), np.where(pos, fx, 0.5)]),
+        np.concatenate([fh, np.ones(n)]), cfg)
+    closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
+    return closed + vals[:n] + vals[n:], errs[:n] + errs[n:], int(panels.sum())
 
 
-def _continue_neg(dist, x, cfg):
-    fx = float(dist.cdf(x))
-    fh = float(dist.cdf(0.5 * x))
-    j1, e1 = _df_integral(dist, x, fx, fh, cfg)
-    j2, e2 = _df_integral(dist, x, 0.5, 1.0, cfg)
-    value = 19.0 / 8.0 + j1 + j2 - fh + 0.5 * (fh * fh - fx * fx)
-    return value, e1 + e2
+def continuation_curve(dist: SymmetricDistribution, xs,
+                       cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """Continuation curve at an array of first steps, both signs, in one batch."""
+    return _continuation(dist, np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
 
 
 def continuation_value_pos(dist: SymmetricDistribution, x: float,
@@ -147,7 +162,7 @@ def continuation_value_pos(dist: SymmetricDistribution, x: float,
     x = float(x)
     if x <= 0:
         raise ValueError(f"positive-branch continuation needs x > 0, got {x}")
-    return _continue_pos(dist, x, cfg or _INNER_CFG)[0]
+    return continuation_value(dist, x, cfg)
 
 
 def continuation_value_neg(dist: SymmetricDistribution, x: float,
@@ -156,18 +171,13 @@ def continuation_value_neg(dist: SymmetricDistribution, x: float,
     x = float(x)
     if x >= 0:
         raise ValueError(f"negative-branch continuation needs x < 0, got {x}")
-    return _continue_neg(dist, x, cfg or _INNER_CFG)[0]
+    return continuation_value(dist, x, cfg)
 
 
 def continuation_value(dist: SymmetricDistribution, x: float,
                        cfg: QuadratureConfig | None = None) -> float:
     """Continuation curve on either side; both one-sided limits at 0 equal 9/4."""
-    x = float(x)
-    if x == 0.0:
-        return 2.25
-    if x > 0:
-        return continuation_value_pos(dist, x, cfg)
-    return continuation_value_neg(dist, x, cfg)
+    return float(continuation_curve(dist, float(x), cfg)[0])
 
 
 def solve_threshold(dist: SymmetricDistribution,
@@ -184,17 +194,17 @@ def solve_threshold(dist: SymmetricDistribution,
     near the origin), the scan finds no sign change and the support edge
     itself satisfies the residual tolerance.
     """
-    quad_cfg = quad_cfg or _INNER_CFG
-    root_cfg = root_cfg or RootConfig(x_tol=1e-13, f_tol=1e-10)
+    quad_cfg = quad_cfg or FULL_INNER_CFG
+    root_cfg = root_cfg or THRESHOLD_ROOT_CFG
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
 
     def g(x):
-        return _continue_pos(dist, x, quad_cfg)[0] - 2.0
+        return _continuation(dist, [x], quad_cfg)[0][0] - 2.0
 
     grid = hi * np.geomspace(1e-8, 1.0, 96)
-    values = np.array([g(x) for x in grid])
+    values = _continuation(dist, grid, quad_cfg)[0] - 2.0
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
         if values[-1] > 0:
@@ -221,41 +231,41 @@ def solve_full_info(dist: SymmetricDistribution,
     V splits exactly at 0 and at the threshold: the first-step integral of
     the continuation curve over the negative half, the flat stop payoff 2
     on (0, x1*], and the continuation curve again beyond x1*.
+    ``diagnostics["panels"]`` counts the quadrature panels evaluated for V
+    and for the residual at x1*; the threshold search is not included.
     """
-    inner_cfg = quad_cfg or _INNER_CFG
+    inner_cfg = quad_cfg or FULL_INNER_CFG
     x1s = solve_threshold(dist, inner_cfg)
     f_at = float(dist.cdf(x1s))
-    residual = _continue_pos(dist, x1s, inner_cfg)[0] - 2.0
+    at_threshold, _, panels = _continuation(dist, [x1s], inner_cfg)
 
-    def curve_of_u_neg(us):
-        xs = dist.ppf(np.asarray(us, dtype=float))
-        return np.array([_continue_neg(dist, x, inner_cfg)[0] for x in xs])
-
-    def curve_of_u_pos(us):
-        xs = dist.ppf(np.asarray(us, dtype=float))
-        return np.array([_continue_pos(dist, x, inner_cfg)[0] for x in xs])
+    def curve_of_u(us):
+        nonlocal panels
+        values, _, n = _continuation(dist, dist.ppf(us), inner_cfg)
+        panels += n
+        return values
 
     # The continuation curve changes analytic form whenever the first step
-    # or its half crosses a CDF knot.
+    # or its half crosses a CDF knot, and where two knots are exactly the
+    # first step apart, so that kinks of the inner integrand meet.
     knots = dist.cdf_break_points()
-    cuts = dist.cdf(np.concatenate([knots, 2.0 * knots])) if len(knots) else None
-    neg_val, neg_err, _ = integrate_detailed(curve_of_u_neg, _EPS_U, 0.5, _OUTER_CFG,
-                                             break_points=cuts)
-    hi_u = 1.0 - _EPS_U
-    if f_at < hi_u:
-        pos_val, pos_err, _ = integrate_detailed(curve_of_u_pos, f_at, hi_u, _OUTER_CFG,
-                                                 break_points=cuts)
-    else:
-        pos_val, pos_err = 0.0, 0.0
+    kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
+    cuts = dist.cdf(np.unique(kinks)) if len(knots) else None
+    neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, EPS_U, 0.5, FULL_OUTER_CFG,
+                                                      break_points=cuts)
+    hi_u = 1.0 - EPS_U
+    pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, min(f_at, hi_u), hi_u,
+                                                      FULL_OUTER_CFG, break_points=cuts)
     value = neg_val + 2.0 * (f_at - 0.5) + pos_val
     return FullInfoSolution(
         x1_star=x1s,
         value=value,
         F_at_threshold=f_at,
         diagnostics={
-            "threshold_residual": residual,
+            "threshold_residual": float(at_threshold[0]) - 2.0,
             "quadrature_error_bound": neg_err + pos_err,
             "scan_upper": dist.quantile(1.0 - 1e-12),
+            "panels": panels + neg_panels + pos_panels,
         },
     )
 
@@ -321,18 +331,10 @@ def lower_bound_check(dist: SymmetricDistribution, n_points: int = 100,
     """
     hi = dist.quantile(1.0 - 1e-9)
     xs = hi * np.geomspace(1e-4, 1.0, n_points)
-    worst, worst_x = -math.inf, 0.0
-    for x in xs:
-        fx = float(dist.cdf(x))
-        floor = 15.0 / 8.0 + fx * (1.0 - fx)
-        gap = floor - _continue_pos(dist, x, _INNER_CFG)[0]
-        if gap > worst:
-            worst, worst_x = gap, x
-    for x in -xs:
-        fx = float(dist.cdf(x))
-        fh = float(dist.cdf(0.5 * x))
-        floor = 23.0 / 8.0 - fx - 0.5 * fh + 0.5 * fh * fh
-        gap = floor - _continue_neg(dist, x, _INNER_CFG)[0]
-        if gap > worst:
-            worst, worst_x = gap, x
-    return LowerBoundReport(max_violation=worst, worst_x=worst_x, tolerance=tolerance)
+    xs = np.concatenate([xs, -xs])
+    fx = dist.cdf(xs)
+    fh = dist.cdf(0.5 * xs)
+    floor = np.where(xs > 0, 15.0 / 8.0 + fx * (1.0 - fx), 23.0 / 8.0 - fx - 0.5 * fh + 0.5 * fh * fh)
+    gaps = floor - continuation_curve(dist, xs)
+    i = int(np.argmax(gaps))
+    return LowerBoundReport(max_violation=float(gaps[i]), worst_x=float(xs[i]), tolerance=tolerance)

@@ -21,11 +21,13 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import SymmetricDistribution
-from .numerics import QuadratureConfig, integrate_detailed
+from .numerics import EPS_U, QuadratureConfig, integrate_batch, integrate_detailed
 from .walkcore import RELATIVE_RANKS, StoppingPolicy
 
 __all__ = [
     "PQ_SUM",
+    "PQ_INNER_CFG",
+    "PQ_OUTER_CFG",
     "PQParams",
     "TableRow",
     "PermutationTable",
@@ -46,18 +48,27 @@ __all__ = [
 #: p + q for every continuous symmetric step distribution.
 PQ_SUM = Fraction(1, 48)
 
+#: Default tolerances of compute_pq.  The outer tolerance must sit well
+#: above the inner quadrature's noise floor or the outer refinement chases
+#: deterministic noise.
+PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+PQ_OUTER_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+
 _PQ_TOL = 1e-9
-_EPS_U = 1e-13
 
 
 @dataclass(frozen=True)
 class PQParams:
-    """The pair (p, q) for one distribution, with provenance and error bound."""
+    """The pair (p, q) for one distribution, with provenance and error bound.
+
+    ``panels`` counts the quadrature panels evaluated, outer and inner.
+    """
 
     p: float
     q: float
     method: str = "quadrature"
     error_bound: float = 0.0
+    panels: int = 0
 
     def __post_init__(self):
         q = self.q
@@ -77,58 +88,50 @@ def compute_pq(dist: SymmetricDistribution,
                cfg: QuadratureConfig | None = None) -> PQParams:
     """Evaluate q by iterated folded-CDF quadrature and set p = 1/48 - q.
 
-    When the support is bounded the inner integral is cut at the u where
-    the folded sum leaves the support (the integrand is identically zero
-    beyond), which keeps the quadrature from chasing a hard kink.
+    Each batch of outer nodes v becomes one batch of inner integrals over
+    u.  When the support is bounded the inner integral is cut at the u
+    where the folded sum leaves the support (the integrand is identically
+    zero beyond), which keeps the quadrature from chasing a hard kink.
     """
-    # The outer tolerance must sit well above the inner quadrature's noise
-    # floor or the outer refinement chases deterministic noise.
-    inner_cfg = cfg or QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-    outer_cfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+    inner_cfg = cfg or PQ_INNER_CFG
+    outer_cfg = cfg or PQ_OUTER_CFG
     upper = dist.support[1]
-
-    inner_errs = []
-
+    bounded = math.isfinite(upper)
     fold_knots = np.abs(dist.cdf_break_points())
     fold_knots = np.unique(fold_knots[fold_knots > 0])
-
-    def inner(v: float) -> float:
-        y = float(dist.folded_ppf(v))
-        if math.isfinite(upper):
-            u_edge = float(dist.folded_cdf(max(upper - y, 0.0)))
-            u_hi = min(u_edge, 1.0 - _EPS_U)
-        else:
-            u_hi = 1.0 - _EPS_U
-        if u_hi <= _EPS_U:
-            return 0.0
-
-        def h(us):
-            x = dist.folded_ppf(np.asarray(us, dtype=float))
-            arg = np.minimum(x + y, upper) if math.isfinite(upper) else x + y
-            return 1.0 - dist.folded_cdf(arg)
-
-        # Kinks: the folded sum crossing a knot, and the folded quantile's own.
-        if len(fold_knots):
-            cuts = np.concatenate([
-                dist.folded_cdf(np.maximum(fold_knots - y, 0.0)),
-                dist.folded_cdf(fold_knots),
-            ])
-        else:
-            cuts = None
-        val, err, _ = integrate_detailed(h, _EPS_U, u_hi, inner_cfg, break_points=cuts)
-        inner_errs.append(err)
-        return val
+    inner_err = 0.0
+    panels = 0
 
     def outer(vs):
-        return np.array([inner(v) for v in np.asarray(vs, dtype=float)])
+        nonlocal inner_err, panels
+        y = dist.folded_ppf(vs)
+        u_hi = np.full(len(y), 1.0 - EPS_U)
+        if bounded:
+            u_hi = np.minimum(dist.folded_cdf(np.maximum(upper - y, 0.0)), u_hi)
+
+        def h(us, i):
+            arg = dist.folded_ppf(us) + y[i]
+            return 1.0 - dist.folded_cdf(np.minimum(arg, upper) if bounded else arg)
+
+        # Kinks: the folded sum crossing a knot, and the folded quantile's own.
+        cuts = None
+        if len(fold_knots):
+            own = np.broadcast_to(dist.folded_cdf(fold_knots), (len(y), len(fold_knots)))
+            cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)), own],
+                                  axis=1)
+        lo = np.full(len(y), EPS_U)
+        vals, errs, n = integrate_batch(h, lo, np.maximum(u_hi, lo), inner_cfg, break_points=cuts)
+        inner_err = max(inner_err, float(errs.max(initial=0.0)))
+        panels += int(n.sum())
+        return vals
 
     outer_cuts = dist.folded_cdf(fold_knots) if len(fold_knots) else None
-    total, outer_err, _ = integrate_detailed(outer, _EPS_U, 1.0 - _EPS_U, outer_cfg,
-                                             break_points=outer_cuts)
+    total, outer_err, outer_panels = integrate_detailed(outer, EPS_U, 1.0 - EPS_U, outer_cfg,
+                                                        break_points=outer_cuts)
     q = total / 16.0
-    err = (outer_err + (max(inner_errs) if inner_errs else 0.0)) / 16.0 + 1e-14
+    err = (outer_err + inner_err) / 16.0 + 1e-14
     p = float(PQ_SUM) - q
-    return PQParams(p=p, q=q, method="quadrature", error_bound=err)
+    return PQParams(p=p, q=q, method="quadrature", error_bound=err, panels=panels + outer_panels)
 
 
 @dataclass(frozen=True)

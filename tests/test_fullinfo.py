@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rankstop import fullinfo
 from rankstop.distributions import IntervalUnionUniform, Laplace, Uniform
 from rankstop.fullinfo import (
     THRESHOLD_QUANTILE_BOUND,
@@ -126,6 +127,10 @@ class TestThreshold:
     def test_uniform_exact(self):
         assert solve_threshold(UNIFORM) == pytest.approx(UNIFORM_X1, abs=1e-9)
 
+    def test_uniform_root_converges_on_bracket(self):
+        # the search stops on a 1e-13 bracket, not on a lucky small residual
+        assert abs(solve_threshold(UNIFORM) - UNIFORM_X1) <= 1e-12
+
     def test_laplace(self):
         assert solve_threshold(LAPLACE) == pytest.approx(1.71, abs=5e-3)
 
@@ -153,6 +158,19 @@ class TestValue:
 
     def test_laplace(self, solutions):
         assert solutions["laplace"].value == pytest.approx(2.271, abs=1e-3)
+
+    def test_tabulated_within_outer_tolerance(self, builtins, solutions, monkeypatch):
+        # the outer V integral is cut where knot differences kink the curve
+        value = solutions["tabulated"].value
+        monkeypatch.setattr(fullinfo, "FULL_OUTER_CFG",
+                            fullinfo.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
+        assert abs(value - solve_full_info(builtins["tabulated"]).value) <= 1e-10
+        # a solve that finds those kinks by bisection alone, at outer tolerance 1e-13
+        assert abs(value - 2.2778010596610043) <= 1e-10
+
+    def test_panels_counted(self, solutions):
+        for name, sol in solutions.items():
+            assert sol.diagnostics["panels"] > 0, name
 
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankstop import numerics
 from rankstop.distributions import Uniform
 from rankstop.fullinfo import continuation_value_pos
 from rankstop.numerics import (
@@ -13,6 +14,7 @@ from rankstop.numerics import (
     RootConfig,
     find_root,
     integrate,
+    integrate_batch,
     integrate_detailed,
 )
 
@@ -73,6 +75,77 @@ class TestIntegrate:
         combo = integrate(lambda x: alpha * f(x) + beta * g(x), -1.0, 2.0)
         parts = alpha * integrate(f, -1.0, 2.0) + beta * integrate(g, -1.0, 2.0)
         assert abs(combo - parts) < 10 * 1e-10 * (1 + abs(alpha) + abs(beta))
+
+
+class TestIntegrateBatch:
+    # Problem i integrates |u - s_i| + u^5 on [a_i, b_i], kinked at s_i.
+    A = np.array([0.0, -1.0, 0.3, 2.0, 0.0])
+    B = np.array([1.0, 2.0, 0.3, 2.0, 3.0])
+    S = np.array([0.25, 0.5, 0.3, 2.0, 1.7])
+
+    def integrand(self, u, i):
+        return np.abs(u - self.S[i]) + u**5
+
+    def test_each_problem_matches_one_problem_call(self):
+        cuts = np.column_stack([self.S, np.full(len(self.S), np.nan)])
+        vals, errs, panels = integrate_batch(self.integrand, self.A, self.B, break_points=cuts)
+        for i in range(len(self.A)):
+            one, _, n = integrate_detailed(lambda u: self.integrand(u, i), self.A[i], self.B[i],
+                                           break_points=[self.S[i]])
+            assert vals[i] == pytest.approx(one, abs=1e-12)
+            assert panels[i] == n
+        assert np.all(errs <= 1e-10 + 1e-10 * np.abs(vals))
+        # zero-width problems cost nothing and integrate to exactly 0
+        assert vals[2] == vals[3] == 0.0 and panels[2] == panels[3] == 0
+
+    def test_refined_problems_match_one_problem_calls(self):
+        # no break points: the kinks are found by bisection, problem by problem
+        vals, _, _ = integrate_batch(self.integrand, self.A, self.B)
+        for i in range(len(self.A)):
+            exact = integrate_detailed(lambda u: self.integrand(u, i), self.A[i], self.B[i],
+                                       break_points=[self.S[i]])[0]
+            assert abs(vals[i] - exact) <= 1e-10 + 1e-10 * abs(exact)
+
+    def test_no_problems(self):
+        calls = []
+        for cuts in (None, np.zeros((0, 3))):
+            vals, errs, panels = integrate_batch(lambda u, i: calls.append(u) or u, [], [],
+                                                 break_points=cuts)
+            assert vals.shape == errs.shape == panels.shape == (0,)
+        assert not calls
+
+    def test_integrand_never_gets_more_than_one_block(self):
+        sizes = []
+
+        def f(u, i):
+            sizes.append(u.size)
+            return np.sqrt(np.abs(u - 0.5 * i / 400))
+
+        m = 400
+        integrate_batch(f, np.zeros(m), np.ones(m), initial_panels=16)
+        block = numerics._BLOCK_PANELS * 15
+        assert max(sizes) == block
+        assert sum(sizes) > 10 * block
+
+    def test_small_budget_raises_with_estimate(self):
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+
+        def f(u, i):
+            return np.where(i == 0, u, np.abs(np.sin(40.0 * u)))
+
+        with pytest.raises(QuadratureError) as info:
+            integrate_batch(f, [0.0, 0.0], [1.0, 3.0], cfg)
+        assert "problem 1" in str(info.value)
+        assert info.value.estimate == pytest.approx(6.0 / math.pi, rel=0.2)
+        assert info.value.error_bound > 0
+
+    def test_bad_shapes(self):
+        with pytest.raises(ValueError):
+            integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0, 2.0], break_points=[0.5, 1.5])
 
 
 class TestFindRoot:

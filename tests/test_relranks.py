@@ -38,6 +38,10 @@ class TestComputePQ:
         for name, pq in pq_params.items():
             assert abs(pq.p + pq.q - 1 / 48) <= 1e-9, name
 
+    def test_panels_counted(self, pq_params):
+        for name, pq in pq_params.items():
+            assert pq.panels > 0, name
+
     def test_powerfold_small_exponent(self):
         pq = compute_pq(PowerFold(0.05))
         assert pq.q >= 0.9 / 48
