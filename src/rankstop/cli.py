@@ -378,10 +378,10 @@ def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
 @click.option("--policy", "policy_spec", required=True,
               help="thm1|thm2|thm4a|thm4b|stop_at_0|stop_at_n or rank_table JSON")
 @click.option("--paths", default=10**6, show_default=True)
-@click.option("--horizon", default=3, show_default=True)
+@click.option("--horizon", type=click.IntRange(1, 3), default=3, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--chunk-size", default=1 << 18, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--audit-csv", type=click.Path(dir_okay=False), default=None,
               help="also write per-chunk partial sums for audit")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

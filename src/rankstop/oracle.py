@@ -52,6 +52,7 @@ _TWO_STEP_ORDERINGS = [
 #: Decision-slot order for the three-step bit tables: stop-at-start, the
 #: two first-step rank histories, then the six (first, second) rank pairs.
 SECOND_STEP_HISTORIES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+_SECOND_STEP_SLOT = {history: 3 + i for i, history in enumerate(SECOND_STEP_HISTORIES)}
 
 
 @dataclass(frozen=True)
@@ -73,17 +74,11 @@ class RankPolicyTable:
         return bool(self.bits[r1])
 
     def stop_second(self, r1: int, r2: int) -> bool:
-        return bool(self.bits[3 + SECOND_STEP_HISTORIES.index((r1, r2))])
+        return bool(self.bits[_SECOND_STEP_SLOT[(r1, r2)]])
 
     def stopping_time(self, rel_ranks: tuple[int, ...]) -> int:
         """First stop index on a relative-rank history (forced stop at 3)."""
-        if self.stop_at_start:
-            return 0
-        if self.stop_first(rel_ranks[1]):
-            return 1
-        if self.stop_second(rel_ranks[1], rel_ranks[2]):
-            return 2
-        return 3
+        return _stop_time(self.bits, tuple(rel_ranks), 3)
 
     def to_policy(self) -> StoppingPolicy:
         bits = self.bits
@@ -155,13 +150,14 @@ class EnumerationResult:
 
 
 def _stop_time(bits, rel_ranks, n):
-    if n == 3:
-        return RankPolicyTable(bits).stopping_time(rel_ranks)
+    """First stop index of a bit table on a relative-rank history (forced stop at n)."""
     if bits[0]:
         return 0
     if bits[rel_ranks[1]]:
         return 1
-    return 2
+    if n == 2 or bits[_SECOND_STEP_SLOT[rel_ranks[1:3]]]:
+        return 2
+    return 3
 
 
 def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:

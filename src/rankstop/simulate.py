@@ -5,10 +5,17 @@ chunks whose generators are derived from (master seed, chunk index), so a
 result depends only on (seed, chunk_size, n_paths) and never on how many
 workers processed the chunks; the merge is a pure reduction of per-chunk
 sums.
+
+A path's ordering is the sign code of its n(n+1)/2 segment sums (6 bits
+for n = 3, so horizons run up to 3); a table per horizon maps codes to
+ranks and ALL_ORDERINGS indices.  A relative-ranks rule is decided once
+per code, so rank sums, histograms and ordering counts are bincounts.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,8 +48,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        if not 1 <= self.horizon <= 3:
+            raise ValueError(f"horizon must be 1, 2 or 3, got {self.horizon}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
 
@@ -67,59 +74,79 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _pairwise_below(steps: np.ndarray) -> np.ndarray:
-    """below[:, j, k] for j < k: position k sits strictly below position j.
+def _segment_codes(steps: np.ndarray):
+    """Sign code of every path and a flag for paths with a tied position.
 
-    The comparison S_k vs S_j is the sign of the segment sum
-    X_{j+1} + ... + X_k, evaluated from the steps themselves.  Differencing
-    cumulative sums instead would manufacture ties whenever a small step is
-    absorbed by a large partial sum (heavy-tailed-magnitude steps make that
-    common); a segment sum keeps the correct sign.
+    Bit b is set when the b-th segment sum X_{j+1} + ... + X_k (pairs
+    j < k in lexicographic order) is negative: S_k sits below S_j.  Sums
+    of the steps themselves keep the sign exact; differenced cumulative
+    sums would manufacture ties when a large partial sum absorbs a small
+    step.  A zero segment sum leaves its bit clear and flags the path.
     """
     n, horizon = steps.shape
-    n_pos = horizon + 1
-    below = np.zeros((n, n_pos, n_pos), dtype=bool)
-    for j in range(n_pos):
+    columns = np.ascontiguousarray(steps.T)
+    codes = np.zeros(n, dtype=np.uint8)  # 6 bits at horizon 3
+    tied = np.zeros(n, dtype=bool)
+    bit = 0
+    for j in range(horizon):
         seg = np.zeros(n)
-        for k in range(j + 1, n_pos):
-            seg = seg + steps[:, k - 1]
-            below[:, j, k] = seg < 0.0
-    return below
+        for k in range(j + 1, horizon + 1):
+            seg = seg + columns[k - 1]
+            codes |= (seg < 0.0).view(np.uint8) << np.uint8(bit)
+            tied |= seg == 0.0
+            bit += 1
+    return codes, tied
 
 
-def _rank_matrices(below: np.ndarray):
-    """(overall, relative) integer rank matrices from pairwise comparisons."""
-    n_pos = below.shape[1]
-    above = np.zeros_like(below)
-    for j in range(n_pos):
-        for k in range(j + 1, n_pos):
-            above[:, j, k] = ~below[:, j, k]
-    overall = 1 + below.sum(axis=1) + above.sum(axis=2)  # worse than earlier + later
+@functools.cache
+def _code_tables(horizon: int):
+    """(overall, relative, ordering) of every sign code for one horizon.
+
+    Ranks count the pairwise comparisons: a later position is worse than
+    an earlier one it sits below and better otherwise.  ordering is the
+    ALL_ORDERINGS index of the strict order a code encodes (horizon 3
+    only; -1 elsewhere).
+    """
+    n_pos = horizon + 1
+    pairs = [(j, k) for j in range(n_pos) for k in range(j + 1, n_pos)]
+    codes = np.arange(1 << len(pairs))
+    below = np.zeros((codes.size, n_pos, n_pos), dtype=bool)
+    for bit, (j, k) in enumerate(pairs):
+        below[:, j, k] = (codes >> bit) & 1
     relative = 1 + below.sum(axis=1)
-    return overall, relative
+    overall = relative + (n_pos - 1 - np.arange(n_pos)) - below.sum(axis=2)
+    ordering = np.full(codes.size, -1, dtype=np.intp)
+    if horizon == 3:
+        for code, ranks in enumerate(overall.tolist()):
+            if sorted(ranks) == [1, 2, 3, 4]:
+                ordering[code] = ALL_ORDERINGS.index(tuple(sorted(range(4), key=ranks.__getitem__)))
+    for table in (overall, relative, ordering):
+        table.setflags(write=False)
+    return overall, relative, ordering
 
 
 def _simulate_chunk(dist, policy, horizon, n, rng):
     steps = np.asarray(dist.ppf(rng.random((n, horizon))), dtype=float)
-    below = _pairwise_below(steps)
-    overall, relative = _rank_matrices(below)
-    ranks_mode = policy.mode != FULL_INFORMATION
-
-    tau = np.full(n, -1, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+    codes, _ = _segment_codes(steps)
+    overall, relative, _ = _code_tables(horizon)
+    full = policy.mode == FULL_INFORMATION
+    # a rank-mode rule sees only relative ranks, so it is decided once per code
+    counts = np.ones(n, dtype=np.int64) if full else np.bincount(codes, minlength=len(overall))
+    tau = np.full(counts.size, -1, dtype=np.intp)
     for k in range(horizon + 1):
-        observed = relative[:, : k + 1] if ranks_mode else steps[:, :k]
-        stop_now = alive & np.asarray(policy.batch_rule(k, observed), dtype=bool)
+        observed = steps[:, :k] if full else relative[:, : k + 1]
+        stop_now = (tau < 0) & np.asarray(policy.batch_rule(k, observed), dtype=bool)
         tau[stop_now] = k
-        alive &= ~stop_now
-    if alive.any():
+    unstopped = int(counts[tau < 0].sum())
+    if unstopped:
         raise PolicyContractError(
-            f"policy {policy.name!r} left {int(alive.sum())} paths unstopped at the horizon"
+            f"policy {policy.name!r} left {unstopped} paths unstopped at the horizon"
         )
-
-    rank_tau = np.take_along_axis(overall, tau[:, None], axis=1).reshape(-1)
-    hist = np.bincount(tau, minlength=horizon + 1)
-    return float(rank_tau.sum()), float((rank_tau.astype(float) ** 2).sum()), hist
+    tau = np.maximum(tau, 0)  # codes still undecided carry no paths
+    rank_tau = overall[codes, tau] if full else overall[np.arange(tau.size), tau]
+    hist = np.bincount(tau, weights=counts, minlength=horizon + 1)
+    return (float((counts * rank_tau).sum()), float((counts * rank_tau**2).sum()),
+            tuple(int(c) for c in hist))
 
 
 @dataclass(frozen=True)
@@ -135,31 +162,27 @@ class ChunkPartial:
 
 def chunk_partials(dist: SymmetricDistribution, policy: StoppingPolicy,
                    cfg: SimConfig, workers: int = 1) -> list[ChunkPartial]:
-    """Simulate every chunk and return its partial sums, in chunk order."""
+    """Simulate every chunk and return its partial sums, in chunk order.
+
+    Chunks run on min(workers, chunk count, CPU count) threads.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if policy.horizon != cfg.horizon:
         raise ValueError(
             f"policy horizon {policy.horizon} does not match simulation horizon {cfg.horizon}"
         )
-    sizes = []
-    remaining = cfg.n_paths
-    while remaining > 0:
-        take = min(cfg.chunk_size, remaining)
-        sizes.append(take)
-        remaining -= take
+    tasks = [(idx, min(cfg.chunk_size, cfg.n_paths - start))
+             for idx, start in enumerate(range(0, cfg.n_paths, cfg.chunk_size))]
 
-    def job(idx_size):
-        idx, size = idx_size
-        total, total_sq, hist = _simulate_chunk(
-            dist, policy, cfg.horizon, size, chunk_rng(cfg.seed, idx)
-        )
-        return ChunkPartial(
-            index=idx, n_paths=size, rank_sum=total, rank_sq_sum=total_sq,
-            stop_time_histogram=tuple(int(c) for c in hist),
-        )
+    def job(task):
+        idx, size = task
+        sums = _simulate_chunk(dist, policy, cfg.horizon, size, chunk_rng(cfg.seed, idx))
+        return ChunkPartial(idx, size, *sums)  # rank_sum, rank_sq_sum, histogram
 
-    tasks = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, len(tasks), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(job, tasks))
     return [job(t) for t in tasks]
 
@@ -197,45 +220,25 @@ class FrequencyResult:
         return np.asarray(self.counts, dtype=float) / self.n_paths
 
 
-# Encode a descending chain of the four position indices in base 4; the
-# lookup array maps the 24 valid keys to canonical ordering indices.
-_KEY_LOOKUP = np.full(256, -1, dtype=np.int64)
-for _i, _chain in enumerate(ALL_ORDERINGS):
-    _KEY_LOOKUP[sum(idx * 4**pos for pos, idx in enumerate(reversed(_chain)))] = _i
-
-
 def permutation_frequencies(dist: SymmetricDistribution, n_paths: int, seed: int = 0,
                             chunk_size: int = 1 << 20) -> FrequencyResult:
     """Empirical frequencies of the 24 orderings of S_0..S_3.
 
-    Orderings come from the pairwise segment-sum comparisons (sign-exact).
+    Orderings come from the sign codes of the segment sums (sign-exact).
     Tied positions, a probability-zero event that only floating-point
     coincidence can produce, are resampled from the same chunk stream and
     counted.
     """
+    ordering = _code_tables(3)[2]
     counts = np.zeros(24, dtype=np.int64)
     ties = 0
-    done = 0
-    chunk_idx = 0
-    while done < n_paths:
-        take = min(chunk_size, n_paths - done)
+    for chunk_idx, start in enumerate(range(0, n_paths, chunk_size)):
         rng = chunk_rng(seed, chunk_idx)
-        need = take
+        need = min(chunk_size, n_paths - start)
         while need > 0:
             steps = np.asarray(dist.ppf(rng.random((need, 3))), dtype=float)
-            tied = np.zeros(need, dtype=bool)
-            for j in range(4):
-                seg = np.zeros(need)
-                for k in range(j + 1, 4):
-                    seg = seg + steps[:, k - 1]
-                    tied |= seg == 0.0
-            overall, _ = _rank_matrices(_pairwise_below(steps))
+            codes, tied = _segment_codes(steps)
             ties += int(tied.sum())
-            ranks = overall[~tied]
-            # chain slot of rank r holds the position index achieving it
-            keys = (np.arange(4)[None, :] * 4 ** (4 - ranks)).sum(axis=1)
-            counts += np.bincount(_KEY_LOOKUP[keys], minlength=24)
+            counts += np.bincount(ordering[codes[~tied]], minlength=24)
             need -= int((~tied).sum())
-        done += take
-        chunk_idx += 1
     return FrequencyResult(counts=tuple(int(c) for c in counts), n_paths=n_paths, ties_resampled=ties)

@@ -15,7 +15,7 @@ from rankstop.relranks import (
     shift_concentration_check,
     two_step_case_values,
 )
-from rankstop.simulate import SimConfig
+from rankstop.simulate import SimConfig, chunk_partials
 from rankstop.walkcore import (
     RELATIVE_RANKS,
     StoppingPolicy,
@@ -126,10 +126,30 @@ class TestSimulateErrors:
         {"n_paths": 0, "horizon": 3},
         {"n_paths": 10, "horizon": 0},
         {"n_paths": 10, "horizon": 3, "chunk_size": 0},
+        {"n_paths": 10, "horizon": 4},
+        {"n_paths": 10, "horizon": 40},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        cfg = SimConfig(n_paths=10, horizon=3)
+        with pytest.raises(ValueError):
+            chunk_partials(Uniform(1), stop_at_policy(0, 3), cfg, workers=workers)
+
+    @pytest.mark.parametrize("args", [
+        ["--policy", "stop_at_n", "--horizon", "4"],
+        ["--policy", "stop_at_n", "--horizon", "40"],
+        ["--policy", "stop_at_n", "--horizon", "0"],
+        ["--policy", "thm4a", "--workers", "0"],
+        ["--policy", "thm4a", "--workers", "-3"],
+    ])
+    def test_cli_rejects_before_work(self, args):
+        res = CliRunner().invoke(main, ["simulate", "--dist", '{"kind": "uniform", "a": 1}',
+                                        "--paths", "10", *args])
+        assert res.exit_code == 2
 
 
 class TestCliErrors:

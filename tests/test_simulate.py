@@ -4,12 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_walkcore import brute_force_ranks
+
+from rankstop import simulate
 from rankstop.distributions import IntervalUnionUniform, Laplace, Uniform
 from rankstop.fullinfo import full_info_policy, solve_full_info
-from rankstop.relranks import permutation_table, rank_policy_a, rank_policy_b
+from rankstop.oracle import RankPolicyTable, _ranks_of_chain
+from rankstop.relranks import ALL_ORDERINGS, permutation_table, rank_policy_a, rank_policy_b
 from rankstop.simulate import (
+    ChunkPartial,
     SimConfig,
     SimResult,
+    _code_tables,
+    _segment_codes,
+    _simulate_chunk,
     chunk_partials,
     chunk_rng,
     estimate_expected_rank,
@@ -20,6 +28,8 @@ from rankstop.walkcore import (
     RELATIVE_RANKS,
     PolicyContractError,
     StoppingPolicy,
+    WalkPath,
+    run_policy,
     stop_at_policy,
     two_step_policy,
 )
@@ -175,24 +185,196 @@ class TestChunkPartials:
 
 class TestScalarBatchConsistency:
     def test_run_policy_agrees_with_vectorized_ranks(self):
-        """The scalar path runner and the batch simulator compute ranks with
-        independent machinery; they must agree path by path."""
-        from rankstop.simulate import _pairwise_below, _rank_matrices
-        from rankstop.walkcore import WalkPath, run_policy
-        from rankstop.relranks import rank_policy_a
+        """The scalar path runner and the code kernel compute ranks with
+        independent machinery; they must agree path by path and in total."""
+        steps = np.asarray(Uniform(1).ppf(np.random.default_rng(123).random((200, 3))))
+        codes, tied = _segment_codes(steps)
+        overall, relative, _ = _code_tables(3)
+        assert not tied.any()
+        for policy in (rank_policy_a(), rank_policy_b(), RankPolicyTable(_CUSTOM_BITS).to_policy(),
+                       full_info_policy(Uniform(1), _UNIFORM_X1)):
+            ranks, hist = [], [0] * 4
+            for i in range(steps.shape[0]):
+                tau, rank = run_policy(policy, WalkPath(tuple(steps[i])))
+                assert rank == overall[codes[i], tau]
+                if policy.mode == RELATIVE_RANKS:
+                    # replay the batch decision sequence on this path's table row
+                    batch_tau = next(k for k in range(4) if policy.batch_rule(
+                        k, relative[codes[i : i + 1], : k + 1])[0])
+                    assert tau == batch_tau
+                ranks.append(rank)
+                hist[tau] += 1
+            total, total_sq, chunk_hist = _simulate_chunk(
+                Uniform(1), policy, 3, 200, np.random.default_rng(123))
+            assert (total, total_sq) == (sum(ranks), sum(r * r for r in ranks))
+            assert chunk_hist == tuple(hist)
 
-        rng = np.random.default_rng(123)
-        steps = np.asarray(Uniform(1).ppf(rng.random((200, 3))))
-        overall, relative = _rank_matrices(_pairwise_below(steps))
-        policy = rank_policy_a()
+
+class TestCodeTables:
+    def test_every_chain_maps_to_its_ordering(self):
+        overall, relative, ordering = _code_tables(3)
+        for index, chain in enumerate(ALL_ORDERINGS):
+            sums = np.empty(4)
+            sums[list(chain)] = [3.0, 2.0, 1.0, 0.0]  # chain is descending
+            codes, tied = _segment_codes(np.diff(sums - sums[0])[None, :])
+            assert not tied[0]
+            assert ordering[codes[0]] == index
+            assert (tuple(overall[codes[0]]), tuple(relative[codes[0]])) == _ranks_of_chain(chain)
+        assert sorted(ordering[ordering >= 0]) == list(range(24))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_ranks_match_brute_force_counter(self, horizon):
+        overall, relative, _ = _code_tables(horizon)
+        steps = np.asarray(Laplace(1).ppf(np.random.default_rng(horizon).random((500, horizon))))
+        codes, tied = _segment_codes(steps)
+        assert not tied.any()
         for i in range(steps.shape[0]):
-            path = WalkPath(tuple(steps[i]))
-            tau, rank = run_policy(policy, path)
-            # replay the batch decision sequence for this single path
-            batch_tau = None
-            for k in range(4):
-                if policy.batch_rule(k, relative[i : i + 1, : k + 1])[0]:
-                    batch_tau = k
-                    break
-            assert tau == batch_tau
-            assert rank == overall[i, tau]
+            expected = brute_force_ranks((0.0, *np.cumsum(steps[i]).tolist()))
+            assert (overall[codes[i]].tolist(), relative[codes[i]].tolist()) == expected
+
+    def test_zero_segment_sum_is_flagged(self):
+        codes, tied = _segment_codes(np.array([[1.0, -1.0, 0.5], [1.0, 0.5, -2.0]]))
+        assert tied.tolist() == [True, False]
+
+    def test_absorbed_step_keeps_its_sign(self):
+        # 1e16 + 1 rounds back to 1e16, but the segment sum X_2 = 1 does not
+        codes, tied = _segment_codes(np.array([[1e16, 1.0, 1.0]]))
+        assert not tied[0]
+        assert _code_tables(3)[0][codes[0]].tolist() == [4, 3, 2, 1]
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("workers, n_chunks, cpus, expected", [
+        (3, 2, 8, [2]),
+        (4, 5, 3, [3]),
+        (2, 5, 8, [2]),
+        (4, 1, 8, []),
+        (2, 5, 1, []),
+        (2, 5, None, []),
+    ])
+    def test_threads_capped(self, monkeypatch, workers, n_chunks, cpus, expected):
+        seen = []
+
+        class Recording(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        cfg = SimConfig(n_paths=10 * n_chunks, horizon=3, seed=1, chunk_size=10)
+        parts = chunk_partials(Uniform(1), rank_policy_a(), cfg, workers=workers)
+        assert len(parts) == n_chunks
+        assert seen == expected
+
+
+class Quartered:
+    """Steps on {-1.5, -0.5, 0.5, 1.5}: segment sums are often exactly zero."""
+
+    def ppf(self, u):
+        return np.floor(np.asarray(u) * 4.0) - 1.5
+
+
+_CUSTOM_BITS = (0, 0, 1, 1, 0, 1, 0, 1, 1)
+_UNIFORM_X1 = 0.8284271247460231
+
+_PINNED_RUNS = {
+    "a.uniform": (Uniform(1), rank_policy_a, 3),
+    "a.laplace": (Laplace(1), rank_policy_a, 3),
+    "b.uniform": (Uniform(1), rank_policy_b, 3),
+    "b.laplace": (Laplace(1), rank_policy_b, 3),
+    "stop3.uniform": (Uniform(1), lambda: stop_at_policy(3, 3), 3),
+    "stop3.laplace": (Laplace(1), lambda: stop_at_policy(3, 3), 3),
+    "custom.uniform": (Uniform(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy(), 3),
+    "custom.laplace": (Laplace(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy(), 3),
+    "two_step.laplace": (Laplace(1), two_step_policy, 2),
+    "full_info.uniform": (Uniform(1), lambda: full_info_policy(Uniform(1), _UNIFORM_X1), 3),
+    "a.quartered": (Quartered(), rank_policy_a, 3),
+}
+
+# (index, n_paths, rank_sum, rank_sq_sum, histogram) of every chunk for run i
+# at seed 100 + i, 10_007 paths and chunks of 4096.  They were computed from
+# per-path (n, 4, 4) rank matrices, independently of the sign-code tables.
+_PINNED_PARTIALS = {
+    "a.uniform": (
+        (0, 4096, 9541.0, 26233.0, (0, 2090, 982, 1024)),
+        (1, 4096, 9326.0, 25334.0, (0, 2042, 1026, 1028)),
+        (2, 1815, 4161.0, 11257.0, (0, 859, 499, 457)),
+    ),
+    "a.laplace": (
+        (0, 4096, 9307.0, 25225.0, (0, 2044, 1023, 1029)),
+        (1, 4096, 9399.0, 25745.0, (0, 2058, 967, 1071)),
+        (2, 1815, 4111.0, 11103.0, (0, 939, 448, 428)),
+    ),
+    "b.uniform": (
+        (0, 4096, 9577.0, 27183.0, (0, 2087, 486, 1523)),
+        (1, 4096, 9463.0, 26635.0, (0, 2009, 536, 1551)),
+        (2, 1815, 4207.0, 11885.0, (0, 880, 233, 702)),
+    ),
+    "b.laplace": (
+        (0, 4096, 9445.0, 26501.0, (0, 2020, 513, 1563)),
+        (1, 4096, 9387.0, 26299.0, (0, 2068, 515, 1513)),
+        (2, 1815, 4170.0, 11596.0, (0, 910, 220, 685)),
+    ),
+    "stop3.uniform": (
+        (0, 4096, 10103.0, 31109.0, (0, 0, 0, 4096)),
+        (1, 4096, 10357.0, 32337.0, (0, 0, 0, 4096)),
+        (2, 1815, 4504.0, 13902.0, (0, 0, 0, 1815)),
+    ),
+    "stop3.laplace": (
+        (0, 4096, 10208.0, 31518.0, (0, 0, 0, 4096)),
+        (1, 4096, 10310.0, 32068.0, (0, 0, 0, 4096)),
+        (2, 1815, 4538.0, 14058.0, (0, 0, 0, 1815)),
+    ),
+    "custom.uniform": (
+        (0, 4096, 10717.0, 32653.0, (0, 2032, 1547, 517)),
+        (1, 4096, 10847.0, 33505.0, (0, 2033, 1536, 527)),
+        (2, 1815, 4782.0, 14620.0, (0, 925, 659, 231)),
+    ),
+    "custom.laplace": (
+        (0, 4096, 10731.0, 32855.0, (0, 2097, 1515, 484)),
+        (1, 4096, 10637.0, 32321.0, (0, 1987, 1594, 515)),
+        (2, 1815, 4763.0, 14507.0, (0, 939, 657, 219)),
+    ),
+    "two_step.laplace": (
+        (0, 4096, 7573.0, 16483.0, (0, 2073, 2023)),
+        (1, 4096, 7664.0, 16868.0, (0, 2023, 2073)),
+        (2, 1815, 3444.0, 7654.0, (0, 894, 921)),
+    ),
+    "full_info.uniform": (
+        (0, 4096, 9370.0, 25898.0, (0, 1708, 1009, 1379)),
+        (1, 4096, 9212.0, 25176.0, (0, 1663, 1082, 1351)),
+        (2, 1815, 4122.0, 11404.0, (0, 735, 458, 622)),
+    ),
+    "a.quartered": (
+        (0, 4096, 9359.0, 25333.0, (0, 2086, 1016, 994)),
+        (1, 4096, 9433.0, 25687.0, (0, 2062, 983, 1051)),
+        (2, 1815, 4179.0, 11403.0, (0, 893, 458, 464)),
+    ),
+}
+
+# (counts, n_paths, ties_resampled) for 10_007 paths in chunks of 4096
+_PINNED_FREQUENCIES = [
+    (Laplace(1), 17, ((1229, 602, 438, 210, 304, 318, 206, 119, 327, 319, 318, 616,
+                       1209, 611, 441, 201, 334, 329, 211, 95, 307, 298, 308, 657), 10007, 0)),
+    (Quartered(), 18, ((2214, 553, 267, 0, 275, 289, 0, 0, 294, 268, 313, 555,
+                        2167, 567, 280, 0, 270, 272, 0, 0, 304, 301, 268, 550), 10007, 7958)),
+]
+
+
+class TestPinnedResults:
+    """Exact chunk sums and ordering counts, fixed by (seed, chunk_size, n_paths)."""
+
+    @pytest.mark.parametrize("name", list(_PINNED_RUNS))
+    def test_chunk_partials(self, name):
+        dist, make_policy, horizon = _PINNED_RUNS[name]
+        seed = 100 + list(_PINNED_RUNS).index(name)
+        cfg = SimConfig(n_paths=10_007, horizon=horizon, seed=seed, chunk_size=4096)
+        expected = [ChunkPartial(*row) for row in _PINNED_PARTIALS[name]]
+        assert chunk_partials(dist, make_policy(), cfg, workers=1) == expected
+        assert chunk_partials(dist, make_policy(), cfg, workers=2) == expected
+
+    @pytest.mark.parametrize("dist, seed, expected", _PINNED_FREQUENCIES)
+    def test_permutation_frequencies(self, dist, seed, expected):
+        freq = permutation_frequencies(dist, 10_007, seed=seed, chunk_size=4096)
+        assert (freq.counts, freq.n_paths, freq.ties_resampled) == expected
