@@ -33,18 +33,6 @@ for bits, value in sorted(result.values.items(), key=lambda kv: kv[1]):
              f"at 1: {'stop' if d1_up else 'go'} on up / {'stop' if d1_down else 'go'} on down")
     print(f"  {value!s:>5}  {label}")
 
-
-def two_step_rule():
-    def rule(k, observed):
-        n = observed.shape[0]
-        if k == 0:
-            return np.zeros(n, dtype=bool)
-        if k == 1:
-            return observed[:, 1] == 1
-        return np.ones(n, dtype=bool)
-    return StoppingPolicy(RELATIVE_RANKS, 2, "two_step_rule", rule)
-
-
 print()
 print("million-path check on two step laws (target 1.875):")
 for label, dist in [("uniform", Uniform(1)), ("laplace", Laplace(1))]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from rankstop import (
+    RankPolicyTable,
     SimConfig,
     Uniform,
     enumerate_rank_policies,
@@ -23,7 +24,7 @@ from rankstop import (
     solve_full_info,
     stage2_disagreement,
 )
-from rankstop.oracle import RankPolicyTable, canonical_rules
+from rankstop.oracle import canonical_rules
 
 uniform = Uniform(1)
 

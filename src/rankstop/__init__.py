@@ -51,7 +51,6 @@ from .numerics import (
 )
 from .oracle import (
     GridDPResult,
-    RankPolicyTable,
     enumerate_rank_policies,
     grid_dp_full_info,
     stage2_disagreement,
@@ -81,6 +80,7 @@ from .simulate import (
 from .walkcore import (
     FULL_INFORMATION,
     RELATIVE_RANKS,
+    RankPolicyTable,
     RankView,
     StoppingPolicy,
     TieError,
@@ -103,8 +103,8 @@ __all__ = [
     "integrate", "integrate_batch", "find_root",
     # walkcore
     "FULL_INFORMATION", "RELATIVE_RANKS", "WalkPath", "RankView",
-    "compute_ranks", "StoppingPolicy", "run_policy", "monotone_transform",
-    "stop_at_policy", "two_step_policy", "TieError",
+    "compute_ranks", "StoppingPolicy", "RankPolicyTable", "run_policy",
+    "monotone_transform", "stop_at_policy", "two_step_policy", "TieError",
     # fullinfo
     "FullInfoSolution", "V_LOWER_BOUND", "V_UPPER_BOUND",
     "THRESHOLD_QUANTILE_BOUND", "stage2_value", "continuation_value",
@@ -117,7 +117,7 @@ __all__ = [
     "shift_concentration_check", "optimal_rank_policy", "optimal_rank_value",
     "rank_policy_a", "rank_policy_b", "two_step_case_values",
     # oracle
-    "RankPolicyTable", "enumerate_rank_policies", "GridDPResult",
+    "enumerate_rank_policies", "GridDPResult",
     "grid_dp_full_info", "stage2_disagreement", "stage2_disagreement_csv",
     # simulate
     "SimConfig", "SimResult", "ChunkPartial", "chunk_partials",

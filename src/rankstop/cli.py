@@ -36,7 +36,7 @@ from .fullinfo import (
     solve_threshold,
 )
 from .numerics import BracketError, QuadratureConfig, QuadratureError
-from .oracle import RankPolicyTable, canonical_rules, enumerate_rank_policies
+from .oracle import canonical_rules, enumerate_rank_policies
 from .relranks import (
     PQ_INNER_CFG,
     PQ_OUTER_CFG,
@@ -49,7 +49,7 @@ from .relranks import (
     shift_concentration_check,
 )
 from .simulate import SimConfig, chunk_partials, estimate_expected_rank, reduce_partials
-from .walkcore import StoppingPolicy, stop_at_policy, two_step_policy
+from .walkcore import RankPolicyTable, StoppingPolicy, stop_at_policy, two_step_policy
 
 DEFAULT_SEED = 20260808
 
@@ -114,7 +114,7 @@ def _emit(payload: dict, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        click.echo(f"wrote {out}")
+        click.echo(f"wrote {out}", err=True)
     else:
         click.echo(text)
 
@@ -129,7 +129,7 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        click.echo(f"wrote {out}")
+        click.echo(f"wrote {out}", err=True)
     else:
         click.echo(text, nl=False)
 
@@ -187,7 +187,8 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
 
 @main.command()
 @click.option("--dist", "dist_spec", required=True)
-@click.option("--paths", default=200_000, show_default=True, help="Monte Carlo budget")
+@click.option("--paths", type=click.IntRange(min=1), default=200_000, show_default=True,
+              help="Monte Carlo budget")
 @click.option("--seed", type=int, default=None, help="override RANKSTOP_SEED / default")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify(dist_spec, paths, seed, out):
@@ -377,10 +378,10 @@ def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
 @click.option("--dist", "dist_spec", required=True)
 @click.option("--policy", "policy_spec", required=True,
               help="thm1|thm2|thm4a|thm4b|stop_at_0|stop_at_n or rank_table JSON")
-@click.option("--paths", default=10**6, show_default=True)
+@click.option("--paths", type=click.IntRange(min=1), default=10**6, show_default=True)
 @click.option("--horizon", type=click.IntRange(1, 3), default=3, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--chunk-size", default=1 << 18, show_default=True)
+@click.option("--chunk-size", type=click.IntRange(min=1), default=1 << 18, show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--audit-csv", type=click.Path(dir_okay=False), default=None,
               help="also write per-chunk partial sums for audit")
@@ -491,11 +492,7 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
     named = {
         name: res.is_minimizer(bits) for name, bits in canonical_rules(horizon).items()
     }
-    if horizon == 3:
-        descriptions = sorted({RankPolicyTable(bits).describe() for bits in res.minimizers})
-    else:
-        descriptions = ["stop after the first step exactly on a new maximum"
-                        if res.is_minimizer((0, 1, 0)) else "see bit tables"]
+    descriptions = sorted({RankPolicyTable(bits).describe() for bits in res.minimizers})
     payload = {
         "manifest": _manifest("enumerate", spec, n=horizon,
                               p=str(p) if p is not None else None,

@@ -21,11 +21,10 @@ from itertools import product
 import numpy as np
 
 from .distributions import SymmetricDistribution
-from .relranks import ALL_ORDERINGS, PQ_SUM, permutation_table
-from .walkcore import RELATIVE_RANKS, StoppingPolicy
+from .relranks import ALL_ORDERINGS, PQ_SUM, RANK_RULE_A_BITS, RANK_RULE_B_BITS, permutation_table
+from .walkcore import SECOND_STEP_HISTORIES, TWO_STEP_BITS, RankPolicyTable, StoppingPolicy
 
 __all__ = [
-    "RankPolicyTable",
     "EnumerationResult",
     "enumerate_rank_policies",
     "canonical_rules",
@@ -49,65 +48,8 @@ _TWO_STEP_ORDERINGS = [
     ((2, 0, 1), Fraction(1, 8)),
 ]
 
-#: Decision-slot order for the three-step bit tables: stop-at-start, the
-#: two first-step rank histories, then the six (first, second) rank pairs.
-SECOND_STEP_HISTORIES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+# The oracle reads stop bits through its own slot map, not walkcore's reader.
 _SECOND_STEP_SLOT = {history: 3 + i for i, history in enumerate(SECOND_STEP_HISTORIES)}
-
-
-@dataclass(frozen=True)
-class RankPolicyTable:
-    """A total rank-adapted rule for the three-step walk as nine stop bits."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != 9 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("a three-step rank policy needs nine 0/1 decision bits")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def stop_at_start(self) -> bool:
-        return bool(self.bits[0])
-
-    def stop_first(self, r1: int) -> bool:
-        return bool(self.bits[r1])
-
-    def stop_second(self, r1: int, r2: int) -> bool:
-        return bool(self.bits[_SECOND_STEP_SLOT[(r1, r2)]])
-
-    def stopping_time(self, rel_ranks: tuple[int, ...]) -> int:
-        """First stop index on a relative-rank history (forced stop at 3)."""
-        return _stop_time(self.bits, tuple(rel_ranks), 3)
-
-    def to_policy(self) -> StoppingPolicy:
-        bits = self.bits
-
-        def rule(k, observed):
-            n = observed.shape[0]
-            if k == 0:
-                return np.full(n, bool(bits[0]))
-            if k == 1:
-                r1 = observed[:, 1].astype(int)
-                return np.array(bits)[r1].astype(bool)
-            if k == 2:
-                r1 = observed[:, 1].astype(int)
-                r2 = observed[:, 2].astype(int)
-                slot = 3 + 3 * (r1 - 1) + (r2 - 1)
-                return np.array(bits)[slot].astype(bool)
-            return np.ones(n, dtype=bool)
-
-        return StoppingPolicy(RELATIVE_RANKS, 3, f"rank_table_{''.join(map(str, bits))}", rule)
-
-    def describe(self) -> str:
-        if self.stop_at_start:
-            return "stop immediately"
-        first = [r for r in (1, 2) if self.stop_first(r)]
-        second = [h for h in SECOND_STEP_HISTORIES if not self.stop_first(h[0]) and self.stop_second(*h)]
-        parts = []
-        parts.append(f"stop at 1 if rank in {first}" if first else "never stop at 1")
-        parts.append(f"stop at 2 if history in {second}" if second else "never stop at 2")
-        return "; ".join(parts)
 
 
 def _ranks_of_chain(chain: tuple[int, ...]):
@@ -212,21 +154,11 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
 
 
 def canonical_rules(n: int = 3) -> dict[str, tuple[int, ...]]:
-    """Reference bit tables for the named rules."""
-    if n == 2:
-        return {
-            "two_step_rule": (0, 1, 0),   # stop at 1 on a new maximum
-            "stop_at_start": (1, 0, 0),
-            "stop_at_end": (0, 0, 0),
-        }
-    return {
-        # stop at 1 on a new maximum; at 2 unless at a new minimum
-        "rank_rule_a": (0, 1, 0, 0, 0, 0, 1, 1, 0),
-        # stop at 1 on a new maximum; at 2 only on a new maximum
-        "rank_rule_b": (0, 1, 0, 0, 0, 0, 1, 0, 0),
-        "stop_at_start": (1,) + (0,) * 8,
-        "stop_at_end": (0,) * 9,
-    }
+    """Bit tables of the named rules, the same tuples their policies are built from."""
+    named = ({"two_step_rule": TWO_STEP_BITS} if n == 2 else
+             {"rank_rule_a": RANK_RULE_A_BITS, "rank_rule_b": RANK_RULE_B_BITS})
+    return {**named, "stop_at_start": RankPolicyTable.stop_at(0, n).bits,
+            "stop_at_end": RankPolicyTable.stop_at(n, n).bits}
 
 
 # ---------------------------------------------------------------------------

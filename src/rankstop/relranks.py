@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import SymmetricDistribution
 from .numerics import EPS_U, QuadratureConfig, integrate_batch, integrate_detailed
-from .walkcore import RELATIVE_RANKS, StoppingPolicy
+from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
     "PQ_SUM",
@@ -38,6 +38,8 @@ __all__ = [
     "ConcentrationReport",
     "permutation_table",
     "optimal_rank_policy",
+    "RANK_RULE_A_BITS",
+    "RANK_RULE_B_BITS",
     "rank_policy_a",
     "rank_policy_b",
     "optimal_rank_value",
@@ -287,36 +289,19 @@ def permutation_table(p, q) -> PermutationTable:
 # ---------------------------------------------------------------------------
 
 
+#: Stop bits (walkcore.RankPolicyTable layout) of the two optimal rank rules.
+RANK_RULE_A_BITS = (0, 1, 0, 0, 0, 0, 1, 1, 0)
+RANK_RULE_B_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
+
+
 def rank_policy_a() -> StoppingPolicy:
     """Stop at 1 on a new maximum; else stop at 2 unless S_2 is a new minimum."""
-
-    def rule(k, observed):
-        n = observed.shape[0]
-        if k == 0:
-            return np.zeros(n, dtype=bool)
-        if k == 1:
-            return observed[:, 1] == 1
-        if k == 2:
-            return (observed[:, 1] == 2) & (observed[:, 2] <= 2)
-        return np.ones(n, dtype=bool)
-
-    return StoppingPolicy(RELATIVE_RANKS, 3, "rank_rule_a", rule)
+    return RankPolicyTable(RANK_RULE_A_BITS).to_policy("rank_rule_a")
 
 
 def rank_policy_b() -> StoppingPolicy:
     """Stop at 1 on a new maximum; else stop at 2 only on a new maximum."""
-
-    def rule(k, observed):
-        n = observed.shape[0]
-        if k == 0:
-            return np.zeros(n, dtype=bool)
-        if k == 1:
-            return observed[:, 1] == 1
-        if k == 2:
-            return (observed[:, 1] == 2) & (observed[:, 2] == 1)
-        return np.ones(n, dtype=bool)
-
-    return StoppingPolicy(RELATIVE_RANKS, 3, "rank_rule_b", rule)
+    return RankPolicyTable(RANK_RULE_B_BITS).to_policy("rank_rule_b")
 
 
 def optimal_rank_policy(pq) -> tuple[StoppingPolicy, str]:

@@ -229,6 +229,10 @@ def permutation_frequencies(dist: SymmetricDistribution, n_paths: int, seed: int
     coincidence can produce, are resampled from the same chunk stream and
     counted.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     ordering = _code_tables(3)[2]
     counts = np.zeros(24, dtype=np.int64)
     ties = 0

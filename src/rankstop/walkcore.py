@@ -1,4 +1,4 @@
-"""Walk paths, rank bookkeeping, and the stopping-policy interface.
+"""Walk paths, rank bookkeeping, the stopping-policy interface and rank tables.
 
 Ranks follow the convention R_k = #(i : S_k <= S_i) including the
 self-comparison, so rank 1 is the best (the running maximum).  Relative
@@ -25,6 +25,9 @@ __all__ = [
     "RankView",
     "compute_ranks",
     "StoppingPolicy",
+    "SECOND_STEP_HISTORIES",
+    "RankPolicyTable",
+    "TWO_STEP_BITS",
     "run_policy",
     "monotone_transform",
     "stop_at_policy",
@@ -128,6 +131,85 @@ class StoppingPolicy:
         return bool(np.asarray(self.batch_rule(k, arr)).reshape(-1)[0])
 
 
+#: The (R~_1, R~_2) histories of the second decision, in slot order.
+SECOND_STEP_HISTORIES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+
+#: First slot of each decision time k = 0, 1, 2 and the end of the table:
+#: time k has (k + 1)! relative-rank histories.
+_SLOT_OFFSETS = (0, 1, 3, 9)
+
+#: Stop at 1 on a new maximum, else take the second step.
+TWO_STEP_BITS = (0, 1, 0)
+
+
+@dataclass(frozen=True)
+class RankPolicyTable:
+    """A total relative-ranks rule as one stop bit per decision slot.
+
+    Horizons 1, 2 and 3 take 1, 3 and 9 bits; the bit count gives the
+    horizon.  Slot 0 is the decision at the start, slots 1-2 the first
+    step's relative rank R~_1 = 1, 2, and slots 3-8 the pairs
+    (R~_1, R~_2) in SECOND_STEP_HISTORIES order.  The rule stops at the
+    horizon whatever the bits say.
+    """
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.bits) not in _SLOT_OFFSETS[1:] or any(b not in (0, 1) for b in self.bits):
+            raise ValueError("a rank policy needs 1, 3 or 9 0/1 decision bits (horizon 1, 2 or 3)")
+        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+
+    @classmethod
+    def stop_at(cls, k: int, horizon: int) -> RankPolicyTable:
+        """The fixed-time rule: a slot stops when its decision time is at least k."""
+        if not 1 <= horizon < len(_SLOT_OFFSETS):
+            raise ValueError(f"rank tables cover horizons 1..{len(_SLOT_OFFSETS) - 1}, got {horizon}")
+        if not 0 <= k <= horizon:
+            raise ValueError(f"stop time {k} outside 0..{horizon}")
+        return cls(tuple(int(t >= k) for t in range(horizon)
+                         for _ in range(_SLOT_OFFSETS[t], _SLOT_OFFSETS[t + 1])))
+
+    @property
+    def horizon(self) -> int:
+        return _SLOT_OFFSETS.index(len(self.bits))
+
+    def to_policy(self, name: str | None = None) -> StoppingPolicy:
+        """The rule as a relative-ranks policy.
+
+        Before the horizon, the decision at time k reads the slot
+        offset[k] + the mixed-radix index of (R~_1..R~_k), where R~_j runs
+        over 1..j + 1.
+        """
+        horizon = self.horizon
+        bits = np.array(self.bits, dtype=bool)
+
+        def rule(k, observed):
+            if k >= horizon:
+                return np.ones(observed.shape[0], dtype=bool)
+            index = np.zeros(observed.shape[0], dtype=np.intp)
+            for j in range(1, k + 1):
+                index = index * (j + 1) + observed[:, j].astype(np.intp) - 1
+            return bits[_SLOT_OFFSETS[k] + index]
+
+        name = name or f"rank_table_{''.join(map(str, self.bits))}"
+        return StoppingPolicy(RELATIVE_RANKS, horizon, name, rule)
+
+    def describe(self) -> str:
+        """Where the rule stops before the forced stop at the horizon."""
+        if self.bits[0]:
+            return "stop immediately"
+        parts = []
+        if self.horizon > 1:
+            first = [r for r in (1, 2) if self.bits[r]]
+            parts.append(f"stop at 1 if rank in {first}" if first else "never stop at 1")
+        if self.horizon > 2:
+            second = [h for slot, h in enumerate(SECOND_STEP_HISTORIES, _SLOT_OFFSETS[2])
+                      if self.bits[slot] and not self.bits[h[0]]]
+            parts.append(f"stop at 2 if history in {second}" if second else "never stop at 2")
+        return "; ".join(parts) or "stop at 1"
+
+
 def run_policy(policy: StoppingPolicy, path: WalkPath) -> tuple[int, int]:
     """First stopping time of the policy on the path and the rank obtained."""
     if path.n != policy.horizon:
@@ -156,28 +238,13 @@ def monotone_transform(path: WalkPath, g) -> tuple[float, ...]:
     return values
 
 
-def stop_at_policy(k: int, horizon: int, mode: str = RELATIVE_RANKS) -> StoppingPolicy:
+def stop_at_policy(k: int, horizon: int) -> StoppingPolicy:
     """The fixed-time rule: continue until k, then stop."""
-    if not 0 <= k <= horizon:
-        raise ValueError(f"stop time {k} outside 0..{horizon}")
-
-    def rule(step, observed):
-        return np.full(observed.shape[0], step >= k, dtype=bool)
-
-    return StoppingPolicy(mode, horizon, f"stop_at_{k}", rule)
+    return RankPolicyTable.stop_at(k, horizon).to_policy(f"stop_at_{k}")
 
 
 def two_step_policy() -> StoppingPolicy:
     """The optimal two-step rule: stop after the first step iff it is a new
     maximum, else take the second.  Optimal for every continuous symmetric
     step law, in both observation models, with expected rank 15/8."""
-
-    def rule(k, observed):
-        n = observed.shape[0]
-        if k == 0:
-            return np.zeros(n, dtype=bool)
-        if k == 1:
-            return observed[:, 1] == 1
-        return np.ones(n, dtype=bool)
-
-    return StoppingPolicy(RELATIVE_RANKS, 2, "two_step_rule", rule)
+    return RankPolicyTable(TWO_STEP_BITS).to_policy("two_step_rule")

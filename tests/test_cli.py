@@ -57,6 +57,7 @@ class TestSolve:
                               "--out", str(out)])
         assert res.exit_code == 0
         assert json.loads(out.read_text())["branch"] == "b"
+        assert res.stdout == ""
 
 
 class TestVerify:
@@ -152,6 +153,39 @@ class TestSimulateCmd:
         payload = json.loads(res.output)
         assert payload["stop_time_histogram"][0] == 50000
 
+    def test_three_bit_rank_table_at_horizon_2(self, runner):
+        policy = json.dumps({"kind": "rank_table", "bits": [0, 1, 0]})
+        res = invoke(runner, ["simulate", "--dist", LAPLACE, "--policy", policy,
+                              "--horizon", "2", "--paths", "50000", "--seed", "1"])
+        two_step = invoke(runner, ["simulate", "--dist", LAPLACE, "--policy", "thm1",
+                                   "--paths", "50000", "--seed", "1"])
+        assert json.loads(res.output)["mean_rank"] == json.loads(two_step.output)["mean_rank"]
+
+    def test_rank_table_horizon_mismatch_exits_2(self, runner):
+        policy = json.dumps({"kind": "rank_table", "bits": [0, 1, 0]})
+        res = runner.invoke(main, ["simulate", "--dist", UNIFORM, "--policy", policy,
+                                   "--paths", "10"])
+        assert res.exit_code == 2
+
+    def test_audit_csv_keeps_stdout_json(self, runner, tmp_path):
+        audit = tmp_path / "audit.csv"
+        res = invoke(runner, ["simulate", "--dist", UNIFORM, "--policy", "thm4a",
+                              "--paths", "1000", "--chunk-size", "400",
+                              "--audit-csv", str(audit)])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["n_paths"] == 1000
+        assert f"wrote {audit}" in res.stderr
+        assert len(audit.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--dist", UNIFORM, "--policy", "thm4a", "--paths", "0"],
+        ["simulate", "--dist", UNIFORM, "--policy", "thm4a", "--paths", "10",
+         "--chunk-size", "0"],
+        ["verify", "--dist", UNIFORM, "--paths", "0"],
+    ])
+    def test_degenerate_budget_exits_2(self, runner, args):
+        assert runner.invoke(main, args).exit_code == 2
+
     def test_unknown_policy_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "--dist", UNIFORM, "--policy", "thm9"])
         assert res.exit_code == 2
@@ -206,6 +240,7 @@ class TestEnumerate:
         payload = json.loads(res.output)
         assert payload["optimal_value"] == "15/8"
         assert payload["named_rules_optimal"]["two_step_rule"] is True
+        assert payload["minimizer_descriptions"] == ["stop at 1 if rank in [1]"]
 
     def test_from_distribution(self, runner):
         res = invoke(runner, ["enumerate", "--dist", UNIFORM])

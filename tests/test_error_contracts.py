@@ -15,7 +15,7 @@ from rankstop.relranks import (
     shift_concentration_check,
     two_step_case_values,
 )
-from rankstop.simulate import SimConfig, chunk_partials
+from rankstop.simulate import SimConfig, chunk_partials, permutation_frequencies
 from rankstop.walkcore import (
     RELATIVE_RANKS,
     StoppingPolicy,
@@ -87,6 +87,11 @@ class TestWalkcoreErrors:
         with pytest.raises(ValueError):
             stop_at_policy(4, 3)
 
+    @pytest.mark.parametrize("horizon", [0, 4])
+    def test_stop_at_horizon_outside_tables(self, horizon):
+        with pytest.raises(ValueError):
+            stop_at_policy(0, horizon)
+
 
 class TestRelranksErrors:
     def test_concentration_grid_must_be_positive(self):
@@ -138,6 +143,14 @@ class TestSimulateErrors:
         cfg = SimConfig(n_paths=10, horizon=3)
         with pytest.raises(ValueError):
             chunk_partials(Uniform(1), stop_at_policy(0, 3), cfg, workers=workers)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_paths": 0}, "n_paths"),
+        ({"n_paths": 10, "chunk_size": 0}, "chunk_size"),
+    ])
+    def test_frequencies_reject_empty_budget(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            permutation_frequencies(Uniform(1), **kwargs)
 
     @pytest.mark.parametrize("args", [
         ["--policy", "stop_at_n", "--horizon", "4"],

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rankstop.distributions import Laplace, Uniform
 from rankstop.fullinfo import full_info_policy, solve_full_info
 from rankstop.oracle import (
     RankPolicyTable,
+    _stop_time,
     canonical_rules,
     enumerate_rank_policies,
     grid_dp_full_info,
@@ -99,31 +101,34 @@ class TestThreeStepEnumeration:
 
 class TestRankPolicyTable:
     def test_policy_agrees_with_stopping_time(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            bits = tuple(int(b) for b in rng.integers(0, 2, 9))
-            table = RankPolicyTable(bits)
-            policy = table.to_policy()
-            # histories reachable in a three-step walk
-            for r1 in (1, 2):
-                for r2 in (1, 2, 3):
-                    history = (1, r1, r2, 1)
-                    tau = table.stopping_time(history)
-                    replay = 0 if policy.decide(0, [1]) else None
-                    if replay is None:
-                        replay = 1 if policy.decide(1, [1, r1]) else None
-                    if replay is None:
-                        replay = 2 if policy.decide(2, [1, r1, r2]) else 3
+        # walkcore's reader against the oracle's own reading of the bits,
+        # for every 3- and 9-bit table and every history its walk can show
+        for n in (2, 3):
+            for bits in product((0, 1), repeat=3 if n == 2 else 9):
+                policy = RankPolicyTable(bits).to_policy()
+                for tail in product(*(range(1, j + 2) for j in range(1, n))):
+                    history = (1, *tail, 1)[: n + 1]
+                    tau = _stop_time(bits, history, n)
+                    replay = next(k for k in range(n + 1) if policy.decide(k, history[: k + 1]))
                     assert tau == replay
 
     def test_bit_validation(self):
-        with pytest.raises(ValueError):
-            RankPolicyTable((1, 0))
-        with pytest.raises(ValueError):
-            RankPolicyTable((2,) * 9)
+        for bits in [(), (1, 0), (0,) * 4, (0,) * 10, (2,) * 9]:
+            with pytest.raises(ValueError):
+                RankPolicyTable(bits)
 
     def test_describe(self):
         assert "immediately" in RankPolicyTable((1,) + (0,) * 8).describe()
+        assert RankPolicyTable((1,)).describe() == "stop immediately"
+        assert RankPolicyTable((0,)).describe() == "stop at 1"
+        assert RankPolicyTable((0, 0, 0)).describe() == "never stop at 1"
+        assert RankPolicyTable((0,) * 9).describe() == "never stop at 1; never stop at 2"
+        assert RankPolicyTable((0, 1, 0)).describe() == "stop at 1 if rank in [1]"
+        assert RankPolicyTable(canonical_rules(3)["rank_rule_b"]).describe() == (
+            "stop at 1 if rank in [1]; stop at 2 if history in [(2, 1)]")
+        # second-step bits behind a stop at 1 are never reached
+        assert RankPolicyTable((0, 1, 0, 1, 1, 1, 0, 0, 0)).describe() == (
+            "stop at 1 if rank in [1]; never stop at 2")
 
 
 class TestGridDP:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankstop.distributions import Laplace, Uniform
+from rankstop.relranks import rank_policy_a, rank_policy_b
 from rankstop.walkcore import (
     FULL_INFORMATION,
     RELATIVE_RANKS,
     MonotonicityError,
+    RankPolicyTable,
     StoppingPolicy,
     TieError,
     WalkPath,
@@ -16,6 +18,7 @@ from rankstop.walkcore import (
     monotone_transform,
     run_policy,
     stop_at_policy,
+    two_step_policy as table_two_step_policy,
 )
 
 
@@ -125,6 +128,49 @@ class TestRunPolicy:
     def test_horizon_mismatch(self):
         with pytest.raises(ValueError):
             run_policy(stop_at_policy(0, 3), WalkPath((1.0, 2.0)))
+
+
+def _histories(horizon):
+    """Every relative-rank history R~_0..R~_horizon, one per row."""
+    grids = np.meshgrid(*(np.arange(1, j + 2) for j in range(horizon + 1)), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _closure(horizon, stop):
+    return StoppingPolicy(RELATIVE_RANKS, horizon, "closure",
+                          lambda k, obs: np.array([k == horizon or stop(k, row) for row in obs]))
+
+
+class TestRankPolicyTables:
+    @pytest.mark.parametrize("policy, closure", [
+        (rank_policy_a(), _closure(3, lambda k, r: (k == 1 and r[1] == 1)
+                                   or (k == 2 and r[1] == 2 and r[2] <= 2))),
+        (rank_policy_b(), _closure(3, lambda k, r: (k == 1 and r[1] == 1)
+                                   or (k == 2 and r[1] == 2 and r[2] == 1))),
+        (table_two_step_policy(), two_step_policy()),
+        (stop_at_policy(2, 3), _closure(3, lambda k, r: k >= 2)),
+        (stop_at_policy(0, 1), _closure(1, lambda k, r: True)),
+    ], ids=["rank_rule_a", "rank_rule_b", "two_step_rule", "stop_at_2", "stop_at_0_h1"])
+    def test_named_rules_match_their_closures(self, policy, closure):
+        histories = _histories(policy.horizon)
+        for k in range(policy.horizon + 1):
+            observed = histories[:, : k + 1]
+            np.testing.assert_array_equal(policy.batch_rule(k, observed),
+                                          closure.batch_rule(k, observed))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_stop_at_stops_exactly_there(self, horizon):
+        rng = np.random.default_rng(horizon)
+        for k in range(horizon + 1):
+            policy = stop_at_policy(k, horizon)
+            assert policy.name == f"stop_at_{k}"
+            for _ in range(10):
+                assert run_policy(policy, WalkPath(tuple(rng.standard_normal(horizon))))[0] == k
+
+    def test_bit_count_gives_horizon(self):
+        for bits, horizon in [((1,), 1), ((0, 1, 0), 2), ((0,) * 9, 3)]:
+            table = RankPolicyTable(bits)
+            assert table.horizon == table.to_policy().horizon == horizon
 
 
 class TestMonotoneTransform:
