@@ -110,13 +110,16 @@ def _load_dist(spec_text: str):
 
 
 def _emit(payload: dict, out: str | None):
+    # Streams are passed explicitly: click.echo's default-stream cache maps a
+    # stream to itself, so every stream it ever saw (each CliRunner
+    # invocation's, say) would stay alive.
     text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        click.echo(f"wrote {out}", err=True)
+        click.echo(f"wrote {out}", file=sys.stderr)
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None):
@@ -129,9 +132,17 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        click.echo(f"wrote {out}", err=True)
+        click.echo(f"wrote {out}", file=sys.stderr)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
+
+
+def _z_score(mean: float, target: float, std_error: float) -> float:
+    """Standard score of a Monte Carlo mean.  A sample without spread
+    matches only a target it hits exactly."""
+    if std_error > 0:
+        return (mean - target) / std_error
+    return 0.0 if mean == target else math.copysign(math.inf, mean - target)
 
 
 def _numeric_guard(fn):
@@ -162,7 +173,8 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
         tols.update(root_x_tol=THRESHOLD_ROOT_CFG.x_tol, root_f_tol=THRESHOLD_ROOT_CFG.f_tol)
         sol = _numeric_guard(lambda: solve_full_info(dist, cfg))
         payload = {
-            "manifest": _manifest("solve", spec, model="full", tolerances=tols),
+            "manifest": _manifest("solve", spec, model="full", tolerances=tols,
+                                  method=sol.diagnostics["method"]),
             "x1_star": sol.x1_star,
             "value": sol.value,
             "F_at_threshold": sol.F_at_threshold,
@@ -174,7 +186,8 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
         pq = _numeric_guard(lambda: compute_pq(dist, cfg))
         policy, branch = optimal_rank_policy(pq)
         payload = {
-            "manifest": _manifest("solve", spec, model="relranks", tolerances=tols),
+            "manifest": _manifest("solve", spec, model="relranks", tolerances=tols,
+                                  method=pq.method),
             "p": pq.p,
             "q": pq.q,
             "error_bound": pq.error_bound,
@@ -246,12 +259,12 @@ def verify(dist_spec, paths, seed, out):
         cfg = SimConfig(n_paths=paths, horizon=3, seed=seed)
         mc = estimate_expected_rank(dist, rank_pol, cfg)
         target = optimal_rank_value(pq)
-        z = (mc.mean_rank - target) / mc.std_error if mc.std_error else 0.0
+        z = _z_score(mc.mean_rank, target, mc.std_error)
         record("monte_carlo_rank_rule", abs(z) <= 4.0,
                {"branch": branch, "mean": mc.mean_rank, "target": target, "z": z})
 
         mc2 = estimate_expected_rank(dist, full_info_policy(dist, sol.x1_star), cfg)
-        z2 = (mc2.mean_rank - sol.value) / mc2.std_error if mc2.std_error else 0.0
+        z2 = _z_score(mc2.mean_rank, sol.value, mc2.std_error)
         record("monte_carlo_full_info", abs(z2) <= 4.0,
                {"mean": mc2.mean_rank, "target": sol.value, "z": z2})
 
@@ -445,7 +458,7 @@ def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
                    "q_coefficient", "probability"], out)
         return
     payload = {
-        "manifest": _manifest("pq", spec, tolerances=tols),
+        "manifest": _manifest("pq", spec, tolerances=tols, method=params.method),
         "p": params.p,
         "q": params.q,
         "method": params.method,

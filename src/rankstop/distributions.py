@@ -216,17 +216,19 @@ class TabulatedCdf(SymmetricDistribution):
     values with different F would be an atom and are rejected: the library
     relies on continuity of F throughout.
 
-    Every knot is a kink of the CDF, and the solvers split quadrature
-    panels at all of them; the full-information solver also splits at
-    every difference of two knots.  Measured on a 2-core Xeon, one
-    ``solve_full_info`` plus one ``compute_pq``:
+    Every knot is a kink of the CDF.  The solvers recognise this class and
+    integrate exactly on the pieces between knots, knots + x, twice the
+    knots and knot differences, with fixed Gauss-Legendre rules instead of
+    adaptive quadrature.  Measured on a 2-core Xeon, one
+    ``solve_full_info`` plus one ``compute_pq``, best of 3 (masses jittered
+    by 10%, irregular knots on the benchmark's template):
 
     ======  =====================  =====================
     knots   even spacing           irregular spacing
     ======  =====================  =====================
-    20      0.12 s, 41 MB peak     0.37 s, 46 MB peak
-    60      0.55 s, 66 MB peak     2.3 s, 87 MB peak
-    120     2.6 s, 131 MB peak     8.5 s, 133 MB peak
+    20      0.03 s, 40 MB peak     0.04 s, 41 MB peak
+    60      0.04 s, 43 MB peak     0.07 s, 47 MB peak
+    120     0.11 s, 50 MB peak     0.33 s, 55 MB peak
     ======  =====================  =====================
 
     Evenly spaced knots share their differences, so they cost less.  The

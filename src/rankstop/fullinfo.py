@@ -13,6 +13,14 @@ u = F(y), so unbounded supports never appear explicitly and the error
 control is uniform across distributions.  The curve is evaluated at whole
 arrays of first steps: the two dF-integrals of every point go to the
 integrator as one batch.
+
+For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
+polynomial between known cuts: the dF-integrands are linear between
+F(knots) and F(knots + x), and the curve is quadratic in u between the
+images of the knots, twice the knots and the knot differences.  Fixed
+Gauss-Legendre rules on those pieces (``numerics.integrate_pieces``) are
+then exact up to rounding and replace the adaptive quadrature; the
+tolerances do not apply and the reported bounds are rounding bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SymmetricDistribution
+from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
     EPS_U,
     BracketError,
@@ -31,6 +39,7 @@ from .numerics import (
     find_root,
     integrate_batch,
     integrate_detailed,
+    integrate_pieces,
 )
 from .walkcore import FULL_INFORMATION, StoppingPolicy
 
@@ -70,6 +79,10 @@ FULL_OUTER_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
 #: curve cannot be told from 2.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 _BOUND_TOL = 1e-9
+#: Gauss-Legendre nodes per piece on the exact path: the dF-integrands are
+#: linear and the V integrand quadratic on their pieces.
+_INNER_ORDER = 2
+_OUTER_ORDER = 3
 
 
 class ThresholdError(RuntimeError):
@@ -105,15 +118,20 @@ def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
     and where Q itself kinks; both sets are handed to the integrator as
     panel edges.
     """
-    lo = np.maximum(u_lo, EPS_U)
-    hi = np.maximum(np.minimum(u_hi, 1.0 - EPS_U), lo)  # empty ranges integrate to 0
     knots = dist.cdf_break_points()
     cuts = None
     if len(knots):
         own = np.broadcast_to(dist.cdf(knots), (len(x_shift), len(knots)))
         cuts = np.concatenate([dist.cdf(knots + x_shift[:, None]), own], axis=1)
-    return integrate_batch(lambda u, i: dist.cdf(dist.ppf(u) - x_shift[i]), lo, hi, cfg,
-                           break_points=cuts)
+
+    def f(u, i):
+        return dist.cdf(dist.ppf(u) - x_shift[i])
+
+    if isinstance(dist, TabulatedCdf):
+        return integrate_pieces(f, u_lo, np.maximum(u_hi, u_lo), cuts, _INNER_ORDER)
+    lo = np.maximum(u_lo, EPS_U)
+    hi = np.maximum(np.minimum(u_hi, 1.0 - EPS_U), lo)  # empty ranges integrate to 0
+    return integrate_batch(f, lo, hi, cfg, break_points=cuts)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -231,18 +249,24 @@ def solve_full_info(dist: SymmetricDistribution,
     V splits exactly at 0 and at the threshold: the first-step integral of
     the continuation curve over the negative half, the flat stop payoff 2
     on (0, x1*], and the continuation curve again beyond x1*.
-    ``diagnostics["panels"]`` counts the quadrature panels evaluated for V
-    and for the residual at x1*; the threshold search is not included.
+    ``diagnostics["panels"]`` counts the quadrature panels (pieces, on the
+    exact path) evaluated for V and for the residual at x1*; the threshold
+    search is not included.  ``diagnostics["quadrature_error_bound"]`` adds
+    the outer bound and the largest bound of the curve over the u-range.
+    ``diagnostics["method"]`` is "exact_piecewise_linear" for a
+    ``TabulatedCdf`` and "quadrature" otherwise.
     """
     inner_cfg = quad_cfg or FULL_INNER_CFG
     x1s = solve_threshold(dist, inner_cfg)
     f_at = float(dist.cdf(x1s))
     at_threshold, _, panels = _continuation(dist, [x1s], inner_cfg)
+    curve_err = 0.0
 
     def curve_of_u(us):
-        nonlocal panels
-        values, _, n = _continuation(dist, dist.ppf(us), inner_cfg)
+        nonlocal panels, curve_err
+        values, errs, n = _continuation(dist, dist.ppf(us), inner_cfg)
         panels += n
+        curve_err = max(curve_err, float(errs.max(initial=0.0)))
         return values
 
     # The continuation curve changes analytic form whenever the first step
@@ -251,21 +275,30 @@ def solve_full_info(dist: SymmetricDistribution,
     knots = dist.cdf_break_points()
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
     cuts = dist.cdf(np.unique(kinks)) if len(knots) else None
-    neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, EPS_U, 0.5, FULL_OUTER_CFG,
-                                                      break_points=cuts)
-    hi_u = 1.0 - EPS_U
-    pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, min(f_at, hi_u), hi_u,
-                                                      FULL_OUTER_CFG, break_points=cuts)
-    value = neg_val + 2.0 * (f_at - 0.5) + pos_val
+    exact = isinstance(dist, TabulatedCdf)
+    if exact:
+        (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate_pieces(
+            lambda u, _: curve_of_u(u), [0.0, f_at], [0.5, 1.0],
+            np.broadcast_to(cuts, (2, len(cuts))), _OUTER_ORDER)
+        outer_panels = int(outer_panels.sum())
+    else:
+        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, EPS_U, 0.5, FULL_OUTER_CFG,
+                                                          break_points=cuts)
+        hi_u = 1.0 - EPS_U
+        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, min(f_at, hi_u), hi_u,
+                                                          FULL_OUTER_CFG, break_points=cuts)
+        outer_panels = neg_panels + pos_panels
+    value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
     return FullInfoSolution(
         x1_star=x1s,
         value=value,
         F_at_threshold=f_at,
         diagnostics={
             "threshold_residual": float(at_threshold[0]) - 2.0,
-            "quadrature_error_bound": neg_err + pos_err,
+            "quadrature_error_bound": float(neg_err + pos_err + curve_err * (1.5 - f_at)),
             "scan_upper": dist.quantile(1.0 - 1e-12),
-            "panels": panels + neg_panels + pos_panels,
+            "panels": panels + outer_panels,
+            "method": "exact_piecewise_linear" if exact else "quadrature",
         },
     )
 

@@ -11,6 +11,10 @@ fixed number of nodes however many problems there are.  This is the design of Sc
 across problems.  ``integrate_detailed`` and ``integrate`` are the
 one-problem case of the same engine.
 
+``integrate_pieces`` is the fixed-rule counterpart for integrands that are
+polynomials between known break points: one Gauss-Legendre rule per
+piece, no refinement, and a rounding bound in place of an error estimate.
+
 Integrands must be vectorized (ndarray of nodes in, ndarray of values
 out).  Every integrand in this package is evaluated in u-space after the
 substitution u = F(y), so the intervals are bounded and the integrands
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +38,7 @@ __all__ = [
     "integrate",
     "integrate_batch",
     "integrate_detailed",
+    "integrate_pieces",
     "find_root",
 ]
 
@@ -44,8 +50,17 @@ EPS_U = 1e-13
 # barely lower the per-panel cost, and an integrand that opens inner
 # integrals for each of its nodes holds state for all of them at once.
 _BLOCK_PANELS = 256
+# Nodes per integrand call of integrate_pieces, and padded break points
+# per block of its problems; together they bound the memory of one call.
+_BLOCK_NODES = 1 << 10
+_BLOCK_CUTS = 1 << 16
+# Rounding bound of integrate_pieces: every integrand value and rule weight
+# is taken to be within this many ulps, and each node adds one rounding to
+# the sum.
+_VALUE_ULPS = 16
+_EPS = float(np.finfo(float).eps)
 # A panel no wider than this times (|a| + |b| + 1) cannot be bisected.
-_NARROW = 8.0 * np.finfo(float).eps
+_NARROW = 8.0 * _EPS
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
 # Gauss rule uses the odd-indexed abscissae.  Standard QUADPACK constants.
@@ -130,6 +145,28 @@ def _evaluate(f, problem, a, b):
     return val, err
 
 
+def _bounds(a, b):
+    """The problems' bounds as two 1-D float arrays, checked."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"bounds must be two 1-D arrays of equal length, got {a.shape} and {b.shape}")
+    if np.any(a > b):
+        i = int(np.argmax(a > b))
+        raise ValueError(f"integration bounds out of order: [{a[i]}, {b[i]}]")
+    return a, b
+
+
+def _cut_rows(break_points, m):
+    """break_points as an (m, k) float array, checked; (m, 0) when None."""
+    if break_points is None:
+        return np.empty((m, 0))
+    cuts = np.asarray(break_points, dtype=float)
+    if cuts.ndim != 2 or len(cuts) != m:
+        raise ValueError(f"break_points must have one row per problem, got shape {cuts.shape}")
+    return cuts
+
+
 def _initial_panels(a, b, n, break_points):
     """(problem, a, b) of the starting panels: n equal panels per problem,
     split further at the break points inside it."""
@@ -137,9 +174,7 @@ def _initial_panels(a, b, n, break_points):
     points = np.linspace(a, b, n + 1, axis=1).ravel()
     owner = np.repeat(np.arange(m, dtype=np.int32), n + 1)
     if break_points is not None:
-        cuts = np.asarray(break_points, dtype=float)
-        if cuts.ndim != 2 or len(cuts) != m:
-            raise ValueError(f"break_points must have one row per problem, got shape {cuts.shape}")
+        cuts = _cut_rows(break_points, m)
         inside = np.flatnonzero((cuts > a[:, None]) & (cuts < b[:, None]))
         points = np.concatenate([points, cuts.ravel()[inside]])
         owner = np.concatenate([owner, (inside // cuts.shape[1]).astype(np.int32)])
@@ -169,13 +204,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     split exceeds the tolerance.
     """
     cfg = cfg or QuadratureConfig()
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"bounds must be two 1-D arrays of equal length, got {a.shape} and {b.shape}")
-    if np.any(a > b):
-        i = int(np.argmax(a > b))
-        raise ValueError(f"integration bounds out of order: [{a[i]}, {b[i]}]")
+    a, b = _bounds(a, b)
     m = len(a)
     problem, pa, pb = _initial_panels(a, b, max(int(initial_panels), 1), break_points)
     val, err = _evaluate(f, problem, pa, pb)
@@ -262,6 +291,63 @@ def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None,
     val, err, panels = integrate_batch(lambda u, _: f(u), [a], [b], cfg, initial_panels,
                                        break_points)
     return float(val[0]), float(err[0]), int(panels[0])
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Read-only nodes and weights of the order-point rule on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for r in rule:
+        r.flags.writeable = False
+    return rule
+
+
+def integrate_pieces(f, a, b, break_points=None, order: int = 3):
+    """Fixed-rule integrals of m problems, problem i on [a[i], b[i]].
+
+    Takes ``f(u, problem)`` and ``break_points`` as ``integrate_batch``
+    does.  Each problem is cut at its break points inside (a[i], b[i]) and
+    an ``order``-point Gauss-Legendre rule is applied to every piece, so
+    the result is exact up to rounding when ``f`` is a polynomial of degree
+    below 2 * order on every piece.  There is no refinement and no
+    tolerance.  Problems go through in blocks of at most ``_BLOCK_CUTS``
+    padded break points, and no integrand call sees more than
+    ``_BLOCK_NODES`` nodes.
+
+    Returns (values, bounds, panels), arrays of length m.  ``bounds`` are
+    rounding bounds: (nodes + ``_VALUE_ULPS``) * eps times the integral of
+    |f| by the same rule.  ``panels`` counts the pieces evaluated.
+    """
+    a, b = _bounds(a, b)
+    m = len(a)
+    cuts = _cut_rows(break_points, m)
+    x, w = _gauss_legendre(int(order))
+    val = np.zeros(m)
+    mag = np.zeros(m)
+    panels = np.zeros(m, dtype=np.int64)
+    rows = max(1, _BLOCK_CUTS // (cuts.shape[1] + 2))
+    per_call = max(1, _BLOCK_NODES // order)
+    for s in range(0, m, rows):
+        lo, hi = a[s:s + rows, None], b[s:s + rows, None]
+        # NaN padding sorts last and makes no piece.
+        pts = np.sort(np.concatenate([lo, np.clip(cuts[s:s + rows], lo, hi), hi], axis=1), axis=1)
+        keep = pts[:, 1:] > pts[:, :-1]
+        owner = np.nonzero(keep)[0]
+        pa, pb = pts[:, :-1][keep], pts[:, 1:][keep]
+        n = len(lo)
+        panels[s:s + n] = np.bincount(owner, minlength=n)
+        for t in range(0, len(owner), per_call):
+            blk = slice(t, t + per_call)
+            c = 0.5 * (pa[blk] + pb[blk])
+            h = 0.5 * (pb[blk] - pa[blk])
+            u = c[:, None] + h[:, None] * x
+            y = np.asarray(f(u.ravel(), np.repeat(owner[blk] + s, order)), dtype=float)
+            if y.shape != (u.size,):
+                raise TypeError("integrand must map an ndarray of nodes to values elementwise")
+            y = y.reshape(u.shape)
+            val[s:s + n] += np.bincount(owner[blk], h * (y @ w), n)
+            mag[s:s + n] += np.bincount(owner[blk], h * (np.abs(y) @ w), n)
+    return val, (order * panels + _VALUE_ULPS) * _EPS * mag, panels
 
 
 def integrate(f, a, b, cfg: QuadratureConfig | None = None) -> float:

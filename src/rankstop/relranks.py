@@ -7,7 +7,10 @@ p + q = 1/48, and q has a two-dimensional folded-CDF integral
 
     q = (1/16) * integral over (0,1)^2 of {1 - G(Ginv(u) + Ginv(v))} du dv,
 
-so p is computed as 1/48 - q.  The probabilities of all 24 strict
+so p is computed as 1/48 - q.  For a ``TabulatedCdf`` the inner integrand
+is linear between its cuts and the inner integral quadratic in v between
+G(knots) and G(knot differences), so fixed Gauss-Legendre rules on those
+pieces give q exactly up to rounding.  The probabilities of all 24 strict
 orderings of S_0..S_3 are affine in (p, q); the table drives both the
 optimal rank rule and the exact policy-enumeration oracle.
 """
@@ -20,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import SymmetricDistribution
-from .numerics import EPS_U, QuadratureConfig, integrate_batch, integrate_detailed
+from .distributions import SymmetricDistribution, TabulatedCdf
+from .numerics import EPS_U, QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces
 from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
@@ -57,13 +60,20 @@ PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 PQ_OUTER_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
 
 _PQ_TOL = 1e-9
+#: Gauss-Legendre nodes per piece on the exact path: the inner integrand is
+#: linear and the outer one quadratic on their pieces.
+_INNER_ORDER = 2
+_OUTER_ORDER = 3
 
 
 @dataclass(frozen=True)
 class PQParams:
     """The pair (p, q) for one distribution, with provenance and error bound.
 
-    ``panels`` counts the quadrature panels evaluated, outer and inner.
+    ``method`` is "quadrature" or, for a ``TabulatedCdf``,
+    "exact_piecewise_linear", whose ``error_bound`` is a rounding bound.
+    ``panels`` counts the quadrature panels (pieces, on the exact path)
+    evaluated, outer and inner.
     """
 
     p: float
@@ -93,10 +103,14 @@ def compute_pq(dist: SymmetricDistribution,
     Each batch of outer nodes v becomes one batch of inner integrals over
     u.  When the support is bounded the inner integral is cut at the u
     where the folded sum leaves the support (the integrand is identically
-    zero beyond), which keeps the quadrature from chasing a hard kink.
+    zero beyond), which keeps the quadrature from chasing a hard kink.  A
+    ``TabulatedCdf`` takes the exact path (method "exact_piecewise_linear"),
+    where ``cfg`` does not apply and the error bound is a rounding bound.
     """
     inner_cfg = cfg or PQ_INNER_CFG
     outer_cfg = cfg or PQ_OUTER_CFG
+    exact = isinstance(dist, TabulatedCdf)
+    eps_u = 0.0 if exact else EPS_U
     upper = dist.support[1]
     bounded = math.isfinite(upper)
     fold_knots = np.abs(dist.cdf_break_points())
@@ -107,7 +121,7 @@ def compute_pq(dist: SymmetricDistribution,
     def outer(vs):
         nonlocal inner_err, panels
         y = dist.folded_ppf(vs)
-        u_hi = np.full(len(y), 1.0 - EPS_U)
+        u_hi = np.full(len(y), 1.0 - eps_u)
         if bounded:
             u_hi = np.minimum(dist.folded_cdf(np.maximum(upper - y, 0.0)), u_hi)
 
@@ -121,19 +135,37 @@ def compute_pq(dist: SymmetricDistribution,
             own = np.broadcast_to(dist.folded_cdf(fold_knots), (len(y), len(fold_knots)))
             cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)), own],
                                   axis=1)
-        lo = np.full(len(y), EPS_U)
-        vals, errs, n = integrate_batch(h, lo, np.maximum(u_hi, lo), inner_cfg, break_points=cuts)
+        lo = np.full(len(y), eps_u)
+        if exact:
+            vals, errs, n = integrate_pieces(h, lo, np.maximum(u_hi, lo), cuts, _INNER_ORDER)
+        else:
+            vals, errs, n = integrate_batch(h, lo, np.maximum(u_hi, lo), inner_cfg,
+                                            break_points=cuts)
         inner_err = max(inner_err, float(errs.max(initial=0.0)))
         panels += int(n.sum())
         return vals
 
-    outer_cuts = dist.folded_cdf(fold_knots) if len(fold_knots) else None
-    total, outer_err, outer_panels = integrate_detailed(outer, EPS_U, 1.0 - EPS_U, outer_cfg,
-                                                        break_points=outer_cuts)
+    # The inner integral kinks, as a function of y = Ginv(v), where y is
+    # the difference of two knots (0 included), so that kinks of the inner
+    # integrand meet; between those it is quadratic for a piecewise-linear G.
+    ends = np.concatenate([[0.0], fold_knots])
+    gaps = np.subtract.outer(ends, ends).ravel()
+    outer_cuts = dist.folded_cdf(np.unique(gaps[gaps >= 0.0]))
+    if exact:
+        totals, outer_errs, outer_panels = integrate_pieces(lambda v, _: outer(v), [0.0], [1.0],
+                                                            outer_cuts[None, :], _OUTER_ORDER)
+        total, outer_err, outer_panels = float(totals[0]), float(outer_errs[0]), int(outer_panels[0])
+        # p = 1/48 - q rounds twice: 1/48 itself and the difference.
+        slack = np.finfo(float).eps * float(PQ_SUM)
+    else:
+        total, outer_err, outer_panels = integrate_detailed(outer, EPS_U, 1.0 - EPS_U, outer_cfg,
+                                                            break_points=outer_cuts)
+        slack = 1e-14
     q = total / 16.0
-    err = (outer_err + inner_err) / 16.0 + 1e-14
+    err = (outer_err + inner_err) / 16.0 + slack
     p = float(PQ_SUM) - q
-    return PQParams(p=p, q=q, method="quadrature", error_bound=err, panels=panels + outer_panels)
+    method = "exact_piecewise_linear" if exact else "quadrature"
+    return PQParams(p=p, q=q, method=method, error_bound=float(err), panels=panels + outer_panels)
 
 
 @dataclass(frozen=True)

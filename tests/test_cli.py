@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -9,6 +10,7 @@ from rankstop.cli import main
 UNIFORM = '{"kind": "uniform", "a": 1}'
 LAPLACE = '{"kind": "laplace", "b": 1}'
 INTERVAL = '{"kind": "interval_union", "c": 1, "d": 2}'
+UNIFORM2 = '{"kind": "tabulated", "grid": [[0, 0.5], [0.5, 0.75], [1, 1]]}'
 
 
 @pytest.fixture()
@@ -83,6 +85,16 @@ class TestVerify:
         payload = json.loads(res.output)
         pq = next(c for c in payload["checks"] if c["check"] == "pq_sum")
         assert pq["detail"]["p"] < 1 / 960
+
+    def test_single_path_fails_monte_carlo_checks(self, runner):
+        # one path has no spread; its mean is off both targets
+        res = invoke(runner, ["verify", "--dist", UNIFORM, "--paths", "1", "--seed", "5"])
+        assert res.exit_code == 1
+        checks = {c["check"]: c for c in json.loads(res.output)["checks"]}
+        for name in ("monte_carlo_rank_rule", "monte_carlo_full_info"):
+            assert checks[name]["passed"] is False, name
+            assert math.isinf(checks[name]["detail"]["z"]), name
+        assert all(c["passed"] for n, c in checks.items() if not n.startswith("monte_carlo"))
 
 
 class TestTable2:
@@ -279,3 +291,36 @@ class TestDeterminism:
             "inner_abs_tol": 1e-13, "inner_rel_tol": 1e-13,
             "outer_abs_tol": 1e-11, "outer_rel_tol": 1e-11,
         }
+
+    def test_method_recorded(self, runner):
+        for args, method in [
+            (["solve", "--dist", UNIFORM2, "--model", "full"], "exact_piecewise_linear"),
+            (["solve", "--dist", UNIFORM2, "--model", "relranks"], "exact_piecewise_linear"),
+            (["pq", "--dist", UNIFORM2], "exact_piecewise_linear"),
+            (["pq", "--dist", UNIFORM], "quadrature"),
+        ]:
+            payload = json.loads(invoke(runner, args).output)
+            assert payload["manifest"]["method"] == method, args
+
+
+def _live_click_testing_objects():
+    gc.collect()
+    return sum(type(o).__module__ == "click.testing" for o in gc.get_objects())
+
+
+class TestStreams:
+    def test_invocations_leave_no_streams_behind(self, runner, tmp_path):
+        # click.echo without an explicit stream caches every stream it sees,
+        # mapped to itself, so each invocation's stream wrappers would live on
+        out = tmp_path / "pq.json"
+
+        def run(i):
+            args = ["pq", "--dist", UNIFORM2] + (["--out", str(out)] if i % 2 else [])
+            assert invoke(runner, args).exit_code == 0
+
+        for i in range(4):
+            run(i)
+        before = _live_click_testing_objects()
+        for i in range(200):
+            run(i)
+        assert _live_click_testing_objects() <= before

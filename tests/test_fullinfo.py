@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rankstop import fullinfo
-from rankstop.distributions import IntervalUnionUniform, Laplace, Uniform
+from rankstop import fullinfo, relranks
+from rankstop.distributions import IntervalUnionUniform, Laplace, TabulatedCdf, Uniform
 from rankstop.fullinfo import (
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
@@ -27,6 +27,13 @@ LAPLACE = Laplace(1)
 
 UNIFORM_X1 = 2.0 * (math.sqrt(2.0) - 1.0)
 UNIFORM_V = 11.0 / 4.0 - math.sqrt(2.0) / 3.0
+
+#: Uniform(1) as six equal pieces, IntervalUnionUniform(1, 2) as a table
+#: (flat at 1/2 on [0, 1]), and an irregular law with a flat piece.
+UNIFORM6 = TabulatedCdf([[i / 6, 0.5 + i / 12] for i in range(7)])
+INTERVAL_TABLE = TabulatedCdf([[0.0, 0.5], [1.0, 0.5], [2.0, 1.0]])
+IRREGULAR = TabulatedCdf([[0.0, 0.5], [0.13, 0.61], [0.3, 0.61], [0.71, 0.83], [1.0, 0.9],
+                          [1.37, 1.0]])
 
 
 def w1_uniform_closed(x):
@@ -185,6 +192,56 @@ class TestValue:
             FullInfoSolution(x1_star=1.0, value=2.4, F_at_threshold=0.9)
         with pytest.raises(ValueError):
             FullInfoSolution(x1_star=1.0, value=2.28, F_at_threshold=0.6)
+
+
+class TestExactPiecewiseLinear:
+    """A TabulatedCdf is solved by fixed rules on its pieces, exact up to rounding."""
+
+    def test_uniform_table_closed_forms(self):
+        sol = solve_full_info(UNIFORM6)
+        assert sol.diagnostics["method"] == "exact_piecewise_linear"
+        assert abs(sol.x1_star - UNIFORM_X1) <= 1e-14
+        assert abs(sol.value - UNIFORM_V) <= 1e-14
+        assert 0 < sol.diagnostics["quadrature_error_bound"] <= 1e-13
+        assert abs(sol.value - UNIFORM_V) <= sol.diagnostics["quadrature_error_bound"]
+        assert sol.diagnostics["panels"] > 0
+
+    def test_interval_union_table_attains_upper_bound(self):
+        sol = solve_full_info(INTERVAL_TABLE)
+        assert abs(sol.value - 55 / 24) <= 1e-14
+        assert abs(sol.value - 55 / 24) <= sol.diagnostics["quadrature_error_bound"]
+
+    def test_curve_matches_closed_form(self):
+        xs = np.linspace(-0.98, 0.98, 25)
+        want = [w1_uniform_closed(x) for x in xs]
+        assert np.allclose(fullinfo.continuation_curve(UNIFORM6, xs), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR], ids=["uniform6", "irregular"])
+    def test_doubling_the_orders_moves_nothing(self, dist, monkeypatch):
+        base = solve_full_info(dist)
+        monkeypatch.setattr(fullinfo, "_INNER_ORDER", 2 * fullinfo._INNER_ORDER)
+        monkeypatch.setattr(fullinfo, "_OUTER_ORDER", 2 * fullinfo._OUTER_ORDER)
+        high = solve_full_info(dist)
+        assert abs(high.x1_star - base.x1_star) <= 4 * math.ulp(base.x1_star)
+        assert abs(high.value - base.value) <= 4 * math.ulp(base.value)
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called for a TabulatedCdf")
+
+        for module in (fullinfo, relranks):
+            monkeypatch.setattr(module, "integrate_batch", refuse)
+            monkeypatch.setattr(module, "integrate_detailed", refuse)
+        assert solve_full_info(IRREGULAR).diagnostics["method"] == "exact_piecewise_linear"
+        assert relranks.compute_pq(IRREGULAR).method == "exact_piecewise_linear"
+        assert lower_bound_check(IRREGULAR).passed
+        with pytest.raises(AssertionError):
+            solve_full_info(UNIFORM)
+
+    def test_other_laws_keep_quadrature(self, solutions):
+        for name, sol in solutions.items():
+            want = "exact_piecewise_linear" if name == "tabulated" else "quadrature"
+            assert sol.diagnostics["method"] == want, name
 
 
 class TestPolicy:

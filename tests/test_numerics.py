@@ -16,6 +16,7 @@ from rankstop.numerics import (
     integrate,
     integrate_batch,
     integrate_detailed,
+    integrate_pieces,
 )
 
 
@@ -146,6 +147,78 @@ class TestIntegrateBatch:
             integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0, 2.0], break_points=[0.5, 1.5])
+
+
+class TestIntegratePieces:
+    # Problem i integrates |u - s_i| + u^5 on [a_i, b_i]: a polynomial of
+    # degree 5 on either side of s_i, so three nodes per piece are exact.
+    A = np.array([0.0, -1.0, 0.3, 2.0, 0.0])
+    B = np.array([1.0, 2.0, 0.3, 2.0, 3.0])
+    S = np.array([0.25, 0.5, 0.3, 2.0, 1.7])
+    CUTS = np.column_stack([S, np.full(len(S), np.nan)])
+
+    def integrand(self, u, i):
+        return np.abs(u - self.S[i]) + u**5
+
+    def exact(self):
+        def antiderivative(x, s):
+            return np.where(x < s, s * x - x * x / 2, x * x / 2 - s * x + s * s) + x**6 / 6
+
+        return antiderivative(self.B, self.S) - antiderivative(self.A, self.S)
+
+    def test_piecewise_polynomials_exact(self):
+        vals, bounds, panels = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 3)
+        exact = self.exact()
+        assert np.all(np.abs(vals - exact) <= bounds)
+        assert np.all(np.abs(vals - exact) <= 1e-13 * (1 + np.abs(exact)))
+        assert list(panels) == [2, 2, 0, 0, 2]
+        # zero-width problems cost nothing and integrate to exactly 0
+        assert vals[2] == vals[3] == 0.0
+        assert np.all(bounds[[0, 1, 4]] > 0)
+
+    def test_doubling_the_order_moves_nothing(self):
+        low = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 3)[0]
+        high = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 6)[0]
+        assert np.all(np.abs(high - low) <= 4 * np.spacing(np.abs(low)))
+
+    def test_blocks_bound_every_call(self, monkeypatch):
+        # many problems with many cuts: split into several blocks of
+        # problems, none of whose integrand calls exceeds _BLOCK_NODES
+        rng = np.random.default_rng(2)
+        m, k = 300, 40
+        s = rng.uniform(0.0, 1.0, (m, k))
+        sizes = []
+
+        def f(u, i):
+            sizes.append(u.size)
+            return u * i
+
+        whole = integrate_pieces(f, np.zeros(m), np.ones(m), s, 2)
+        assert max(sizes) <= numerics._BLOCK_NODES
+        monkeypatch.setattr(numerics, "_BLOCK_CUTS", 3 * (k + 2))
+        monkeypatch.setattr(numerics, "_BLOCK_NODES", 10)
+        sizes.clear()
+        blocked = integrate_pieces(f, np.zeros(m), np.ones(m), s, 2)
+        assert max(sizes) <= 10
+        for got, want in zip(blocked, whole):
+            assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.allclose(whole[0], 0.5 * np.arange(m), rtol=1e-14, atol=0)
+        assert np.all(whole[2] == k + 1)
+
+    def test_no_problems(self):
+        calls = []
+        vals, bounds, panels = integrate_pieces(lambda u, i: calls.append(u) or u, [], [],
+                                                np.zeros((0, 3)))
+        assert vals.shape == bounds.shape == panels.shape == (0,)
+        assert not calls
+
+    def test_bad_shapes(self):
+        with pytest.raises(ValueError):
+            integrate_pieces(lambda u, i: u, [0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            integrate_pieces(lambda u, i: u, [0.0, 1.0], [1.0, 2.0], break_points=[0.5, 1.5])
+        with pytest.raises(TypeError):
+            integrate_pieces(lambda u, i: u[:1], [0.0], [1.0])
 
 
 class TestFindRoot:

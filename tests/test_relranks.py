@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, Uniform
+from rankstop import relranks
+from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform
 from rankstop.oracle import enumerate_rank_policies
 from rankstop.relranks import (
     ALL_ORDERINGS,
@@ -18,6 +19,13 @@ from rankstop.relranks import (
     shift_concentration_check,
     two_step_case_values,
 )
+
+
+#: Uniform(1) as six equal pieces, and an irregular law with a flat piece.
+UNIFORM6 = TabulatedCdf([[i / 6, 0.5 + i / 12] for i in range(7)])
+IRREGULAR = TabulatedCdf([[0.0, 0.5], [0.13, 0.61], [0.3, 0.61], [0.71, 0.83], [1.0, 0.9],
+                          [1.37, 1.0]])
+TABLES = pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR], ids=["uniform6", "irregular"])
 
 
 class TestComputePQ:
@@ -56,6 +64,40 @@ class TestComputePQ:
             PQParams(p=0.02, q=0.02)  # sum far from 1/48
         # tiny negative quadrature noise on q is clamped to zero
         assert PQParams(p=1 / 48 + 1e-13, q=-1e-13).q == 0.0
+
+
+class TestExactPiecewiseLinear:
+    """compute_pq of a TabulatedCdf: fixed rules on known pieces, exact up to rounding."""
+
+    def test_uniform_table_closed_form(self):
+        pq = compute_pq(UNIFORM6)
+        assert pq.method == "exact_piecewise_linear"
+        assert abs(pq.p - 1 / 96) <= 1e-14 and abs(pq.q - 1 / 96) <= 1e-14
+        assert abs(pq.q - 1 / 96) <= pq.error_bound
+        assert pq.panels > 0
+
+    def test_interval_union_table(self):
+        pq = compute_pq(TabulatedCdf([[0.0, 0.5], [1.0, 0.5], [2.0, 1.0]]))
+        assert pq.q == 0.0 and abs(pq.p - 1 / 48) <= 1e-17
+
+    @TABLES
+    def test_reported_bound_covers_the_sum(self, dist):
+        pq = compute_pq(dist)
+        assert pq.error_bound > 0
+        assert abs(Fraction(pq.p) + Fraction(pq.q) - PQ_SUM) <= Fraction(pq.error_bound)
+
+    @TABLES
+    def test_doubling_the_orders_moves_nothing(self, dist, monkeypatch):
+        base = compute_pq(dist)
+        monkeypatch.setattr(relranks, "_INNER_ORDER", 2 * relranks._INNER_ORDER)
+        monkeypatch.setattr(relranks, "_OUTER_ORDER", 2 * relranks._OUTER_ORDER)
+        high = compute_pq(dist)
+        assert abs(high.p - base.p) <= 4 * np.spacing(base.p)
+
+    def test_other_laws_keep_quadrature(self, pq_params):
+        for name, pq in pq_params.items():
+            want = "exact_piecewise_linear" if name == "tabulated" else "quadrature"
+            assert pq.method == want, name
 
 
 class TestConcentrationClass:

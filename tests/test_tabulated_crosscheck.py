@@ -1,0 +1,80 @@
+"""Random piecewise-linear laws solved on the exact path and on adaptive quadrature.
+
+A ``TabulatedCdf`` takes the exact piecewise-linear path.  ``Delegate``
+has the same ``cdf``, ``ppf`` and break points but is not a
+``TabulatedCdf``, so the same law also goes through adaptive quadrature;
+the two must agree within the adaptive tolerances.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from rankstop.distributions import SymmetricDistribution, TabulatedCdf
+from rankstop.fullinfo import (
+    FULL_INNER_CFG,
+    FULL_OUTER_CFG,
+    THRESHOLD_QUANTILE_BOUND,
+    V_LOWER_BOUND,
+    V_UPPER_BOUND,
+    continuation_curve,
+    solve_full_info,
+)
+from rankstop.relranks import PQ_SUM, compute_pq
+
+_SLACK = 1e-12
+
+
+class Delegate(SymmetricDistribution):
+    """A law that answers with a table's functions without being a TabulatedCdf."""
+
+    def __init__(self, table: TabulatedCdf):
+        self._table = table
+        self.support = table.support
+
+    def cdf(self, x):
+        return self._table.cdf(x)
+
+    def ppf(self, u):
+        return self._table.ppf(u)
+
+    def cdf_break_points(self):
+        return self._table.cdf_break_points()
+
+
+@st.composite
+def tables(draw):
+    """Grids of 1-8 knots after the origin; a zero mass makes a flat piece."""
+    k = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    mass = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=k, max_size=k)
+                .filter(lambda m: sum(m) > 0))
+    x = np.cumsum(gaps)
+    f = 0.5 + 0.5 * np.cumsum(mass) / sum(mass)
+    f[-1] = 1.0
+    return TabulatedCdf([[0.0, 0.5]] + [[float(a), float(b)] for a, b in zip(x, f)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(tables())
+def test_exact_path_agrees_with_quadrature(table):
+    exact = solve_full_info(table)
+    adaptive = solve_full_info(Delegate(table))
+    assert exact.diagnostics["method"] == "exact_piecewise_linear"
+    assert adaptive.diagnostics["method"] == "quadrature"
+    v_tol = FULL_OUTER_CFG.abs_tol + FULL_OUTER_CFG.rel_tol * abs(adaptive.value) + _SLACK
+    assert abs(exact.value - adaptive.value) <= v_tol
+    # the adaptive threshold solves the exact curve within the inner tolerance
+    residual = continuation_curve(table, [adaptive.x1_star])[0] - 2.0
+    assert abs(residual) <= FULL_INNER_CFG.abs_tol + 2.0 * FULL_INNER_CFG.rel_tol + _SLACK
+    assert V_LOWER_BOUND - _SLACK <= exact.value <= V_UPPER_BOUND + _SLACK
+    assert exact.F_at_threshold >= THRESHOLD_QUANTILE_BOUND - _SLACK
+
+    pq = compute_pq(table)
+    pq_adaptive = compute_pq(Delegate(table))
+    assert pq.method == "exact_piecewise_linear"
+    assert abs(pq.p - pq_adaptive.p) <= pq_adaptive.error_bound + _SLACK
+    assert pq.p > 0 and pq.q >= 0
+    assert pq.error_bound > 0
+    assert abs(Fraction(pq.p) + Fraction(pq.q) - PQ_SUM) <= Fraction(pq.error_bound)
