@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .distributions import DistributionError, from_spec
 from .fullinfo import (
+    BOUND_TOL,
     FULL_INNER_CFG,
     FULL_OUTER_CFG,
     THRESHOLD_QUANTILE_BOUND,
@@ -40,6 +41,7 @@ from .oracle import canonical_rules, enumerate_rank_policies
 from .relranks import (
     PQ_INNER_CFG,
     PQ_OUTER_CFG,
+    PQ_TOL,
     compute_pq,
     optimal_rank_policy,
     optimal_rank_value,
@@ -227,11 +229,11 @@ def verify(dist_spec, paths, seed, out):
 
         pq = compute_pq(dist)
         defect = abs(pq.p + pq.q - 1.0 / 48.0)
-        record("pq_sum", defect <= 1e-9, {"p": pq.p, "q": pq.q, "defect": defect})
+        record("pq_sum", defect <= PQ_TOL, {"p": pq.p, "q": pq.q, "defect": defect})
 
         conc = shift_concentration_check(dist)
         if conc.member:
-            record("p_bound_in_class", pq.p <= 1.0 / 96.0 + 1e-9,
+            record("p_bound_in_class", pq.p <= 1.0 / 96.0 + PQ_TOL,
                    {"p": pq.p, "bound": 1.0 / 96.0})
         else:
             record("p_bound_in_class", True,
@@ -239,10 +241,10 @@ def verify(dist_spec, paths, seed, out):
                     "worst_pair": conc.worst_pair})
 
         sol = solve_full_info(dist)
-        record("threshold_quantile", sol.F_at_threshold >= THRESHOLD_QUANTILE_BOUND - 1e-9,
+        record("threshold_quantile", sol.F_at_threshold >= THRESHOLD_QUANTILE_BOUND - BOUND_TOL,
                {"F_at_threshold": sol.F_at_threshold, "bound": THRESHOLD_QUANTILE_BOUND})
         record("value_bounds",
-               V_LOWER_BOUND - 1e-9 <= sol.value <= V_UPPER_BOUND + 1e-9,
+               V_LOWER_BOUND - BOUND_TOL <= sol.value <= V_UPPER_BOUND + BOUND_TOL,
                {"value": sol.value, "lower": V_LOWER_BOUND, "upper": V_UPPER_BOUND})
 
         floor = lower_bound_check(dist)

@@ -9,6 +9,8 @@ exposes the four primitives the rest of the library is built on: the CDF
 is the scalar, domain-checked front end.  The median quantile is pinned to
 0 exactly for every distribution, including those whose CDF is flat at
 level 1/2, where the generalized inverse alone would be ambiguous.
+Uniform and IntervalUnionUniform are one- and two-knot ``TabulatedCdf``
+tables, which the solvers integrate exactly.
 """
 
 from __future__ import annotations
@@ -90,28 +92,6 @@ class SymmetricDistribution:
         return f"{type(self).__name__}({json.dumps(self.spec())})"
 
 
-class Uniform(SymmetricDistribution):
-    """Uniform on (-a, a)."""
-
-    def __init__(self, a: float = 1.0):
-        a = float(a)
-        if not (math.isfinite(a) and a > 0):
-            raise DistributionError(f"uniform halfwidth must be positive, got {a}")
-        self.a = a
-        self.support = (-a, a)
-
-    def cdf(self, x):
-        x = _as_float_array(x)
-        return np.clip((x + self.a) / (2.0 * self.a), 0.0, 1.0)
-
-    def ppf(self, u):
-        u = _as_float_array(u)
-        return self.a * (2.0 * u - 1.0)
-
-    def spec(self):
-        return {"kind": "uniform", "a": self.a}
-
-
 class Laplace(SymmetricDistribution):
     """Two-sided exponential with density exp(-|x|/b) / (2b)."""
 
@@ -176,37 +156,6 @@ class PowerFold(SymmetricDistribution):
         return {"kind": "powerfold", "delta": self.delta}
 
 
-class IntervalUnionUniform(SymmetricDistribution):
-    """Uniform on (-d, -c) | (c, d) with 0 < c < d: no mass near the origin."""
-
-    def __init__(self, c: float, d: float):
-        c, d = float(c), float(d)
-        if not (math.isfinite(c) and math.isfinite(d) and 0 < c < d):
-            raise DistributionError(f"interval union needs 0 < c < d, got c={c}, d={d}")
-        self.c = c
-        self.d = d
-        self.support = (-d, d)
-
-    def cdf(self, x):
-        x = _as_float_array(x)
-        c, d, w = self.c, self.d, self.d - self.c
-        pos = 0.5 + np.clip(x - c, 0.0, w) / (2.0 * w)
-        neg = 0.5 - np.clip(-x - c, 0.0, w) / (2.0 * w)
-        return np.where(x >= 0, pos, neg)
-
-    def ppf(self, u):
-        u = _as_float_array(u)
-        c, w = self.c, self.d - self.c
-        mag = c + np.abs(2.0 * u - 1.0) * w
-        return np.where(u == 0.5, 0.0, np.where(u > 0.5, mag, -mag))
-
-    def cdf_break_points(self):
-        return np.array([-self.d, -self.c, self.c, self.d])
-
-    def spec(self):
-        return {"kind": "interval_union", "c": self.c, "d": self.d}
-
-
 class TabulatedCdf(SymmetricDistribution):
     """Piecewise-linear CDF from a grid of (x, F(x)) points on x >= 0.
 
@@ -215,6 +164,9 @@ class TabulatedCdf(SymmetricDistribution):
     F(0) = 1/2 (the point (0, 1/2) is prepended when missing).  Repeated x
     values with different F would be an atom and are rejected: the library
     relies on continuity of F throughout.
+
+    ``ppf`` interpolates the mirrored knots, so at the level of a flat
+    piece it returns the piece's upper end (except 0 at the median).
 
     Every knot is a kink of the CDF.  The solvers recognise this class and
     integrate exactly on the pieces between knots, knots + x, twice the
@@ -247,22 +199,12 @@ class TabulatedCdf(SymmetricDistribution):
             raise DistributionError("tabulated grid must cover x >= 0 only; the negative side is mirrored")
 
         # Collapse duplicate x values; a jump there would be an atom.
-        keep_x, keep_f = [], []
-        i = 0
-        while i < len(x):
-            j = i
-            while j + 1 < len(x) and x[j + 1] == x[i]:
-                j += 1
-            span = f[i : j + 1]
-            if span.max() - span.min() > _ATOM_TOL:
-                raise DistributionError(
-                    f"tabulated grid has an atom at x={x[i]}: F jumps by {span.max() - span.min():.3g}"
-                )
-            keep_x.append(x[i])
-            keep_f.append(float(span.mean()))
-            i = j + 1
-        x = np.array(keep_x)
-        f = np.array(keep_f)
+        x, start, count = np.unique(x, return_index=True, return_counts=True)
+        jump = np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)
+        if np.any(jump > _ATOM_TOL):
+            i = int(np.argmax(jump > _ATOM_TOL))
+            raise DistributionError(f"tabulated grid has an atom at x={x[i]}: F jumps by {jump[i]:.3g}")
+        f = np.add.reduceat(f, start) / count
 
         if np.any(np.diff(f) < 0):
             raise DistributionError("tabulated grid has non-monotone F values")
@@ -291,18 +233,46 @@ class TabulatedCdf(SymmetricDistribution):
 
     def ppf(self, u):
         u = _as_float_array(u)
-        idx = np.clip(np.searchsorted(self._f, u, side="left"), 1, len(self._f) - 1)
-        f0, f1 = self._f[idx - 1], self._f[idx]
-        x0, x1 = self._x[idx - 1], self._x[idx]
-        df = f1 - f0
-        t = np.where(df > 0, (u - f0) / np.where(df > 0, df, 1.0), 1.0)
-        return np.where(u == 0.5, 0.0, x0 + t * (x1 - x0))
+        return np.where(u == 0.5, 0.0, np.interp(u, self._f, self._x))
 
     def cdf_break_points(self):
         return self._x.copy()
 
     def spec(self):
         return {"kind": "tabulated", "grid": self._grid}
+
+
+class Uniform(TabulatedCdf):
+    """Uniform on (-a, a): the one-knot table {(0, 1/2), (a, 1)}."""
+
+    def __init__(self, a: float = 1.0):
+        a = float(a)
+        if not (math.isfinite(a) and a > 0):
+            raise DistributionError(f"uniform halfwidth must be positive, got {a}")
+        super().__init__([[0.0, 0.5], [a, 1.0]])
+        self.a = a
+
+    def ppf(self, u):  # ~10x faster than the table lookup, for Monte Carlo
+        u = _as_float_array(u)
+        return self.a * (2.0 * u - 1.0)
+
+    def spec(self):
+        return {"kind": "uniform", "a": self.a}
+
+
+class IntervalUnionUniform(TabulatedCdf):
+    """Uniform on (-d, -c) | (c, d), 0 < c < d: the table {(0, 1/2), (c, 1/2), (d, 1)}."""
+
+    def __init__(self, c: float, d: float):
+        c, d = float(c), float(d)
+        if not (math.isfinite(c) and math.isfinite(d) and 0 < c < d):
+            raise DistributionError(f"interval union needs 0 < c < d, got c={c}, d={d}")
+        super().__init__([[0.0, 0.5], [c, 0.5], [d, 1.0]])
+        self.c = c
+        self.d = d
+
+    def spec(self):
+        return {"kind": "interval_union", "c": self.c, "d": self.d}
 
 
 _KINDS = {
@@ -336,6 +306,10 @@ def from_spec(spec) -> SymmetricDistribution:
         return _KINDS[kind](spec)
     except KeyError as exc:
         raise DistributionError(f"distribution spec for {kind!r} is missing field {exc}") from exc
+    except DistributionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DistributionError(f"distribution spec for {kind!r} has a mistyped field: {exc}") from exc
 
 
 def builtin_suite() -> dict[str, SymmetricDistribution]:

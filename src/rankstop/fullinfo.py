@@ -47,6 +47,7 @@ __all__ = [
     "V_LOWER_BOUND",
     "V_UPPER_BOUND",
     "THRESHOLD_QUANTILE_BOUND",
+    "BOUND_TOL",
     "FULL_INNER_CFG",
     "FULL_OUTER_CFG",
     "THRESHOLD_ROOT_CFG",
@@ -78,7 +79,8 @@ FULL_OUTER_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
 #: earlier on a residual below the inner quadrature tolerance, where the
 #: curve cannot be told from 2.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
-_BOUND_TOL = 1e-9
+#: Slack on the universal bounds above, here and in ``verify``.
+BOUND_TOL = 1e-9
 #: Gauss-Legendre nodes per piece on the exact path: the dF-integrands are
 #: linear and the V integrand quadratic on their pieces.
 _INNER_ORDER = 2
@@ -101,11 +103,11 @@ class FullInfoSolution:
     def __post_init__(self):
         if not self.x1_star > 0:
             raise ValueError(f"threshold must be positive, got {self.x1_star}")
-        if self.F_at_threshold < THRESHOLD_QUANTILE_BOUND - _BOUND_TOL:
+        if self.F_at_threshold < THRESHOLD_QUANTILE_BOUND - BOUND_TOL:
             raise ValueError(
                 f"F(x1*) = {self.F_at_threshold} below the universal bound {THRESHOLD_QUANTILE_BOUND}"
             )
-        if not (V_LOWER_BOUND - _BOUND_TOL <= self.value <= V_UPPER_BOUND + _BOUND_TOL):
+        if not (V_LOWER_BOUND - BOUND_TOL <= self.value <= V_UPPER_BOUND + BOUND_TOL):
             raise ValueError(
                 f"value {self.value} outside [{V_LOWER_BOUND}, {V_UPPER_BOUND}]"
             )
@@ -226,7 +228,7 @@ def solve_threshold(dist: SymmetricDistribution,
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
         if values[-1] > 0:
-            if abs(values[-1]) <= _BOUND_TOL:
+            if abs(values[-1]) <= BOUND_TOL:
                 return float(grid[-1])  # curve meets 2 only at the support edge
             raise ThresholdError(
                 f"continuation curve stays above 2 on (0, {hi}]: residual {values[-1]}"

@@ -29,6 +29,7 @@ from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
     "PQ_SUM",
+    "PQ_TOL",
     "PQ_INNER_CFG",
     "PQ_OUTER_CFG",
     "PQParams",
@@ -59,7 +60,8 @@ PQ_SUM = Fraction(1, 48)
 PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 PQ_OUTER_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
 
-_PQ_TOL = 1e-9
+#: Slack on p + q = 1/48 and on p <= 1/96, here and in ``verify``.
+PQ_TOL = 1e-9
 #: Gauss-Legendre nodes per piece on the exact path: the inner integrand is
 #: linear and the outer one quadratic on their pieces.
 _INNER_ORDER = 2
@@ -91,7 +93,7 @@ class PQParams:
             raise ValueError(f"p must be strictly positive, got {self.p}")
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
-        slack = max(self.error_bound, _PQ_TOL)
+        slack = max(self.error_bound, PQ_TOL)
         if abs(self.p + q - float(PQ_SUM)) > slack:
             raise ValueError(f"p + q = {self.p + q} is not 1/48 within {slack}")
 
@@ -310,7 +312,7 @@ def permutation_table(p, q) -> PermutationTable:
     """Instantiate the 24-row ordering table at a given (p, q)."""
     if float(p) < 0 or float(q) < 0:
         raise ValueError(f"p and q must be nonnegative, got p={p}, q={q}")
-    if abs(float(p) + float(q) - float(PQ_SUM)) > _PQ_TOL:
+    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
         raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
     rows = tuple(TableRow(neg, _reflect(neg), c, cp, cq) for neg, c, cp, cq in _ROW_SPEC)
     return PermutationTable(p=p, q=q, rows=rows)
@@ -397,7 +399,7 @@ class CaseValueReport:
 
 def two_step_case_values(p, q) -> CaseValueReport:
     """Evaluate every two-step case payoff at (p, q); exact for Fractions."""
-    if abs(float(p) + float(q) - float(PQ_SUM)) > _PQ_TOL:
+    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
         raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
     half = Fraction(1, 2) if isinstance(p, Fraction) else 0.5
     one = 1 if isinstance(p, Fraction) else 1.0

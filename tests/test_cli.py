@@ -53,6 +53,18 @@ class TestSolve:
         res = runner.invoke(main, ["solve", "--dist", '{"kind": "gauss"}', "--model", "full"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "uniform", "a": "abc"}',
+        '{"kind": "tabulated", "grid": 5}',
+        '{"kind": "tabulated", "grid": [["x", 1]]}',
+        '{"kind": "laplace", "b": [1]}',
+    ])
+    def test_mistyped_field_exits_2(self, runner, spec):
+        res = runner.invoke(main, ["pq", "--dist", spec])
+        assert res.exit_code == 2
+        assert repr(json.loads(spec)["kind"]) in res.output
+        assert "Traceback" not in res.output
+
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "sol.json"
         res = invoke(runner, ["solve", "--dist", INTERVAL, "--model", "relranks",
@@ -297,7 +309,7 @@ class TestDeterminism:
             (["solve", "--dist", UNIFORM2, "--model", "full"], "exact_piecewise_linear"),
             (["solve", "--dist", UNIFORM2, "--model", "relranks"], "exact_piecewise_linear"),
             (["pq", "--dist", UNIFORM2], "exact_piecewise_linear"),
-            (["pq", "--dist", UNIFORM], "quadrature"),
+            (["pq", "--dist", LAPLACE], "quadrature"),
         ]:
             payload = json.loads(invoke(runner, args).output)
             assert payload["manifest"]["method"] == method, args

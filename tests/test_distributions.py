@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_tabulated_crosscheck import tables
 
 from rankstop.distributions import (
     DistributionError,
@@ -141,6 +142,10 @@ class TestTabulatedValidation:
         with pytest.raises(DistributionError):
             TabulatedCdf([[0.0, 0.5], [1.0, 0.7], [1.0, 0.9], [2.0, 1.0]])
 
+    def test_collapses_repeated_x_within_tolerance(self):
+        dist = TabulatedCdf([[0.0, 0.5], [1.0, 0.7], [1.0, 0.7 + 4e-10], [2.0, 1.0], [2.0, 1.0]])
+        assert dist.spec()["grid"] == [[0.0, 0.5], [1.0, (0.7 + 0.7 + 4e-10) / 2], [2.0, 1.0]]
+
     def test_rejects_unreached_total_mass(self):
         with pytest.raises(DistributionError):
             TabulatedCdf([[0.0, 0.5], [1.0, 0.9]])
@@ -156,6 +161,52 @@ class TestTabulatedValidation:
         dist = TabulatedCdf([[0.0, 0.5], [1.0, 0.5], [2.0, 1.0]])
         assert dist.quantile(0.5) == 0.0
         assert dist.quantile(0.75) == pytest.approx(1.5)
+
+
+class TestTablePpf:
+    """ppf of a table: np.interp on the mirrored knots, the median pinned to 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_monotone_and_inverts_cdf(self, table, us):
+        knots = np.array(table.spec()["grid"])
+        u = np.sort(np.concatenate([us, knots[:, 1], 1.0 - knots[:, 1]]))
+        x = table.ppf(u)
+        assert table.ppf(0.5) == 0.0
+        assert np.all(np.diff(x) >= 0)
+        # two ulp of u, plus two ulp of x carried through the steepest piece
+        slope = np.max(np.diff(knots[:, 1]) / np.diff(knots[:, 0]))
+        tol = 2.0 * (np.spacing(1.0) + slope * np.spacing(np.abs(x)))
+        assert np.all(np.abs(table.cdf(x) - u) <= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_flat_piece_maps_to_its_upper_end(self, table):
+        grid = np.array(table.spec()["grid"])
+        for level in np.unique(grid[:, 1]):
+            if level > 0.5:
+                assert table.ppf(level) == grid[grid[:, 1] == level, 0].max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_uniform_closed_form_matches_table(self, a, seed):
+        dist = Uniform(a)
+        u = np.random.default_rng(seed).random(1000)
+        assert np.all(np.abs(dist.ppf(u) - TabulatedCdf.ppf(dist, u)) <= np.spacing(a))
+
+    def test_interval_union_matches_its_closed_form(self):
+        u = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(20261018).random(2**16)])
+        mag = 1.0 + np.abs(2.0 * u - 1.0) * (2.0 - 1.0)
+        closed = np.where(u == 0.5, 0.0, np.where(u > 0.5, mag, -mag))
+        np.testing.assert_array_equal(IntervalUnionUniform(1, 2).ppf(u), closed)
+
+    def test_public_surface(self):
+        uniform, interval = Uniform(2.5), IntervalUnionUniform(1, 3)
+        assert (uniform.a, uniform.support) == (2.5, (-2.5, 2.5))
+        assert (interval.c, interval.d, interval.support) == (1.0, 3.0, (-3.0, 3.0))
+        assert uniform.spec() == {"kind": "uniform", "a": 2.5}
+        assert interval.spec() == {"kind": "interval_union", "c": 1.0, "d": 3.0}
+        assert float(interval.cdf(2.0)) == 0.75 and float(interval.cdf(-0.5)) == 0.5
 
 
 class TestSpecParsing:
@@ -176,10 +227,18 @@ class TestSpecParsing:
         '{"kind": "uniform", "a": -1}',
         '{"kind": "powerfold"}',
         '{"kind": "interval_union", "c": 2, "d": 1}',
+        '{"kind": "uniform", "a": "abc"}',
+        '{"kind": "tabulated", "grid": 5}',
+        '{"kind": "tabulated", "grid": [["x", 1]]}',
+        '{"kind": "laplace", "b": [1]}',
     ])
     def test_rejects(self, bad):
         with pytest.raises(DistributionError):
             from_spec(bad)
+
+    def test_constructor_messages_pass_through(self):
+        with pytest.raises(DistributionError, match="^uniform halfwidth must be positive"):
+            from_spec('{"kind": "uniform", "a": -1}')
 
 
 @st.composite

@@ -211,6 +211,13 @@ class TestExactPiecewiseLinear:
         assert abs(sol.value - 55 / 24) <= 1e-14
         assert abs(sol.value - 55 / 24) <= sol.diagnostics["quadrature_error_bound"]
 
+    def test_builtin_anchors_within_bound(self, solutions):
+        for name, want in [("uniform", UNIFORM_V), ("interval_union", 55 / 24)]:
+            sol = solutions[name]
+            assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
+            assert abs(sol.value - want) <= 1e-15
+        assert abs(solutions["uniform"].x1_star - UNIFORM_X1) <= 1e-15
+
     def test_curve_matches_closed_form(self):
         xs = np.linspace(-0.98, 0.98, 25)
         want = [w1_uniform_closed(x) for x in xs]
@@ -236,11 +243,11 @@ class TestExactPiecewiseLinear:
         assert relranks.compute_pq(IRREGULAR).method == "exact_piecewise_linear"
         assert lower_bound_check(IRREGULAR).passed
         with pytest.raises(AssertionError):
-            solve_full_info(UNIFORM)
+            solve_full_info(LAPLACE)
 
     def test_other_laws_keep_quadrature(self, solutions):
         for name, sol in solutions.items():
-            want = "exact_piecewise_linear" if name == "tabulated" else "quadrature"
+            want = "quadrature" if name in ("laplace", "powerfold") else "exact_piecewise_linear"
             assert sol.diagnostics["method"] == want, name
 
 

@@ -76,6 +76,10 @@ class TestExactPiecewiseLinear:
         assert abs(pq.q - 1 / 96) <= pq.error_bound
         assert pq.panels > 0
 
+    def test_uniform_anchor_within_bound(self, pq_params):
+        pq = pq_params["uniform"]
+        assert abs(pq.p - 1 / 96) <= pq.error_bound and abs(pq.q - 1 / 96) <= pq.error_bound
+
     def test_interval_union_table(self):
         pq = compute_pq(TabulatedCdf([[0.0, 0.5], [1.0, 0.5], [2.0, 1.0]]))
         assert pq.q == 0.0 and abs(pq.p - 1 / 48) <= 1e-17
@@ -96,7 +100,7 @@ class TestExactPiecewiseLinear:
 
     def test_other_laws_keep_quadrature(self, pq_params):
         for name, pq in pq_params.items():
-            want = "exact_piecewise_linear" if name == "tabulated" else "quadrature"
+            want = "quadrature" if name in ("laplace", "powerfold") else "exact_piecewise_linear"
             assert pq.method == want, name
 
 

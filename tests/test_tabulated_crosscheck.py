@@ -3,15 +3,18 @@
 A ``TabulatedCdf`` takes the exact piecewise-linear path.  ``Delegate``
 has the same ``cdf``, ``ppf`` and break points but is not a
 ``TabulatedCdf``, so the same law also goes through adaptive quadrature;
-the two must agree within the adaptive tolerances.
+the two must agree within the adaptive tolerances.  Uniform and
+IntervalUnionUniform are tables too, so their closed forms anchor the
+adaptive engine through the same wrapper.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rankstop.distributions import SymmetricDistribution, TabulatedCdf
+from rankstop.distributions import IntervalUnionUniform, SymmetricDistribution, TabulatedCdf, Uniform
 from rankstop.fullinfo import (
     FULL_INNER_CFG,
     FULL_OUTER_CFG,
@@ -78,3 +81,24 @@ def test_exact_path_agrees_with_quadrature(table):
     assert pq.p > 0 and pq.q >= 0
     assert pq.error_bound > 0
     assert abs(Fraction(pq.p) + Fraction(pq.q) - PQ_SUM) <= Fraction(pq.error_bound)
+
+
+class TestClosedFormAnchors:
+    """The paper's closed forms through adaptive quadrature, at the tolerances of the acceptance tests."""
+
+    def test_uniform(self):
+        sol = solve_full_info(Delegate(Uniform(1)))
+        assert sol.diagnostics["method"] == "quadrature"
+        assert abs(sol.x1_star - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-9
+        assert abs(sol.value - (11.0 / 4.0 - math.sqrt(2.0) / 3.0)) <= 1e-8
+        pq = compute_pq(Delegate(Uniform(1)))
+        assert pq.method == "quadrature"
+        assert abs(pq.p - 1 / 96) <= 1e-10
+
+    def test_interval_union(self):
+        sol = solve_full_info(Delegate(IntervalUnionUniform(1, 2)))
+        assert sol.diagnostics["method"] == "quadrature"
+        assert abs(sol.value - 55 / 24) <= 1e-8
+        pq = compute_pq(Delegate(IntervalUnionUniform(1, 2)))
+        assert pq.method == "quadrature"
+        assert abs(pq.p - 1 / 48) <= 1e-10 and abs(pq.q) <= 1e-10
