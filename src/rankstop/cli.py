@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .distributions import DistributionError, from_spec
+from .distributions import CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError, from_spec
 from .fullinfo import (
     BOUND_TOL,
     FULL_INNER_CFG,
@@ -193,6 +193,7 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
             "p": pq.p,
             "q": pq.q,
             "error_bound": pq.error_bound,
+            "panels": pq.panels,
             "value": optimal_rank_value(pq),
             "branch": branch,
             "rule": policy.name,
@@ -221,11 +222,11 @@ def verify(dist_spec, paths, seed, out):
         hi = hi if math.isfinite(hi) else dist.quantile(1.0 - 1e-12)
         xs = np.linspace(lo, hi, 1001)
         sym = float(np.max(np.abs(dist.cdf(xs) + dist.cdf(-xs) - 1.0)))
-        record("cdf_symmetry", sym < 1e-12, {"max_abs_defect": sym})
+        record("cdf_symmetry", sym < CDF_SYMMETRY_TOL, {"max_abs_defect": sym})
 
         us = np.linspace(1e-6, 1 - 1e-6, 1001)
         rt = float(np.max(np.abs(dist.cdf(dist.ppf(us)) - us)))
-        record("quantile_roundtrip", rt < 1e-10, {"max_abs_defect": rt})
+        record("quantile_roundtrip", rt < QUANTILE_ROUNDTRIP_TOL, {"max_abs_defect": rt})
 
         pq = compute_pq(dist)
         defect = abs(pq.p + pq.q - 1.0 / 48.0)

@@ -21,6 +21,8 @@ import math
 import numpy as np
 
 __all__ = [
+    "CDF_SYMMETRY_TOL",
+    "QUANTILE_ROUNDTRIP_TOL",
     "DistributionError",
     "SymmetricDistribution",
     "Uniform",
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 _ATOM_TOL = 1e-9
+#: Slack on |F(x) + F(-x) - 1| and on |F(ppf(u)) - u|, in ``verify``.
+CDF_SYMMETRY_TOL = 1e-12
+QUANTILE_ROUNDTRIP_TOL = 1e-10
 
 
 class DistributionError(ValueError):

@@ -32,7 +32,6 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
-    EPS_U,
     BracketError,
     QuadratureConfig,
     RootConfig,
@@ -40,6 +39,7 @@ from .numerics import (
     integrate_batch,
     integrate_detailed,
     integrate_pieces,
+    u_limits,
 )
 from .walkcore import FULL_INFORMATION, StoppingPolicy
 
@@ -129,11 +129,11 @@ def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
     def f(u, i):
         return dist.cdf(dist.ppf(u) - x_shift[i])
 
+    lo, hi, lost = u_limits(u_lo, u_hi, math.isfinite(dist.support[1]))
     if isinstance(dist, TabulatedCdf):
-        return integrate_pieces(f, u_lo, np.maximum(u_hi, u_lo), cuts, _INNER_ORDER)
-    lo = np.maximum(u_lo, EPS_U)
-    hi = np.maximum(np.minimum(u_hi, 1.0 - EPS_U), lo)  # empty ranges integrate to 0
-    return integrate_batch(f, lo, hi, cfg, break_points=cuts)
+        return integrate_pieces(f, lo, hi, cuts, _INNER_ORDER)
+    vals, errs, panels = integrate_batch(f, lo, hi, cfg, break_points=cuts)
+    return vals, errs + lost, panels  # the integrand F lies in [0, 1]
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -214,34 +214,46 @@ def solve_threshold(dist: SymmetricDistribution,
     near the origin), the scan finds no sign change and the support edge
     itself satisfies the residual tolerance.
     """
-    quad_cfg = quad_cfg or FULL_INNER_CFG
-    root_cfg = root_cfg or THRESHOLD_ROOT_CFG
+    return _threshold(dist, quad_cfg or FULL_INNER_CFG, root_cfg or THRESHOLD_ROOT_CFG)[0]
+
+
+def _threshold(dist, quad_cfg, root_cfg):
+    """solve_threshold's root, and the panels its scan and root search evaluated."""
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
+    panels = 0
 
-    def g(x):
-        return _continuation(dist, [x], quad_cfg)[0][0] - 2.0
+    def curve_minus_2(xs):
+        nonlocal panels
+        values, _, n = _continuation(dist, xs, quad_cfg)
+        panels += n
+        return values - 2.0
 
     grid = hi * np.geomspace(1e-8, 1.0, 96)
-    values = _continuation(dist, grid, quad_cfg)[0] - 2.0
+    values = curve_minus_2(grid)
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
         if values[-1] > 0:
             if abs(values[-1]) <= BOUND_TOL:
-                return float(grid[-1])  # curve meets 2 only at the support edge
+                return float(grid[-1]), panels  # curve meets 2 only at the support edge
             raise ThresholdError(
                 f"continuation curve stays above 2 on (0, {hi}]: residual {values[-1]}"
             )
         # Above 2 never observed: the crossing sits below the scan grid.
         lo_bracket, hi_bracket = grid[0] * 1e-8, grid[0]
+        known = {}
     else:
         i = sign_changes[-1]
         lo_bracket, hi_bracket = grid[i], grid[i + 1]
+        known = {float(grid[i]): values[i], float(grid[i + 1]): values[i + 1]}
     try:
-        return find_root(g, lo_bracket, hi_bracket, root_cfg)
+        # find_root starts with the curve at both bracket ends, which the scan has.
+        root = find_root(lambda x: known[x] if x in known else curve_minus_2([x])[0],
+                         lo_bracket, hi_bracket, root_cfg)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
+    return root, panels
 
 
 def solve_full_info(dist: SymmetricDistribution,
@@ -252,14 +264,16 @@ def solve_full_info(dist: SymmetricDistribution,
     the continuation curve over the negative half, the flat stop payoff 2
     on (0, x1*], and the continuation curve again beyond x1*.
     ``diagnostics["panels"]`` counts the quadrature panels (pieces, on the
-    exact path) evaluated for V and for the residual at x1*; the threshold
-    search is not included.  ``diagnostics["quadrature_error_bound"]`` adds
-    the outer bound and the largest bound of the curve over the u-range.
+    exact path) evaluated for V and for the residual at x1*, and
+    ``diagnostics["threshold_panels"]`` those of the threshold's scan and
+    root search.  ``diagnostics["quadrature_error_bound"]`` adds the outer
+    bound, the largest bound of the curve over the u-range and, on an
+    unbounded support, the u-range clipped off times 4, the largest rank.
     ``diagnostics["method"]`` is "exact_piecewise_linear" for a
     ``TabulatedCdf`` and "quadrature" otherwise.
     """
     inner_cfg = quad_cfg or FULL_INNER_CFG
-    x1s = solve_threshold(dist, inner_cfg)
+    x1s, threshold_panels = _threshold(dist, inner_cfg, THRESHOLD_ROOT_CFG)
     f_at = float(dist.cdf(x1s))
     at_threshold, _, panels = _continuation(dist, [x1s], inner_cfg)
     curve_err = 0.0
@@ -278,28 +292,29 @@ def solve_full_info(dist: SymmetricDistribution,
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
     cuts = dist.cdf(np.unique(kinks)) if len(knots) else None
     exact = isinstance(dist, TabulatedCdf)
+    lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], math.isfinite(dist.support[1]))
     if exact:
         (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate_pieces(
-            lambda u, _: curve_of_u(u), [0.0, f_at], [0.5, 1.0],
-            np.broadcast_to(cuts, (2, len(cuts))), _OUTER_ORDER)
+            lambda u, _: curve_of_u(u), lo, hi, np.broadcast_to(cuts, (2, len(cuts))), _OUTER_ORDER)
         outer_panels = int(outer_panels.sum())
     else:
-        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, EPS_U, 0.5, FULL_OUTER_CFG,
+        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, lo[0], hi[0], FULL_OUTER_CFG,
                                                           break_points=cuts)
-        hi_u = 1.0 - EPS_U
-        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, min(f_at, hi_u), hi_u,
-                                                          FULL_OUTER_CFG, break_points=cuts)
+        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, lo[1], hi[1], FULL_OUTER_CFG,
+                                                          break_points=cuts)
         outer_panels = neg_panels + pos_panels
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
+    bound = neg_err + pos_err + curve_err * (1.5 - f_at) + 4.0 * lost.sum()
     return FullInfoSolution(
         x1_star=x1s,
         value=value,
         F_at_threshold=f_at,
         diagnostics={
             "threshold_residual": float(at_threshold[0]) - 2.0,
-            "quadrature_error_bound": float(neg_err + pos_err + curve_err * (1.5 - f_at)),
+            "quadrature_error_bound": float(bound),
             "scan_upper": dist.quantile(1.0 - 1e-12),
             "panels": panels + outer_panels,
+            "threshold_panels": threshold_panels,
             "method": "exact_piecewise_linear" if exact else "quadrature",
         },
     )

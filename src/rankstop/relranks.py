@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
-from .numerics import EPS_U, QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces
+from .numerics import QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces, u_limits
 from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
@@ -105,14 +105,15 @@ def compute_pq(dist: SymmetricDistribution,
     Each batch of outer nodes v becomes one batch of inner integrals over
     u.  When the support is bounded the inner integral is cut at the u
     where the folded sum leaves the support (the integrand is identically
-    zero beyond), which keeps the quadrature from chasing a hard kink.  A
+    zero beyond), which keeps the quadrature from chasing a hard kink.  On
+    an unbounded support both integrals are clipped to [EPS_U, 1 - EPS_U],
+    and the widths clipped off count in the error bound.  A
     ``TabulatedCdf`` takes the exact path (method "exact_piecewise_linear"),
     where ``cfg`` does not apply and the error bound is a rounding bound.
     """
     inner_cfg = cfg or PQ_INNER_CFG
     outer_cfg = cfg or PQ_OUTER_CFG
     exact = isinstance(dist, TabulatedCdf)
-    eps_u = 0.0 if exact else EPS_U
     upper = dist.support[1]
     bounded = math.isfinite(upper)
     fold_knots = np.abs(dist.cdf_break_points())
@@ -123,9 +124,8 @@ def compute_pq(dist: SymmetricDistribution,
     def outer(vs):
         nonlocal inner_err, panels
         y = dist.folded_ppf(vs)
-        u_hi = np.full(len(y), 1.0 - eps_u)
-        if bounded:
-            u_hi = np.minimum(dist.folded_cdf(np.maximum(upper - y, 0.0)), u_hi)
+        u_hi = dist.folded_cdf(np.maximum(upper - y, 0.0)) if bounded else np.ones(len(y))
+        lo, hi, lost = u_limits(np.zeros(len(y)), u_hi, bounded)
 
         def h(us, i):
             arg = dist.folded_ppf(us) + y[i]
@@ -137,13 +137,11 @@ def compute_pq(dist: SymmetricDistribution,
             own = np.broadcast_to(dist.folded_cdf(fold_knots), (len(y), len(fold_knots)))
             cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)), own],
                                   axis=1)
-        lo = np.full(len(y), eps_u)
         if exact:
-            vals, errs, n = integrate_pieces(h, lo, np.maximum(u_hi, lo), cuts, _INNER_ORDER)
+            vals, errs, n = integrate_pieces(h, lo, hi, cuts, _INNER_ORDER)
         else:
-            vals, errs, n = integrate_batch(h, lo, np.maximum(u_hi, lo), inner_cfg,
-                                            break_points=cuts)
-        inner_err = max(inner_err, float(errs.max(initial=0.0)))
+            vals, errs, n = integrate_batch(h, lo, hi, inner_cfg, break_points=cuts)
+        inner_err = max(inner_err, float((errs + lost).max(initial=0.0)))  # 0 <= 1 - G <= 1
         panels += int(n.sum())
         return vals
 
@@ -160,8 +158,10 @@ def compute_pq(dist: SymmetricDistribution,
         # p = 1/48 - q rounds twice: 1/48 itself and the difference.
         slack = np.finfo(float).eps * float(PQ_SUM)
     else:
-        total, outer_err, outer_panels = integrate_detailed(outer, EPS_U, 1.0 - EPS_U, outer_cfg,
+        lo, hi, lost = u_limits(0.0, 1.0, bounded)
+        total, outer_err, outer_panels = integrate_detailed(outer, float(lo), float(hi), outer_cfg,
                                                             break_points=outer_cuts)
+        outer_err += float(lost)  # the inner integral lies in [0, 1]
         slack = 1e-14
     q = total / 16.0
     err = (outer_err + inner_err) / 16.0 + slack

@@ -31,6 +31,8 @@ class TestSolve:
         assert payload["x1_star"] == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-6)
         assert payload["value"] == pytest.approx(2.2786, abs=1e-4)
         assert payload["manifest"]["distribution"]["kind"] == "uniform"
+        assert payload["diagnostics"]["panels"] > 0
+        assert payload["diagnostics"]["threshold_panels"] > 0
 
     def test_relranks_laplace(self, runner):
         res = invoke(runner, ["solve", "--dist", LAPLACE, "--model", "relranks"])
@@ -38,6 +40,7 @@ class TestSolve:
         assert payload["p"] == pytest.approx(1 / 192, abs=1e-9)
         assert payload["value"] == pytest.approx(2.28125, abs=1e-8)
         assert payload["branch"] == "a"
+        assert payload["panels"] > 0
 
     def test_relranks_interval_union_branch_b(self, runner):
         res = invoke(runner, ["solve", "--dist", INTERVAL, "--model", "relranks"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankstop import fullinfo, relranks
-from rankstop.distributions import IntervalUnionUniform, Laplace, TabulatedCdf, Uniform
+from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform
 from rankstop.fullinfo import (
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
@@ -178,6 +178,21 @@ class TestValue:
     def test_panels_counted(self, solutions):
         for name, sol in solutions.items():
             assert sol.diagnostics["panels"] > 0, name
+            assert sol.diagnostics["threshold_panels"] > 0, name
+
+    # Panels of V and of the threshold search are deterministic.  Before the
+    # graded split toward singular panel edges, V took the panels in the
+    # last column (the threshold search was not counted).
+    @pytest.mark.parametrize("dist, panels, threshold_panels, bisected", [
+        (LAPLACE, 5518, 1660, 8062),
+        (PowerFold(0.5), 8898, 3010, 13016),
+        (PowerFold(2), 11630, 2107, 21302),
+        (PowerFold(4), 15292, 1693, 28478),
+    ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
+    def test_panels_pinned(self, dist, panels, threshold_panels, bisected):
+        diagnostics = solve_full_info(dist).diagnostics
+        assert diagnostics["panels"] == panels < bisected
+        assert diagnostics["threshold_panels"] == threshold_panels
 
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))

@@ -8,6 +8,7 @@ from rankstop import numerics
 from rankstop.distributions import Uniform
 from rankstop.fullinfo import continuation_value_pos
 from rankstop.numerics import (
+    EPS_U,
     BracketError,
     QuadratureConfig,
     QuadratureError,
@@ -17,6 +18,7 @@ from rankstop.numerics import (
     integrate_batch,
     integrate_detailed,
     integrate_pieces,
+    u_limits,
 )
 
 
@@ -147,6 +149,47 @@ class TestIntegrateBatch:
             integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             integrate_batch(lambda u, i: u, [0.0, 1.0], [1.0, 2.0], break_points=[0.5, 1.5])
+
+
+class TestGradedRefinement:
+    """A panel that holds most of its problem's error and touches a problem
+    end or a break point is split close to that point; every other panel is
+    bisected.  ``bisected`` is the panel count when every panel is bisected."""
+
+    CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("f, a, b, cuts, exact, bisected", [
+        (np.sqrt, 0.0, 1.0, None, 2.0 / 3.0, 44),
+        (np.log, 0.0, 1.0, None, -1.0, 80),
+        (lambda u: np.sqrt(np.abs(u - 0.3)), 0.0, 1.0, [0.3], (0.3**1.5 + 0.7**1.5) / 1.5, 83),
+    ], ids=["sqrt", "log", "sqrt_at_break_point"])
+    def test_endpoint_singularities_take_fewer_panels(self, f, a, b, cuts, exact, bisected):
+        val, bound, panels = integrate_detailed(f, a, b, self.CFG, break_points=cuts)
+        assert abs(val - exact) <= bound <= 1e-13 * (1 + abs(val))
+        assert panels < bisected
+
+    @pytest.mark.parametrize("f, a, b, exact, bisected", [
+        (np.exp, 0.0, 1.0, math.e - 1.0, 8),
+        (lambda u: np.cos(20.0 * u), 0.0, 3.0, math.sin(60.0) / 20.0, 54),
+        (lambda u: 1.0 / (1.0 + 25.0 * u * u), -1.0, 1.0, 0.4 * math.atan(5.0), 18),
+    ], ids=["exp", "cos20", "runge"])
+    def test_smooth_integrands_take_no_more_panels(self, f, a, b, exact, bisected):
+        val, bound, panels = integrate_detailed(f, a, b, self.CFG)
+        assert abs(val - exact) <= bound
+        assert panels <= bisected
+
+
+class TestULimits:
+    def test_bounded_support_keeps_the_limits(self):
+        lo, hi, lost = u_limits([0.0, 0.7, 0.4], [0.5, 1.0, 0.2], True)
+        assert list(lo) == [0.0, 0.7, 0.4] and list(hi) == [0.5, 1.0, 0.4]
+        assert list(lost) == [0.0, 0.0, 0.0]
+
+    def test_unbounded_support_is_clipped_and_the_loss_reported(self):
+        lo, hi, lost = u_limits([0.0, 0.7, 0.4, 0.0], [0.5, 1.0, 0.2, 1.0], False)
+        assert list(lo) == [EPS_U, 0.7, 0.4, EPS_U]
+        assert list(hi) == [0.5, 1.0 - EPS_U, 0.4, 1.0 - EPS_U]
+        assert lost == pytest.approx([EPS_U, EPS_U, 0.0, 2 * EPS_U], rel=1e-3, abs=0)
 
 
 class TestIntegratePieces:

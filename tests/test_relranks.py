@@ -50,6 +50,17 @@ class TestComputePQ:
         for name, pq in pq_params.items():
             assert pq.panels > 0, name
 
+    # Panels are deterministic.  Before the graded split toward singular
+    # panel edges, compute_pq took the panels in the last column.
+    @pytest.mark.parametrize("dist, panels, bisected", [
+        (Laplace(1), 968, 968),
+        (PowerFold(0.5), 2848, 3446),
+        (PowerFold(2), 10924, 20036),
+        (PowerFold(4), 14698, 26850),
+    ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
+    def test_panels_pinned(self, dist, panels, bisected):
+        assert compute_pq(dist).panels == panels <= bisected
+
     def test_powerfold_small_exponent(self):
         pq = compute_pq(PowerFold(0.05))
         assert pq.q >= 0.9 / 48

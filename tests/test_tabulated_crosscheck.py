@@ -12,9 +12,17 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankstop.distributions import IntervalUnionUniform, SymmetricDistribution, TabulatedCdf, Uniform
+from rankstop.distributions import (
+    IntervalUnionUniform,
+    Laplace,
+    PowerFold,
+    SymmetricDistribution,
+    TabulatedCdf,
+    Uniform,
+)
 from rankstop.fullinfo import (
     FULL_INNER_CFG,
     FULL_OUTER_CFG,
@@ -84,21 +92,36 @@ def test_exact_path_agrees_with_quadrature(table):
 
 
 class TestClosedFormAnchors:
-    """The paper's closed forms through adaptive quadrature, at the tolerances of the acceptance tests."""
+    """The paper's closed forms through adaptive quadrature, at the tolerances
+    of the acceptance tests, each within the bound the solver reports."""
 
     def test_uniform(self):
         sol = solve_full_info(Delegate(Uniform(1)))
         assert sol.diagnostics["method"] == "quadrature"
         assert abs(sol.x1_star - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-9
-        assert abs(sol.value - (11.0 / 4.0 - math.sqrt(2.0) / 3.0)) <= 1e-8
+        v_err = abs(sol.value - (11.0 / 4.0 - math.sqrt(2.0) / 3.0))
+        assert v_err <= 1e-8
+        assert v_err <= sol.diagnostics["quadrature_error_bound"]
         pq = compute_pq(Delegate(Uniform(1)))
         assert pq.method == "quadrature"
         assert abs(pq.p - 1 / 96) <= 1e-10
+        assert abs(Fraction(pq.q) - Fraction(1, 96)) <= Fraction(pq.error_bound)
 
     def test_interval_union(self):
         sol = solve_full_info(Delegate(IntervalUnionUniform(1, 2)))
         assert sol.diagnostics["method"] == "quadrature"
-        assert abs(sol.value - 55 / 24) <= 1e-8
+        v_err = abs(sol.value - 55 / 24)
+        assert v_err <= 1e-8
+        assert v_err <= sol.diagnostics["quadrature_error_bound"]
         pq = compute_pq(Delegate(IntervalUnionUniform(1, 2)))
         assert pq.method == "quadrature"
         assert abs(pq.p - 1 / 48) <= 1e-10 and abs(pq.q) <= 1e-10
+
+    @pytest.mark.parametrize("dist, p_exact", [
+        (Laplace(1), Fraction(1, 192)),
+        (PowerFold(2), Fraction(5, 288)),  # derived in perfbench/references.py
+    ], ids=["laplace", "powerfold2"])
+    def test_adaptive_p_within_bound(self, dist, p_exact):
+        pq = compute_pq(dist)
+        assert pq.method == "quadrature"
+        assert abs(Fraction(pq.p) - p_exact) <= Fraction(pq.error_bound)
