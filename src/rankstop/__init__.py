@@ -31,8 +31,6 @@ from .fullinfo import (
     V_UPPER_BOUND,
     continuation_curve,
     continuation_value,
-    continuation_value_neg,
-    continuation_value_pos,
     full_info_policy,
     lower_bound_check,
     solve_full_info,
@@ -46,7 +44,6 @@ from .numerics import (
     QuadratureError,
     RootConfig,
     find_root,
-    integrate,
     integrate_batch,
 )
 from .oracle import (
@@ -100,7 +97,7 @@ __all__ = [
     "builtin_suite",
     # numerics
     "QuadratureConfig", "RootConfig", "QuadratureError", "BracketError",
-    "integrate", "integrate_batch", "find_root",
+    "integrate_batch", "find_root",
     # walkcore
     "FULL_INFORMATION", "RELATIVE_RANKS", "WalkPath", "RankView",
     "compute_ranks", "StoppingPolicy", "RankPolicyTable", "run_policy",
@@ -108,8 +105,7 @@ __all__ = [
     # fullinfo
     "FullInfoSolution", "V_LOWER_BOUND", "V_UPPER_BOUND",
     "THRESHOLD_QUANTILE_BOUND", "stage2_value", "continuation_value",
-    "continuation_curve",
-    "continuation_value_pos", "continuation_value_neg", "solve_threshold",
+    "continuation_curve", "solve_threshold",
     "solve_full_info", "stage2_stop_region", "full_info_policy",
     "lower_bound_check",
     # relranks

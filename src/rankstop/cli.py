@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,9 +26,7 @@ from .distributions import CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, Distributio
 from .fullinfo import (
     BOUND_TOL,
     FULL_INNER_CFG,
-    FULL_OUTER_CFG,
     THRESHOLD_QUANTILE_BOUND,
-    THRESHOLD_ROOT_CFG,
     V_LOWER_BOUND,
     V_UPPER_BOUND,
     continuation_curve,
@@ -35,12 +34,12 @@ from .fullinfo import (
     lower_bound_check,
     solve_full_info,
     solve_threshold,
+    tolerances,
 )
 from .numerics import BracketError, QuadratureConfig, QuadratureError
 from .oracle import canonical_rules, enumerate_rank_policies
 from .relranks import (
     PQ_INNER_CFG,
-    PQ_OUTER_CFG,
     PQ_TOL,
     compute_pq,
     optimal_rank_policy,
@@ -56,27 +55,16 @@ from .walkcore import RankPolicyTable, StoppingPolicy, stop_at_policy, two_step_
 DEFAULT_SEED = 20260808
 
 
-def _quad_cfg(abs_tol, rel_tol, default: QuadratureConfig) -> QuadratureConfig | None:
-    """Quadrature config from optional flags; None leaves a solver on its defaults.
+def _quad_cfg(abs_tol, rel_tol, default: QuadratureConfig) -> QuadratureConfig:
+    """A solver's inner config: ``default`` with the flags that were given.
 
-    A flag left out takes its value from ``default``.
+    An invalid tolerance is an input error, raised before any work starts.
     """
-    if abs_tol is None and rel_tol is None:
-        return None
-    return QuadratureConfig(abs_tol=abs_tol or default.abs_tol, rel_tol=rel_tol or default.rel_tol)
-
-
-def _tolerances(inner: QuadratureConfig, outer: QuadratureConfig) -> dict:
-    """Manifest record of an iterated quadrature's two tolerance pairs."""
-    return {"inner_abs_tol": inner.abs_tol, "inner_rel_tol": inner.rel_tol,
-            "outer_abs_tol": outer.abs_tol, "outer_rel_tol": outer.rel_tol}
-
-
-def _pq_tolerances(cfg: QuadratureConfig | None) -> dict:
-    """compute_pq uses a given config for both levels, else its two defaults."""
-    if cfg is None:
-        return _tolerances(PQ_INNER_CFG, PQ_OUTER_CFG)
-    return {"abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol}
+    flags = {"abs_tol": abs_tol, "rel_tol": rel_tol}
+    try:
+        return replace(default, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _seed_default() -> int:
@@ -163,19 +151,18 @@ def main():
 @main.command()
 @click.option("--dist", "dist_spec", required=True, help="distribution spec as JSON")
 @click.option("--model", type=click.Choice(["full", "relranks"]), required=True)
-@click.option("--abs-tol", type=float, default=None, help="quadrature absolute tolerance")
-@click.option("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
+@click.option("--abs-tol", type=float, default=None, help="absolute tolerance, inner; outer 100x")
+@click.option("--rel-tol", type=float, default=None, help="relative tolerance, inner; outer 100x")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def solve(dist_spec, model, abs_tol, rel_tol, out):
     """Solve the three-step problem for one distribution."""
     dist, spec = _load_dist(dist_spec)
     if model == "full":
         cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
-        tols = _tolerances(cfg or FULL_INNER_CFG, FULL_OUTER_CFG)
-        tols.update(root_x_tol=THRESHOLD_ROOT_CFG.x_tol, root_f_tol=THRESHOLD_ROOT_CFG.f_tol)
         sol = _numeric_guard(lambda: solve_full_info(dist, cfg))
         payload = {
-            "manifest": _manifest("solve", spec, model="full", tolerances=tols,
+            "manifest": _manifest("solve", spec, model="full",
+                                  tolerances=sol.diagnostics["tolerances"],
                                   method=sol.diagnostics["method"]),
             "x1_star": sol.x1_star,
             "value": sol.value,
@@ -184,11 +171,10 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
         }
     else:
         cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
-        tols = _pq_tolerances(cfg)
         pq = _numeric_guard(lambda: compute_pq(dist, cfg))
         policy, branch = optimal_rank_policy(pq)
         payload = {
-            "manifest": _manifest("solve", spec, model="relranks", tolerances=tols,
+            "manifest": _manifest("solve", spec, model="relranks", tolerances=pq.tolerances,
                                   method=pq.method),
             "p": pq.p,
             "q": pq.q,
@@ -334,8 +320,8 @@ def table2(as_csv, out):
 @click.option("--lo", type=float, required=True)
 @click.option("--hi", type=float, required=True)
 @click.option("--points", type=int, default=100, show_default=True)
-@click.option("--abs-tol", type=float, default=None)
-@click.option("--rel-tol", type=float, default=None)
+@click.option("--abs-tol", type=float, default=None, help="the curve's absolute tolerance")
+@click.option("--rel-tol", type=float, default=None, help="the curve's relative tolerance")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
@@ -344,8 +330,6 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
         raise click.UsageError("need lo < hi and at least two points")
     dist, spec = _load_dist(dist_spec)
     cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
-    effective = cfg or FULL_INNER_CFG
-    tols = {"abs_tol": effective.abs_tol, "rel_tol": effective.rel_tol}
 
     def run():
         x1s = solve_threshold(dist, cfg)
@@ -363,7 +347,7 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     if as_csv:
         _emit_csv(rows, ["x", "continuation_value", "is_threshold"], out)
     else:
-        _emit({"manifest": _manifest("curve", spec, tolerances=tols),
+        _emit({"manifest": _manifest("curve", spec, tolerances=tolerances(dist, cfg, outer=False)),
                "x1_star": x1s, "points": rows}, out)
 
 
@@ -444,15 +428,14 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
 @main.command()
 @click.option("--dist", "dist_spec", required=True)
 @click.option("--table/--no-table", default=False, help="include the 24-ordering table")
-@click.option("--abs-tol", type=float, default=None)
-@click.option("--rel-tol", type=float, default=None)
+@click.option("--abs-tol", type=float, default=None, help="absolute tolerance, inner; outer 100x")
+@click.option("--rel-tol", type=float, default=None, help="relative tolerance, inner; outer 100x")
 @click.option("--csv", "as_csv", is_flag=True, help="emit the table as CSV")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
     """The ordering parameters (p, q) of a distribution."""
     dist, spec = _load_dist(dist_spec)
     cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
-    tols = _pq_tolerances(cfg)
     params = _numeric_guard(lambda: compute_pq(dist, cfg))
     tab = permutation_table(params.p, params.q)
     if as_csv:
@@ -461,7 +444,7 @@ def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
                    "q_coefficient", "probability"], out)
         return
     payload = {
-        "manifest": _manifest("pq", spec, tolerances=tols, method=params.method),
+        "manifest": _manifest("pq", spec, tolerances=params.tolerances, method=params.method),
         "p": params.p,
         "q": params.q,
         "method": params.method,

@@ -39,6 +39,7 @@ from .numerics import (
     integrate_batch,
     integrate_detailed,
     integrate_pieces,
+    tolerance_record,
     u_limits,
 )
 from .walkcore import FULL_INFORMATION, StoppingPolicy
@@ -49,17 +50,15 @@ __all__ = [
     "THRESHOLD_QUANTILE_BOUND",
     "BOUND_TOL",
     "FULL_INNER_CFG",
-    "FULL_OUTER_CFG",
     "THRESHOLD_ROOT_CFG",
     "FullInfoSolution",
     "ThresholdError",
     "stage2_value",
-    "continuation_value_pos",
-    "continuation_value_neg",
     "continuation_value",
     "continuation_curve",
     "solve_threshold",
     "solve_full_info",
+    "tolerances",
     "stage2_stop_region",
     "full_info_policy",
     "lower_bound_check",
@@ -71,10 +70,10 @@ V_UPPER_BOUND = 55.0 / 24.0
 #: F(x1*) always sits at least this high.
 THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 
-#: Inner (continuation-curve) quadratures sit two decades below the outer
-#: V tolerance so the outer refinement never chases the inner noise floor.
+#: Default tolerance of the continuation curve's dF-integrals, and so of
+#: the threshold; V's outer integral runs at ``FULL_INNER_CFG.outer()``,
+#: two decades looser (1e-10), so that it never chases the curve's noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-FULL_OUTER_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
 #: The threshold search stops once its bracket is narrower than x_tol, or
 #: earlier on a residual below the inner quadrature tolerance, where the
 #: curve cannot be told from 2.
@@ -176,24 +175,6 @@ def continuation_curve(dist: SymmetricDistribution, xs,
     return _continuation(dist, np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
 
 
-def continuation_value_pos(dist: SymmetricDistribution, x: float,
-                           cfg: QuadratureConfig | None = None) -> float:
-    """Expected rank from continuing past a first step x > 0, played optimally."""
-    x = float(x)
-    if x <= 0:
-        raise ValueError(f"positive-branch continuation needs x > 0, got {x}")
-    return continuation_value(dist, x, cfg)
-
-
-def continuation_value_neg(dist: SymmetricDistribution, x: float,
-                           cfg: QuadratureConfig | None = None) -> float:
-    """Expected rank from continuing past a first step x < 0 (forced: running minimum)."""
-    x = float(x)
-    if x >= 0:
-        raise ValueError(f"negative-branch continuation needs x < 0, got {x}")
-    return continuation_value(dist, x, cfg)
-
-
 def continuation_value(dist: SymmetricDistribution, x: float,
                        cfg: QuadratureConfig | None = None) -> float:
     """Continuation curve on either side; both one-sided limits at 0 equal 9/4."""
@@ -201,8 +182,7 @@ def continuation_value(dist: SymmetricDistribution, x: float,
 
 
 def solve_threshold(dist: SymmetricDistribution,
-                    quad_cfg: QuadratureConfig | None = None,
-                    root_cfg: RootConfig | None = None) -> float:
+                    quad_cfg: QuadratureConfig | None = None) -> float:
     """The positive first-step threshold where continuing stops paying.
 
     Scans the continuation curve minus 2 for its last sign change on a
@@ -214,10 +194,10 @@ def solve_threshold(dist: SymmetricDistribution,
     near the origin), the scan finds no sign change and the support edge
     itself satisfies the residual tolerance.
     """
-    return _threshold(dist, quad_cfg or FULL_INNER_CFG, root_cfg or THRESHOLD_ROOT_CFG)[0]
+    return _threshold(dist, quad_cfg or FULL_INNER_CFG)[0]
 
 
-def _threshold(dist, quad_cfg, root_cfg):
+def _threshold(dist, quad_cfg):
     """solve_threshold's root, and the panels its scan and root search evaluated."""
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
@@ -250,14 +230,26 @@ def _threshold(dist, quad_cfg, root_cfg):
     try:
         # find_root starts with the curve at both bracket ends, which the scan has.
         root = find_root(lambda x: known[x] if x in known else curve_minus_2([x])[0],
-                         lo_bracket, hi_bracket, root_cfg)
+                         lo_bracket, hi_bracket, THRESHOLD_ROOT_CFG)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
     return root, panels
 
 
+def tolerances(dist: SymmetricDistribution, cfg: QuadratureConfig | None = None,
+               outer: bool = True) -> dict:
+    """``numerics.tolerance_record`` of a solve at ``cfg``: the curve's ("inner"),
+    V's ("outer", left out for the curve or threshold alone) and the root
+    search's.  A ``TabulatedCdf`` runs no adaptive quadrature: root only."""
+    if isinstance(dist, TabulatedCdf):
+        return tolerance_record(root=THRESHOLD_ROOT_CFG)
+    cfg = cfg or FULL_INNER_CFG
+    levels = {"inner": cfg, "outer": cfg.outer()} if outer else {"inner": cfg}
+    return tolerance_record(**levels, root=THRESHOLD_ROOT_CFG)
+
+
 def solve_full_info(dist: SymmetricDistribution,
-                    quad_cfg: QuadratureConfig | None = None) -> FullInfoSolution:
+                    cfg: QuadratureConfig | None = None) -> FullInfoSolution:
     """Threshold, optimal expected rank, and diagnostics for one distribution.
 
     V splits exactly at 0 and at the threshold: the first-step integral of
@@ -270,10 +262,14 @@ def solve_full_info(dist: SymmetricDistribution,
     bound, the largest bound of the curve over the u-range and, on an
     unbounded support, the u-range clipped off times 4, the largest rank.
     ``diagnostics["method"]`` is "exact_piecewise_linear" for a
-    ``TabulatedCdf`` and "quadrature" otherwise.
+    ``TabulatedCdf`` and "quadrature" otherwise, and
+    ``diagnostics["tolerances"]`` is ``tolerances(dist, cfg)``.  ``cfg``
+    is the tolerance of the curve and the threshold; V's outer integral
+    runs at ``cfg.outer()``.
     """
-    inner_cfg = quad_cfg or FULL_INNER_CFG
-    x1s, threshold_panels = _threshold(dist, inner_cfg, THRESHOLD_ROOT_CFG)
+    inner_cfg = cfg or FULL_INNER_CFG
+    outer_cfg = inner_cfg.outer()
+    x1s, threshold_panels = _threshold(dist, inner_cfg)
     f_at = float(dist.cdf(x1s))
     at_threshold, _, panels = _continuation(dist, [x1s], inner_cfg)
     curve_err = 0.0
@@ -298,9 +294,9 @@ def solve_full_info(dist: SymmetricDistribution,
             lambda u, _: curve_of_u(u), lo, hi, np.broadcast_to(cuts, (2, len(cuts))), _OUTER_ORDER)
         outer_panels = int(outer_panels.sum())
     else:
-        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, lo[0], hi[0], FULL_OUTER_CFG,
+        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, lo[0], hi[0], outer_cfg,
                                                           break_points=cuts)
-        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, lo[1], hi[1], FULL_OUTER_CFG,
+        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, lo[1], hi[1], outer_cfg,
                                                           break_points=cuts)
         outer_panels = neg_panels + pos_panels
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
@@ -316,6 +312,7 @@ def solve_full_info(dist: SymmetricDistribution,
             "panels": panels + outer_panels,
             "threshold_panels": threshold_panels,
             "method": "exact_piecewise_linear" if exact else "quadrature",
+            "tolerances": tolerances(dist, inner_cfg),
         },
     )
 

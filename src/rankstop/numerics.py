@@ -9,8 +9,8 @@ worst panels whose error covers the excess, and all new panels go
 through the integrand together, in blocks of ``_BLOCK_PANELS`` panels, so
 no integrand call sees more than a fixed number of nodes however many
 problems there are.  This is the design of SciPy's ``quad_vec`` extended
-across problems.  ``integrate_detailed`` and ``integrate`` are the
-one-problem case of the same engine.
+across problems.  ``integrate_detailed`` is the one-problem case of the
+same engine.
 
 Panel ends that are problem ends or break points are marked: that is
 where the integrands of this package are singular, as where the quantile
@@ -35,7 +35,8 @@ are bounded and piecewise smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -46,12 +47,12 @@ __all__ = [
     "RootConfig",
     "QuadratureError",
     "BracketError",
-    "integrate",
     "integrate_batch",
     "integrate_detailed",
     "integrate_pieces",
     "u_limits",
     "find_root",
+    "tolerance_record",
 ]
 
 #: On an unbounded support the solvers clip their u-space integrals to
@@ -116,10 +117,21 @@ class QuadratureConfig:
     max_subdivisions: int = 10**6
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("quadrature tolerances must be positive and finite, got "
+                             f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+
+    def outer(self) -> QuadratureConfig:
+        """The config of an outer integral over inner integrals at this one.
+
+        Both tolerances sit two decades higher, above the inner integrals'
+        noise, which the outer refinement would otherwise chase.
+        """
+        def looser(tol):  # 1e-13 gives 1e-11, where 100 * 1e-13 is 1.0000000000000001e-11
+            return float(Decimal(repr(float(tol))).scaleb(2))
+        return replace(self, abs_tol=looser(self.abs_tol), rel_tol=looser(self.rel_tol))
 
 
 @dataclass(frozen=True)
@@ -129,10 +141,18 @@ class RootConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.x_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("root tolerances must be positive")
+        if not (0 < self.x_tol < math.inf and 0 < self.f_tol < math.inf):
+            raise ValueError("root tolerances must be positive and finite, got "
+                             f"x_tol={self.x_tol!r}, f_tol={self.f_tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+def tolerance_record(**levels) -> dict:
+    """The tolerances of configs by level, flat: ``tolerance_record(inner=q,
+    root=r)`` has keys inner_abs_tol, inner_rel_tol, root_x_tol, root_f_tol."""
+    return {f"{level}_{name}": value for level, cfg in levels.items()
+            for name, value in asdict(cfg).items() if name.endswith("_tol")}
 
 
 class QuadratureError(RuntimeError):
@@ -408,11 +428,6 @@ def u_limits(lo, hi, bounded: bool):
     clipped_lo = np.clip(lo, EPS_U, 1.0 - EPS_U)
     clipped_hi = np.clip(hi, clipped_lo, 1.0 - EPS_U)
     return clipped_lo, clipped_hi, (hi - lo) - (clipped_hi - clipped_lo)
-
-
-def integrate(f, a, b, cfg: QuadratureConfig | None = None) -> float:
-    """Adaptive integral of a vectorized ``f`` on [a, b]; see integrate_detailed."""
-    return integrate_detailed(f, a, b, cfg)[0]
 
 
 def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:

@@ -18,20 +18,20 @@ optimal rank rule and the exact policy-enumeration oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
-from .numerics import QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces, u_limits
+from .numerics import (QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces,
+                       tolerance_record, u_limits)
 from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
     "PQ_SUM",
     "PQ_TOL",
     "PQ_INNER_CFG",
-    "PQ_OUTER_CFG",
     "PQParams",
     "TableRow",
     "PermutationTable",
@@ -54,11 +54,10 @@ __all__ = [
 #: p + q for every continuous symmetric step distribution.
 PQ_SUM = Fraction(1, 48)
 
-#: Default tolerances of compute_pq.  The outer tolerance must sit well
-#: above the inner quadrature's noise floor or the outer refinement chases
-#: deterministic noise.
+#: Default tolerance of compute_pq's inner integrals.  The outer integral
+#: runs at ``PQ_INNER_CFG.outer()``, two decades looser (1e-11), so that it
+#: stays above the inner integrals' noise floor and does not chase it.
 PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-PQ_OUTER_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
 
 #: Slack on p + q = 1/48 and on p <= 1/96, here and in ``verify``.
 PQ_TOL = 1e-9
@@ -75,7 +74,9 @@ class PQParams:
     ``method`` is "quadrature" or, for a ``TabulatedCdf``,
     "exact_piecewise_linear", whose ``error_bound`` is a rounding bound.
     ``panels`` counts the quadrature panels (pieces, on the exact path)
-    evaluated, outer and inner.
+    evaluated, outer and inner.  ``tolerances`` records the quadrature
+    tolerances the computation ran at, as ``numerics.tolerance_record``
+    does; it is empty on the exact path, which has none.
     """
 
     p: float
@@ -83,6 +84,7 @@ class PQParams:
     method: str = "quadrature"
     error_bound: float = 0.0
     panels: int = 0
+    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         q = self.q
@@ -110,9 +112,11 @@ def compute_pq(dist: SymmetricDistribution,
     and the widths clipped off count in the error bound.  A
     ``TabulatedCdf`` takes the exact path (method "exact_piecewise_linear"),
     where ``cfg`` does not apply and the error bound is a rounding bound.
+    Otherwise ``cfg`` is the tolerance of the inner integrals, and the
+    outer integral runs at ``cfg.outer()``.
     """
     inner_cfg = cfg or PQ_INNER_CFG
-    outer_cfg = cfg or PQ_OUTER_CFG
+    outer_cfg = inner_cfg.outer()
     exact = isinstance(dist, TabulatedCdf)
     upper = dist.support[1]
     bounded = math.isfinite(upper)
@@ -167,7 +171,9 @@ def compute_pq(dist: SymmetricDistribution,
     err = (outer_err + inner_err) / 16.0 + slack
     p = float(PQ_SUM) - q
     method = "exact_piecewise_linear" if exact else "quadrature"
-    return PQParams(p=p, q=q, method=method, error_bound=float(err), panels=panels + outer_panels)
+    tolerances = {} if exact else tolerance_record(inner=inner_cfg, outer=outer_cfg)
+    return PQParams(p=p, q=q, method=method, error_bound=float(err), panels=panels + outer_panels,
+                    tolerances=tolerances)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
 import gc
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from rankstop.cli import main
+from rankstop.distributions import from_spec
+from rankstop.fullinfo import FULL_INNER_CFG, solve_full_info
+from rankstop.relranks import PQ_INNER_CFG, compute_pq
 
 UNIFORM = '{"kind": "uniform", "a": 1}'
 LAPLACE = '{"kind": "laplace", "b": 1}'
 INTERVAL = '{"kind": "interval_union", "c": 1, "d": 2}'
+POWERFOLD2 = '{"kind": "powerfold", "delta": 2}'
 UNIFORM2 = '{"kind": "tabulated", "grid": [[0, 0.5], [0.5, 0.75], [1, 1]]}'
 
 
@@ -290,17 +295,18 @@ class TestDeterminism:
         assert a == b
 
     def test_tolerance_flags_recorded_in_manifest(self, runner):
-        res = invoke(runner, ["solve", "--dist", UNIFORM, "--model", "full",
+        res = invoke(runner, ["solve", "--dist", LAPLACE, "--model", "full",
                               "--abs-tol", "1e-9", "--rel-tol", "1e-9"])
         payload = json.loads(res.output)
-        tols = payload["manifest"]["tolerances"]
-        assert tols["inner_abs_tol"] == 1e-9
-        assert tols["inner_rel_tol"] == 1e-9
-        assert tols["outer_abs_tol"] == 1e-10
-        assert payload["x1_star"] == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-6)
+        assert payload["manifest"]["tolerances"] == {
+            "inner_abs_tol": 1e-9, "inner_rel_tol": 1e-9,
+            "outer_abs_tol": 1e-7, "outer_rel_tol": 1e-7,
+            "root_x_tol": 1e-13, "root_f_tol": 1e-14,
+        }
+        assert payload["x1_star"] == pytest.approx(1.71, abs=5e-3)
 
     def test_default_tolerances_recorded(self, runner):
-        res = invoke(runner, ["pq", "--dist", UNIFORM])
+        res = invoke(runner, ["pq", "--dist", LAPLACE])
         payload = json.loads(res.output)
         assert payload["manifest"]["tolerances"] == {
             "inner_abs_tol": 1e-13, "inner_rel_tol": 1e-13,
@@ -316,6 +322,67 @@ class TestDeterminism:
         ]:
             payload = json.loads(invoke(runner, args).output)
             assert payload["manifest"]["method"] == method, args
+
+
+#: Tolerance flags and the fields they set in a solver's default config.
+_FLAGS = {
+    "default": ([], {}),
+    "abs": (["--abs-tol", "1e-9"], {"abs_tol": 1e-9}),
+    "both": (["--abs-tol", "1e-9", "--rel-tol", "1e-8"], {"abs_tol": 1e-9, "rel_tol": 1e-8}),
+}
+_TOLERANCE_KEYS = {"inner_abs_tol", "inner_rel_tol", "outer_abs_tol", "outer_rel_tol",
+                   "root_x_tol", "root_f_tol"}
+
+
+def _result_record(command, dist_spec, fields):
+    """The tolerance record of the library result that a command reports."""
+    dist = from_spec(dist_spec)
+    if command in ("relranks", "pq"):
+        return compute_pq(dist, replace(PQ_INNER_CFG, **fields)).tolerances
+    record = solve_full_info(dist, replace(FULL_INNER_CFG, **fields)).diagnostics["tolerances"]
+    if command == "curve":  # the curve and its threshold run no outer integral
+        record = {k: v for k, v in record.items() if not k.startswith("outer_")}
+    return record
+
+
+class TestToleranceRecord:
+    """The manifests copy the tolerance record of the result, in one shape:
+    flat ``<level>_<name>`` keys, a level present exactly when it ran."""
+
+    @pytest.mark.parametrize("flags", list(_FLAGS), ids=list(_FLAGS))
+    @pytest.mark.parametrize("dist_spec", [LAPLACE, UNIFORM], ids=["laplace", "uniform"])
+    @pytest.mark.parametrize("command", ["full", "relranks", "pq", "curve"])
+    def test_manifest_copies_result_record(self, runner, command, dist_spec, flags):
+        args = {"full": ["solve", "--model", "full"], "relranks": ["solve", "--model", "relranks"],
+                "pq": ["pq"], "curve": ["curve", "--lo", "0.1", "--hi", "1", "--points", "3"]}
+        argv, fields = _FLAGS[flags]
+        res = invoke(runner, args[command] + ["--dist", dist_spec] + argv)
+        assert res.exit_code == 0
+        tols = json.loads(res.output)["manifest"]["tolerances"]
+        assert tols == _result_record(command, dist_spec, fields)
+        assert set(tols) <= _TOLERANCE_KEYS
+        levels = {key.split("_")[0] for key in tols}
+        assert len(tols) == 2 * len(levels)
+        if dist_spec == UNIFORM:  # a table: exact path, no quadrature tolerance
+            assert levels <= {"root"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    @pytest.mark.parametrize("args", [
+        ["solve", "--model", "full"], ["solve", "--model", "relranks"], ["pq"],
+        ["curve", "--lo", "0.1", "--hi", "1"],
+    ], ids=["full", "relranks", "pq", "curve"])
+    def test_invalid_tolerance_is_a_usage_error(self, runner, args, flag, value):
+        res = runner.invoke(main, args + ["--dist", POWERFOLD2, flag, value])
+        assert res.exit_code == 2, res.output
+        assert "must be positive and finite" in res.output
+
+    def test_nan_tolerances_rejected(self, runner):
+        # NaN fails every comparison, so a check written as tol <= 0 passes it,
+        # and NaN is not JSON
+        res = runner.invoke(main, ["pq", "--dist", POWERFOLD2, "--abs-tol", "nan", "--rel-tol", "nan"])
+        assert res.exit_code == 2
+        assert "NaN" not in res.output
 
 
 def _live_click_testing_objects():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from rankstop.cli import main
 from rankstop.distributions import DistributionError, Laplace, TabulatedCdf, Uniform, from_spec
-from rankstop.numerics import RootConfig, find_root, integrate
+from rankstop.numerics import RootConfig, find_root, integrate_detailed
 from rankstop.oracle import enumerate_rank_policies, grid_dp_full_info, stage2_disagreement
 from rankstop.relranks import (
     optimal_rank_value,
@@ -51,7 +51,7 @@ class TestDistributionErrors:
 class TestNumericsErrors:
     def test_non_vectorized_integrand_rejected(self):
         with pytest.raises(TypeError):
-            integrate(lambda x: 1.0, 0.0, 1.0)  # scalar return, not elementwise
+            integrate_detailed(lambda x: 1.0, 0.0, 1.0)  # scalar return, not elementwise
 
     def test_root_config_validation(self):
         with pytest.raises(ValueError):

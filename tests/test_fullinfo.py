@@ -11,8 +11,6 @@ from rankstop.fullinfo import (
     V_UPPER_BOUND,
     FullInfoSolution,
     continuation_value,
-    continuation_value_neg,
-    continuation_value_pos,
     full_info_policy,
     lower_bound_check,
     solve_full_info,
@@ -20,6 +18,7 @@ from rankstop.fullinfo import (
     stage2_stop_region,
     stage2_value,
 )
+from rankstop.numerics import QuadratureConfig
 from rankstop.walkcore import WalkPath, run_policy
 
 UNIFORM = Uniform(1)
@@ -76,17 +75,17 @@ class TestStage2Value:
 
 class TestContinuationCurve:
     def test_uniform_positive_closed_form(self):
-        assert continuation_value_pos(UNIFORM, 0.5) == pytest.approx(2.109375, abs=1e-10)
+        assert continuation_value(UNIFORM, 0.5) == pytest.approx(2.109375, abs=1e-10)
 
     def test_uniform_negative_closed_form(self):
-        assert continuation_value_neg(UNIFORM, -0.5) == pytest.approx(2.578125, abs=1e-10)
+        assert continuation_value(UNIFORM, -0.5) == pytest.approx(2.578125, abs=1e-10)
 
     @pytest.mark.parametrize("x", np.linspace(0.02, 0.98, 25))
     def test_uniform_grid(self, x):
-        assert continuation_value_pos(UNIFORM, x) == pytest.approx(
+        assert continuation_value(UNIFORM, x) == pytest.approx(
             w1_uniform_closed(x), abs=1e-8
         )
-        assert continuation_value_neg(UNIFORM, -x) == pytest.approx(
+        assert continuation_value(UNIFORM, -x) == pytest.approx(
             w1_uniform_closed(-x), abs=1e-8
         )
 
@@ -99,35 +98,29 @@ class TestContinuationCurve:
 
     def test_laplace_value_at_one(self):
         expected = 15 / 8 + math.exp(-1) / 8 + math.exp(-1) / 2 - math.exp(-2) / 8
-        assert continuation_value_pos(LAPLACE, 1.0) == pytest.approx(expected, abs=1e-10)
+        assert continuation_value(LAPLACE, 1.0) == pytest.approx(expected, abs=1e-10)
         assert expected == pytest.approx(2.0880077, abs=1e-7)
 
     def test_limit_at_zero_from_right(self):
         for dist in (UNIFORM, LAPLACE):
-            assert continuation_value_pos(dist, 1e-9) == pytest.approx(9 / 4, abs=1e-6)
+            assert continuation_value(dist, 1e-9) == pytest.approx(9 / 4, abs=1e-6)
 
     def test_limit_far_out(self):
         # deep in the tail the two-step value 15/8 is all that remains
         x = LAPLACE.quantile(1 - 1e-10)
-        assert continuation_value_pos(LAPLACE, x) == pytest.approx(15 / 8, abs=1e-6)
+        assert continuation_value(LAPLACE, x) == pytest.approx(15 / 8, abs=1e-6)
 
     def test_splice_continuity_at_zero(self):
         for eps in (1e-4, 1e-6, 1e-8):
-            gap = continuation_value_pos(UNIFORM, eps) - continuation_value_neg(UNIFORM, -eps)
+            gap = continuation_value(UNIFORM, eps) - continuation_value(UNIFORM, -eps)
             assert abs(gap) < 40 * eps
 
     def test_positive_branch_nonincreasing(self, builtins):
         for name, dist in builtins.items():
             hi = dist.quantile(1 - 1e-9)
             xs = np.linspace(1e-3 * hi, hi, 60)
-            vals = [continuation_value_pos(dist, x) for x in xs]
+            vals = [continuation_value(dist, x) for x in xs]
             assert np.all(np.diff(vals) <= 1e-9), name
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            continuation_value_pos(UNIFORM, -0.1)
-        with pytest.raises(ValueError):
-            continuation_value_neg(UNIFORM, 0.1)
 
 
 class TestThreshold:
@@ -144,7 +137,7 @@ class TestThreshold:
     def test_residual_contract(self, builtins):
         for name, dist in builtins.items():
             x1s = solve_threshold(dist)
-            assert abs(continuation_value_pos(dist, x1s) - 2.0) <= 1e-9, name
+            assert abs(continuation_value(dist, x1s) - 2.0) <= 1e-9, name
 
     def test_quantile_bound(self, solutions):
         for name, sol in solutions.items():
@@ -166,11 +159,9 @@ class TestValue:
     def test_laplace(self, solutions):
         assert solutions["laplace"].value == pytest.approx(2.271, abs=1e-3)
 
-    def test_tabulated_within_outer_tolerance(self, builtins, solutions, monkeypatch):
+    def test_tabulated_repeatable_and_matches_reference(self, builtins, solutions):
         # the outer V integral is cut where knot differences kink the curve
         value = solutions["tabulated"].value
-        monkeypatch.setattr(fullinfo, "FULL_OUTER_CFG",
-                            fullinfo.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
         assert abs(value - solve_full_info(builtins["tabulated"]).value) <= 1e-10
         # a solve that finds those kinks by bisection alone, at outer tolerance 1e-13
         assert abs(value - 2.2778010596610043) <= 1e-10
@@ -194,6 +185,14 @@ class TestValue:
         assert diagnostics["panels"] == panels < bisected
         assert diagnostics["threshold_panels"] == threshold_panels
 
+    @pytest.mark.parametrize("delta", [2, 4])
+    def test_panels_fall_as_the_tolerance_loosens(self, delta):
+        # the outer tolerance follows the flag, so a looser flag never
+        # makes V's outer integral chase the curve's noise
+        panels = [solve_full_info(PowerFold(delta), QuadratureConfig(tol, tol)).diagnostics["panels"]
+                  for tol in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]
+        assert panels == sorted(panels, reverse=True)
+
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))
         assert sol.value == pytest.approx(55 / 24, abs=1e-8)
@@ -201,6 +200,25 @@ class TestValue:
     def test_universal_bounds(self, solutions):
         for name, sol in solutions.items():
             assert V_LOWER_BOUND - 1e-9 <= sol.value <= V_UPPER_BOUND + 1e-9, name
+
+    def test_tolerances_recorded(self, solutions):
+        assert solutions["laplace"].diagnostics["tolerances"] == {
+            "inner_abs_tol": 1e-12, "inner_rel_tol": 1e-12,
+            "outer_abs_tol": 1e-10, "outer_rel_tol": 1e-10,
+            "root_x_tol": 1e-13, "root_f_tol": 1e-14,
+        }
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+        assert solve_full_info(LAPLACE, cfg).diagnostics["tolerances"] == {
+            "inner_abs_tol": 1e-9, "inner_rel_tol": 1e-8,
+            "outer_abs_tol": 1e-7, "outer_rel_tol": 1e-6,
+            "root_x_tol": 1e-13, "root_f_tol": 1e-14,
+        }
+
+    def test_exact_path_records_no_quadrature_tolerance(self, solutions):
+        # a uniform law is a table: only the threshold's root search has tolerances
+        for name in ("uniform", "tabulated"):
+            assert solutions[name].diagnostics["tolerances"] == {
+                "root_x_tol": 1e-13, "root_f_tol": 1e-14}, name
 
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError):
@@ -319,7 +337,7 @@ class TestLowerBounds:
             fx = float(UNIFORM.cdf(x))
             fh = float(UNIFORM.cdf(x / 2))
             floor = 23 / 8 - fx - fh / 2 + fh * fh / 2
-            assert continuation_value_neg(UNIFORM, x) >= floor - 1e-9
+            assert continuation_value(UNIFORM, x) >= floor - 1e-9
 
 
 class TestPolicyValueConsistency:

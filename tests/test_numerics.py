@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankstop import numerics
 from rankstop.distributions import Uniform
-from rankstop.fullinfo import continuation_value_pos
+from rankstop.fullinfo import FULL_INNER_CFG, continuation_value
 from rankstop.numerics import (
     EPS_U,
     BracketError,
@@ -14,41 +14,42 @@ from rankstop.numerics import (
     QuadratureError,
     RootConfig,
     find_root,
-    integrate,
     integrate_batch,
     integrate_detailed,
     integrate_pieces,
+    tolerance_record,
     u_limits,
 )
+from rankstop.relranks import PQ_INNER_CFG
 
 
 class TestIntegrate:
     def test_linear_slices(self):
         # the two halves of the unit-square triangle integral
-        assert integrate(lambda u: u, 0.0, 0.5) == pytest.approx(1 / 8, abs=1e-12)
-        assert integrate(lambda u: u, 0.5, 1.0) == pytest.approx(3 / 8, abs=1e-12)
+        assert integrate_detailed(lambda u: u, 0.0, 0.5)[0] == pytest.approx(1 / 8, abs=1e-12)
+        assert integrate_detailed(lambda u: u, 0.5, 1.0)[0] == pytest.approx(3 / 8, abs=1e-12)
 
     def test_iterated_positive_part(self):
         def inner(v):
-            return integrate(lambda u: np.maximum(1.0 - u - v, 0.0), 0.0, 1.0)
+            return integrate_detailed(lambda u: np.maximum(1.0 - u - v, 0.0), 0.0, 1.0)[0]
 
-        val = integrate(lambda vs: np.array([inner(v) for v in vs]), 0.0, 1.0)
+        val = integrate_detailed(lambda vs: np.array([inner(v) for v in vs]), 0.0, 1.0)[0]
         assert val == pytest.approx(1 / 6, abs=1e-8)
 
     def test_high_degree_polynomial(self):
-        assert integrate(lambda x: x**12, 0.0, 1.0) == pytest.approx(1 / 13, rel=1e-13)
+        assert integrate_detailed(lambda x: x**12, 0.0, 1.0)[0] == pytest.approx(1 / 13, rel=1e-13)
 
     def test_empty_interval(self):
-        assert integrate(lambda x: x, 2.0, 2.0) == 0.0
+        assert integrate_detailed(lambda x: x, 2.0, 2.0)[0] == 0.0
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 0.0)
+            integrate_detailed(lambda x: x, 1.0, 0.0)
 
     def test_budget_exhausted_carries_estimate(self):
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
         with pytest.raises(QuadratureError) as info:
-            integrate(lambda x: np.abs(np.sin(40.0 * x)), 0.0, 3.0, cfg)
+            integrate_detailed(lambda x: np.abs(np.sin(40.0 * x)), 0.0, 3.0, cfg)
         err = info.value
         # the partial answer is still in the right neighbourhood of 3 * (2/pi)
         assert err.estimate == pytest.approx(6.0 / math.pi, rel=0.2)
@@ -75,9 +76,31 @@ class TestIntegrate:
     def test_linearity(self, cf, cg, alpha, beta):
         f = np.polynomial.Polynomial(cf)
         g = np.polynomial.Polynomial(cg)
-        combo = integrate(lambda x: alpha * f(x) + beta * g(x), -1.0, 2.0)
-        parts = alpha * integrate(f, -1.0, 2.0) + beta * integrate(g, -1.0, 2.0)
+        combo = integrate_detailed(lambda x: alpha * f(x) + beta * g(x), -1.0, 2.0)[0]
+        parts = (alpha * integrate_detailed(f, -1.0, 2.0)[0]
+                 + beta * integrate_detailed(g, -1.0, 2.0)[0])
         assert abs(combo - parts) < 10 * 1e-10 * (1 + abs(alpha) + abs(beta))
+
+
+class TestConfigs:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_tolerances_rejected(self, bad):
+        for make in (lambda t: QuadratureConfig(abs_tol=t), lambda t: QuadratureConfig(rel_tol=t),
+                     lambda t: RootConfig(x_tol=t), lambda t: RootConfig(f_tol=t)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make(bad)
+
+    def test_outer_is_two_decades_looser(self):
+        # exactly the tolerances written, where 100 * 1e-13 is 1.0000000000000001e-11
+        assert FULL_INNER_CFG.outer() == QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+        assert PQ_INNER_CFG.outer() == QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+        cfg = QuadratureConfig(abs_tol=2.5e-12, rel_tol=1e-6, max_subdivisions=7)
+        assert cfg.outer() == QuadratureConfig(abs_tol=2.5e-10, rel_tol=1e-4, max_subdivisions=7)
+
+    def test_tolerance_record(self):
+        assert tolerance_record(inner=QuadratureConfig(1e-9, 1e-8), root=RootConfig(1e-7, 1e-6)) == {
+            "inner_abs_tol": 1e-9, "inner_rel_tol": 1e-8, "root_x_tol": 1e-7, "root_f_tol": 1e-6}
+        assert tolerance_record() == {}
 
 
 class TestIntegrateBatch:
@@ -276,7 +299,7 @@ class TestFindRoot:
         # root of the first-step continuation curve at level 2 for Uniform(-1, 1)
         dist = Uniform(1)
         root = find_root(
-            lambda x: continuation_value_pos(dist, x) - 2.0, 0.1, 0.999,
+            lambda x: continuation_value(dist, x) - 2.0, 0.1, 0.999,
             RootConfig(x_tol=1e-13, f_tol=1e-11),
         )
         assert root == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), abs=1e-9)

@@ -25,7 +25,6 @@ from rankstop.distributions import (
 )
 from rankstop.fullinfo import (
     FULL_INNER_CFG,
-    FULL_OUTER_CFG,
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
     V_UPPER_BOUND,
@@ -74,7 +73,8 @@ def test_exact_path_agrees_with_quadrature(table):
     adaptive = solve_full_info(Delegate(table))
     assert exact.diagnostics["method"] == "exact_piecewise_linear"
     assert adaptive.diagnostics["method"] == "quadrature"
-    v_tol = FULL_OUTER_CFG.abs_tol + FULL_OUTER_CFG.rel_tol * abs(adaptive.value) + _SLACK
+    outer = FULL_INNER_CFG.outer()
+    v_tol = outer.abs_tol + outer.rel_tol * abs(adaptive.value) + _SLACK
     assert abs(exact.value - adaptive.value) <= v_tol
     # the adaptive threshold solves the exact curve within the inner tolerance
     residual = continuation_curve(table, [adaptive.x1_star])[0] - 2.0
