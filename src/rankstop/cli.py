@@ -55,16 +55,26 @@ from .walkcore import RankPolicyTable, StoppingPolicy, stop_at_policy, two_step_
 DEFAULT_SEED = 20260808
 
 
-def _quad_cfg(abs_tol, rel_tol, default: QuadratureConfig) -> QuadratureConfig:
+def _quad_cfg(abs_tol, rel_tol, default: QuadratureConfig, outer: bool = True) -> QuadratureConfig:
     """A solver's inner config: ``default`` with the flags that were given.
 
     An invalid tolerance is an input error, raised before any work starts.
+    For a command that runs an outer integral (``outer``), so is a flag
+    whose derived outer tolerance, 100 times it, overflows.
     """
-    flags = {"abs_tol": abs_tol, "rel_tol": rel_tol}
+    given = {k: v for k, v in {"abs_tol": abs_tol, "rel_tol": rel_tol}.items() if v is not None}
     try:
-        return replace(default, **{k: v for k, v in flags.items() if v is not None})
+        cfg = replace(default, **given)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    if outer:
+        for name, value in given.items():
+            try:
+                replace(default, **{name: value}).outer()
+            except ValueError:
+                raise click.UsageError(f"--{name.replace('_', '-')} {value!r} is too large: "
+                                       "the outer tolerance, 100 times it, overflows") from None
+    return cfg
 
 
 def _seed_default() -> int:
@@ -329,7 +339,7 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     if not lo < hi or points < 2:
         raise click.UsageError("need lo < hi and at least two points")
     dist, spec = _load_dist(dist_spec)
-    cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
+    cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG, outer=False)
 
     def run():
         x1s = solve_threshold(dist, cfg)

@@ -114,11 +114,19 @@ class Laplace(SymmetricDistribution):
             return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def ppf(self, u):
+        # One log for both tails, t = log(2 min(u, 1 - u)) <= 0: the min is u
+        # exactly below 1/2 and the exact 1 - u above, so t, and -t above 1/2,
+        # are log(2u) and -log(2(1 - u)) bit for bit.  In place and signed by
+        # copysign: fresh temporaries and a where() cost more than the log.
         u = _as_float_array(u)
+        t = np.subtract(1.0, u, out=np.empty_like(u))  # an array even for 0-d u
+        np.minimum(u, t, out=t)
+        t *= 2.0
         with np.errstate(divide="ignore"):
-            lo = np.log(2.0 * u)
-            hi = -np.log(2.0 * (1.0 - u))
-        return self.b * np.where(u < 0.5, lo, hi)
+            np.log(t, out=t)
+        np.copysign(t, 0.5 - u, out=t)  # -|t| above 1/2; -0 at 1/2, like -log(1)
+        t *= -self.b
+        return t[()]
 
     def cdf_break_points(self):
         return np.array([0.0])
@@ -149,10 +157,15 @@ class PowerFold(SymmetricDistribution):
         return np.where(x >= 0, 0.5 * (1.0 + g), 0.5 * (1.0 - g))
 
     def ppf(self, u):
+        # |2u - 1| ** (1/delta) carrying the sign of 2u - 1, in place (see
+        # Laplace.ppf); at u = 1/2, 2u - 1 is +0 and so is the result.
         u = _as_float_array(u)
-        w = np.abs(2.0 * u - 1.0)
-        mag = w ** (1.0 / self.delta)
-        return np.where(u >= 0.5, mag, -mag)
+        s = np.multiply(u, 2.0, out=np.empty_like(u))
+        s -= 1.0
+        mag = np.abs(s, out=np.empty_like(s))
+        mag **= 1.0 / self.delta
+        np.copysign(mag, s, out=mag)
+        return mag[()]
 
     def cdf_break_points(self):
         return np.array([-1.0, 0.0, 1.0])

@@ -5,7 +5,8 @@ with them:
 
 * Exhaustive enumeration of every rank-adapted stopping rule (512 rules
   for three steps, 8 for two), with expected ranks kept exact as rationals
-  in the ordering-table parameters.
+  in the ordering-table parameters: integer sums over the common
+  denominator of the ordering probabilities, one Fraction per rule.
 
 * A dynamic program on the walk with steps discretized into equiprobable
   quantile atoms, which approximates the full-information value and the
@@ -14,6 +15,7 @@ with them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -129,17 +131,20 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
     else:
         raise ValueError("enumeration supports horizons 2 and 3 only")
 
+    # Integer numerators over one common denominator: a rule's value is a
+    # single Fraction, equal (Fractions are canonical) to the sum of terms.
+    denom = math.lcm(*(prob.denominator for _, prob in orderings))
     prepared = []
     for chain, prob in orderings:
         overall, relative = _ranks_of_chain(chain)
-        prepared.append((prob, overall, relative))
+        prepared.append((prob.numerator * (denom // prob.denominator), overall, relative))
 
     values = {}
     for bits in product((0, 1), repeat=n_bits):
-        total = Fraction(0)
-        for prob, overall, relative in prepared:
-            total += prob * overall[_stop_time(bits, relative, n)]
-        values[bits] = total
+        total = 0
+        for weight, overall, relative in prepared:
+            total += weight * overall[_stop_time(bits, relative, n)]
+        values[bits] = Fraction(total, denom)
     best = min(values.values())
     minimizers = tuple(sorted(bits for bits, v in values.items() if v == best))
     return EnumerationResult(

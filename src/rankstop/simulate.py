@@ -10,6 +10,10 @@ A path's ordering is the sign code of its n(n+1)/2 segment sums (6 bits
 for n = 3, so horizons run up to 3); a table per horizon maps codes to
 ranks and ALL_ORDERINGS indices.  A relative-ranks rule is decided once
 per code, so rank sums, histograms and ordering counts are bincounts.
+
+A chunk is processed in blocks of _BLOCK paths, consecutive row blocks of
+the chunk's draws: the stream is consumed as by one whole draw and every
+sum is an integer, so blocking changes no result, only the memory traffic.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import numpy as np
 from .distributions import SymmetricDistribution
 from .walkcore import FULL_INFORMATION, PolicyContractError, StoppingPolicy
 from .relranks import ALL_ORDERINGS
+
+# Paths per block of a chunk.  In a sweep from 2^11 to 2^15, 2^13 and 2^14
+# ran fastest; one pass over a whole 2^18-path chunk, whose 2 to 6 MB
+# temporaries are fresh pages on every allocation, ran 2 to 3 times slower.
+_BLOCK = 1 << 14
 
 __all__ = [
     "SimConfig",
@@ -87,11 +96,13 @@ def _segment_codes(steps: np.ndarray):
     columns = np.ascontiguousarray(steps.T)
     codes = np.zeros(n, dtype=np.uint8)  # 6 bits at horizon 3
     tied = np.zeros(n, dtype=bool)
+    seg = np.empty(n)  # one running sum, updated in place
     bit = 0
     for j in range(horizon):
-        seg = np.zeros(n)
+        np.copyto(seg, columns[j])
         for k in range(j + 1, horizon + 1):
-            seg = seg + columns[k - 1]
+            if k > j + 1:
+                seg += columns[k - 1]
             codes |= (seg < 0.0).view(np.uint8) << np.uint8(bit)
             tied |= seg == 0.0
             bit += 1
@@ -125,28 +136,62 @@ def _code_tables(horizon: int):
     return overall, relative, ordering
 
 
-def _simulate_chunk(dist, policy, horizon, n, rng):
-    steps = np.asarray(dist.ppf(rng.random((n, horizon))), dtype=float)
-    codes, _ = _segment_codes(steps)
-    overall, relative, _ = _code_tables(horizon)
-    full = policy.mode == FULL_INFORMATION
-    # a rank-mode rule sees only relative ranks, so it is decided once per code
-    counts = np.ones(n, dtype=np.int64) if full else np.bincount(codes, minlength=len(overall))
-    tau = np.full(counts.size, -1, dtype=np.intp)
+def _code_blocks(dist, rng, n, horizon):
+    """Yield (steps, codes, tied) for n paths, _BLOCK paths at a time.
+
+    The blocks are consecutive row blocks of rng.random((n, horizon)):
+    the generator's stream is consumed exactly as by one whole draw, and
+    each block's arrays stay small enough to be cache resident.
+    """
+    draws = np.empty((min(_BLOCK, n), horizon))
+    for start in range(0, n, _BLOCK):
+        u = draws[: n - start]  # the whole buffer but for the last block
+        rng.random(out=u)
+        steps = np.asarray(dist.ppf(u), dtype=float)
+        codes, tied = _segment_codes(steps)
+        yield steps, codes, tied
+
+
+def _stop_times(policy, horizon, size, observed):
+    """First k at which the policy stops on each row of observed(k); -1 if never."""
+    tau = np.full(size, -1, dtype=np.intp)
     for k in range(horizon + 1):
-        observed = steps[:, :k] if full else relative[:, : k + 1]
-        stop_now = (tau < 0) & np.asarray(policy.batch_rule(k, observed), dtype=bool)
+        stop_now = (tau < 0) & np.asarray(policy.batch_rule(k, observed(k)), dtype=bool)
         tau[stop_now] = k
-    unstopped = int(counts[tau < 0].sum())
+    return tau
+
+
+def _simulate_chunk(dist, policy, horizon, n, rng):
+    overall, relative, _ = _code_tables(horizon)
+    blocks = _code_blocks(dist, rng, n, horizon)
+    if policy.mode == FULL_INFORMATION:
+        rank_sum = rank_sq_sum = unstopped = 0
+        hist = np.zeros(horizon + 1, dtype=np.int64)
+        for steps, codes, _ in blocks:
+            tau = _stop_times(policy, horizon, codes.size, lambda k: steps[:, :k])
+            unstopped += int(np.count_nonzero(tau < 0))
+            tau = np.maximum(tau, 0)  # an unstopped path fails the chunk below
+            rank_tau = overall[codes, tau]
+            rank_sum += int(rank_tau.sum())
+            rank_sq_sum += int((rank_tau * rank_tau).sum())
+            hist += np.bincount(tau, minlength=horizon + 1)
+    else:
+        # a rank-mode rule sees only relative ranks, so it is decided once per code
+        counts = np.zeros(len(overall), dtype=np.int64)
+        for _, codes, _ in blocks:
+            counts += np.bincount(codes, minlength=len(overall))
+        tau = _stop_times(policy, horizon, counts.size, lambda k: relative[:, : k + 1])
+        unstopped = int(counts[tau < 0].sum())
+        tau = np.maximum(tau, 0)  # codes still undecided carry no paths
+        rank_tau = overall[np.arange(tau.size), tau]
+        rank_sum = int((counts * rank_tau).sum())
+        rank_sq_sum = int((counts * rank_tau * rank_tau).sum())
+        hist = np.bincount(tau, weights=counts, minlength=horizon + 1)
     if unstopped:
         raise PolicyContractError(
             f"policy {policy.name!r} left {unstopped} paths unstopped at the horizon"
         )
-    tau = np.maximum(tau, 0)  # codes still undecided carry no paths
-    rank_tau = overall[codes, tau] if full else overall[np.arange(tau.size), tau]
-    hist = np.bincount(tau, weights=counts, minlength=horizon + 1)
-    return (float((counts * rank_tau).sum()), float((counts * rank_tau**2).sum()),
-            tuple(int(c) for c in hist))
+    return float(rank_sum), float(rank_sq_sum), tuple(int(c) for c in hist)
 
 
 @dataclass(frozen=True)
@@ -239,10 +284,11 @@ def permutation_frequencies(dist: SymmetricDistribution, n_paths: int, seed: int
     for chunk_idx, start in enumerate(range(0, n_paths, chunk_size)):
         rng = chunk_rng(seed, chunk_idx)
         need = min(chunk_size, n_paths - start)
-        while need > 0:
-            steps = np.asarray(dist.ppf(rng.random((need, 3))), dtype=float)
-            codes, tied = _segment_codes(steps)
-            ties += int(tied.sum())
-            counts += np.bincount(ordering[codes[~tied]], minlength=24)
-            need -= int((~tied).sum())
+        while need > 0:  # a round draws all of its rows, then redraws the tied ones
+            redraw = 0
+            for _, codes, tied in _code_blocks(dist, rng, need, 3):
+                redraw += int(np.count_nonzero(tied))
+                counts += np.bincount(ordering[codes[~tied]], minlength=24)
+            ties += redraw
+            need = redraw
     return FrequencyResult(counts=tuple(int(c) for c in counts), n_paths=n_paths, ties_resampled=ties)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+from rankstop import cli
 from rankstop.cli import main
 from rankstop.distributions import from_spec
 from rankstop.fullinfo import FULL_INNER_CFG, solve_full_info
@@ -376,6 +377,30 @@ class TestToleranceRecord:
         res = runner.invoke(main, args + ["--dist", POWERFOLD2, flag, value])
         assert res.exit_code == 2, res.output
         assert "must be positive and finite" in res.output
+
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    @pytest.mark.parametrize("args", [
+        ["solve", "--model", "full"], ["solve", "--model", "relranks"], ["pq"],
+    ], ids=["full", "relranks", "pq"])
+    def test_overflowing_outer_tolerance_is_a_usage_error(self, runner, monkeypatch, args, flag):
+        # the outer integral runs at 100x the flag: 1e307 would make it inf
+        def no_work(*a, **k):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "solve_full_info", no_work)
+        monkeypatch.setattr(cli, "compute_pq", no_work)
+        res = runner.invoke(main, args + ["--dist", LAPLACE, flag, "1e307"])
+        assert res.exit_code == 2, res.output
+        assert f"{flag} 1e+307 is too large" in res.output
+        assert "inf" not in res.output
+
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    def test_curve_runs_no_outer_integral_and_accepts_huge_tolerance(self, runner, flag):
+        res = invoke(runner, ["curve", "--dist", LAPLACE, "--lo", "0.1", "--hi", "1",
+                              "--points", "3", flag, "1e307"])
+        assert res.exit_code == 0
+        tols = json.loads(res.output)["manifest"]["tolerances"]
+        assert tols[f"inner_{flag[2:5]}_tol"] == 1e307
 
     def test_nan_tolerances_rejected(self, runner):
         # NaN fails every comparison, so a check written as tol <= 0 passes it,

@@ -104,6 +104,28 @@ class TestQuantile:
             with pytest.raises(DistributionError):
                 Uniform(1).quantile(bad)
 
+    # 2^16 seeded draws and the edges, where a sign or a -0 could slip
+    _PPF_U = np.concatenate([np.random.default_rng(2024).random(1 << 16), [
+        0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1e-300, 1.0 - 2.0**-53, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("b", [1.0, 2.5])
+    def test_laplace_ppf_matches_two_log_formula_bitwise(self, b):
+        u = self._PPF_U
+        with np.errstate(divide="ignore"):
+            two_logs = b * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+        np.testing.assert_array_equal(Laplace(b).ppf(u).view(np.int64), two_logs.view(np.int64))
+        assert Laplace(b).ppf(0.0) == -math.inf and Laplace(b).ppf(1.0) == math.inf
+        assert Laplace(b).quantile(0.25) == b * -math.log(2.0)  # 0-d input
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0, 7.0])
+    def test_powerfold_ppf_matches_where_formula_bitwise(self, delta):
+        u = self._PPF_U
+        mag = np.abs(2.0 * u - 1.0) ** (1.0 / delta)
+        reference = np.where(u >= 0.5, mag, -mag)
+        np.testing.assert_array_equal(PowerFold(delta).ppf(u).view(np.int64),
+                                      reference.view(np.int64))
+        assert PowerFold(delta).quantile(0.75) == 0.5 ** (1.0 / delta)  # 0-d input
+
 
 class TestSampling:
     def test_uniform_ks_statistic(self):

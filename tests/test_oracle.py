@@ -10,13 +10,15 @@ from rankstop.distributions import Laplace, Uniform
 from rankstop.fullinfo import full_info_policy, solve_full_info
 from rankstop.oracle import (
     RankPolicyTable,
+    _TWO_STEP_ORDERINGS,
+    _ranks_of_chain,
     _stop_time,
     canonical_rules,
     enumerate_rank_policies,
     grid_dp_full_info,
     stage2_disagreement,
 )
-from rankstop.relranks import PQ_SUM, optimal_rank_value
+from rankstop.relranks import ALL_ORDERINGS, PQ_SUM, optimal_rank_value, permutation_table
 from rankstop.simulate import SimConfig, estimate_expected_rank
 
 UNIFORM_V = 11 / 4 - math.sqrt(2) / 3
@@ -97,6 +99,35 @@ class TestThreeStepEnumeration:
         start = time.perf_counter()
         enumerate_rank_policies(Fraction(1, 96), n=3)
         assert time.perf_counter() - start < 1.0
+
+
+class TestExactSums:
+    """Every rule's value against a plain sum of Fraction terms."""
+
+    @staticmethod
+    def fraction_sums(orderings, n):
+        values = {}
+        for bits in product((0, 1), repeat=3 if n == 2 else 9):
+            total = Fraction(0)
+            for chain, prob in orderings:
+                overall, relative = _ranks_of_chain(chain)
+                total += prob * overall[_stop_time(bits, relative, n)]
+            values[bits] = total
+        return values
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 192), Fraction(1, 96), Fraction(5, 288),
+                                   Fraction(1, 48), 0.0123], ids=str)
+    def test_three_step_values(self, p):
+        result = enumerate_rank_policies(p, n=3)
+        orderings = list(zip(ALL_ORDERINGS, permutation_table(result.p, result.q).probabilities()))
+        values = self.fraction_sums(orderings, 3)
+        assert result.values == values
+        assert result.optimal_value == min(values.values())
+        assert result.minimizers == tuple(sorted(b for b, v in values.items() if v == min(values.values())))
+
+    def test_two_step_values(self):
+        result = enumerate_rank_policies(n=2)
+        assert result.values == self.fraction_sums(_TWO_STEP_ORDERINGS, 2)
 
 
 class TestRankPolicyTable:

@@ -7,7 +7,7 @@ import pytest
 from test_walkcore import brute_force_ranks
 
 from rankstop import simulate
-from rankstop.distributions import IntervalUnionUniform, Laplace, Uniform
+from rankstop.distributions import IntervalUnionUniform, Laplace, SymmetricDistribution, Uniform
 from rankstop.fullinfo import full_info_policy, solve_full_info
 from rankstop.oracle import RankPolicyTable, _ranks_of_chain
 from rankstop.relranks import ALL_ORDERINGS, permutation_table, rank_policy_a, rank_policy_b
@@ -15,6 +15,7 @@ from rankstop.simulate import (
     ChunkPartial,
     SimConfig,
     SimResult,
+    _BLOCK,
     _code_tables,
     _segment_codes,
     _simulate_chunk,
@@ -25,6 +26,7 @@ from rankstop.simulate import (
     reduce_partials,
 )
 from rankstop.walkcore import (
+    FULL_INFORMATION,
     RELATIVE_RANKS,
     PolicyContractError,
     StoppingPolicy,
@@ -208,6 +210,96 @@ class TestScalarBatchConsistency:
                 Uniform(1), policy, 3, 200, np.random.default_rng(123))
             assert (total, total_sq) == (sum(ranks), sum(r * r for r in ranks))
             assert chunk_hist == tuple(hist)
+
+
+def whole_chunk_reference(dist, policy, horizon, n, rng):
+    """The chunk kernel with all n paths in one array, no blocks."""
+    steps = np.asarray(dist.ppf(rng.random((n, horizon))), dtype=float)
+    codes, _ = _segment_codes(steps)
+    overall, relative, _ = _code_tables(horizon)
+    full = policy.mode == FULL_INFORMATION
+    counts = np.ones(n, dtype=np.int64) if full else np.bincount(codes, minlength=len(overall))
+    tau = np.full(counts.size, -1, dtype=np.intp)
+    for k in range(horizon + 1):
+        observed = steps[:, :k] if full else relative[:, : k + 1]
+        stop_now = (tau < 0) & np.asarray(policy.batch_rule(k, observed), dtype=bool)
+        tau[stop_now] = k
+    unstopped = int(counts[tau < 0].sum())
+    if unstopped:
+        raise PolicyContractError(f"left {unstopped} paths unstopped")
+    tau = np.maximum(tau, 0)
+    rank_tau = overall[codes, tau] if full else overall[np.arange(tau.size), tau]
+    hist = np.bincount(tau, weights=counts, minlength=horizon + 1)
+    return (float((counts * rank_tau).sum()), float((counts * rank_tau**2).sum()),
+            tuple(int(c) for c in hist))
+
+
+def whole_round_frequencies(dist, n_paths, seed, chunk_size):
+    """permutation_frequencies with each round of draws in one array."""
+    ordering = _code_tables(3)[2]
+    counts = np.zeros(24, dtype=np.int64)
+    ties = 0
+    for chunk_idx, start in enumerate(range(0, n_paths, chunk_size)):
+        rng = chunk_rng(seed, chunk_idx)
+        need = min(chunk_size, n_paths - start)
+        while need > 0:
+            codes, tied = _segment_codes(np.asarray(dist.ppf(rng.random((need, 3)))))
+            ties += int(tied.sum())
+            counts += np.bincount(ordering[codes[~tied]], minlength=24)
+            need -= int((~tied).sum())
+    return tuple(int(c) for c in counts), ties
+
+
+class NineAtoms(SymmetricDistribution):
+    """Nine atoms at multiples of 1/4 in [-1, 1]: ties on most paths."""
+
+    def ppf(self, u):
+        return np.round(4.0 * (2.0 * np.asarray(u) - 1.0)) / 4.0
+
+
+class TestBlocks:
+    """A chunk runs in blocks of _BLOCK paths; its sums are those of one
+    whole-chunk pass."""
+
+    N = 3 * _BLOCK + 17
+
+    def test_blocks_consume_the_stream_like_one_draw(self):
+        whole = chunk_rng(3, 0).random((self.N, 3))
+        rng = chunk_rng(3, 0)
+        blocks = [rng.random((min(_BLOCK, self.N - i), 3)) for i in range(0, self.N, _BLOCK)]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("dist, make_policy, horizon", [
+        (Laplace(1), rank_policy_a, 3),
+        (Laplace(1), lambda: full_info_policy(Laplace(1), 0.95), 3),
+        (Uniform(1), two_step_policy, 2),
+        (Laplace(1), lambda: stop_at_policy(0, 3), 3),
+    ], ids=["rank_a", "full_info", "two_step", "stop_at_0"])
+    def test_chunk_equals_whole_chunk_reference(self, dist, make_policy, horizon):
+        policy = make_policy()
+        got = _simulate_chunk(dist, policy, horizon, self.N, chunk_rng(31, 2))
+        assert got == whole_chunk_reference(dist, policy, horizon, self.N, chunk_rng(31, 2))
+        assert sum(got[2]) == self.N
+
+    def test_frequencies_equal_whole_round_reference(self):
+        chunk = 2 * _BLOCK + 5
+        freq = permutation_frequencies(NineAtoms(), 2 * chunk + 3, seed=8, chunk_size=chunk)
+        assert freq.ties_resampled > 2 * chunk  # redraws span several rounds and blocks
+        assert (freq.counts, freq.ties_resampled) == whole_round_frequencies(
+            NineAtoms(), 2 * chunk + 3, 8, chunk)
+
+    def test_unstopped_count_covers_the_whole_chunk(self):
+        # stops at the horizon only after a first step down: half of every block never stops
+        def rule(k, observed):
+            if k < 3:
+                return np.zeros(observed.shape[0], dtype=bool)
+            return observed[:, 0] <= 0.0
+
+        up_never = StoppingPolicy(FULL_INFORMATION, 3, "up_never", rule)
+        unstopped = int((chunk_rng(4, 0).random((self.N, 3))[:, 0] > 0.5).sum())
+        assert unstopped > _BLOCK
+        with pytest.raises(PolicyContractError, match=f"left {unstopped} paths unstopped"):
+            _simulate_chunk(Uniform(1), up_never, 3, self.N, chunk_rng(4, 0))
 
 
 class TestCodeTables:
