@@ -22,6 +22,20 @@ by a factor 8 per round instead of 2: the graded mesh of QUADPACK's QAGS,
 without its extrapolation.  Smooth integrands, whose error is spread over
 many panels, are bisected as before.
 
+A panel with a break point at an end is integrated through a polynomial
+change of variables that flattens that end (Davis and Rabinowitz, 1984;
+Sidi, 1993, whose transformations are of this kind).  With H = b - a and the
+Kronrod nodes mapped to t in [0, 1], the map is u = a + H t^2 at a left
+break point, u = b - H (1 - t)^2 at a right one and the smoothstep
+u = a + H (3t^2 - 2t^3) at both.  A singularity (u - a)^alpha then
+becomes t^(2 alpha + 1), a polynomial for alpha = 1/2.  A break point
+equal to a problem end flags that end as well.  A problem end alone does
+not: it is often only where the range stops, and on a smooth integrand
+the stretched nodes cost panels (cos(20u) on [0, 3] would take 60
+instead of 54), so integrands without break points keep the plain rule
+and their results.  On a split only the child at a flattened end keeps
+the map.
+
 ``integrate_pieces`` is the fixed-rule counterpart for integrands that are
 polynomials between known break points: one Gauss-Legendre rule per
 piece, no refinement, and a rounding bound in place of an error estimate.
@@ -83,6 +97,13 @@ _NARROW = 8.0 * _EPS
 # solves, and about as few rounds as 1/16.
 _GRADE = 0.125
 _SPLIT_AT = np.array([0.5, _GRADE, 1.0 - _GRADE, 0.5])
+# A panel's mark has bit 1 (2) set when its left (right) end is a problem
+# end or a break point, which is what the graded split reads, and bit 4 (8)
+# when that end is a break point, which _evaluate flattens.  Of a split
+# panel, the left child keeps the bits in _LEFT and the right one those in
+# _RIGHT.
+_MARKED = 1 | 2
+_LEFT, _RIGHT = 1 | 4, 2 | 8
 
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
@@ -108,6 +129,30 @@ _WG = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
+
+
+def _rules(degree):
+    """Nodes, in half widths, and weight factors of the Kronrod rule on a
+    panel [a, b], one row per value of ``mark >> 2``.  Row 0 is the plain
+    rule, nodes about the centre.  Rows 1 to 3 take the nodes through
+    u = a + H s(t), t in [0, 1], measured from a, and weight them by s'(t):
+    s = t^d flattens the left end, s = 1 - (1 - t)^d the right one and the
+    smoothstep s = 3t^2 - 2t^3 both."""
+    t = 0.5 * (1.0 + _XK)
+    r = 1.0 - t
+    nodes = np.array([_XK, 2.0 * t**degree, 2.0 * (1.0 - r**degree),
+                      2.0 * t * t * (3.0 - 2.0 * t)])
+    weights = np.array([np.ones_like(t), degree * t**(degree - 1), degree * r**(degree - 1),
+                        6.0 * t * r])
+    return nodes, weights
+
+
+# Degree of the one-sided substitution u = a + H t^d: a singularity
+# (u - a)^alpha at a flattened end becomes t^(d (1 + alpha) - 1), so d = 2
+# turns alpha = 1/2 into a polynomial.  Of 2, 3 and 4, 2 took the fewest
+# panels on the PowerFold(2) and Laplace solves.
+_DEGREE = 2
+_NODES, _WEIGHTS = _rules(_DEGREE)
 
 
 @dataclass(frozen=True)
@@ -168,19 +213,30 @@ class BracketError(ValueError):
     """The supplied interval does not bracket a sign change."""
 
 
-def _evaluate(f, problem, a, b):
-    """K15 values and |K15 - G7| errors of panels [a, b], one integrand call per block."""
+def _evaluate(f, problem, a, b, mark):
+    """K15 values and |K15 - G7| errors of panels [a, b], one integrand call per block.
+
+    A panel takes row ``mark >> 2`` of ``_NODES`` and ``_WEIGHTS``: the
+    plain rule, or the substitution that flattens the ends its mark flags
+    as break points."""
     val = np.empty(len(a))
     err = np.empty(len(a))
     for s in range(0, len(a), _BLOCK_PANELS):
         blk = slice(s, s + _BLOCK_PANELS)
         c = 0.5 * (a[blk] + b[blk])
         h = 0.5 * (b[blk] - a[blk])
-        u = c[:, None] + h[:, None] * _XK
+        rule = mark[blk] >> 2
+        flatten = rule.any()  # else the plain rule, without the table lookups
+        if flatten:
+            u = np.where(rule, a[blk], c)[:, None] + h[:, None] * _NODES.take(rule, axis=0)
+        else:
+            u = c[:, None] + h[:, None] * _XK
         y = np.asarray(f(u.ravel(), np.repeat(problem[blk], len(_XK))), dtype=float)
         if y.shape != (u.size,):
             raise TypeError("integrand must map an ndarray of nodes to values elementwise")
         y = y.reshape(u.shape)
+        if flatten:
+            y = y * _WEIGHTS.take(rule, axis=0)
         k = h * (y @ _WK)
         val[blk] = k
         err[blk] = np.abs(k - h * (y[:, 1::2] @ _WG))
@@ -213,27 +269,29 @@ def _initial_panels(a, b, n, break_points):
     """(problem, a, b, mark) of the starting panels: n equal panels per
     problem, split further at the break points inside it.  ``mark`` has
     bit 1 set where a panel's left end is an end of its problem or a break
-    point, and bit 2 where its right end is."""
+    point, and bit 2 where its right end is; bits 4 and 8 where that end
+    is a break point, one at a problem end included."""
     m = len(a)
     points = np.linspace(a, b, n + 1, axis=1).ravel()
     owner = np.repeat(np.arange(m, dtype=np.int32), n + 1)
-    edge = np.zeros((m, n + 1), dtype=bool)
-    edge[:, [0, n]] = True
+    # Per point, the bits of the mark of a panel whose left end it is.
+    edge = np.zeros((m, n + 1), dtype=np.int8)
+    edge[:, [0, n]] = 1
     edge = edge.ravel()
     if break_points is not None:
         cuts = _cut_rows(break_points, m)
-        inside = np.flatnonzero((cuts > a[:, None]) & (cuts < b[:, None]))
-        points = np.concatenate([points, cuts.ravel()[inside]])
-        owner = np.concatenate([owner, (inside // cuts.shape[1]).astype(np.int32)])
-        edge = np.concatenate([edge, np.ones(len(inside), dtype=bool)])
+        on = np.flatnonzero((cuts >= a[:, None]) & (cuts <= b[:, None]))
+        points = np.concatenate([points, cuts.ravel()[on]])
+        owner = np.concatenate([owner, (on // cuts.shape[1]).astype(np.int32)])
+        edge = np.concatenate([edge, np.full(len(on), _LEFT, dtype=np.int8)])
         order = np.lexsort((points, owner))
         points, owner, edge = points[order], owner[order], edge[order]
-    # A point repeated within a problem is marked when any copy of it is.
+    # A point repeated within a problem carries the bits of every copy.
     repeat = (owner[1:] == owner[:-1]) & (points[1:] == points[:-1])
-    copy_of = np.cumsum(np.r_[True, ~repeat][:len(points)]) - 1
-    edge = (np.bincount(copy_of, edge) > 0)[copy_of]
+    first = np.r_[True, ~repeat][:len(points)]
+    edge = np.bitwise_or.reduceat(edge, np.flatnonzero(first))[np.cumsum(first) - 1]
     keep = (owner[1:] == owner[:-1]) & (points[:-1] < points[1:])  # drops repeats and empty problems
-    mark = (edge[:-1] + 2 * edge[1:].astype(np.int8))[keep]
+    mark = (edge[:-1] | (edge[1:] << 1))[keep]
     return owner[:-1][keep], points[:-1][keep], points[1:][keep], mark
 
 
@@ -252,7 +310,12 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     one that holds more than half of its problem's error and touches
     exactly one of the problem's ends and break points: that one is cut at
     ``_GRADE`` of its width from the point it touches, and only the child
-    there touches it again.
+    there touches it again.  A panel with a break point at an end, a
+    problem end included, takes its nodes through u = a + H t^2 (u = b -
+    H (1 - t)^2 at the right end, the smoothstep u = a + H (3t^2 - 2t^3)
+    at both), which flattens a singularity there; panels that touch only
+    problem ends keep the plain rule, since smooth integrands would pay
+    for the stretched nodes.
 
     Returns (values, error_bounds, panels), arrays of length m; ``panels``
     counts the 15-node panels evaluated for each problem.  Raises
@@ -264,7 +327,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     a, b = _bounds(a, b)
     m = len(a)
     problem, pa, pb, mark = _initial_panels(a, b, max(int(initial_panels), 1), break_points)
-    val, err = _evaluate(f, problem, pa, pb)
+    val, err = _evaluate(f, problem, pa, pb, mark)
     panels = np.bincount(problem, minlength=m)
     splits = np.zeros(m, dtype=np.int64)
     # Per problem: the value and error of panels no longer refined, which
@@ -315,12 +378,13 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
         rest[pick] = False
         # Each child keeps the mark of the end it shares with its parent.
         sa, sb, smark = pa[split], pb[split], mark[split]
-        at = np.where(err[split] > 0.5 * total_err[problem[split]], _SPLIT_AT[smark], 0.5)
+        at = np.where(err[split] > 0.5 * total_err[problem[split]], _SPLIT_AT[smark & _MARKED], 0.5)
         cut = sa + at * (sb - sa)
         new_problem = np.concatenate([problem[split], problem[split]])
         new_a = np.concatenate([sa, cut])
         new_b = np.concatenate([cut, sb])
-        new_val, new_err = _evaluate(f, new_problem, new_a, new_b)
+        new_mark = np.concatenate([smark & _LEFT, smark & _RIGHT])
+        new_val, new_err = _evaluate(f, new_problem, new_a, new_b, new_mark)
         splits += np.bincount(problem[split], minlength=m)
         panels += np.bincount(new_problem, minlength=m)
         problem = np.concatenate([problem[rest], new_problem])
@@ -328,7 +392,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
         pb = np.concatenate([pb[rest], new_b])
         val = np.concatenate([val[rest], new_val])
         err = np.concatenate([err[rest], new_err])
-        mark = np.concatenate([mark[rest], smark & 1, smark & 2])
+        mark = np.concatenate([mark[rest], new_mark])
 
 
 def _failure(message, i, m):
@@ -346,7 +410,8 @@ def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None,
     ``initial_panels`` equal panels so that narrow features near the
     endpoints are seen by at least one Kronrod node; known kink locations
     of the integrand can be supplied as ``break_points`` and become panel
-    edges, which makes piecewise-polynomial integrands exact immediately.
+    edges, which makes piecewise-polynomial integrands exact immediately,
+    and panels that end at them flatten a singularity there.
     """
     if break_points is not None:
         break_points = np.asarray(break_points, dtype=float).reshape(1, -1)

@@ -107,11 +107,14 @@ def compute_pq(dist: SymmetricDistribution,
     Each batch of outer nodes v becomes one batch of inner integrals over
     u.  When the support is bounded the inner integral is cut at the u
     where the folded sum leaves the support (the integrand is identically
-    zero beyond), which keeps the quadrature from chasing a hard kink.  On
-    an unbounded support both integrals are clipped to [EPS_U, 1 - EPS_U],
-    and the widths clipped off count in the error bound.  A
-    ``TabulatedCdf`` takes the exact path (method "exact_piecewise_linear"),
-    where ``cfg`` does not apply and the error bound is a rounding bound.
+    zero beyond), which keeps the quadrature from chasing a hard kink.
+    Where they start at u = 0, the inner integrals also take it as a
+    break point, so that the engine flattens a singularity of the folded
+    quantile there.  On an unbounded support both integrals are clipped to
+    [EPS_U, 1 - EPS_U], and the widths clipped off count in the error
+    bound.  A ``TabulatedCdf`` takes the exact path (method
+    "exact_piecewise_linear"), where ``cfg`` does not apply and the error
+    bound is a rounding bound.
     Otherwise ``cfg`` is the tolerance of the inner integrals, and the
     outer integral runs at ``cfg.outer()``.
     """
@@ -122,6 +125,7 @@ def compute_pq(dist: SymmetricDistribution,
     bounded = math.isfinite(upper)
     fold_knots = np.abs(dist.cdf_break_points())
     fold_knots = np.unique(fold_knots[fold_knots > 0])
+    ends = np.concatenate([[0.0], fold_knots])
     inner_err = 0.0
     panels = 0
 
@@ -135,12 +139,14 @@ def compute_pq(dist: SymmetricDistribution,
             arg = dist.folded_ppf(us) + y[i]
             return 1.0 - dist.folded_cdf(np.minimum(arg, upper) if bounded else arg)
 
-        # Kinks: the folded sum crossing a knot, and the folded quantile's own.
+        # Kinks: the folded sum crossing a knot, and the folded quantile's
+        # own.  On the adaptive path over a bounded support the integrals
+        # start at u = 0, where Ginv may be singular, so 0 is one too.
+        own = dist.folded_cdf(ends if bounded and not exact else fold_knots)
         cuts = None
-        if len(fold_knots):
-            own = np.broadcast_to(dist.folded_cdf(fold_knots), (len(y), len(fold_knots)))
-            cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)), own],
-                                  axis=1)
+        if len(own):
+            cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)),
+                                   np.broadcast_to(own, (len(y), len(own)))], axis=1)
         if exact:
             vals, errs, n = integrate_pieces(h, lo, hi, cuts, _INNER_ORDER)
         else:
@@ -152,7 +158,6 @@ def compute_pq(dist: SymmetricDistribution,
     # The inner integral kinks, as a function of y = Ginv(v), where y is
     # the difference of two knots (0 included), so that kinks of the inner
     # integrand meet; between those it is quadratic for a piecewise-linear G.
-    ends = np.concatenate([[0.0], fold_knots])
     gaps = np.subtract.outer(ends, ends).ravel()
     outer_cuts = dist.folded_cdf(np.unique(gaps[gaps >= 0.0]))
     if exact:

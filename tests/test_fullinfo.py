@@ -173,17 +173,24 @@ class TestValue:
 
     # Panels of V and of the threshold search are deterministic.  Before the
     # graded split toward singular panel edges, V took the panels in the
-    # last column (the threshold search was not counted).
-    @pytest.mark.parametrize("dist, panels, threshold_panels, bisected", [
-        (LAPLACE, 5518, 1660, 8062),
-        (PowerFold(0.5), 8898, 3010, 13016),
-        (PowerFold(2), 11630, 2107, 21302),
-        (PowerFold(4), 15292, 1693, 28478),
+    # last column (the threshold search was not counted); before panels at
+    # break points were integrated through a smoothing substitution, V and
+    # the threshold search took the panels in the ``graded`` columns.
+    @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
+        (LAPLACE, 5532, 1660, 5518, 1660, 8062),
+        (PowerFold(0.5), 4072, 1850, 8898, 3010, 13016),
+        (PowerFold(2), 4130, 1689, 11630, 2107, 21302),
+        (PowerFold(4), 12216, 1489, 15292, 1693, 28478),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
-    def test_panels_pinned(self, dist, panels, threshold_panels, bisected):
+    def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
+                           bisected):
         diagnostics = solve_full_info(dist).diagnostics
         assert diagnostics["panels"] == panels < bisected
         assert diagnostics["threshold_panels"] == threshold_panels
+        if isinstance(dist, PowerFold):
+            assert panels <= graded and threshold_panels <= graded_threshold
+        else:  # the substitution at the kink F(x) may cost Laplace up to 1%
+            assert panels <= 1.01 * graded and threshold_panels <= 1.01 * graded_threshold
 
     @pytest.mark.parametrize("delta", [2, 4])
     def test_panels_fall_as_the_tolerance_loosens(self, delta):
@@ -192,6 +199,16 @@ class TestValue:
         panels = [solve_full_info(PowerFold(delta), QuadratureConfig(tol, tol)).diagnostics["panels"]
                   for tol in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]
         assert panels == sorted(panels, reverse=True)
+
+    @pytest.mark.parametrize("dist", [LAPLACE, PowerFold(0.5), PowerFold(2), PowerFold(4)],
+                             ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
+    def test_bound_covers_a_finer_solve(self, dist):
+        # No closed form exists for these laws: the reported bounds of a
+        # default and a 1e-14 solve must together cover their difference.
+        default = solve_full_info(dist)
+        fine = solve_full_info(dist, QuadratureConfig(1e-14, 1e-14))
+        assert abs(default.value - fine.value) <= (default.diagnostics["quadrature_error_bound"]
+                                                   + fine.diagnostics["quadrature_error_bound"])
 
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))

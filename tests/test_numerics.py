@@ -202,6 +202,53 @@ class TestGradedRefinement:
         assert panels <= bisected
 
 
+class TestSmoothingSubstitution:
+    """A panel with a break point at an end is integrated through
+    u = a + H t^2 (u = b - H (1 - t)^2 at the right end, the smoothstep at
+    both), which turns a singularity (u - a)^(1/2) there into a
+    polynomial.  A panel whose marked ends are only problem ends keeps the
+    plain rule."""
+
+    CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+
+    # ``panels`` with the break point; ``without`` without it, where the
+    # graded split alone resolves the singularity.  u^(1/4) becomes
+    # t^(3/2), still singular, and gains least.
+    @pytest.mark.parametrize("f, cut, exact, panels, without", [
+        (np.sqrt, 0.0, 2.0 / 3.0, 8, 36),
+        (lambda u: np.sqrt(np.abs(u - 0.3)), 0.3, (0.3**1.5 + 0.7**1.5) / 1.5, 13, 74),
+        (lambda u: u**0.25, 0.0, 0.8, 42, 44),
+    ], ids=["sqrt_at_problem_end", "sqrt_at_break_point", "fourth_root_at_problem_end"])
+    def test_singular_ends_at_break_points(self, f, cut, exact, panels, without):
+        val, bound, n = integrate_detailed(f, 0.0, 1.0, self.CFG, break_points=[cut])
+        assert abs(val - exact) <= bound <= 1e-13 * (1 + abs(val))
+        assert n == panels
+        assert integrate_detailed(f, 0.0, 1.0, self.CFG)[2] == without
+
+    # Value, bound and panels with no break point, bit for bit as before
+    # the substitution.
+    @pytest.mark.parametrize("f, a, b, result", [
+        (np.exp, 0.0, 1.0, (1.71828182845904, 6.106226635438361e-15, 8)),
+        (lambda u: np.cos(20.0 * u), 0.0, 3.0,
+         (-0.015240531055110834, 1.2831315870931448e-14, 54)),
+        (lambda u: 1.0 / (1.0 + 25.0 * u * u), -1.0, 1.0,
+         (0.5493603067780046, 1.3153887701289335e-13, 18)),
+    ], ids=["exp", "cos20", "runge"])
+    def test_no_break_points_change_nothing(self, f, a, b, result):
+        assert integrate_detailed(f, a, b, self.CFG) == result
+
+    def test_batch_mixes_substituted_and_plain_problems(self):
+        # problem 0 has a break point at its left end, problem 1 none
+        fs = [np.sqrt, np.exp]
+        cuts = np.array([[0.0], [np.nan]])
+        vals, bounds, panels = integrate_batch(lambda u, i: np.where(i == 0, np.sqrt(u), np.exp(u)),
+                                               [0.0, 0.0], [1.0, 1.0], self.CFG, break_points=cuts)
+        for i, f in enumerate(fs):
+            solo = integrate_detailed(f, 0.0, 1.0, self.CFG,
+                                      break_points=None if np.isnan(cuts[i, 0]) else cuts[i])
+            assert (vals[i], bounds[i], panels[i]) == solo
+
+
 class TestULimits:
     def test_bounded_support_keeps_the_limits(self):
         lo, hi, lost = u_limits([0.0, 0.7, 0.4], [0.5, 1.0, 0.2], True)

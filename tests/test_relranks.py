@@ -51,15 +51,18 @@ class TestComputePQ:
             assert pq.panels > 0, name
 
     # Panels are deterministic.  Before the graded split toward singular
-    # panel edges, compute_pq took the panels in the last column.
-    @pytest.mark.parametrize("dist, panels, bisected", [
-        (Laplace(1), 968, 968),
-        (PowerFold(0.5), 2848, 3446),
-        (PowerFold(2), 10924, 20036),
-        (PowerFold(4), 14698, 26850),
+    # panel edges, compute_pq took the panels in the last column; before
+    # panels at break points were integrated through a smoothing
+    # substitution, it took those in the ``graded`` column.
+    @pytest.mark.parametrize("dist, panels, graded, bisected", [
+        (Laplace(1), 968, 968, 968),
+        (PowerFold(0.5), 1106, 2848, 3446),
+        (PowerFold(2), 968, 10924, 20036),
+        (PowerFold(4), 11604, 14698, 26850),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
-    def test_panels_pinned(self, dist, panels, bisected):
+    def test_panels_pinned(self, dist, panels, graded, bisected):
         assert compute_pq(dist).panels == panels <= bisected
+        assert panels <= graded
 
     def test_powerfold_small_exponent(self):
         pq = compute_pq(PowerFold(0.05))
