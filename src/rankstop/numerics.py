@@ -226,17 +226,11 @@ def _evaluate(f, problem, a, b, mark):
         c = 0.5 * (a[blk] + b[blk])
         h = 0.5 * (b[blk] - a[blk])
         rule = mark[blk] >> 2
-        flatten = rule.any()  # else the plain rule, without the table lookups
-        if flatten:
-            u = np.where(rule, a[blk], c)[:, None] + h[:, None] * _NODES.take(rule, axis=0)
-        else:
-            u = c[:, None] + h[:, None] * _XK
+        u = np.where(rule, a[blk], c)[:, None] + h[:, None] * _NODES.take(rule, axis=0)
         y = np.asarray(f(u.ravel(), np.repeat(problem[blk], len(_XK))), dtype=float)
         if y.shape != (u.size,):
             raise TypeError("integrand must map an ndarray of nodes to values elementwise")
-        y = y.reshape(u.shape)
-        if flatten:
-            y = y * _WEIGHTS.take(rule, axis=0)
+        y = y.reshape(u.shape) * _WEIGHTS.take(rule, axis=0)
         k = h * (y @ _WK)
         val[blk] = k
         err[blk] = np.abs(k - h * (y[:, 1::2] @ _WG))
@@ -303,7 +297,9 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     problem each node belongs to, and returns the integrand values; nodes
     of many problems arrive in one call.  ``break_points`` is an (m, k)
     array of known kink locations, one row per problem, padded with NaN;
-    points outside (a[i], b[i]) are ignored.  Every problem starts out
+    points in [a[i], b[i]] are used and points outside it are ignored.  A
+    break point inside (a[i], b[i]) becomes a panel edge, and one equal to
+    a[i] or b[i] flattens that end of the problem.  Every problem starts out
     split into ``initial_panels`` equal panels plus its break points, and
     keeps its own convergence test ``abs_tol + rel_tol * |value|`` and its
     own budget of ``max_subdivisions`` splits.  A panel is bisected, except

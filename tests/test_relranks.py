@@ -5,6 +5,7 @@ import pytest
 
 from rankstop import relranks
 from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform
+from rankstop.numerics import QuadratureConfig
 from rankstop.oracle import enumerate_rank_policies
 from rankstop.relranks import (
     ALL_ORDERINGS,
@@ -63,6 +64,15 @@ class TestComputePQ:
     def test_panels_pinned(self, dist, panels, graded, bisected):
         assert compute_pq(dist).panels == panels <= bisected
         assert panels <= graded
+
+    @pytest.mark.parametrize("dist", [PowerFold(0.5), PowerFold(4)],
+                             ids=["powerfold0.5", "powerfold4"])
+    def test_bound_covers_a_finer_solve(self, dist):
+        # No closed form exists for these laws: the reported bounds of a
+        # default and a 1e-14 computation must together cover their difference.
+        default = compute_pq(dist)
+        fine = compute_pq(dist, QuadratureConfig(1e-14, 1e-14))
+        assert abs(default.p - fine.p) <= default.error_bound + fine.error_bound
 
     def test_powerfold_small_exponent(self):
         pq = compute_pq(PowerFold(0.05))
