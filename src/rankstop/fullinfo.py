@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .numerics import (
     RootConfig,
     find_root,
     integrate_batch,
-    integrate_detailed,
+    integrate_detailed,  # unused here; perfbench/tracer.py patches it by attribute
     integrate_pieces,
     tolerance_record,
     u_limits,
@@ -74,10 +75,15 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 #: the threshold; V's outer integral runs at ``FULL_INNER_CFG.outer()``,
 #: two decades looser (1e-10), so that it never chases the curve's noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-#: The threshold search stops once its bracket is narrower than x_tol, or
-#: earlier on a residual below the inner quadrature tolerance, where the
-#: curve cannot be told from 2.
+#: The threshold search on adaptive quadrature stops once its bracket is
+#: narrower than x_tol, or earlier on a residual below the inner quadrature
+#: tolerance, where the curve cannot be told from 2.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
+#: The root search on the exact path, whose curve is exact up to rounding:
+#: its bracket closes to a few ulps of x1*.
+_EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
+#: Points of the threshold scan, evenly spaced in u above the paper's bound.
+_SCAN_POINTS = 16
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
 #: Gauss-Legendre nodes per piece on the exact path: the dF-integrands are
@@ -185,55 +191,59 @@ def solve_threshold(dist: SymmetricDistribution,
                     quad_cfg: QuadratureConfig | None = None) -> float:
     """The positive first-step threshold where continuing stops paying.
 
-    Scans the continuation curve minus 2 for its last sign change on a
-    geometric grid over (0, quantile(1 - 1e-12)] and refines by bracketed
+    The paper's bound F(x1*) >= 1/2 + sqrt(2)/4 confines the search: the
+    continuation curve minus 2 is scanned at 16 quantiles, evenly spaced
+    in u on [``THRESHOLD_QUANTILE_BOUND`` - ``BOUND_TOL``,
+    1 - 1e-12], and its last sign change there is refined by bracketed
     root search; the curve is nonincreasing, but if it is flat at level 2
     this picks the largest crossing, which maximizes the stop region and
     keeps the result reproducible.  For distributions whose curve stays
     above 2 inside the support and only reaches 2 at the edge (no mass
     near the origin), the scan finds no sign change and the support edge
-    itself satisfies the residual tolerance.
+    itself satisfies the residual tolerance.  Any other scan raises
+    ``ThresholdError``.  The root search runs at ``THRESHOLD_ROOT_CFG``,
+    and at x_tol 1e-15 on the exact path of a ``TabulatedCdf``.
     """
     return _threshold(dist, quad_cfg or FULL_INNER_CFG)[0]
 
 
 def _threshold(dist, quad_cfg):
-    """solve_threshold's root, and the panels its scan and root search evaluated."""
+    """solve_threshold's root, the curve minus 2 there, and the panels its
+    scan and root search evaluated."""
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
     panels = 0
+    seen = {}  # the curve minus 2 at every x evaluated
 
     def curve_minus_2(xs):
         nonlocal panels
         values, _, n = _continuation(dist, xs, quad_cfg)
         panels += n
-        return values - 2.0
+        values = values - 2.0
+        seen.update(zip(map(float, xs), values))
+        return values
 
-    grid = hi * np.geomspace(1e-8, 1.0, 96)
+    u_lo = THRESHOLD_QUANTILE_BOUND - BOUND_TOL
+    grid = dist.ppf(np.linspace(u_lo, 1.0 - 1e-12, _SCAN_POINTS))
     values = curve_minus_2(grid)
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
-        if values[-1] > 0:
-            if abs(values[-1]) <= BOUND_TOL:
-                return float(grid[-1]), panels  # curve meets 2 only at the support edge
-            raise ThresholdError(
-                f"continuation curve stays above 2 on (0, {hi}]: residual {values[-1]}"
-            )
-        # Above 2 never observed: the crossing sits below the scan grid.
-        lo_bracket, hi_bracket = grid[0] * 1e-8, grid[0]
-        known = {}
-    else:
-        i = sign_changes[-1]
-        lo_bracket, hi_bracket = grid[i], grid[i + 1]
-        known = {float(grid[i]): values[i], float(grid[i + 1]): values[i + 1]}
+        if 0 < values[-1] <= BOUND_TOL:
+            return float(grid[-1]), float(values[-1]), panels  # curve meets 2 only at the support edge
+        raise ThresholdError(
+            f"continuation curve minus 2 has no sign change at u in [{u_lo}, {1.0 - 1e-12}], "
+            f"x in [{grid[0]}, {hi}]: {values[0]} at the start, {values[-1]} at the end")
+    i = sign_changes[-1]
     try:
-        # find_root starts with the curve at both bracket ends, which the scan has.
-        root = find_root(lambda x: known[x] if x in known else curve_minus_2([x])[0],
-                         lo_bracket, hi_bracket, THRESHOLD_ROOT_CFG)
+        # find_root starts with the curve at both bracket ends, which the scan
+        # has, and only returns points it evaluated.
+        root = find_root(lambda x: seen[x] if x in seen else curve_minus_2([x])[0],
+                         grid[i], grid[i + 1],
+                         _EXACT_ROOT_CFG if isinstance(dist, TabulatedCdf) else THRESHOLD_ROOT_CFG)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
-    return root, panels
+    return root, float(seen[root]), panels
 
 
 def tolerances(dist: SymmetricDistribution, cfg: QuadratureConfig | None = None,
@@ -242,7 +252,7 @@ def tolerances(dist: SymmetricDistribution, cfg: QuadratureConfig | None = None,
     V's ("outer", left out for the curve or threshold alone) and the root
     search's.  A ``TabulatedCdf`` runs no adaptive quadrature: root only."""
     if isinstance(dist, TabulatedCdf):
-        return tolerance_record(root=THRESHOLD_ROOT_CFG)
+        return tolerance_record(root=_EXACT_ROOT_CFG)
     cfg = cfg or FULL_INNER_CFG
     levels = {"inner": cfg, "outer": cfg.outer()} if outer else {"inner": cfg}
     return tolerance_record(**levels, root=THRESHOLD_ROOT_CFG)
@@ -254,27 +264,27 @@ def solve_full_info(dist: SymmetricDistribution,
 
     V splits exactly at 0 and at the threshold: the first-step integral of
     the continuation curve over the negative half, the flat stop payoff 2
-    on (0, x1*], and the continuation curve again beyond x1*.
-    ``diagnostics["panels"]`` counts the quadrature panels (pieces, on the
-    exact path) evaluated for V and for the residual at x1*, and
+    on (0, x1*], and the continuation curve again beyond x1*; the two
+    curve integrals are one batch.  ``diagnostics["panels"]`` counts the
+    quadrature panels (pieces, on the exact path) evaluated for V, and
     ``diagnostics["threshold_panels"]`` those of the threshold's scan and
-    root search.  ``diagnostics["quadrature_error_bound"]`` adds the outer
-    bound, the largest bound of the curve over the u-range and, on an
-    unbounded support, the u-range clipped off times 4, the largest rank.
-    ``diagnostics["method"]`` is "exact_piecewise_linear" for a
-    ``TabulatedCdf`` and "quadrature" otherwise, and
+    root search, which also gives ``diagnostics["threshold_residual"]``,
+    the curve minus 2 at x1*.  ``diagnostics["quadrature_error_bound"]``
+    adds the outer bound, the largest bound of the curve over the u-range
+    and, on an unbounded support, the u-range clipped off times 4, the
+    largest rank.  ``diagnostics["method"]`` is "exact_piecewise_linear"
+    for a ``TabulatedCdf`` and "quadrature" otherwise, and
     ``diagnostics["tolerances"]`` is ``tolerances(dist, cfg)``.  ``cfg``
     is the tolerance of the curve and the threshold; V's outer integral
     runs at ``cfg.outer()``.
     """
     inner_cfg = cfg or FULL_INNER_CFG
-    outer_cfg = inner_cfg.outer()
-    x1s, threshold_panels = _threshold(dist, inner_cfg)
+    x1s, residual, threshold_panels = _threshold(dist, inner_cfg)
     f_at = float(dist.cdf(x1s))
-    at_threshold, _, panels = _continuation(dist, [x1s], inner_cfg)
+    panels = 0
     curve_err = 0.0
 
-    def curve_of_u(us):
+    def curve_of_u(us, _):
         nonlocal panels, curve_err
         values, errs, n = _continuation(dist, dist.ppf(us), inner_cfg)
         panels += n
@@ -286,19 +296,16 @@ def solve_full_info(dist: SymmetricDistribution,
     # first step apart, so that kinks of the inner integrand meet.
     knots = dist.cdf_break_points()
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    cuts = dist.cdf(np.unique(kinks)) if len(knots) else None
+    cuts = None
+    if len(knots):
+        cuts = dist.cdf(np.unique(kinks))
+        cuts = np.broadcast_to(cuts, (2, len(cuts)))  # one row per half of V
     exact = isinstance(dist, TabulatedCdf)
+    integrate = (partial(integrate_pieces, order=_OUTER_ORDER) if exact
+                 else partial(integrate_batch, cfg=inner_cfg.outer()))
     lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], math.isfinite(dist.support[1]))
-    if exact:
-        (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate_pieces(
-            lambda u, _: curve_of_u(u), lo, hi, np.broadcast_to(cuts, (2, len(cuts))), _OUTER_ORDER)
-        outer_panels = int(outer_panels.sum())
-    else:
-        neg_val, neg_err, neg_panels = integrate_detailed(curve_of_u, lo[0], hi[0], outer_cfg,
-                                                          break_points=cuts)
-        pos_val, pos_err, pos_panels = integrate_detailed(curve_of_u, lo[1], hi[1], outer_cfg,
-                                                          break_points=cuts)
-        outer_panels = neg_panels + pos_panels
+    (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate(curve_of_u, lo, hi,
+                                                                     break_points=cuts)
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
     bound = neg_err + pos_err + curve_err * (1.5 - f_at) + 4.0 * lost.sum()
     return FullInfoSolution(
@@ -306,10 +313,10 @@ def solve_full_info(dist: SymmetricDistribution,
         value=value,
         F_at_threshold=f_at,
         diagnostics={
-            "threshold_residual": float(at_threshold[0]) - 2.0,
+            "threshold_residual": residual,
             "quadrature_error_bound": float(bound),
             "scan_upper": dist.quantile(1.0 - 1e-12),
-            "panels": panels + outer_panels,
+            "panels": panels + int(outer_panels.sum()),
             "threshold_panels": threshold_panels,
             "method": "exact_piecewise_linear" if exact else "quadrature",
             "tolerances": tolerances(dist, inner_cfg),

@@ -128,7 +128,8 @@ class TestThreshold:
         assert solve_threshold(UNIFORM) == pytest.approx(UNIFORM_X1, abs=1e-9)
 
     def test_uniform_root_converges_on_bracket(self):
-        # the search stops on a 1e-13 bracket, not on a lucky small residual
+        # the search stops on its bracket (1e-15 on the exact path of a
+        # uniform law), not on a lucky small residual
         assert abs(solve_threshold(UNIFORM) - UNIFORM_X1) <= 1e-12
 
     def test_laplace(self):
@@ -150,6 +151,17 @@ class TestThreshold:
         x1s = solve_threshold(dist)
         assert x1s == pytest.approx(2.0, abs=1e-6)
         assert float(dist.cdf(x1s)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_crossing_above_the_quantile_bound_raises(self, monkeypatch):
+        # the scan covers only F(x) >= 1/2 + sqrt(2)/4; a curve that never
+        # comes down to 2 there, and not at the support edge, is an error
+        def above(dist, xs, cfg):
+            xs = np.asarray(xs, dtype=float)
+            return np.full(len(xs), 2.5), np.zeros(len(xs)), 0
+
+        monkeypatch.setattr(fullinfo, "_continuation", above)
+        with pytest.raises(fullinfo.ThresholdError, match=r"no sign change at u in \[0\.853"):
+            solve_threshold(LAPLACE)
 
 
 class TestValue:
@@ -176,21 +188,34 @@ class TestValue:
     # last column (the threshold search was not counted); before panels at
     # break points were integrated through a smoothing substitution, V and
     # the threshold search took the panels in the ``graded`` columns.
-    @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
-        (LAPLACE, 5532, 1660, 5518, 1660, 8062),
-        (PowerFold(0.5), 4072, 1850, 8898, 3010, 13016),
-        (PowerFold(2), 4130, 1689, 11630, 2107, 21302),
-        (PowerFold(4), 12216, 1489, 15292, 1693, 28478),
+    # Before the scan was confined to F(x) >= 1/2 + sqrt(2)/4 (it took 96
+    # geometric points on (1e-8 hi, hi]) and the residual at x1* came from
+    # the root search, they took those in the ``wide`` columns, where V's
+    # count includes a separate solve of the curve at x1*.
+    @pytest.mark.parametrize("dist, panels, threshold_panels, wide, wide_threshold, graded, "
+                             "graded_threshold, bisected", [
+        (LAPLACE, 5516, 320, 5532, 1660, 5518, 1660, 8062),
+        (PowerFold(0.5), 4056, 304, 4072, 1850, 8898, 3010, 13016),
+        (PowerFold(2), 4114, 320, 4130, 1689, 11630, 2107, 21302),
+        (PowerFold(4), 12184, 640, 12216, 1489, 15292, 1693, 28478),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
-    def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
-                           bisected):
+    def test_panels_pinned(self, dist, panels, threshold_panels, wide, wide_threshold, graded,
+                           graded_threshold, bisected):
         diagnostics = solve_full_info(dist).diagnostics
         assert diagnostics["panels"] == panels < bisected
         assert diagnostics["threshold_panels"] == threshold_panels
+        assert panels < wide and threshold_panels < wide_threshold
         if isinstance(dist, PowerFold):
             assert panels <= graded and threshold_panels <= graded_threshold
         else:  # the substitution at the kink F(x) may cost Laplace up to 1%
             assert panels <= 1.01 * graded and threshold_panels <= 1.01 * graded_threshold
+
+    def test_threshold_residual_is_the_curve_at_x1(self, builtins, solutions):
+        # the residual is the root search's own evaluation at x1*, not a re-solve
+        for name, dist in builtins.items():
+            sol = solutions[name]
+            want = continuation_value(dist, sol.x1_star) - 2.0
+            assert sol.diagnostics["threshold_residual"] == want, name
 
     @pytest.mark.parametrize("delta", [2, 4])
     def test_panels_fall_as_the_tolerance_loosens(self, delta):
@@ -232,10 +257,11 @@ class TestValue:
         }
 
     def test_exact_path_records_no_quadrature_tolerance(self, solutions):
-        # a uniform law is a table: only the threshold's root search has tolerances
+        # a uniform law is a table: only the threshold's root search has
+        # tolerances, tighter than the adaptive path's since its curve is exact
         for name in ("uniform", "tabulated"):
             assert solutions[name].diagnostics["tolerances"] == {
-                "root_x_tol": 1e-13, "root_f_tol": 1e-14}, name
+                "root_x_tol": 1e-15, "root_f_tol": 1e-16}, name
 
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError):
@@ -250,7 +276,7 @@ class TestExactPiecewiseLinear:
     def test_uniform_table_closed_forms(self):
         sol = solve_full_info(UNIFORM6)
         assert sol.diagnostics["method"] == "exact_piecewise_linear"
-        assert abs(sol.x1_star - UNIFORM_X1) <= 1e-14
+        assert abs(sol.x1_star - UNIFORM_X1) <= 1e-15  # the benchmark's tabulated anchor
         assert abs(sol.value - UNIFORM_V) <= 1e-14
         assert 0 < sol.diagnostics["quadrature_error_bound"] <= 1e-13
         assert abs(sol.value - UNIFORM_V) <= sol.diagnostics["quadrature_error_bound"]
