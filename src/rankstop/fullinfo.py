@@ -80,7 +80,8 @@ FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 #: tolerance, where the curve cannot be told from 2.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 #: The root search on the exact path, whose curve is exact up to rounding:
-#: its bracket closes to a few ulps of x1*.
+#: its bracket closes to a few ulps of x1* (``find_root`` widens an x_tol
+#: finer than the float spacing to 2 eps |x|).
 _EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
 #: Points of the threshold scan, evenly spaced in u above the paper's bound.
 _SCAN_POINTS = 16

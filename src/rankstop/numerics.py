@@ -498,7 +498,9 @@ def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:
     the bracket fast enough, bisection otherwise, so convergence is
     guaranteed.  Stops when |f(x)| <= f_tol or the bracket is narrower than
     x_tol, and returns the bracket end with the smaller |f|; the result
-    never leaves the initial bracket.
+    never leaves the initial bracket.  Where x_tol is finer than the float
+    spacing near the root, the bracket closes to 2 eps |x| instead, 2-4
+    ulps, which it can always reach.
     """
     cfg = cfg or RootConfig()
     a, b = float(lo), float(hi)
@@ -522,7 +524,7 @@ def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * cfg.x_tol
+        tol = max(0.5 * cfg.x_tol, _EPS * abs(b))
         half = 0.5 * (c - b)
         if abs(half) <= tol or abs(fb) <= cfg.f_tol:
             return b

@@ -190,21 +190,20 @@ class TestValue:
     # the threshold search took the panels in the ``graded`` columns.
     # Before the scan was confined to F(x) >= 1/2 + sqrt(2)/4 (it took 96
     # geometric points on (1e-8 hi, hi]) and the residual at x1* came from
-    # the root search, they took those in the ``wide`` columns, where V's
-    # count includes a separate solve of the curve at x1*.
-    @pytest.mark.parametrize("dist, panels, threshold_panels, wide, wide_threshold, graded, "
-                             "graded_threshold, bisected", [
-        (LAPLACE, 5516, 320, 5532, 1660, 5518, 1660, 8062),
-        (PowerFold(0.5), 4056, 304, 4072, 1850, 8898, 3010, 13016),
-        (PowerFold(2), 4114, 320, 4130, 1689, 11630, 2107, 21302),
-        (PowerFold(4), 12184, 640, 12216, 1489, 15292, 1693, 28478),
+    # the root search, V and the threshold search took 5532 and 1660 panels
+    # (laplace), 4072 and 1850 (powerfold 0.5), 4130 and 1689 (2), 12216 and
+    # 1489 (4), where V's count includes a separate solve of the curve at x1*.
+    @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
+        (LAPLACE, 5516, 320, 5518, 1660, 8062),
+        (PowerFold(0.5), 4056, 304, 8898, 3010, 13016),
+        (PowerFold(2), 4114, 320, 11630, 2107, 21302),
+        (PowerFold(4), 12184, 640, 15292, 1693, 28478),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
-    def test_panels_pinned(self, dist, panels, threshold_panels, wide, wide_threshold, graded,
-                           graded_threshold, bisected):
+    def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
+                           bisected):
         diagnostics = solve_full_info(dist).diagnostics
         assert diagnostics["panels"] == panels < bisected
         assert diagnostics["threshold_panels"] == threshold_panels
-        assert panels < wide and threshold_panels < wide_threshold
         if isinstance(dist, PowerFold):
             assert panels <= graded and threshold_panels <= graded_threshold
         else:  # the substitution at the kink F(x) may cost Laplace up to 1%
@@ -281,6 +280,28 @@ class TestExactPiecewiseLinear:
         assert 0 < sol.diagnostics["quadrature_error_bound"] <= 1e-13
         assert abs(sol.value - UNIFORM_V) <= sol.diagnostics["quadrature_error_bound"]
         assert sol.diagnostics["panels"] > 0
+
+    @pytest.mark.parametrize("dist, scale", [
+        (Uniform(10), 10.0),
+        (Uniform(1000), 1000.0),
+        (TabulatedCdf([[100 * i / 6, 0.5 + i / 12] for i in range(7)]), 100.0),
+    ], ids=["uniform10", "uniform1000", "uniform6x100"])
+    def test_threshold_scales_to_a_few_ulps(self, dist, scale):
+        # x_tol 1e-15 is finer than the float spacing near x1* once x1* > 1;
+        # the root search then closes its bracket to a few ulps of x1*
+        x1s = solve_threshold(dist)
+        assert abs(x1s / scale - UNIFORM_X1) <= 8 * math.ulp(UNIFORM_X1)
+
+    @pytest.mark.parametrize("scale", [10.0, 20.0, 100.0])
+    def test_threshold_of_a_steep_scaled_table(self, scale):
+        # near x1* of these tables neighbouring floats give curve values on
+        # both sides of 2, none equal to it: a search that closed its bracket
+        # only to 1e-15 never stopped.  x1* scales with the table.
+        def table(s):
+            return TabulatedCdf([[0.0, 0.5], [s, 0.8], [2 * s, 1.0]])
+
+        x1s, base = solve_threshold(table(scale)), solve_threshold(table(1.0))
+        assert abs(x1s / scale - base) <= 16 * math.ulp(base)  # the curve's rounding
 
     def test_interval_union_table_attains_upper_bound(self):
         sol = solve_full_info(INTERVAL_TABLE)

@@ -351,6 +351,13 @@ class TestFindRoot:
         )
         assert root == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("c", [80.0, 1e6 + 1.0])
+    def test_x_tol_below_float_spacing(self, c):
+        # no float x has x * x == c, and neighbouring floats near sqrt(c) lie
+        # farther apart than x_tol: the bracket stops at float resolution
+        root = find_root(lambda x: x * x - c, 0.0, c, RootConfig(x_tol=1e-15, f_tol=1e-16))
+        assert abs(root - math.sqrt(c)) <= 2 * math.ulp(math.sqrt(c))
+
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)

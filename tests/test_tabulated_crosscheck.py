@@ -36,16 +36,6 @@ from rankstop.relranks import PQ_SUM, compute_pq
 _SLACK = 1e-12
 
 
-def powerfold_p(delta):
-    """Closed-form p of PowerFold(delta): p = 1/48 - q with q = delta B(delta, delta)/96.
-
-    The sum of two folded steps has density delta^2 B(delta, delta) s^(2 delta - 1)
-    on [0, 1], and q = (1/16) E[1 - (|X1| + |X2|)^delta; |X1| + |X2| < 1].
-    """
-    beta = math.exp(2.0 * math.lgamma(delta) - math.lgamma(2.0 * delta))
-    return 1.0 / 48.0 - delta * beta / 96.0
-
-
 class Delegate(SymmetricDistribution):
     """A law that answers with a table's functions without being a TabulatedCdf."""
 
@@ -127,22 +117,15 @@ class TestClosedFormAnchors:
         assert pq.method == "quadrature"
         assert abs(pq.p - 1 / 48) <= 1e-10 and abs(pq.q) <= 1e-10
 
-    @pytest.mark.parametrize("delta, p_exact", [
-        (0.5, (4.0 - math.pi) / 192.0),
-        (2, 5 / 288),
-        (3, 19 / 960),
-        (4, 23 / 1120),
-    ], ids=["powerfold0.5", "powerfold2", "powerfold3", "powerfold4"])
-    def test_powerfold_p_formula(self, delta, p_exact):
-        # lgamma and exp round: a few dozen ulps of p
-        assert abs(powerfold_p(delta) - p_exact) <= 1e-16
-
+    # PowerFold(delta) has p = 1/48 - delta B(delta, delta)/96: the sum of two
+    # folded steps has density delta^2 B(delta, delta) s^(2 delta - 1) on
+    # [0, 1], and q = (1/16) E[1 - (|X1| + |X2|)^delta; |X1| + |X2| < 1].
     @pytest.mark.parametrize("dist, p_exact", [
         (Laplace(1), Fraction(1, 192)),
         (PowerFold(2), Fraction(5, 288)),  # derived in perfbench/references.py
-        (PowerFold(0.5), Fraction(powerfold_p(0.5))),
-        (PowerFold(3), Fraction(powerfold_p(3))),
-        (PowerFold(4), Fraction(powerfold_p(4))),
+        (PowerFold(0.5), Fraction((4.0 - math.pi) / 192.0)),
+        (PowerFold(3), Fraction(19, 960)),
+        (PowerFold(4), Fraction(23, 1120)),
     ], ids=["laplace", "powerfold2", "powerfold0.5", "powerfold3", "powerfold4"])
     def test_adaptive_p_within_bound(self, dist, p_exact):
         pq = compute_pq(dist)
