@@ -389,7 +389,8 @@ def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
 @click.option("--policy", "policy_spec", required=True,
               help="thm1|thm2|thm4a|thm4b|stop_at_0|stop_at_n or rank_table JSON")
 @click.option("--paths", type=click.IntRange(min=1), default=10**6, show_default=True)
-@click.option("--horizon", type=click.IntRange(1, 3), default=3, show_default=True)
+@click.option("--horizon", type=click.IntRange(1, 3), default=None,
+              help="the policy's own if left out; stop_at_0 and stop_at_n take 3")
 @click.option("--seed", type=int, default=None)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=1 << 18, show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
@@ -401,13 +402,12 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
     """Monte Carlo estimate of the expected rank of a policy."""
     dist, spec = _load_dist(dist_spec)
     seed = seed if seed is not None else _seed_default()
-    if policy_spec == "thm1":
-        horizon = 2
-    policy = _policy_from_spec(policy_spec, dist, horizon)
-    if policy.horizon != horizon:
+    policy = _policy_from_spec(policy_spec, dist, 3 if horizon is None else horizon)
+    if horizon is not None and policy.horizon != horizon:
         raise click.UsageError(
             f"policy {policy.name!r} has horizon {policy.horizon}, requested {horizon}"
         )
+    horizon = policy.horizon
 
     def run():
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=seed, chunk_size=chunk_size)

@@ -188,17 +188,17 @@ class TabulatedCdf(SymmetricDistribution):
 
     Every knot is a kink of the CDF.  The solvers recognise this class and
     integrate exactly on the pieces between knots, knots + x, twice the
-    knots and knot differences, with fixed Gauss-Legendre rules instead of
-    adaptive quadrature.  Measured on a 2-core Xeon, one
+    knots and knot differences, with the 2-point Gauss-Legendre rule instead
+    of adaptive quadrature.  Measured on a 2-core Xeon, one
     ``solve_full_info`` plus one ``compute_pq``, best of 3 (masses jittered
     by 10%, irregular knots on the benchmark's template):
 
     ======  =====================  =====================
     knots   even spacing           irregular spacing
     ======  =====================  =====================
-    20      0.03 s, 40 MB peak     0.04 s, 41 MB peak
-    60      0.04 s, 43 MB peak     0.07 s, 47 MB peak
-    120     0.11 s, 50 MB peak     0.33 s, 55 MB peak
+    20      0.003 s, 40 MB peak    0.005 s, 40 MB peak
+    60      0.016 s, 42 MB peak    0.035 s, 45 MB peak
+    120     0.047 s, 49 MB peak    0.15 s, 56 MB peak
     ======  =====================  =====================
 
     Evenly spaced knots share their differences, so they cost less.  The

@@ -17,10 +17,11 @@ integrator as one batch.
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
 F(knots) and F(knots + x), and the curve is quadratic in u between the
-images of the knots, twice the knots and the knot differences.  Fixed
-Gauss-Legendre rules on those pieces (``numerics.integrate_pieces``) are
-then exact up to rounding and replace the adaptive quadrature; the
-tolerances do not apply and the reported bounds are rounding bounds.
+images of the knots, twice the knots and the knot differences.  The
+2-point Gauss-Legendre rule, exact up to degree 3, on those pieces
+(``numerics.integrate_pieces``) is then exact up to rounding at both
+levels and replaces the adaptive quadrature; the tolerances do not apply
+and the reported bounds are rounding bounds.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ _EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
 _SCAN_POINTS = 16
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
-#: Gauss-Legendre nodes per piece on the exact path: the dF-integrands are
-#: linear and the V integrand quadratic on their pieces.
-_INNER_ORDER = 2
-_OUTER_ORDER = 3
 
 
 class ThresholdError(RuntimeError):
@@ -137,7 +134,7 @@ def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
 
     lo, hi, lost = u_limits(u_lo, u_hi, math.isfinite(dist.support[1]))
     if isinstance(dist, TabulatedCdf):
-        return integrate_pieces(f, lo, hi, cuts, _INNER_ORDER)
+        return integrate_pieces(f, lo, hi, cuts)
     vals, errs, panels = integrate_batch(f, lo, hi, cfg, break_points=cuts)
     return vals, errs + lost, panels  # the integrand F lies in [0, 1]
 
@@ -302,8 +299,7 @@ def solve_full_info(dist: SymmetricDistribution,
         cuts = dist.cdf(np.unique(kinks))
         cuts = np.broadcast_to(cuts, (2, len(cuts)))  # one row per half of V
     exact = isinstance(dist, TabulatedCdf)
-    integrate = (partial(integrate_pieces, order=_OUTER_ORDER) if exact
-                 else partial(integrate_batch, cfg=inner_cfg.outer()))
+    integrate = integrate_pieces if exact else partial(integrate_batch, cfg=inner_cfg.outer())
     lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], math.isfinite(dist.support[1]))
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate(curve_of_u, lo, hi,
                                                                      break_points=cuts)

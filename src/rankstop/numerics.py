@@ -37,8 +37,9 @@ and their results.  On a split only the child at a flattened end keeps
 the map.
 
 ``integrate_pieces`` is the fixed-rule counterpart for integrands that are
-polynomials between known break points: one Gauss-Legendre rule per
-piece, no refinement, and a rounding bound in place of an error estimate.
+polynomials of degree at most 3 between known break points: the 2-point
+Gauss-Legendre rule on every piece, no refinement, and a rounding bound in
+place of an error estimate.
 
 Integrands must be vectorized (ndarray of nodes in, ndarray of values
 out).  Every integrand in this package is evaluated in u-space after the
@@ -51,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +77,9 @@ EPS_U = 1e-13
 # barely lower the per-panel cost, and an integrand that opens inner
 # integrals for each of its nodes holds state for all of them at once.
 _BLOCK_PANELS = 256
+# Equal panels every adaptive problem starts with, before its break points
+# split them further, so that narrow features near the ends meet a node.
+_INITIAL_PANELS = 8
 # Nodes per integrand call of integrate_pieces, and padded break points
 # per block of its problems; together they bound the memory of one call.
 _BLOCK_NODES = 1 << 10
@@ -85,6 +88,12 @@ _BLOCK_CUTS = 1 << 16
 # is taken to be within this many ulps, and each node adds one rounding to
 # the sum.
 _VALUE_ULPS = 16
+# Nodes and weights on [-1, 1] of integrate_pieces' one rule, the 2-point
+# Gauss-Legendre rule: exact up to degree 3, and the exact-path integrands
+# are linear (inner) and quadratic (outer) on their pieces.  These are the
+# values of np.polynomial.legendre.leggauss(2) bit for bit; calling it
+# would import numpy.polynomial, 2 MB, into every process.
+_PIECE_RULE = (np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 3.0), np.ones(2))
 _EPS = float(np.finfo(float).eps)
 # A panel no wider than this times (|a| + |b| + 1) cannot be split.
 _NARROW = 8.0 * _EPS
@@ -289,8 +298,7 @@ def _initial_panels(a, b, n, break_points):
     return owner[:-1][keep], points[:-1][keep], points[1:][keep], mark
 
 
-def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
-                    initial_panels: int = 8, break_points=None):
+def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=None):
     """Adaptive integrals of m problems, problem i on [a[i], b[i]].
 
     ``f(u, problem)`` takes a flat ndarray of nodes and the index of the
@@ -300,7 +308,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     points in [a[i], b[i]] are used and points outside it are ignored.  A
     break point inside (a[i], b[i]) becomes a panel edge, and one equal to
     a[i] or b[i] flattens that end of the problem.  Every problem starts out
-    split into ``initial_panels`` equal panels plus its break points, and
+    split into ``_INITIAL_PANELS`` equal panels plus its break points, and
     keeps its own convergence test ``abs_tol + rel_tol * |value|`` and its
     own budget of ``max_subdivisions`` splits.  A panel is bisected, except
     one that holds more than half of its problem's error and touches
@@ -322,7 +330,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None,
     cfg = cfg or QuadratureConfig()
     a, b = _bounds(a, b)
     m = len(a)
-    problem, pa, pb, mark = _initial_panels(a, b, max(int(initial_panels), 1), break_points)
+    problem, pa, pb, mark = _initial_panels(a, b, _INITIAL_PANELS, break_points)
     val, err = _evaluate(f, problem, pa, pb, mark)
     panels = np.bincount(problem, minlength=m)
     splits = np.zeros(m, dtype=np.int64)
@@ -395,15 +403,14 @@ def _failure(message, i, m):
     return message if m == 1 else f"{message} in problem {i} of {m}"
 
 
-def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None,
-                       initial_panels: int = 8, break_points=None):
+def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None, break_points=None):
     """Adaptive integral of a vectorized ``f`` on [a, b]: integrate_batch with one problem.
 
     Returns (value, error_bound, panels), where ``panels`` counts the
     15-node panels evaluated.  Raises QuadratureError when the
     subdivision budget runs out before ``error_bound`` falls below
     ``abs_tol + rel_tol * |value|``.  The interval starts out split into
-    ``initial_panels`` equal panels so that narrow features near the
+    ``_INITIAL_PANELS`` equal panels so that narrow features near the
     endpoints are seen by at least one Kronrod node; known kink locations
     of the integrand can be supplied as ``break_points`` and become panel
     edges, which makes piecewise-polynomial integrands exact immediately,
@@ -411,28 +418,18 @@ def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None,
     """
     if break_points is not None:
         break_points = np.asarray(break_points, dtype=float).reshape(1, -1)
-    val, err, panels = integrate_batch(lambda u, _: f(u), [a], [b], cfg, initial_panels,
-                                       break_points)
+    val, err, panels = integrate_batch(lambda u, _: f(u), [a], [b], cfg, break_points)
     return float(val[0]), float(err[0]), int(panels[0])
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Read-only nodes and weights of the order-point rule on [-1, 1]."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for r in rule:
-        r.flags.writeable = False
-    return rule
-
-
-def integrate_pieces(f, a, b, break_points=None, order: int = 3):
+def integrate_pieces(f, a, b, break_points=None):
     """Fixed-rule integrals of m problems, problem i on [a[i], b[i]].
 
     Takes ``f(u, problem)`` and ``break_points`` as ``integrate_batch``
     does.  Each problem is cut at its break points inside (a[i], b[i]) and
-    an ``order``-point Gauss-Legendre rule is applied to every piece, so
-    the result is exact up to rounding when ``f`` is a polynomial of degree
-    below 2 * order on every piece.  There is no refinement and no
+    the 2-point Gauss-Legendre rule ``_PIECE_RULE`` is applied to every
+    piece, so the result is exact up to rounding when ``f`` is a polynomial
+    of degree at most 3 on every piece.  There is no refinement and no
     tolerance.  Problems go through in blocks of at most ``_BLOCK_CUTS``
     padded break points, and no integrand call sees more than
     ``_BLOCK_NODES`` nodes.
@@ -444,12 +441,12 @@ def integrate_pieces(f, a, b, break_points=None, order: int = 3):
     a, b = _bounds(a, b)
     m = len(a)
     cuts = _cut_rows(break_points, m)
-    x, w = _gauss_legendre(int(order))
+    x, w = _PIECE_RULE
     val = np.zeros(m)
     mag = np.zeros(m)
     panels = np.zeros(m, dtype=np.int64)
     rows = max(1, _BLOCK_CUTS // (cuts.shape[1] + 2))
-    per_call = max(1, _BLOCK_NODES // order)
+    per_call = max(1, _BLOCK_NODES // len(x))
     for s in range(0, m, rows):
         lo, hi = a[s:s + rows, None], b[s:s + rows, None]
         # NaN padding sorts last and makes no piece.
@@ -464,13 +461,13 @@ def integrate_pieces(f, a, b, break_points=None, order: int = 3):
             c = 0.5 * (pa[blk] + pb[blk])
             h = 0.5 * (pb[blk] - pa[blk])
             u = c[:, None] + h[:, None] * x
-            y = np.asarray(f(u.ravel(), np.repeat(owner[blk] + s, order)), dtype=float)
+            y = np.asarray(f(u.ravel(), np.repeat(owner[blk] + s, len(x))), dtype=float)
             if y.shape != (u.size,):
                 raise TypeError("integrand must map an ndarray of nodes to values elementwise")
             y = y.reshape(u.shape)
             val[s:s + n] += np.bincount(owner[blk], h * (y @ w), n)
             mag[s:s + n] += np.bincount(owner[blk], h * (np.abs(y) @ w), n)
-    return val, (order * panels + _VALUE_ULPS) * _EPS * mag, panels
+    return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
 
 
 def u_limits(lo, hi, bounded: bool):

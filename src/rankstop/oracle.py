@@ -170,6 +170,10 @@ def canonical_rules(n: int = 3) -> dict[str, tuple[int, ...]]:
 # Quantile-atom dynamic program for the full-information problem.
 # ---------------------------------------------------------------------------
 
+# First-step atoms per pass of the DP and of the stage-2 comparisons, which
+# hold (block, m) arrays: 256 rows of m = 2001 atoms are 4 MB per array.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class GridDPResult:
@@ -189,7 +193,7 @@ class GridDPResult:
 
 
 def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
-                      horizon: int = 3, block: int = 256) -> GridDPResult:
+                      horizon: int = 3) -> GridDPResult:
     """Exact backward induction on the atomized walk.
 
     The step is discretized into m equiprobable atoms at the midpoint
@@ -214,11 +218,11 @@ def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
 
     if horizon == 2:
         w1 = np.empty(m)
-        for lo in range(0, m, block):
-            s1 = atoms[lo : lo + block]
+        for lo in range(0, m, _BLOCK):
+            s1 = atoms[lo : lo + _BLOCK]
             cnt = np.searchsorted(atoms, -s1, side="left")
             # E[R2 | x1] = 1 + P(x2 < -s1) + P(x2 < 0)
-            w1[lo : lo + block] = 1.0 + cnt / m + n_lt_zero / m
+            w1[lo : lo + _BLOCK] = 1.0 + cnt / m + n_lt_zero / m
         stop1 = 1.0 + (atoms < 0.0) + p_step_up
         v1 = np.minimum(stop1, w1)
         d1 = stop1 <= w1
@@ -234,8 +238,8 @@ def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
     d2 = np.empty((m, m), dtype=bool)
     p_s3_below_origin_acc = 0.0
     cnt_neg_step = np.searchsorted(atoms, -atoms, side="left")  # P(x3 < -x2) counts
-    for lo in range(0, m, block):
-        s1 = atoms[lo : lo + block, None]
+    for lo in range(0, m, _BLOCK):
+        s1 = atoms[lo : lo + _BLOCK, None]
         s2 = s1 + atoms[None, :]
         cnt_origin = np.searchsorted(atoms, -s2, side="left")
         # W2 = 1 + P(S3 < 0) + P(S3 < S1) + P(S3 < S2), later wins ties
@@ -243,8 +247,8 @@ def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
         r2 = 1.0 + (s2 < 0.0) + (atoms[None, :] < 0.0)
         stop2 = r2 + p_step_up
         v2 = np.minimum(stop2, w2)
-        d2[lo : lo + block] = stop2 <= w2
-        w1[lo : lo + block] = v2.mean(axis=1)
+        d2[lo : lo + _BLOCK] = stop2 <= w2
+        w1[lo : lo + _BLOCK] = v2.mean(axis=1)
         p_s3_below_origin_acc += float(cnt_origin.sum())
 
     stop1 = 1.0 + (atoms < 0.0) + p_step_up + (m + 1) / (2 * m)
@@ -259,9 +263,9 @@ def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
     )
 
 
-def _stage2_rule_blocks(dp: GridDPResult, policy: StoppingPolicy, block: int):
-    for lo in range(0, dp.m, block):
-        x1 = dp.atoms[lo : lo + block]
+def _stage2_rule_blocks(dp: GridDPResult, policy: StoppingPolicy):
+    for lo in range(0, dp.m, _BLOCK):
+        x1 = dp.atoms[lo : lo + _BLOCK]
         n1 = len(x1)
         pairs = np.empty((n1 * dp.m, 2))
         pairs[:, 0] = np.repeat(x1, dp.m)
@@ -269,18 +273,18 @@ def _stage2_rule_blocks(dp: GridDPResult, policy: StoppingPolicy, block: int):
         yield lo, policy.batch_rule(2, pairs).reshape(n1, dp.m)
 
 
-def stage2_disagreement(dp: GridDPResult, policy: StoppingPolicy, block: int = 256) -> float:
+def stage2_disagreement(dp: GridDPResult, policy: StoppingPolicy) -> float:
     """Fraction of (x1, x2) atom cells where the DP stop decision at the
     second step differs from a full-information policy's."""
     if dp.stop_second is None:
         raise ValueError("two-step DP has no second-step decision grid")
     mismatched = 0
-    for lo, rule in _stage2_rule_blocks(dp, policy, block):
+    for lo, rule in _stage2_rule_blocks(dp, policy):
         mismatched += int(np.count_nonzero(rule != dp.stop_second[lo : lo + rule.shape[0]]))
     return mismatched / dp.m**2
 
 
-def stage2_disagreement_csv(dp: GridDPResult, policy: StoppingPolicy, block: int = 256) -> str:
+def stage2_disagreement_csv(dp: GridDPResult, policy: StoppingPolicy) -> str:
     """CSV of the disagreeing (x1, x2) cells: the sparse disagreement map.
 
     Only mismatched cells are listed (a thin band along the decision
@@ -290,7 +294,7 @@ def stage2_disagreement_csv(dp: GridDPResult, policy: StoppingPolicy, block: int
     if dp.stop_second is None:
         raise ValueError("two-step DP has no second-step decision grid")
     lines = ["x1,x2,dp_stop,rule_stop"]
-    for lo, rule in _stage2_rule_blocks(dp, policy, block):
+    for lo, rule in _stage2_rule_blocks(dp, policy):
         diff = rule != dp.stop_second[lo : lo + rule.shape[0]]
         rows, cols = np.nonzero(diff)
         for r, c in zip(rows.tolist(), cols.tolist()):

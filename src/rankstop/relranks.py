@@ -9,10 +9,11 @@ p + q = 1/48, and q has a two-dimensional folded-CDF integral
 
 so p is computed as 1/48 - q.  For a ``TabulatedCdf`` the inner integrand
 is linear between its cuts and the inner integral quadratic in v between
-G(knots) and G(knot differences), so fixed Gauss-Legendre rules on those
-pieces give q exactly up to rounding.  The probabilities of all 24 strict
-orderings of S_0..S_3 are affine in (p, q); the table drives both the
-optimal rank rule and the exact policy-enumeration oracle.
+G(knots) and G(knot differences), so the 2-point Gauss-Legendre rule,
+exact up to degree 3, on those pieces gives q exactly up to rounding.  The
+probabilities of all 24 strict orderings of S_0..S_3 are affine in (p, q);
+the table drives both the optimal rank rule and the exact
+policy-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
+# integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
 from .numerics import (QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces,
                        tolerance_record, u_limits)
 from .walkcore import RankPolicyTable, StoppingPolicy
@@ -61,10 +64,6 @@ PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 
 #: Slack on p + q = 1/48 and on p <= 1/96, here and in ``verify``.
 PQ_TOL = 1e-9
-#: Gauss-Legendre nodes per piece on the exact path: the inner integrand is
-#: linear and the outer one quadratic on their pieces.
-_INNER_ORDER = 2
-_OUTER_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,7 @@ def compute_pq(dist: SymmetricDistribution,
     fold_knots = np.abs(dist.cdf_break_points())
     fold_knots = np.unique(fold_knots[fold_knots > 0])
     ends = np.concatenate([[0.0], fold_knots])
+    inner = integrate_pieces if exact else partial(integrate_batch, cfg=inner_cfg)
     inner_err = 0.0
     panels = 0
 
@@ -147,10 +147,7 @@ def compute_pq(dist: SymmetricDistribution,
         if len(own):
             cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)),
                                    np.broadcast_to(own, (len(y), len(own)))], axis=1)
-        if exact:
-            vals, errs, n = integrate_pieces(h, lo, hi, cuts, _INNER_ORDER)
-        else:
-            vals, errs, n = integrate_batch(h, lo, hi, inner_cfg, break_points=cuts)
+        vals, errs, n = inner(h, lo, hi, break_points=cuts)
         inner_err = max(inner_err, float((errs + lost).max(initial=0.0)))  # 0 <= 1 - G <= 1
         panels += int(n.sum())
         return vals
@@ -160,25 +157,20 @@ def compute_pq(dist: SymmetricDistribution,
     # integrand meet; between those it is quadratic for a piecewise-linear G.
     gaps = np.subtract.outer(ends, ends).ravel()
     outer_cuts = dist.folded_cdf(np.unique(gaps[gaps >= 0.0]))
-    if exact:
-        totals, outer_errs, outer_panels = integrate_pieces(lambda v, _: outer(v), [0.0], [1.0],
-                                                            outer_cuts[None, :], _OUTER_ORDER)
-        total, outer_err, outer_panels = float(totals[0]), float(outer_errs[0]), int(outer_panels[0])
-        # p = 1/48 - q rounds twice: 1/48 itself and the difference.
-        slack = np.finfo(float).eps * float(PQ_SUM)
-    else:
-        lo, hi, lost = u_limits(0.0, 1.0, bounded)
-        total, outer_err, outer_panels = integrate_detailed(outer, float(lo), float(hi), outer_cfg,
-                                                            break_points=outer_cuts)
-        outer_err += float(lost)  # the inner integral lies in [0, 1]
-        slack = 1e-14
-    q = total / 16.0
-    err = (outer_err + inner_err) / 16.0 + slack
+    integrate = integrate_pieces if exact else partial(integrate_batch, cfg=outer_cfg)
+    lo, hi, lost = u_limits([0.0], [1.0], bounded)
+    total, outer_err, outer_panels = integrate(lambda v, _: outer(v), lo, hi,
+                                               break_points=outer_cuts[None, :])
+    q = float(total[0]) / 16.0
+    # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.
+    slack = np.finfo(float).eps * float(PQ_SUM) if exact else 1e-14
+    # The inner integral lies in [0, 1], so the clipped width bounds what it loses.
+    err = (float(outer_err[0] + lost[0]) + inner_err) / 16.0 + slack
     p = float(PQ_SUM) - q
     method = "exact_piecewise_linear" if exact else "quadrature"
     tolerances = {} if exact else tolerance_record(inner=inner_cfg, outer=outer_cfg)
-    return PQParams(p=p, q=q, method=method, error_bound=float(err), panels=panels + outer_panels,
-                    tolerances=tolerances)
+    return PQParams(p=p, q=q, method=method, error_bound=float(err),
+                    panels=panels + int(outer_panels[0]), tolerances=tolerances)
 
 
 @dataclass(frozen=True)

@@ -194,11 +194,25 @@ class TestSimulateCmd:
                                    "--paths", "50000", "--seed", "1"])
         assert json.loads(res.output)["mean_rank"] == json.loads(two_step.output)["mean_rank"]
 
+    def test_three_bit_rank_table_takes_its_horizon(self, runner):
+        policy = json.dumps({"kind": "rank_table", "bits": [0, 1, 0]})
+        res = invoke(runner, ["simulate", "--dist", UNIFORM, "--policy", policy,
+                              "--paths", "1000", "--seed", "1"])
+        payload = json.loads(res.output)
+        assert payload["manifest"]["horizon"] == 2
+        assert len(payload["stop_time_histogram"]) == 3
+
     def test_rank_table_horizon_mismatch_exits_2(self, runner):
         policy = json.dumps({"kind": "rank_table", "bits": [0, 1, 0]})
         res = runner.invoke(main, ["simulate", "--dist", UNIFORM, "--policy", policy,
-                                   "--paths", "10"])
+                                   "--horizon", "3", "--paths", "10"])
         assert res.exit_code == 2
+
+    def test_two_step_rule_at_horizon_3_exits_2(self, runner):
+        res = runner.invoke(main, ["simulate", "--dist", UNIFORM, "--policy", "thm1",
+                                   "--horizon", "3", "--paths", "10"])
+        assert res.exit_code == 2
+        assert "horizon 2, requested 3" in res.output
 
     def test_audit_csv_keeps_stdout_json(self, runner, tmp_path):
         audit = tmp_path / "audit.csv"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rankstop import fullinfo, relranks
-from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform
+from rankstop import fullinfo, numerics, relranks
+from rankstop.distributions import (IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform,
+                                   builtin_suite)
 from rankstop.fullinfo import (
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
@@ -281,6 +282,17 @@ class TestExactPiecewiseLinear:
         assert abs(sol.value - UNIFORM_V) <= sol.diagnostics["quadrature_error_bound"]
         assert sol.diagnostics["panels"] > 0
 
+    # Pieces are deterministic.  With a 3-point rule on V's outer pieces, V
+    # took 398 (uniform6) and 334 (built-in table) pieces.
+    @pytest.mark.parametrize("dist, pieces, threshold_pieces", [
+        (UNIFORM6, 269, 151),
+        (builtin_suite()["tabulated"], 227, 120),
+    ], ids=["uniform6", "builtin_table"])
+    def test_pieces_pinned(self, dist, pieces, threshold_pieces):
+        diagnostics = solve_full_info(dist).diagnostics
+        assert diagnostics["panels"] == pieces
+        assert diagnostics["threshold_panels"] == threshold_pieces
+
     @pytest.mark.parametrize("dist, scale", [
         (Uniform(10), 10.0),
         (Uniform(1000), 1000.0),
@@ -322,9 +334,9 @@ class TestExactPiecewiseLinear:
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR], ids=["uniform6", "irregular"])
     def test_doubling_the_orders_moves_nothing(self, dist, monkeypatch):
+        # 2 nodes per piece are exact on the inner and the outer integrals
         base = solve_full_info(dist)
-        monkeypatch.setattr(fullinfo, "_INNER_ORDER", 2 * fullinfo._INNER_ORDER)
-        monkeypatch.setattr(fullinfo, "_OUTER_ORDER", 2 * fullinfo._OUTER_ORDER)
+        monkeypatch.setattr(numerics, "_PIECE_RULE", np.polynomial.legendre.leggauss(4))
         high = solve_full_info(dist)
         assert abs(high.x1_star - base.x1_star) <= 4 * math.ulp(base.x1_star)
         assert abs(high.value - base.value) <= 4 * math.ulp(base.value)

@@ -142,13 +142,13 @@ class TestIntegrateBatch:
 
     def test_integrand_never_gets_more_than_one_block(self):
         sizes = []
+        m = 800  # 6,400 starting panels
 
         def f(u, i):
             sizes.append(u.size)
-            return np.sqrt(np.abs(u - 0.5 * i / 400))
+            return np.sqrt(np.abs(u - i / m))
 
-        m = 400
-        integrate_batch(f, np.zeros(m), np.ones(m), initial_panels=16)
+        integrate_batch(f, np.zeros(m), np.ones(m))
         block = numerics._BLOCK_PANELS * 15
         assert max(sizes) == block
         assert sum(sizes) > 10 * block
@@ -263,24 +263,24 @@ class TestULimits:
 
 
 class TestIntegratePieces:
-    # Problem i integrates |u - s_i| + u^5 on [a_i, b_i]: a polynomial of
-    # degree 5 on either side of s_i, so three nodes per piece are exact.
+    # Problem i integrates |u - s_i| + u^3 on [a_i, b_i]: a polynomial of
+    # degree 3 on either side of s_i, so two nodes per piece are exact.
     A = np.array([0.0, -1.0, 0.3, 2.0, 0.0])
     B = np.array([1.0, 2.0, 0.3, 2.0, 3.0])
     S = np.array([0.25, 0.5, 0.3, 2.0, 1.7])
     CUTS = np.column_stack([S, np.full(len(S), np.nan)])
 
     def integrand(self, u, i):
-        return np.abs(u - self.S[i]) + u**5
+        return np.abs(u - self.S[i]) + u**3
 
     def exact(self):
         def antiderivative(x, s):
-            return np.where(x < s, s * x - x * x / 2, x * x / 2 - s * x + s * s) + x**6 / 6
+            return np.where(x < s, s * x - x * x / 2, x * x / 2 - s * x + s * s) + x**4 / 4
 
         return antiderivative(self.B, self.S) - antiderivative(self.A, self.S)
 
     def test_piecewise_polynomials_exact(self):
-        vals, bounds, panels = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 3)
+        vals, bounds, panels = integrate_pieces(self.integrand, self.A, self.B, self.CUTS)
         exact = self.exact()
         assert np.all(np.abs(vals - exact) <= bounds)
         assert np.all(np.abs(vals - exact) <= 1e-13 * (1 + np.abs(exact)))
@@ -289,9 +289,14 @@ class TestIntegratePieces:
         assert vals[2] == vals[3] == 0.0
         assert np.all(bounds[[0, 1, 4]] > 0)
 
-    def test_doubling_the_order_moves_nothing(self):
-        low = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 3)[0]
-        high = integrate_pieces(self.integrand, self.A, self.B, self.CUTS, 6)[0]
+    def test_rule_is_two_point_gauss_legendre(self):
+        for got, want in zip(numerics._PIECE_RULE, np.polynomial.legendre.leggauss(2)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_doubling_the_order_moves_nothing(self, monkeypatch):
+        low = integrate_pieces(self.integrand, self.A, self.B, self.CUTS)[0]
+        monkeypatch.setattr(numerics, "_PIECE_RULE", np.polynomial.legendre.leggauss(4))
+        high = integrate_pieces(self.integrand, self.A, self.B, self.CUTS)[0]
         assert np.all(np.abs(high - low) <= 4 * np.spacing(np.abs(low)))
 
     def test_blocks_bound_every_call(self, monkeypatch):
@@ -306,12 +311,12 @@ class TestIntegratePieces:
             sizes.append(u.size)
             return u * i
 
-        whole = integrate_pieces(f, np.zeros(m), np.ones(m), s, 2)
+        whole = integrate_pieces(f, np.zeros(m), np.ones(m), s)
         assert max(sizes) <= numerics._BLOCK_NODES
         monkeypatch.setattr(numerics, "_BLOCK_CUTS", 3 * (k + 2))
         monkeypatch.setattr(numerics, "_BLOCK_NODES", 10)
         sizes.clear()
-        blocked = integrate_pieces(f, np.zeros(m), np.ones(m), s, 2)
+        blocked = integrate_pieces(f, np.zeros(m), np.ones(m), s)
         assert max(sizes) <= 10
         for got, want in zip(blocked, whole):
             assert np.allclose(got, want, rtol=1e-14, atol=0)

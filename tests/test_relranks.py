@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankstop import relranks
-from rankstop.distributions import IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform
+from rankstop import numerics
+from rankstop.distributions import (IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform,
+                                   builtin_suite)
 from rankstop.numerics import QuadratureConfig
 from rankstop.oracle import enumerate_rank_policies
 from rankstop.relranks import (
@@ -108,6 +109,15 @@ class TestExactPiecewiseLinear:
         pq = compute_pq(TabulatedCdf([[0.0, 0.5], [1.0, 0.5], [2.0, 1.0]]))
         assert pq.q == 0.0 and abs(pq.p - 1 / 48) <= 1e-17
 
+    # Pieces are deterministic.  With a 3-point rule on the outer pieces,
+    # compute_pq took 122 (uniform6) and 138 (built-in table) pieces.
+    @pytest.mark.parametrize("dist, pieces", [
+        (UNIFORM6, 84),
+        (builtin_suite()["tabulated"], 95),
+    ], ids=["uniform6", "builtin_table"])
+    def test_pieces_pinned(self, dist, pieces):
+        assert compute_pq(dist).panels == pieces
+
     @TABLES
     def test_reported_bound_covers_the_sum(self, dist):
         pq = compute_pq(dist)
@@ -116,9 +126,9 @@ class TestExactPiecewiseLinear:
 
     @TABLES
     def test_doubling_the_orders_moves_nothing(self, dist, monkeypatch):
+        # 2 nodes per piece are exact on the inner and the outer integrals
         base = compute_pq(dist)
-        monkeypatch.setattr(relranks, "_INNER_ORDER", 2 * relranks._INNER_ORDER)
-        monkeypatch.setattr(relranks, "_OUTER_ORDER", 2 * relranks._OUTER_ORDER)
+        monkeypatch.setattr(numerics, "_PIECE_RULE", np.polynomial.legendre.leggauss(4))
         high = compute_pq(dist)
         assert abs(high.p - base.p) <= 4 * np.spacing(base.p)
 
