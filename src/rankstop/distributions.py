@@ -108,10 +108,11 @@ class Laplace(SymmetricDistribution):
         self.support = (-math.inf, math.inf)
 
     def cdf(self, x):
+        # One exp for both tails: exp(-|x|/b) is exp(x/b) bit for bit below 0
+        # and exp(-x/b) above, and never overflows.
         x = _as_float_array(x)
-        z = x / self.b
-        with np.errstate(over="ignore"):
-            return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        e = 0.5 * np.exp(np.abs(x) / -self.b)
+        return np.where(x < 0, e, 1.0 - e)
 
     def ppf(self, u):
         # One log for both tails, t = log(2 min(u, 1 - u)) <= 0: the min is u
@@ -152,9 +153,16 @@ class PowerFold(SymmetricDistribution):
         self.support = (-1.0, 1.0)
 
     def cdf(self, x):
+        # 1/2 + G(|x|)/2 carrying the sign of x, in place (see Laplace.ppf):
+        # 1/2 +- g/2 is (1 +- g)/2 bit for bit, and -0 gives 1/2.
         x = _as_float_array(x)
-        g = np.clip(np.abs(x), 0.0, 1.0) ** self.delta
-        return np.where(x >= 0, 0.5 * (1.0 + g), 0.5 * (1.0 - g))
+        g = np.abs(x, out=np.empty_like(x))
+        np.minimum(g, 1.0, out=g)
+        g **= self.delta
+        g *= 0.5
+        np.copysign(g, x, out=g)
+        g += 0.5
+        return g[()]
 
     def ppf(self, u):
         # |2u - 1| ** (1/delta) carrying the sign of 2u - 1, in place (see

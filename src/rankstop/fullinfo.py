@@ -34,6 +34,7 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
+    EPS_U,
     BracketError,
     QuadratureConfig,
     RootConfig,
@@ -263,7 +264,10 @@ def solve_full_info(dist: SymmetricDistribution,
     V splits exactly at 0 and at the threshold: the first-step integral of
     the continuation curve over the negative half, the flat stop payoff 2
     on (0, x1*], and the continuation curve again beyond x1*; the two
-    curve integrals are one batch.  ``diagnostics["panels"]`` counts the
+    curve integrals are one batch.  On an unbounded support the clipped
+    ends of V's u-range, ``EPS_U`` and 1 - ``EPS_U``, are break points of
+    that batch, where the engine flattens the curve's power-law approach
+    to its limits.  ``diagnostics["panels"]`` counts the
     quadrature panels (pieces, on the exact path) evaluated for V, and
     ``diagnostics["threshold_panels"]`` those of the threshold's scan and
     root search, which also gives ``diagnostics["threshold_residual"]``,
@@ -294,13 +298,16 @@ def solve_full_info(dist: SymmetricDistribution,
     # first step apart, so that kinks of the inner integrand meet.
     knots = dist.cdf_break_points()
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    cuts = None
-    if len(knots):
-        cuts = dist.cdf(np.unique(kinks))
-        cuts = np.broadcast_to(cuts, (2, len(cuts)))  # one row per half of V
+    cuts = dist.cdf(np.unique(kinks))
+    bounded = math.isfinite(dist.support[1])
+    if not bounded:
+        # At the clipped ends F(Q(u)/2) behaves like a power of u (sqrt(u)
+        # on Laplace), which the substitution at a break point flattens.
+        cuts = np.concatenate([cuts, [EPS_U, 1.0 - EPS_U]])
+    cuts = np.broadcast_to(cuts, (2, len(cuts))) if len(cuts) else None  # one row per half of V
     exact = isinstance(dist, TabulatedCdf)
     integrate = integrate_pieces if exact else partial(integrate_batch, cfg=inner_cfg.outer())
-    lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], math.isfinite(dist.support[1]))
+    lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], bounded)
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate(curve_of_u, lo, hi,
                                                                      break_points=cuts)
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)

@@ -10,7 +10,10 @@ through the integrand together, in blocks of ``_BLOCK_PANELS`` panels, so
 no integrand call sees more than a fixed number of nodes however many
 problems there are.  This is the design of SciPy's ``quad_vec`` extended
 across problems.  ``integrate_detailed`` is the one-problem case of the
-same engine.
+same engine.  A problem of width w starts from ceil(8 w) equal panels, at
+least 1 and at most ``_INITIAL_PANELS`` = 8, before its break points split
+them: a narrow inner problem gets the node density of the unit interval,
+not 8 panels of its own.
 
 Panel ends that are problem ends or break points are marked: that is
 where the integrands of this package are singular, as where the quantile
@@ -77,8 +80,10 @@ EPS_U = 1e-13
 # barely lower the per-panel cost, and an integrand that opens inner
 # integrals for each of its nodes holds state for all of them at once.
 _BLOCK_PANELS = 256
-# Equal panels every adaptive problem starts with, before its break points
-# split them further, so that narrow features near the ends meet a node.
+# Equal panels per unit of width an adaptive problem starts with, and the
+# most it starts with, before its break points split them further: narrow
+# features near the ends of the unit u-interval meet a node, and a problem
+# on [0, 1e9] still starts with 8.
 _INITIAL_PANELS = 8
 # Nodes per integrand call of integrate_pieces, and padded break points
 # per block of its problems; together they bound the memory of one call.
@@ -269,18 +274,26 @@ def _cut_rows(break_points, m):
 
 
 def _initial_panels(a, b, n, break_points):
-    """(problem, a, b, mark) of the starting panels: n equal panels per
-    problem, split further at the break points inside it.  ``mark`` has
-    bit 1 set where a panel's left end is an end of its problem or a break
+    """(problem, a, b, mark) of the starting panels: min(n, max(1, ceil(n
+    (b - a)))) equal panels per problem, n on every problem at least 1
+    wide, split further at the break points inside it.  ``mark`` has bit 1
+    set where a panel's left end is an end of its problem or a break
     point, and bit 2 where its right end is; bits 4 and 8 where that end
     is a break point, one at a problem end included."""
     m = len(a)
-    points = np.linspace(a, b, n + 1, axis=1).ravel()
-    owner = np.repeat(np.arange(m, dtype=np.int32), n + 1)
+    width = n * (b - a)
+    k = np.where(width < n, np.maximum(np.ceil(width), 1.0), n).astype(np.int64)
+    owner = np.repeat(np.arange(m, dtype=np.int32), k + 1)
+    first = np.cumsum(k + 1) - (k + 1)
+    j = np.arange(len(owner)) - first[owner]
+    # a + j (b - a) / k, as np.linspace computes it, and b exactly at the end
+    points = j * ((b - a) / k)[owner] + a[owner]
+    last = first + k
+    points[last] = b
     # Per point, the bits of the mark of a panel whose left end it is.
-    edge = np.zeros((m, n + 1), dtype=np.int8)
-    edge[:, [0, n]] = 1
-    edge = edge.ravel()
+    edge = np.zeros(len(owner), dtype=np.int8)
+    edge[first] = 1
+    edge[last] = 1
     if break_points is not None:
         cuts = _cut_rows(break_points, m)
         on = np.flatnonzero((cuts >= a[:, None]) & (cuts <= b[:, None]))
@@ -307,10 +320,11 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     array of known kink locations, one row per problem, padded with NaN;
     points in [a[i], b[i]] are used and points outside it are ignored.  A
     break point inside (a[i], b[i]) becomes a panel edge, and one equal to
-    a[i] or b[i] flattens that end of the problem.  Every problem starts out
-    split into ``_INITIAL_PANELS`` equal panels plus its break points, and
-    keeps its own convergence test ``abs_tol + rel_tol * |value|`` and its
-    own budget of ``max_subdivisions`` splits.  A panel is bisected, except
+    a[i] or b[i] flattens that end of the problem.  A problem of width w
+    starts out split into ceil(``_INITIAL_PANELS`` w) equal panels, at least
+    1 and at most ``_INITIAL_PANELS``, plus its break points, and keeps its
+    own convergence test ``abs_tol + rel_tol * |value|`` and its own budget
+    of ``max_subdivisions`` splits.  A panel is bisected, except
     one that holds more than half of its problem's error and touches
     exactly one of the problem's ends and break points: that one is cut at
     ``_GRADE`` of its width from the point it touches, and only the child
@@ -409,12 +423,13 @@ def integrate_detailed(f, a, b, cfg: QuadratureConfig | None = None, break_point
     Returns (value, error_bound, panels), where ``panels`` counts the
     15-node panels evaluated.  Raises QuadratureError when the
     subdivision budget runs out before ``error_bound`` falls below
-    ``abs_tol + rel_tol * |value|``.  The interval starts out split into
-    ``_INITIAL_PANELS`` equal panels so that narrow features near the
-    endpoints are seen by at least one Kronrod node; known kink locations
-    of the integrand can be supplied as ``break_points`` and become panel
-    edges, which makes piecewise-polynomial integrands exact immediately,
-    and panels that end at them flatten a singularity there.
+    ``abs_tol + rel_tol * |value|``.  An interval of width w starts out
+    split into ceil(``_INITIAL_PANELS`` w) equal panels, at least 1 and at
+    most ``_INITIAL_PANELS``, so that narrow features near the endpoints of
+    a unit interval are seen by at least one Kronrod node; known kink
+    locations of the integrand can be supplied as ``break_points`` and
+    become panel edges, which makes piecewise-polynomial integrands exact
+    immediately, and panels that end at them flatten a singularity there.
     """
     if break_points is not None:
         break_points = np.asarray(break_points, dtype=float).reshape(1, -1)

@@ -126,6 +126,42 @@ class TestQuantile:
                                       reference.view(np.int64))
         assert PowerFold(delta).quantile(0.75) == 0.5 ** (1.0 / delta)  # 0-d input
 
+    # 2^16 seeded points on (-4, 4) and the edges, signed zeros included
+    _CDF_X = np.concatenate([np.random.default_rng(2025).uniform(-4.0, 4.0, 1 << 16), [
+        0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e-300, -1e-300, 800.0, -800.0]])
+
+    @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
+    def test_laplace_cdf_matches_two_exp_formula_bitwise(self, b):
+        def two_exps(x):
+            z = np.asarray(x, dtype=float) / b
+            with np.errstate(over="ignore"):
+                return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+
+        x = self._CDF_X
+        with np.errstate(over="raise"):  # one exp of -|x|/b never overflows
+            got = Laplace(b).cdf(x)
+        np.testing.assert_array_equal(got.view(np.int64), two_exps(x).view(np.int64))
+        for v in (-1.5, -0.0, 0.0, 2.0):  # 0-d input
+            assert np.float64(Laplace(b).cdf(v)).view(np.int64) == two_exps(v).view(np.int64)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0, 4.0])
+    def test_powerfold_cdf_matches_where_formula_bitwise(self, delta):
+        def where(x):
+            x = np.asarray(x, dtype=float)
+            g = np.clip(np.abs(x), 0.0, 1.0) ** delta
+            return np.where(x >= 0, 0.5 * (1.0 + g), 0.5 * (1.0 - g))
+
+        x = self._CDF_X
+        np.testing.assert_array_equal(PowerFold(delta).cdf(x).view(np.int64),
+                                      where(x).view(np.int64))
+        # A 0-d input takes the array's power bit for bit.  The formula on a
+        # 0-d input does not: there numpy's scalar ** differs from the array
+        # loop by an ulp at some points, 0.75 ** 0.1 among them.
+        for v in (-0.5, -0.0, 0.0, 0.75):
+            got = PowerFold(delta).cdf(v)
+            assert np.ndim(got) == 0
+            assert np.float64(got).view(np.int64) == where([v]).view(np.int64)[0]
+
 
 class TestSampling:
     def test_uniform_ks_statistic(self):

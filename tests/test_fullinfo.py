@@ -194,11 +194,15 @@ class TestValue:
     # the root search, V and the threshold search took 5532 and 1660 panels
     # (laplace), 4072 and 1850 (powerfold 0.5), 4130 and 1689 (2), 12216 and
     # 1489 (4), where V's count includes a separate solve of the curve at x1*.
+    # Before every problem started with 8 equal panels whatever its width,
+    # and V's clipped ends on Laplace were not break points, V and the
+    # threshold search took 5516 and 320 panels (laplace), 4056 and 304
+    # (powerfold 0.5), 4114 and 320 (2), 12184 and 640 (4).
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
-        (LAPLACE, 5516, 320, 5518, 1660, 8062),
-        (PowerFold(0.5), 4056, 304, 8898, 3010, 13016),
-        (PowerFold(2), 4114, 320, 11630, 2107, 21302),
-        (PowerFold(4), 12184, 640, 15292, 1693, 28478),
+        (LAPLACE, 1562, 88, 5518, 1660, 8062),
+        (PowerFold(0.5), 567, 142, 8898, 3010, 13016),
+        (PowerFold(2), 631, 51, 11630, 2107, 21302),
+        (PowerFold(4), 6558, 509, 15292, 1693, 28478),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
     def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
                            bisected):
@@ -225,8 +229,10 @@ class TestValue:
                   for tol in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]
         assert panels == sorted(panels, reverse=True)
 
-    @pytest.mark.parametrize("dist", [LAPLACE, PowerFold(0.5), PowerFold(2), PowerFold(4)],
-                             ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
+    @pytest.mark.parametrize("dist", [LAPLACE, PowerFold(0.5), PowerFold(2), PowerFold(4),
+                                      PowerFold(0.1), PowerFold(1.5), PowerFold(8)],
+                             ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4",
+                                  "powerfold0.1", "powerfold1.5", "powerfold8"])
     def test_bound_covers_a_finer_solve(self, dist):
         # No closed form exists for these laws: the reported bounds of a
         # default and a 1e-14 solve must together cover their difference.
@@ -234,6 +240,16 @@ class TestValue:
         fine = solve_full_info(dist, QuadratureConfig(1e-14, 1e-14))
         assert abs(default.value - fine.value) <= (default.diagnostics["quadrature_error_bound"]
                                                    + fine.diagnostics["quadrature_error_bound"])
+
+    @pytest.mark.parametrize("b", [0.3, 5.0])
+    def test_laplace_value_does_not_depend_on_the_scale(self, solutions, b):
+        # V is scale-free, and the clipped ends of its u-range are break
+        # points whatever the scale
+        one = solutions["laplace"]
+        scaled = solve_full_info(Laplace(b))
+        assert abs(scaled.value - one.value) <= (one.diagnostics["quadrature_error_bound"]
+                                                 + scaled.diagnostics["quadrature_error_bound"])
+        assert scaled.x1_star / b == pytest.approx(one.x1_star, rel=1e-12)
 
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))

@@ -132,6 +132,15 @@ class TestIntegrateBatch:
                                        break_points=[self.S[i]])[0]
             assert abs(vals[i] - exact) <= 1e-10 + 1e-10 * abs(exact)
 
+    def test_starting_panels_follow_the_width(self):
+        # ceil(8 w) equal panels, at least 1 and at most 8: a linear
+        # integrand converges on its starting mesh, so panels count that mesh
+        a = np.array([0.0, 0.0, 0.25, 0.5, 0.0])
+        b = a + np.array([3.0, 1.0, 0.5, 0.05, 1e9])
+        vals, _, panels = integrate_batch(lambda u, i: u, a, b)
+        assert list(panels) == [8, 8, 4, 1, 8]
+        assert vals == pytest.approx(0.5 * (b * b - a * a), rel=1e-14)
+
     def test_no_problems(self):
         calls = []
         for cuts in (None, np.zeros((0, 3))):

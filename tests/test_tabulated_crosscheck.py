@@ -91,6 +91,13 @@ def test_exact_path_agrees_with_quadrature(table):
     assert abs(Fraction(pq.p) + Fraction(pq.q) - PQ_SUM) <= Fraction(pq.error_bound)
 
 
+def powerfold_p(delta):
+    """1/48 - delta B(delta, delta)/96, the p of PowerFold(delta), with
+    B(delta, delta) = Gamma(delta)^2 / Gamma(2 delta) from lgamma."""
+    beta = math.exp(2.0 * math.lgamma(delta) - math.lgamma(2.0 * delta))
+    return Fraction(1, 48) - Fraction(delta * beta / 96.0)
+
+
 class TestClosedFormAnchors:
     """The paper's closed forms through adaptive quadrature, at the tolerances
     of the acceptance tests, each within the bound the solver reports."""
@@ -120,13 +127,19 @@ class TestClosedFormAnchors:
     # PowerFold(delta) has p = 1/48 - delta B(delta, delta)/96: the sum of two
     # folded steps has density delta^2 B(delta, delta) s^(2 delta - 1) on
     # [0, 1], and q = (1/16) E[1 - (|X1| + |X2|)^delta; |X1| + |X2| < 1].
+    # For other delta, powerfold_p takes B(delta, delta) from lgamma.
     @pytest.mark.parametrize("dist, p_exact", [
         (Laplace(1), Fraction(1, 192)),
         (PowerFold(2), Fraction(5, 288)),  # derived in perfbench/references.py
         (PowerFold(0.5), Fraction((4.0 - math.pi) / 192.0)),
         (PowerFold(3), Fraction(19, 960)),
         (PowerFold(4), Fraction(23, 1120)),
-    ], ids=["laplace", "powerfold2", "powerfold0.5", "powerfold3", "powerfold4"])
+        (PowerFold(0.1), powerfold_p(0.1)),
+        (PowerFold(1.5), powerfold_p(1.5)),
+        (PowerFold(2.5), powerfold_p(2.5)),
+        (PowerFold(8), powerfold_p(8.0)),
+    ], ids=["laplace", "powerfold2", "powerfold0.5", "powerfold3", "powerfold4",
+            "powerfold0.1", "powerfold1.5", "powerfold2.5", "powerfold8"])
     def test_adaptive_p_within_bound(self, dist, p_exact):
         pq = compute_pq(dist)
         assert pq.method == "quadrature"
