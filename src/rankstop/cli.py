@@ -491,6 +491,8 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
                 q = Fraction(q_text) if q_text else Fraction(1, 48) - p
             except (ValueError, ZeroDivisionError) as exc:
                 raise click.UsageError(f"bad fraction: {exc}") from exc
+            if p < 0 or q < 0 or p + q != Fraction(1, 48):
+                raise click.UsageError(f"need p >= 0, q >= 0 and p + q = 1/48, got p = {p}, q = {q}")
         else:
             raise click.UsageError("three-step enumeration needs --p or --dist")
 

@@ -304,8 +304,9 @@ def _initial_panels(a, b, n, break_points):
         points, owner, edge = points[order], owner[order], edge[order]
     # A point repeated within a problem carries the bits of every copy.
     repeat = (owner[1:] == owner[:-1]) & (points[1:] == points[:-1])
-    first = np.r_[True, ~repeat][:len(points)]
-    edge = np.bitwise_or.reduceat(edge, np.flatnonzero(first))[np.cumsum(first) - 1]
+    if repeat.any():
+        first = np.concatenate(([True], ~repeat))
+        edge = np.bitwise_or.reduceat(edge, np.flatnonzero(first))[np.cumsum(first) - 1]
     keep = (owner[1:] == owner[:-1]) & (points[:-1] < points[1:])  # drops repeats and empty problems
     mark = (edge[:-1] | (edge[1:] << 1))[keep]
     return owner[:-1][keep], points[:-1][keep], points[1:][keep], mark

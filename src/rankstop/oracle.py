@@ -6,7 +6,9 @@ with them:
 * Exhaustive enumeration of every rank-adapted stopping rule (512 rules
   for three steps, 8 for two), with expected ranks kept exact as rationals
   in the ordering-table parameters: integer sums over the common
-  denominator of the ordering probabilities, one Fraction per rule.
+  denominator of the ordering probabilities, one Fraction per rule.  The
+  rules are the rows of one bit table, read through the oracle's own slot
+  map.
 
 * A dynamic program on the walk with steps discretized into equiprobable
   quantile atoms, which approximates the full-information value and the
@@ -65,6 +67,29 @@ def _ranks_of_chain(chain: tuple[int, ...]):
     return overall, relative
 
 
+# (overall, relative) ranks of every chain, per horizon, in ordering order.
+_CHAIN_RANKS = {
+    2: [_ranks_of_chain(chain) for chain, _ in _TWO_STEP_ORDERINGS],
+    3: [_ranks_of_chain(chain) for chain in ALL_ORDERINGS],
+}
+
+
+def _stop_times(rules, n):
+    """(rules, chains) array: the first stop index of each row of a 0/1 rule
+    table on each chain's relative-rank history, with a forced stop at n.
+
+    Row r stops at 0 if its slot 0 is set, else at 1 if the slot of the
+    first relative rank is set, else (n = 3) at 2 if the slot of the
+    history's second step is set, else at n.
+    """
+    rules = np.asarray(rules, dtype=bool)
+    taus = np.empty((rules.shape[0], len(_CHAIN_RANKS[n])), dtype=np.intp)
+    for c, (_, rel) in enumerate(_CHAIN_RANKS[n]):
+        later = 2 if n == 2 else np.where(rules[:, _SECOND_STEP_SLOT[rel[1:3]]], 2, 3)
+        taus[:, c] = np.where(rules[:, 0], 0, np.where(rules[:, rel[1]], 1, later))
+    return taus
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     optimal_value: Fraction
@@ -81,27 +106,8 @@ class EnumerationResult:
         Policies are compared by the stopping times they realize on every
         ordering, so unreachable decision bits do not matter.
         """
-        target = self._behavior(tuple(int(b) for b in bits))
-        return any(self._behavior(m) == target for m in self.minimizers)
-
-    def _behavior(self, bits):
-        orderings = ALL_ORDERINGS if self.n == 3 else [c for c, _ in _TWO_STEP_ORDERINGS]
-        taus = []
-        for chain in orderings:
-            _, rel = _ranks_of_chain(chain)
-            taus.append(_stop_time(bits, rel, self.n))
-        return tuple(taus)
-
-
-def _stop_time(bits, rel_ranks, n):
-    """First stop index of a bit table on a relative-rank history (forced stop at n)."""
-    if bits[0]:
-        return 0
-    if bits[rel_ranks[1]]:
-        return 1
-    if n == 2 or bits[_SECOND_STEP_SLOT[rel_ranks[1:3]]]:
-        return 2
-    return 3
+        target, *optima = _stop_times([tuple(int(b) for b in bits), *self.minimizers], self.n)
+        return any((target == row).all() for row in optima)
 
 
 def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
@@ -111,6 +117,12 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
     ordering table, so with Fraction inputs the minimum and the set of
     minimizers are exact.  For n = 2 the ordering probabilities are
     distribution-free and no parameters are needed.
+
+    The 2^n_bits rules are the rows of one 0/1 table, in the order of
+    itertools.product.  Each chain's stop time under every rule is one
+    array step; its weight times its overall rank at that time is summed
+    per rule in Python ints (an object array), since the common
+    denominator can pass 2^63.
     """
     if n == 2:
         orderings = _TWO_STEP_ORDERINGS
@@ -134,21 +146,22 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
     # Integer numerators over one common denominator: a rule's value is a
     # single Fraction, equal (Fractions are canonical) to the sum of terms.
     denom = math.lcm(*(prob.denominator for _, prob in orderings))
-    prepared = []
-    for chain, prob in orderings:
-        overall, relative = _ranks_of_chain(chain)
-        prepared.append((prob.numerator * (denom // prob.denominator), overall, relative))
-
-    values = {}
-    for bits in product((0, 1), repeat=n_bits):
-        total = 0
-        for weight, overall, relative in prepared:
-            total += weight * overall[_stop_time(bits, relative, n)]
-        values[bits] = Fraction(total, denom)
-    best = min(values.values())
-    minimizers = tuple(sorted(bits for bits, v in values.items() if v == best))
+    # weighted[c, t]: chain c's weight times its overall rank at time t
+    weighted = np.array([[prob.numerator * (denom // prob.denominator) * rank for rank in overall]
+                         for (_, prob), (overall, _) in zip(orderings, _CHAIN_RANKS[n])],
+                        dtype=object)
+    # row r is the bits of r, most significant first: the order of product((0, 1), ...)
+    table = (np.arange(1 << n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
+    taus = _stop_times(table, n)
+    totals = weighted[np.arange(len(weighted)), taus].sum(axis=1).tolist()
+    fractions = {total: Fraction(total, denom) for total in set(totals)}
+    rules = list(product((0, 1), repeat=n_bits))
+    values = {bits: fractions[total] for bits, total in zip(rules, totals)}
+    best = min(totals)
+    # product order is sorted order, so the minimizers come out sorted
+    minimizers = tuple(bits for bits, total in zip(rules, totals) if total == best)
     return EnumerationResult(
-        optimal_value=best,
+        optimal_value=fractions[best],
         minimizers=minimizers,
         policy_count=len(values),
         values=values,

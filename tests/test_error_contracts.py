@@ -177,6 +177,17 @@ class TestCliErrors:
         res = CliRunner().invoke(main, ["enumerate", "--p", "one over six"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["--p", "1/10"], ["--p", "1/96", "--q", "1/50"]],
+                             ids=["p_above_1_48", "sum_not_1_48"])
+    def test_enumerate_rejects_pq_before_work(self, args, monkeypatch):
+        def no_work(*_, **__):
+            raise AssertionError("enumeration ran on invalid (p, q)")
+
+        monkeypatch.setattr("rankstop.cli.enumerate_rank_policies", no_work)
+        res = CliRunner().invoke(main, ["enumerate", *args])
+        assert res.exit_code == 2
+        assert "p + q = 1/48" in res.output
+
     def test_policy_horizon_conflict(self):
         res = CliRunner().invoke(main, ["simulate", "--dist", '{"kind": "uniform", "a": 1}',
                                         "--policy", "thm4a", "--horizon", "2",

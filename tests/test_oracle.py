@@ -11,8 +11,10 @@ from rankstop.fullinfo import full_info_policy, solve_full_info
 from rankstop.oracle import (
     RankPolicyTable,
     _TWO_STEP_ORDERINGS,
+    _CHAIN_RANKS,
+    _SECOND_STEP_SLOT,
     _ranks_of_chain,
-    _stop_time,
+    _stop_times,
     canonical_rules,
     enumerate_rank_policies,
     grid_dp_full_info,
@@ -22,6 +24,43 @@ from rankstop.relranks import ALL_ORDERINGS, PQ_SUM, optimal_rank_value, permuta
 from rankstop.simulate import SimConfig, estimate_expected_rank
 
 UNIFORM_V = 11 / 4 - math.sqrt(2) / 3
+
+
+def reference_stop_time(bits, rel_ranks, n):
+    """First stop index of a bit table on a relative-rank history (forced
+    stop at n), one rule and one history at a time."""
+    if bits[0]:
+        return 0
+    if bits[rel_ranks[1]]:
+        return 1
+    if n == 2 or bits[_SECOND_STEP_SLOT[rel_ranks[1:3]]]:
+        return 2
+    return 3
+
+
+def reference_enumeration(orderings, n):
+    """The rule-by-rule enumeration: (values, minimizers, optimum), one
+    integer numerator per rule over the orderings' common denominator."""
+    denom = math.lcm(*(prob.denominator for _, prob in orderings))
+    prepared = []
+    for chain, prob in orderings:
+        overall, relative = _ranks_of_chain(chain)
+        prepared.append((prob.numerator * (denom // prob.denominator), overall, relative))
+    values = {}
+    for bits in product((0, 1), repeat=3 if n == 2 else 9):
+        total = 0
+        for weight, overall, relative in prepared:
+            total += weight * overall[reference_stop_time(bits, relative, n)]
+        values[bits] = Fraction(total, denom)
+    best = min(values.values())
+    return values, tuple(sorted(b for b, v in values.items() if v == best)), best
+
+
+def reference_is_minimizer(orderings, n, minimizers, bits):
+    def behavior(rule):
+        return tuple(reference_stop_time(rule, _ranks_of_chain(chain)[1], n) for chain, _ in orderings)
+
+    return any(behavior(m) == behavior(bits) for m in minimizers)
 
 
 class TestTwoStepEnumeration:
@@ -111,7 +150,7 @@ class TestExactSums:
             total = Fraction(0)
             for chain, prob in orderings:
                 overall, relative = _ranks_of_chain(chain)
-                total += prob * overall[_stop_time(bits, relative, n)]
+                total += prob * overall[reference_stop_time(bits, relative, n)]
             values[bits] = total
         return values
 
@@ -130,6 +169,37 @@ class TestExactSums:
         assert result.values == self.fraction_sums(_TWO_STEP_ORDERINGS, 2)
 
 
+class TestArrayEnumeration:
+    """The one-table enumeration against the rule-by-rule reference."""
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 192), Fraction(1, 96), Fraction(5, 288),
+                                   Fraction(1, 60), Fraction(1, 48), Fraction(123456789, 10**12)],
+                             ids=str)
+    def test_three_step(self, p):
+        result = enumerate_rank_policies(p, n=3)
+        orderings = list(zip(ALL_ORDERINGS, permutation_table(result.p, result.q).probabilities()))
+        self.assert_matches(result, orderings, 3)
+
+    def test_two_step(self):
+        self.assert_matches(enumerate_rank_policies(n=2), _TWO_STEP_ORDERINGS, 2)
+
+    def test_denominator_past_int64(self):
+        p = Fraction(1, 97 * 10**18)
+        orderings = list(zip(ALL_ORDERINGS, permutation_table(p, PQ_SUM - p).probabilities()))
+        assert math.lcm(*(prob.denominator for _, prob in orderings)) > 2**63
+        self.assert_matches(enumerate_rank_policies(p, n=3), orderings, 3)
+
+    @staticmethod
+    def assert_matches(result, orderings, n):
+        values, minimizers, best = reference_enumeration(orderings, n)
+        assert result.values == values
+        assert list(result.values) == list(values)
+        assert result.minimizers == minimizers
+        assert result.optimal_value == best
+        for bits in canonical_rules(n).values():
+            assert result.is_minimizer(bits) == reference_is_minimizer(orderings, n, minimizers, bits)
+
+
 class TestRankPolicyTable:
     def test_policy_agrees_with_stopping_time(self):
         # walkcore's reader against the oracle's own reading of the bits,
@@ -137,9 +207,11 @@ class TestRankPolicyTable:
         for n in (2, 3):
             for bits in product((0, 1), repeat=3 if n == 2 else 9):
                 policy = RankPolicyTable(bits).to_policy()
+                # the stop time depends only on the history before the forced stop
+                taus = dict(zip((rel[1:n] for _, rel in _CHAIN_RANKS[n]), _stop_times([bits], n)[0]))
                 for tail in product(*(range(1, j + 2) for j in range(1, n))):
                     history = (1, *tail, 1)[: n + 1]
-                    tau = _stop_time(bits, history, n)
+                    tau = taus[tail]
                     replay = next(k for k in range(n + 1) if policy.decide(k, history[: k + 1]))
                     assert tau == replay
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -234,6 +235,23 @@ def whole_chunk_reference(dist, policy, horizon, n, rng):
             tuple(int(c) for c in hist))
 
 
+def reference_segment_codes(steps):
+    """The sign-code kernel as a plain loop: a fresh comparison per bit."""
+    n, horizon = steps.shape
+    codes = np.zeros(n, dtype=np.uint8)
+    tied = np.zeros(n, dtype=bool)
+    bit = 0
+    for j in range(horizon):
+        seg = steps[:, j].copy()
+        for k in range(j + 1, horizon + 1):
+            if k > j + 1:
+                seg += steps[:, k - 1]
+            codes |= (seg < 0.0).astype(np.uint8) << np.uint8(bit)
+            tied |= seg == 0.0
+            bit += 1
+    return codes, tied
+
+
 def whole_round_frequencies(dist, n_paths, seed, chunk_size):
     """permutation_frequencies with each round of draws in one array."""
     ordering = _code_tables(3)[2]
@@ -327,6 +345,22 @@ class TestCodeTables:
     def test_zero_segment_sum_is_flagged(self):
         codes, tied = _segment_codes(np.array([[1.0, -1.0, 0.5], [1.0, 0.5, -2.0]]))
         assert tied.tolist() == [True, False]
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_codes_without_ties_match_the_reference(self, horizon):
+        steps = NineAtoms().ppf(np.random.default_rng(40 + horizon).random((5000, horizon)))
+        steps = np.vstack([steps, [[-0.0, 0.0, -0.0][:horizon], [0.25, -0.25, -0.0][:horizon]]])
+        sums = [functools.reduce(np.add, steps[:, j:k].T)
+                for j in range(horizon) for k in range(j + 1, horizon + 1)]
+        assert any(((s == 0.0) & np.signbit(s)).any() for s in sums)    # -0.0 sums
+        assert any(((s == 0.0) & ~np.signbit(s)).any() for s in sums)   # +0.0 sums
+        ref_codes, ref_tied = reference_segment_codes(steps)
+        codes, tied = _segment_codes(steps)
+        np.testing.assert_array_equal(codes, ref_codes)
+        np.testing.assert_array_equal(tied, ref_tied)
+        codes, tied = _segment_codes(steps, ties=False)
+        np.testing.assert_array_equal(codes, ref_codes)
+        assert tied is None
 
     def test_absorbed_step_keeps_its_sign(self):
         # 1e16 + 1 rounds back to 1e16, but the segment sum X_2 = 1 does not
