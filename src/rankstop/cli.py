@@ -329,15 +329,18 @@ def table2(as_csv, out):
 @click.option("--dist", "dist_spec", required=True)
 @click.option("--lo", type=float, required=True)
 @click.option("--hi", type=float, required=True)
-@click.option("--points", type=int, default=100, show_default=True)
+@click.option("--points", type=click.IntRange(2, 100_000), default=100, show_default=True)
 @click.option("--abs-tol", type=float, default=None, help="the curve's absolute tolerance")
 @click.option("--rel-tol", type=float, default=None, help="the curve's relative tolerance")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     """Sample the continuation-value curve, marking the threshold crossing."""
-    if not lo < hi or points < 2:
-        raise click.UsageError("need lo < hi and at least two points")
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
+        raise click.UsageError(f"need finite --lo and --hi a finite distance apart, "
+                               f"got {lo!r} and {hi!r}")
+    if not lo < hi:
+        raise click.UsageError("need lo < hi")
     dist, spec = _load_dist(dist_spec)
     cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG, outer=False)
 

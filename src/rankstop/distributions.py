@@ -1,9 +1,11 @@
 """Continuous step distributions symmetric about zero.
 
 Every distribution here satisfies F(-x) + F(x) = 1 by construction and
-exposes the four primitives the rest of the library is built on: the CDF
-``cdf``, the folded CDF ``folded_cdf`` (the law of |X|, equal to
-2*F(x) - 1 for x >= 0), the quantile function, and inverse-CDF sampling.
+exposes the three primitives the rest of the library is built on: the CDF
+``cdf``, the quantile function ``ppf``, and ``cdf_break_points``, the x
+values where F is not smooth, at which the solvers cut their integrals.
+``folded_cdf`` is the paper's G, the law of |X| (2*F(x) - 1 for x >= 0),
+and ``sample`` draws by inverse CDF.
 
 ``cdf`` and ``ppf`` are vectorized (ndarray in, ndarray out); ``quantile``
 is the scalar, domain-checked front end.  The median quantile is pinned to
@@ -75,11 +77,6 @@ class SymmetricDistribution:
         if np.any(x < 0):
             raise DistributionError("folded_cdf is defined for x >= 0 only")
         return 2.0 * self.cdf(x) - 1.0
-
-    def folded_ppf(self, u):
-        """Quantile of |X|: the inverse of the folded CDF."""
-        u = _as_float_array(u)
-        return self.ppf(0.5 * (1.0 + u))
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF draws from the given generator."""

@@ -12,7 +12,9 @@ All dF-integrals are evaluated in u-space through the substitution
 u = F(y), so unbounded supports never appear explicitly and the error
 control is uniform across distributions.  The curve is evaluated at whole
 arrays of first steps: the two dF-integrals of every point go to the
-integrator as one batch.
+integrator as one batch.  This module does all of the package's
+integration: ``relranks.compute_pq`` integrates q over the same
+dF-integrals, with V's outer-integral scheme.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -138,6 +139,29 @@ def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
         return integrate_pieces(f, lo, hi, cuts)
     vals, errs, panels = integrate_batch(f, lo, hi, cfg, break_points=cuts)
     return vals, errs + lost, panels  # the integrand F lies in [0, 1]
+
+
+def _u_integrals(dist, g, lo, hi, kinks, cfg):
+    """(values, bounds, panels, lost) of the outer integrals of ``g(u, problem)``
+    over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
+
+    Every problem is cut at F(kinks), where g changes analytic form.  On an
+    unbounded support the limits are clipped to [EPS_U, 1 - EPS_U], which are
+    break points as well: there g approaches its limit like a power of u
+    (sqrt(u) on Laplace), which the substitution at a break point flattens.
+    ``lost`` is the width each range loses to the clipping.  A
+    ``TabulatedCdf`` takes the fixed rule on the pieces, where ``cfg`` does
+    not apply and the bounds are rounding bounds.
+    """
+    cuts = dist.cdf(np.unique(kinks))
+    bounded = math.isfinite(dist.support[1])
+    if not bounded:
+        cuts = np.concatenate([cuts, [EPS_U, 1.0 - EPS_U]])
+    lo, hi, lost = u_limits(lo, hi, bounded)
+    cuts = np.broadcast_to(cuts, (len(lo), len(cuts))) if len(cuts) else None
+    if isinstance(dist, TabulatedCdf):
+        return (*integrate_pieces(g, lo, hi, cuts), lost)
+    return (*integrate_batch(g, lo, hi, cfg, break_points=cuts), lost)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -264,11 +288,8 @@ def solve_full_info(dist: SymmetricDistribution,
     V splits exactly at 0 and at the threshold: the first-step integral of
     the continuation curve over the negative half, the flat stop payoff 2
     on (0, x1*], and the continuation curve again beyond x1*; the two
-    curve integrals are one batch.  On an unbounded support the clipped
-    ends of V's u-range, ``EPS_U`` and 1 - ``EPS_U``, are break points of
-    that batch, where the engine flattens the curve's power-law approach
-    to its limits.  ``diagnostics["panels"]`` counts the
-    quadrature panels (pieces, on the exact path) evaluated for V, and
+    curve integrals are one batch (``_u_integrals``).  ``diagnostics["panels"]``
+    counts the quadrature panels (pieces, on the exact path) evaluated for V, and
     ``diagnostics["threshold_panels"]`` those of the threshold's scan and
     root search, which also gives ``diagnostics["threshold_residual"]``,
     the curve minus 2 at x1*.  ``diagnostics["quadrature_error_bound"]``
@@ -298,18 +319,8 @@ def solve_full_info(dist: SymmetricDistribution,
     # first step apart, so that kinks of the inner integrand meet.
     knots = dist.cdf_break_points()
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    cuts = dist.cdf(np.unique(kinks))
-    bounded = math.isfinite(dist.support[1])
-    if not bounded:
-        # At the clipped ends F(Q(u)/2) behaves like a power of u (sqrt(u)
-        # on Laplace), which the substitution at a break point flattens.
-        cuts = np.concatenate([cuts, [EPS_U, 1.0 - EPS_U]])
-    cuts = np.broadcast_to(cuts, (2, len(cuts))) if len(cuts) else None  # one row per half of V
-    exact = isinstance(dist, TabulatedCdf)
-    integrate = integrate_pieces if exact else partial(integrate_batch, cfg=inner_cfg.outer())
-    lo, hi, lost = u_limits([0.0, f_at], [0.5, 1.0], bounded)
-    (neg_val, pos_val), (neg_err, pos_err), outer_panels = integrate(curve_of_u, lo, hi,
-                                                                     break_points=cuts)
+    (neg_val, pos_val), (neg_err, pos_err), outer_panels, lost = _u_integrals(
+        dist, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, inner_cfg.outer())
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
     bound = neg_err + pos_err + curve_err * (1.5 - f_at) + 4.0 * lost.sum()
     return FullInfoSolution(
@@ -322,7 +333,7 @@ def solve_full_info(dist: SymmetricDistribution,
             "scan_upper": dist.quantile(1.0 - 1e-12),
             "panels": panels + int(outer_panels.sum()),
             "threshold_panels": threshold_panels,
-            "method": "exact_piecewise_linear" if exact else "quadrature",
+            "method": "exact_piecewise_linear" if isinstance(dist, TabulatedCdf) else "quadrature",
             "tolerances": tolerances(dist, inner_cfg),
         },
     )

@@ -7,28 +7,31 @@ p + q = 1/48, and q has a two-dimensional folded-CDF integral
 
     q = (1/16) * integral over (0,1)^2 of {1 - G(Ginv(u) + Ginv(v))} du dv,
 
-so p is computed as 1/48 - q.  For a ``TabulatedCdf`` the inner integrand
-is linear between its cuts and the inner integral quadratic in v between
-G(knots) and G(knot differences), so the 2-point Gauss-Legendre rule,
-exact up to degree 3, on those pieces gives q exactly up to rounding.  The
-probabilities of all 24 strict orderings of S_0..S_3 are affine in (p, q);
-the table drives both the optimal rank rule and the exact
-policy-enumeration oracle.
+so p is computed as 1/48 - q.  By the same symmetry the inner integral,
+J(y), is 4 times a dF-integral of the continuation curve,
+I(y) = integral over (F(y - upper), 1/2) of F(Q(s) - y) ds (put
+s = (1 - u)/2 and use F(-z) = 1 - F(z)), and with v = 2r - 1
+
+    q = (1/2) * integral over (1/2, 1) of I(Q(r)) dr.
+
+``compute_pq`` evaluates this form with ``fullinfo``'s integrals, which
+cut, clip and integrate for both solvers; this module keeps only the
+formula.  The probabilities of all 24 strict orderings of S_0..S_3 are
+affine in (p, q); the table drives both the optimal rank rule and the
+exact policy-enumeration oracle.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
+from .fullinfo import _df_integrals, _u_integrals
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
-from .numerics import (QuadratureConfig, integrate_batch, integrate_detailed, integrate_pieces,
-                       tolerance_record, u_limits)
+from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
 from .walkcore import RankPolicyTable, StoppingPolicy
 
 __all__ = [
@@ -57,9 +60,10 @@ __all__ = [
 #: p + q for every continuous symmetric step distribution.
 PQ_SUM = Fraction(1, 48)
 
-#: Default tolerance of compute_pq's inner integrals.  The outer integral
-#: runs at ``PQ_INNER_CFG.outer()``, two decades looser (1e-11), so that it
-#: stays above the inner integrals' noise floor and does not chase it.
+#: Default tolerance of q's inner integrals J, in the folded form.  The
+#: outer integral runs at ``PQ_INNER_CFG.outer()``, two decades looser
+#: (1e-11), so that it stays above the inner integrals' noise floor and
+#: does not chase it.
 PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 
 #: Slack on p + q = 1/48 and on p <= 1/96, here and in ``verify``.
@@ -101,71 +105,51 @@ class PQParams:
 
 def compute_pq(dist: SymmetricDistribution,
                cfg: QuadratureConfig | None = None) -> PQParams:
-    """Evaluate q by iterated folded-CDF quadrature and set p = 1/48 - q.
+    """Evaluate q as 1/2 times the integral of I(Q(r)) over (1/2, 1), and set
+    p = 1/48 - q.
 
-    Each batch of outer nodes v becomes one batch of inner integrals over
-    u.  When the support is bounded the inner integral is cut at the u
-    where the folded sum leaves the support (the integrand is identically
-    zero beyond), which keeps the quadrature from chasing a hard kink.
-    Where they start at u = 0, the inner integrals also take it as a
-    break point, so that the engine flattens a singularity of the folded
-    quantile there.  On an unbounded support both integrals are clipped to
-    [EPS_U, 1 - EPS_U], and the widths clipped off count in the error
-    bound.  A ``TabulatedCdf`` takes the exact path (method
-    "exact_piecewise_linear"), where ``cfg`` does not apply and the error
-    bound is a rounding bound.
-    Otherwise ``cfg`` is the tolerance of the inner integrals, and the
-    outer integral runs at ``cfg.outer()``.
+    Every node r of the outer integral opens one dF-integral I(Q(r)) (see
+    the module docstring).  Both levels go through ``fullinfo``, which cuts
+    them where they kink, clips them on an unbounded support (the widths
+    clipped off count in the error bound) and takes the exact path (method
+    "exact_piecewise_linear") for a ``TabulatedCdf``, where ``cfg`` does
+    not apply and the error bound is a rounding bound.  Otherwise ``cfg``
+    is the tolerance of the folded inner integral J and the outer integral
+    runs at ``cfg.outer()``, as on the folded form: since J = 4 I and the
+    integral of J over v is 8 times that of I over r, the absolute
+    tolerances act on I and its integral as a quarter and an eighth, and
+    the relative ones as they are.
     """
     inner_cfg = cfg or PQ_INNER_CFG
     outer_cfg = inner_cfg.outer()
     exact = isinstance(dist, TabulatedCdf)
     upper = dist.support[1]
-    bounded = math.isfinite(upper)
-    fold_knots = np.abs(dist.cdf_break_points())
-    fold_knots = np.unique(fold_knots[fold_knots > 0])
-    ends = np.concatenate([[0.0], fold_knots])
-    inner = integrate_pieces if exact else partial(integrate_batch, cfg=inner_cfg)
+    quarter = replace(inner_cfg, abs_tol=inner_cfg.abs_tol / 4.0)
     inner_err = 0.0
     panels = 0
 
-    def outer(vs):
+    def inner(rs, _):
         nonlocal inner_err, panels
-        y = dist.folded_ppf(vs)
-        u_hi = dist.folded_cdf(np.maximum(upper - y, 0.0)) if bounded else np.ones(len(y))
-        lo, hi, lost = u_limits(np.zeros(len(y)), u_hi, bounded)
-
-        def h(us, i):
-            arg = dist.folded_ppf(us) + y[i]
-            return 1.0 - dist.folded_cdf(np.minimum(arg, upper) if bounded else arg)
-
-        # Kinks: the folded sum crossing a knot, and the folded quantile's
-        # own.  On the adaptive path over a bounded support the integrals
-        # start at u = 0, where Ginv may be singular, so 0 is one too.
-        own = dist.folded_cdf(ends if bounded and not exact else fold_knots)
-        cuts = None
-        if len(own):
-            cuts = np.concatenate([dist.folded_cdf(np.maximum(fold_knots - y[:, None], 0.0)),
-                                   np.broadcast_to(own, (len(y), len(own)))], axis=1)
-        vals, errs, n = inner(h, lo, hi, break_points=cuts)
-        inner_err = max(inner_err, float((errs + lost).max(initial=0.0)))  # 0 <= 1 - G <= 1
+        x = dist.ppf(rs)
+        vals, errs, n = _df_integrals(dist, x, dist.cdf(x - upper), 0.5, quarter)
+        inner_err = max(inner_err, float(errs.max(initial=0.0)))
         panels += int(n.sum())
         return vals
 
-    # The inner integral kinks, as a function of y = Ginv(v), where y is
-    # the difference of two knots (0 included), so that kinks of the inner
-    # integrand meet; between those it is quadratic for a piecewise-linear G.
+    # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
+    # of two knots (0 included) at or below 0; between those it is quadratic
+    # in r for a piecewise-linear F.
+    ends = np.unique(np.abs(np.append(dist.cdf_break_points(), 0.0)))
     gaps = np.subtract.outer(ends, ends).ravel()
-    outer_cuts = dist.folded_cdf(np.unique(gaps[gaps >= 0.0]))
-    integrate = integrate_pieces if exact else partial(integrate_batch, cfg=outer_cfg)
-    lo, hi, lost = u_limits([0.0], [1.0], bounded)
-    total, outer_err, outer_panels = integrate(lambda v, _: outer(v), lo, hi,
-                                               break_points=outer_cuts[None, :])
-    q = float(total[0]) / 16.0
+    total, outer_err, outer_panels, lost = _u_integrals(
+        dist, inner, [0.5], [1.0], gaps[gaps >= 0.0],
+        replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
+    q = 0.5 * float(total[0])
     # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.
     slack = np.finfo(float).eps * float(PQ_SUM) if exact else 1e-14
-    # The inner integral lies in [0, 1], so the clipped width bounds what it loses.
-    err = (float(outer_err[0] + lost[0]) + inner_err) / 16.0 + slack
+    # I lies in [0, 1/2] over an r-range 1/2 wide: the clipped width and the
+    # inner bounds count half.
+    err = 0.5 * (float(outer_err[0]) + 0.5 * float(lost[0]) + 0.5 * inner_err) + slack
     p = float(PQ_SUM) - q
     method = "exact_piecewise_linear" if exact else "quadrature"
     tolerances = {} if exact else tolerance_record(inner=inner_cfg, outer=outer_cfg)

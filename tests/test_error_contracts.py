@@ -193,3 +193,38 @@ class TestCliErrors:
                                         "--policy", "thm4a", "--horizon", "2",
                                         "--paths", "10"])
         assert res.exit_code == 2
+
+
+class TestCurveErrors:
+    UNIFORM = '{"kind": "uniform", "a": 1}'
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("curve ran on invalid arguments")
+
+        monkeypatch.setattr("rankstop.cli.solve_threshold", refuse)
+
+    @pytest.mark.parametrize("lo, hi", [("-inf", "1"), ("0", "inf"), ("nan", "1"), ("0", "nan"),
+                                        ("-1e308", "1e308")],
+                             ids=["lo_-inf", "hi_inf", "lo_nan", "hi_nan", "width_overflows"])
+    def test_rejects_non_finite_range_before_work(self, no_work, lo, hi):
+        res = CliRunner().invoke(main, ["curve", "--dist", self.UNIFORM, "--lo", lo, "--hi", hi])
+        assert res.exit_code == 2
+        assert "finite" in res.output
+
+    @pytest.mark.parametrize("points", ["1", "0", "100001"])
+    def test_rejects_points_outside_range_before_work(self, no_work, points):
+        res = CliRunner().invoke(main, ["curve", "--dist", self.UNIFORM, "--lo", "0.1", "--hi", "1",
+                                        "--points", points])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("points", [2, 100_000])
+    def test_accepts_points_at_both_ends(self, monkeypatch, points):
+        # the curve itself is replaced: only the argument check is under test
+        monkeypatch.setattr("rankstop.cli.continuation_curve",
+                            lambda dist, xs, cfg: np.zeros(len(xs)))
+        res = CliRunner().invoke(main, ["curve", "--dist", self.UNIFORM, "--lo", "0.1", "--hi", "1",
+                                        "--points", str(points), "--csv"])
+        assert res.exit_code == 0, res.output
+        assert len(res.output.splitlines()) == 1 + points + 1  # header, points, threshold

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankstop import numerics
+from rankstop import fullinfo, numerics
 from rankstop.distributions import (IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform,
                                    builtin_suite)
-from rankstop.numerics import QuadratureConfig
+from rankstop.numerics import QuadratureConfig, integrate_batch
 from rankstop.oracle import enumerate_rank_policies
 from rankstop.relranks import (
     ALL_ORDERINGS,
@@ -57,12 +57,15 @@ class TestComputePQ:
     # panels at break points were integrated through a smoothing
     # substitution, it took those in the ``graded`` column.  Before every
     # problem started with 8 equal panels whatever its width, it took 968
-    # (laplace), 1106 (powerfold 0.5), 968 (2) and 11604 (4).
+    # (laplace), 1106 (powerfold 0.5), 968 (2) and 11604 (4).  Before q was
+    # integrated over the continuation curve's dF-integrals instead of the
+    # folded CDF, it took 968 (laplace), 939 (powerfold 0.5), 555 (2) and
+    # 12025 (4).
     @pytest.mark.parametrize("dist, panels, graded, bisected", [
-        (Laplace(1), 968, 968, 968),
-        (PowerFold(0.5), 939, 2848, 3446),
-        (PowerFold(2), 555, 10924, 20036),
-        (PowerFold(4), 12025, 14698, 26850),
+        (Laplace(1), 244, 968, 968),
+        (PowerFold(0.5), 1047, 2848, 3446),
+        (PowerFold(2), 260, 10924, 20036),
+        (PowerFold(4), 11725, 14698, 26850),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
     def test_panels_pinned(self, dist, panels, graded, bisected):
         assert compute_pq(dist).panels == panels <= bisected
@@ -93,6 +96,42 @@ class TestComputePQ:
         assert PQParams(p=1 / 48 + 1e-13, q=-1e-13).q == 0.0
 
 
+class TestFoldedIdentity:
+    """compute_pq integrates fullinfo's dF-integral I(y) = J(y)/4, where J is
+    the paper's folded inner integral."""
+
+    CFG = QuadratureConfig(1e-13, 1e-13)
+
+    def folded_inner(self, dist, y):
+        """J(y), the integral of 1 - G(Ginv(u) + y) over (0, 1), cut where
+        the folded sum crosses a knot."""
+        upper = dist.support[1]
+
+        def h(u, _):
+            return 1.0 - dist.folded_cdf(np.minimum(dist.ppf(0.5 * (1.0 + u)) + y, upper))
+
+        knots = np.abs(dist.cdf_break_points())
+        cuts = dist.folded_cdf(np.concatenate([[0.0], knots, np.maximum(knots - y, 0.0)]))
+        return integrate_batch(h, [0.0], [1.0], self.CFG, break_points=cuts[None, :])[0][0]
+
+    @pytest.mark.parametrize("dist", [Laplace(1), PowerFold(0.5), PowerFold(2), IRREGULAR],
+                             ids=["laplace", "powerfold0.5", "powerfold2", "irregular"])
+    @pytest.mark.parametrize("y", [0.0, 0.1, 0.5, 0.9, 1.3, 2.0, 40.0])
+    def test_four_dF_integrals_are_the_folded_inner_integral(self, dist, y):
+        # y = 1.3 and beyond lie past the support of the PowerFold laws and
+        # y = 2 and beyond past IRREGULAR's, where both integrals vanish.
+        x = np.array([y])
+        inner = fullinfo._df_integrals(dist, x, dist.cdf(x - dist.support[1]), 0.5, self.CFG)[0][0]
+        want = self.folded_inner(dist, y)
+        tol = self.CFG.abs_tol + self.CFG.rel_tol * abs(want)
+        assert abs(4.0 * inner - want) <= 5.0 * tol
+
+    def test_builtin_table_rational_p(self):
+        # p of the built-in table, from the closed-form pairwise sum over its pieces
+        pq = compute_pq(builtin_suite()["tabulated"])
+        assert abs(Fraction(pq.p) - Fraction(333439, 32400000)) <= Fraction(pq.error_bound)
+
+
 class TestExactPiecewiseLinear:
     """compute_pq of a TabulatedCdf: fixed rules on known pieces, exact up to rounding."""
 
@@ -112,10 +151,11 @@ class TestExactPiecewiseLinear:
         assert pq.q == 0.0 and abs(pq.p - 1 / 48) <= 1e-17
 
     # Pieces are deterministic.  With a 3-point rule on the outer pieces,
-    # compute_pq took 122 (uniform6) and 138 (built-in table) pieces.
+    # compute_pq took 122 (uniform6) and 138 (built-in table) pieces; on
+    # the folded CDF's pieces instead of the dF-integrals', 84 and 95.
     @pytest.mark.parametrize("dist, pieces", [
-        (UNIFORM6, 84),
-        (builtin_suite()["tabulated"], 95),
+        (UNIFORM6, 87),
+        (builtin_suite()["tabulated"], 98),
     ], ids=["uniform6", "builtin_table"])
     def test_pieces_pinned(self, dist, pieces):
         assert compute_pq(dist).panels == pieces
