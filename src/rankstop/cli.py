@@ -481,23 +481,28 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
     p = q = None
     spec = None
     rationalized = False
-    if horizon == 3:
-        if dist_spec is not None:
-            dist, spec = _load_dist(dist_spec)
-            params = _numeric_guard(lambda: compute_pq(dist))
-            p = Fraction(params.p).limit_denominator(10**9)
-            q = Fraction(1, 48) - p
-            rationalized = True
-        elif p_text is not None:
-            try:
-                p = Fraction(p_text)
-                q = Fraction(q_text) if q_text else Fraction(1, 48) - p
-            except (ValueError, ZeroDivisionError) as exc:
-                raise click.UsageError(f"bad fraction: {exc}") from exc
-            if p < 0 or q < 0 or p + q != Fraction(1, 48):
-                raise click.UsageError(f"need p >= 0, q >= 0 and p + q = 1/48, got p = {p}, q = {q}")
-        else:
-            raise click.UsageError("three-step enumeration needs --p or --dist")
+    if horizon == 2:
+        given = [name for name, value in (("--p", p_text), ("--q", q_text), ("--dist", dist_spec))
+                 if value is not None]
+        if given:
+            raise click.UsageError(f"two-step enumeration takes no {', '.join(given)}: "
+                                   "its ordering probabilities do not depend on the law")
+    elif dist_spec is not None:
+        dist, spec = _load_dist(dist_spec)
+        params = _numeric_guard(lambda: compute_pq(dist))
+        p = Fraction(params.p).limit_denominator(10**9)
+        q = Fraction(1, 48) - p
+        rationalized = True
+    elif p_text is not None:
+        try:
+            p = Fraction(p_text)
+            q = Fraction(q_text) if q_text else Fraction(1, 48) - p
+        except (ValueError, ZeroDivisionError) as exc:
+            raise click.UsageError(f"bad fraction: {exc}") from exc
+        if p < 0 or q < 0 or p + q != Fraction(1, 48):
+            raise click.UsageError(f"need p >= 0, q >= 0 and p + q = 1/48, got p = {p}, q = {q}")
+    else:
+        raise click.UsageError("three-step enumeration needs --p or --dist")
 
     def run():
         return enumerate_rank_policies(p, q, n=horizon)

@@ -61,7 +61,8 @@ class SymmetricDistribution:
         raise NotImplementedError
 
     def ppf(self, u):
-        """Quantile function on (0, 1), vectorized.  ppf(0.5) == 0."""
+        """Quantile function on [0, 1], vectorized.  ppf(0.5) == 0, and ppf(0)
+        and ppf(1) are the ends of the support (-inf and +inf if unbounded)."""
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
-    EPS_U,
     BracketError,
     QuadratureConfig,
     RootConfig,
@@ -44,7 +43,6 @@ from .numerics import (
     integrate_detailed,  # unused here; perfbench/tracer.py patches it by attribute
     integrate_pieces,
     tolerance_record,
-    u_limits,
 )
 from .walkcore import FULL_INFORMATION, StoppingPolicy
 
@@ -118,6 +116,20 @@ class FullInfoSolution:
             )
 
 
+def _integrate(dist, f, lo, hi, cuts, cfg):
+    """(values, bounds, panels) of the integrals of ``f(u, problem)`` over
+    [lo[i], hi[i]], cut at the rows of ``cuts``; an empty range (hi < lo)
+    is [lo, lo], worth 0.  A ``TabulatedCdf`` takes the fixed rule on the
+    pieces (``integrate_pieces``), where ``cfg`` does not apply and the
+    bounds are rounding bounds; every other law the adaptive quadrature.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.maximum(np.asarray(hi, dtype=float), lo)
+    if isinstance(dist, TabulatedCdf):
+        return integrate_pieces(f, lo, hi, cuts)
+    return integrate_batch(f, lo, hi, cfg, break_points=cuts)
+
+
 def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
     """(values, bounds, panels) of the dF-integrals of F(y - x_shift[i]) over u-intervals.
 
@@ -134,34 +146,23 @@ def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
     def f(u, i):
         return dist.cdf(dist.ppf(u) - x_shift[i])
 
-    lo, hi, lost = u_limits(u_lo, u_hi, math.isfinite(dist.support[1]))
-    if isinstance(dist, TabulatedCdf):
-        return integrate_pieces(f, lo, hi, cuts)
-    vals, errs, panels = integrate_batch(f, lo, hi, cfg, break_points=cuts)
-    return vals, errs + lost, panels  # the integrand F lies in [0, 1]
+    return _integrate(dist, f, u_lo, u_hi, cuts, cfg)
 
 
 def _u_integrals(dist, g, lo, hi, kinks, cfg):
-    """(values, bounds, panels, lost) of the outer integrals of ``g(u, problem)``
+    """(values, bounds, panels) of the outer integrals of ``g(u, problem)``
     over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
 
     Every problem is cut at F(kinks), where g changes analytic form.  On an
-    unbounded support the limits are clipped to [EPS_U, 1 - EPS_U], which are
-    break points as well: there g approaches its limit like a power of u
-    (sqrt(u) on Laplace), which the substitution at a break point flattens.
-    ``lost`` is the width each range loses to the clipping.  A
-    ``TabulatedCdf`` takes the fixed rule on the pieces, where ``cfg`` does
-    not apply and the bounds are rounding bounds.
+    unbounded support 0 and 1 are break points as well: there g approaches
+    its limit like a power of u (sqrt(u) on Laplace), which the
+    substitution at a break point flattens.
     """
     cuts = dist.cdf(np.unique(kinks))
-    bounded = math.isfinite(dist.support[1])
-    if not bounded:
-        cuts = np.concatenate([cuts, [EPS_U, 1.0 - EPS_U]])
-    lo, hi, lost = u_limits(lo, hi, bounded)
+    if not math.isfinite(dist.support[1]):
+        cuts = np.concatenate([cuts, [0.0, 1.0]])
     cuts = np.broadcast_to(cuts, (len(lo), len(cuts))) if len(cuts) else None
-    if isinstance(dist, TabulatedCdf):
-        return (*integrate_pieces(g, lo, hi, cuts), lost)
-    return (*integrate_batch(g, lo, hi, cfg, break_points=cuts), lost)
+    return _integrate(dist, g, lo, hi, cuts, cfg)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -293,13 +294,12 @@ def solve_full_info(dist: SymmetricDistribution,
     ``diagnostics["threshold_panels"]`` those of the threshold's scan and
     root search, which also gives ``diagnostics["threshold_residual"]``,
     the curve minus 2 at x1*.  ``diagnostics["quadrature_error_bound"]``
-    adds the outer bound, the largest bound of the curve over the u-range
-    and, on an unbounded support, the u-range clipped off times 4, the
-    largest rank.  ``diagnostics["method"]`` is "exact_piecewise_linear"
-    for a ``TabulatedCdf`` and "quadrature" otherwise, and
-    ``diagnostics["tolerances"]`` is ``tolerances(dist, cfg)``.  ``cfg``
-    is the tolerance of the curve and the threshold; V's outer integral
-    runs at ``cfg.outer()``.
+    adds the outer bound and the largest bound of the curve times the
+    u-range it is integrated over.  ``diagnostics["method"]`` is
+    "exact_piecewise_linear" for a ``TabulatedCdf`` and "quadrature"
+    otherwise, and ``diagnostics["tolerances"]`` is ``tolerances(dist,
+    cfg)``.  ``cfg`` is the tolerance of the curve and the threshold; V's
+    outer integral runs at ``cfg.outer()``.
     """
     inner_cfg = cfg or FULL_INNER_CFG
     x1s, residual, threshold_panels = _threshold(dist, inner_cfg)
@@ -319,10 +319,10 @@ def solve_full_info(dist: SymmetricDistribution,
     # first step apart, so that kinks of the inner integrand meet.
     knots = dist.cdf_break_points()
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    (neg_val, pos_val), (neg_err, pos_err), outer_panels, lost = _u_integrals(
+    (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
         dist, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, inner_cfg.outer())
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
-    bound = neg_err + pos_err + curve_err * (1.5 - f_at) + 4.0 * lost.sum()
+    bound = neg_err + pos_err + curve_err * (1.5 - f_at)
     return FullInfoSolution(
         x1_star=x1s,
         value=value,

@@ -47,7 +47,10 @@ place of an error estimate.
 Integrands must be vectorized (ndarray of nodes in, ndarray of values
 out).  Every integrand in this package is evaluated in u-space after the
 substitution u = F(y), so the intervals are bounded and the integrands
-are bounded and piecewise smooth.
+are bounded and piecewise smooth.  Both rules place their nodes strictly
+inside each panel, so u may run over all of [0, 1] even where the
+quantile is infinite at 0 and 1; only a panel narrower than the float
+spacing at its end can round a node onto that end.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from decimal import Decimal
 import numpy as np
 
 __all__ = [
-    "EPS_U",
     "QuadratureConfig",
     "RootConfig",
     "QuadratureError",
@@ -67,14 +69,9 @@ __all__ = [
     "integrate_batch",
     "integrate_detailed",
     "integrate_pieces",
-    "u_limits",
     "find_root",
     "tolerance_record",
 ]
-
-#: On an unbounded support the solvers clip their u-space integrals to
-#: [EPS_U, 1 - EPS_U], which keeps the quantile function finite; see u_limits.
-EPS_U = 1e-13
 
 # Panels per integrand call: 256 panels are 3,840 nodes.  Larger blocks
 # barely lower the per-panel cost, and an integrand that opens inner
@@ -484,24 +481,6 @@ def integrate_pieces(f, a, b, break_points=None):
             val[s:s + n] += np.bincount(owner[blk], h * (y @ w), n)
             mag[s:s + n] += np.bincount(owner[blk], h * (np.abs(y) @ w), n)
     return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
-
-
-def u_limits(lo, hi, bounded: bool):
-    """The u-space limits a solver integrates over, and the width each range loses.
-
-    Empty ranges (hi < lo) become [lo, lo].  On an unbounded support
-    (``bounded`` false) the limits are clipped to [EPS_U, 1 - EPS_U]; a
-    bounded support keeps them, since its quantile function is finite on
-    [0, 1].  Returns (lo, hi, lost): a caller whose integrand lies within
-    [-c, c] adds c * lost to the error bound.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.maximum(np.asarray(hi, dtype=float), lo)
-    if bounded:
-        return lo, hi, np.zeros(lo.shape)
-    clipped_lo = np.clip(lo, EPS_U, 1.0 - EPS_U)
-    clipped_hi = np.clip(hi, clipped_lo, 1.0 - EPS_U)
-    return clipped_lo, clipped_hi, (hi - lo) - (clipped_hi - clipped_lo)
 
 
 def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:

@@ -15,14 +15,15 @@ s = (1 - u)/2 and use F(-z) = 1 - F(z)), and with v = 2r - 1
     q = (1/2) * integral over (1/2, 1) of I(Q(r)) dr.
 
 ``compute_pq`` evaluates this form with ``fullinfo``'s integrals, which
-cut, clip and integrate for both solvers; this module keeps only the
-formula.  The probabilities of all 24 strict orderings of S_0..S_3 are
-affine in (p, q); the table drives both the optimal rank rule and the
-exact policy-enumeration oracle.
+cut and integrate for both solvers; this module keeps only the formula.
+The probabilities of all 24 strict orderings of S_0..S_3 are affine in
+(p, q); the table drives both the optimal rank rule and the exact
+policy-enumeration oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -110,10 +111,9 @@ def compute_pq(dist: SymmetricDistribution,
 
     Every node r of the outer integral opens one dF-integral I(Q(r)) (see
     the module docstring).  Both levels go through ``fullinfo``, which cuts
-    them where they kink, clips them on an unbounded support (the widths
-    clipped off count in the error bound) and takes the exact path (method
-    "exact_piecewise_linear") for a ``TabulatedCdf``, where ``cfg`` does
-    not apply and the error bound is a rounding bound.  Otherwise ``cfg``
+    them where they kink and takes the exact path (method
+    "exact_piecewise_linear") for a ``TabulatedCdf``, where ``cfg`` does not
+    apply and the error bound is a rounding bound.  Otherwise ``cfg``
     is the tolerance of the folded inner integral J and the outer integral
     runs at ``cfg.outer()``, as on the folded form: since J = 4 I and the
     integral of J over v is 8 times that of I over r, the absolute
@@ -131,7 +131,10 @@ def compute_pq(dist: SymmetricDistribution,
     def inner(rs, _):
         nonlocal inner_err, panels
         x = dist.ppf(rs)
-        vals, errs, n = _df_integrals(dist, x, dist.cdf(x - upper), 0.5, quarter)
+        # On an unbounded support the lower limit F(x - upper) is 0, also at
+        # x = Q(1) = +inf, where F(x - upper) would be F(inf - inf) = NaN.
+        lo = dist.cdf(x - upper) if math.isfinite(upper) else np.zeros(len(x))
+        vals, errs, n = _df_integrals(dist, x, lo, 0.5, quarter)
         inner_err = max(inner_err, float(errs.max(initial=0.0)))
         panels += int(n.sum())
         return vals
@@ -141,15 +144,14 @@ def compute_pq(dist: SymmetricDistribution,
     # in r for a piecewise-linear F.
     ends = np.unique(np.abs(np.append(dist.cdf_break_points(), 0.0)))
     gaps = np.subtract.outer(ends, ends).ravel()
-    total, outer_err, outer_panels, lost = _u_integrals(
+    total, outer_err, outer_panels = _u_integrals(
         dist, inner, [0.5], [1.0], gaps[gaps >= 0.0],
         replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
     q = 0.5 * float(total[0])
     # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.
     slack = np.finfo(float).eps * float(PQ_SUM) if exact else 1e-14
-    # I lies in [0, 1/2] over an r-range 1/2 wide: the clipped width and the
-    # inner bounds count half.
-    err = 0.5 * (float(outer_err[0]) + 0.5 * float(lost[0]) + 0.5 * inner_err) + slack
+    # The inner bounds count half: the r-range is 1/2 wide.
+    err = 0.5 * (float(outer_err[0]) + 0.5 * inner_err) + slack
     p = float(PQ_SUM) - q
     method = "exact_piecewise_linear" if exact else "quadrature"
     tolerances = {} if exact else tolerance_record(inner=inner_cfg, outer=outer_cfg)

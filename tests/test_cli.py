@@ -299,6 +299,16 @@ class TestEnumerate:
         res = runner.invoke(main, ["enumerate"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--q", "1/96"], ["--dist", LAPLACE],
+                                       ["--p", "1/10", "--dist", LAPLACE]],
+                             ids=["p", "q", "dist", "p_and_dist"])
+    def test_two_step_rejects_p_q_and_dist(self, runner, extra):
+        # two-step ordering probabilities do not depend on the law: input
+        # that would be dropped is refused before any work
+        res = runner.invoke(main, ["enumerate", "--n", "2", *extra])
+        assert res.exit_code == 2
+        assert "two-step enumeration takes no " + extra[0] in res.output
+
 
 class TestDeterminism:
     def test_solve_output_identical_modulo_timestamp(self, runner):

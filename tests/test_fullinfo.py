@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rankstop import fullinfo, numerics, relranks
 from rankstop.distributions import (IntervalUnionUniform, Laplace, PowerFold, TabulatedCdf, Uniform,
                                    builtin_suite)
 from rankstop.fullinfo import (
+    FULL_INNER_CFG,
     THRESHOLD_QUANTILE_BOUND,
     V_LOWER_BOUND,
     V_UPPER_BOUND,
@@ -20,6 +22,7 @@ from rankstop.fullinfo import (
     stage2_value,
 )
 from rankstop.numerics import QuadratureConfig
+from rankstop.relranks import compute_pq
 from rankstop.walkcore import WalkPath, run_policy
 
 UNIFORM = Uniform(1)
@@ -48,6 +51,23 @@ def w1_laplace_closed(x):
     if x > 0:
         return 15 / 8 + x * math.exp(-x) / 8 + math.exp(-x) / 2 - math.exp(-2 * x) / 8
     return 23 / 8 + x * math.exp(x) / 8 - math.exp(x) / 2 - math.exp(2 * x) / 8
+
+
+def bisect(h, a, b):
+    """The root of h in [a, b], where h changes sign, to the float spacing."""
+    negative_at_a = h(a) < 0
+    while (m := 0.5 * (a + b)) not in (a, b):
+        if (h(m) < 0) == negative_at_a:
+            a = m
+        else:
+            b = m
+    return m
+
+
+#: Laplace(1)'s threshold, where its curve meets 2: (x + 4) e^-x - e^-2x = 1.
+LAPLACE_X1 = bisect(lambda x: (x + 4) * math.exp(-x) - math.exp(-2 * x) - 1, 1.0, 2.0)
+#: PowerFold(2)'s threshold, the root of 9x^4 - 12x^2 + 16x - 12 in (0, 1).
+POWERFOLD2_X1 = bisect(lambda x: 9 * x**4 - 12 * x**2 + 16 * x - 12, 0.0, 1.0)
 
 
 class TestStage2Value:
@@ -134,7 +154,15 @@ class TestThreshold:
         assert abs(solve_threshold(UNIFORM) - UNIFORM_X1) <= 1e-12
 
     def test_laplace(self):
-        assert solve_threshold(LAPLACE) == pytest.approx(1.71, abs=5e-3)
+        assert LAPLACE_X1 == pytest.approx(1.71003972434514090690, abs=1e-15)
+        # within the root search's x_tol
+        assert abs(solve_threshold(LAPLACE) - LAPLACE_X1) <= 1e-13
+
+    def test_laplace_scales(self):
+        assert abs(solve_threshold(Laplace(3)) - 3 * LAPLACE_X1) <= 3e-13
+
+    def test_powerfold2(self):
+        assert abs(solve_threshold(PowerFold(2)) - POWERFOLD2_X1) <= 1e-13
 
     def test_residual_contract(self, builtins):
         for name, dist in builtins.items():
@@ -170,7 +198,18 @@ class TestValue:
         assert solutions["uniform"].value == pytest.approx(UNIFORM_V, abs=1e-8)
 
     def test_laplace(self, solutions):
-        assert solutions["laplace"].value == pytest.approx(2.271, abs=1e-3)
+        r = LAPLACE_X1
+        want = (437 / 192 + (2 * r + 9) * math.exp(-2 * r) / 64 - math.exp(-r) / 16
+                - math.exp(-3 * r) / 48)
+        assert want == pytest.approx(2.27096254984990081515, abs=1e-15)
+        sol = solutions["laplace"]
+        assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
+
+    def test_powerfold2(self):
+        r = POWERFOLD2_X1
+        want = 7 / 3 - r**2 / 8 + r**3 / 9 - r**4 / 16 + r**6 / 32
+        sol = solve_full_info(PowerFold(2))
+        assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
 
     def test_tabulated_repeatable_and_matches_reference(self, builtins, solutions):
         # the outer V integral is cut where knot differences kink the curve
@@ -195,7 +234,7 @@ class TestValue:
     # (laplace), 4072 and 1850 (powerfold 0.5), 4130 and 1689 (2), 12216 and
     # 1489 (4), where V's count includes a separate solve of the curve at x1*.
     # Before every problem started with 8 equal panels whatever its width,
-    # and V's clipped ends on Laplace were not break points, V and the
+    # and the ends of V's u-range on Laplace were not break points, V and the
     # threshold search took 5516 and 320 panels (laplace), 4056 and 304
     # (powerfold 0.5), 4114 and 320 (2), 12184 and 640 (4).
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
@@ -243,7 +282,7 @@ class TestValue:
 
     @pytest.mark.parametrize("b", [0.3, 5.0])
     def test_laplace_value_does_not_depend_on_the_scale(self, solutions, b):
-        # V is scale-free, and the clipped ends of its u-range are break
+        # V is scale-free, and the ends 0 and 1 of its u-range are break
         # points whatever the scale
         one = solutions["laplace"]
         scaled = solve_full_info(Laplace(b))
@@ -458,6 +497,51 @@ class TestScaleInvariance:
         scaled = solve_full_info(Laplace(0.5))
         assert scaled.value == pytest.approx(base.value, abs=1e-8)
         assert scaled.x1_star == pytest.approx(0.5 * base.x1_star, abs=1e-7)
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("dist, panels", [(UNIFORM, 1), (LAPLACE, 4)],
+                             ids=["exact", "adaptive"])
+    def test_reversed_range_is_empty(self, dist, panels):
+        # a table takes one piece on [0.2, 0.6], any other law 4 starting panels
+        vals, bounds, n = fullinfo._integrate(dist, lambda u, i: np.ones_like(u),
+                                              [0.7, 0.2], [0.4, 0.6], None, FULL_INNER_CFG)
+        assert (vals[0], bounds[0], n[0]) == (0.0, 0.0, 0)
+        assert vals[1] == pytest.approx(0.4, abs=1e-14) and n[1] == panels
+
+
+class TestInfiniteQuantileEnds:
+    """On Laplace Q(0) = -inf and Q(1) = +inf.  An outer node rounds onto u = 0
+    or 1 in a panel narrower than the float spacing there; the outer
+    integrands must give their limits at those ends, not NaN."""
+
+    @staticmethod
+    def outer_integrand_at(monkeypatch, module, solve, us):
+        """``solve(LAPLACE)`` with ``module._u_integrals`` also evaluating its
+        outer integrand at ``us``, RuntimeWarnings raised; those values."""
+        seen = []
+        real = module._u_integrals
+
+        def probe(dist, g, lo, hi, kinks, cfg):
+            seen.append(g(np.array(us), np.zeros(len(us), dtype=np.int64)))
+            return real(dist, g, lo, hi, kinks, cfg)
+
+        monkeypatch.setattr(module, "_u_integrals", probe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solve(LAPLACE)
+        (values,) = seen
+        return list(values)
+
+    def test_v_integrand_is_the_curve_limits(self, monkeypatch):
+        # the continuation curve far left and far right, up to the rounding
+        # of the quadrature rule
+        assert self.outer_integrand_at(monkeypatch, fullinfo, solve_full_info,
+                                       [0.0, 1.0]) == pytest.approx([23 / 8, 15 / 8], abs=1e-14)
+
+    def test_q_integrand_vanishes_at_one(self, monkeypatch):
+        # I(Q(1)) = I(+inf): no s in (0, 1/2) has Q(s) above +inf
+        assert self.outer_integrand_at(monkeypatch, relranks, compute_pq, [1.0]) == [0.0]
 
 
 def test_attributes_patched_by_the_tracer_exist():

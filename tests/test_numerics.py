@@ -8,7 +8,6 @@ from rankstop import numerics
 from rankstop.distributions import Uniform
 from rankstop.fullinfo import FULL_INNER_CFG, continuation_value
 from rankstop.numerics import (
-    EPS_U,
     BracketError,
     QuadratureConfig,
     QuadratureError,
@@ -18,7 +17,6 @@ from rankstop.numerics import (
     integrate_detailed,
     integrate_pieces,
     tolerance_record,
-    u_limits,
 )
 from rankstop.relranks import PQ_INNER_CFG
 
@@ -256,19 +254,6 @@ class TestSmoothingSubstitution:
             solo = integrate_detailed(f, 0.0, 1.0, self.CFG,
                                       break_points=None if np.isnan(cuts[i, 0]) else cuts[i])
             assert (vals[i], bounds[i], panels[i]) == solo
-
-
-class TestULimits:
-    def test_bounded_support_keeps_the_limits(self):
-        lo, hi, lost = u_limits([0.0, 0.7, 0.4], [0.5, 1.0, 0.2], True)
-        assert list(lo) == [0.0, 0.7, 0.4] and list(hi) == [0.5, 1.0, 0.4]
-        assert list(lost) == [0.0, 0.0, 0.0]
-
-    def test_unbounded_support_is_clipped_and_the_loss_reported(self):
-        lo, hi, lost = u_limits([0.0, 0.7, 0.4, 0.0], [0.5, 1.0, 0.2, 1.0], False)
-        assert list(lo) == [EPS_U, 0.7, 0.4, EPS_U]
-        assert list(hi) == [0.5, 1.0 - EPS_U, 0.4, 1.0 - EPS_U]
-        assert lost == pytest.approx([EPS_U, EPS_U, 0.0, 2 * EPS_U], rel=1e-3, abs=0)
 
 
 class TestIntegratePieces:
