@@ -21,36 +21,26 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, _lazy_attributes
 from .distributions import CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError, from_spec
-from .fullinfo import (
-    BOUND_TOL,
-    FULL_INNER_CFG,
-    THRESHOLD_QUANTILE_BOUND,
-    V_LOWER_BOUND,
-    V_UPPER_BOUND,
-    continuation_curve,
-    full_info_policy,
-    lower_bound_check,
-    solve_full_info,
-    solve_threshold,
-    tolerances,
-)
-from .numerics import BracketError, QuadratureConfig, QuadratureError
-from .oracle import canonical_rules, enumerate_rank_policies
-from .relranks import (
-    PQ_INNER_CFG,
-    PQ_TOL,
-    compute_pq,
-    optimal_rank_policy,
-    optimal_rank_value,
-    permutation_table,
-    rank_policy_a,
-    rank_policy_b,
-    shift_concentration_check,
-)
-from .simulate import SimConfig, chunk_partials, estimate_expected_rank, reduce_partials
-from .walkcore import RankPolicyTable, StoppingPolicy, stop_at_policy, two_step_policy
+
+# The solver names a command runs load on first access, so each command
+# imports only the solver modules it needs.  Commands look them up on
+# ``_cli``, this module, at call time: a name replaced on ``rankstop.cli``
+# is the one they call.
+__getattr__, __dir__ = _lazy_attributes(__name__, {
+    "fullinfo": ("BOUND_TOL", "FULL_INNER_CFG", "THRESHOLD_QUANTILE_BOUND", "V_LOWER_BOUND",
+                 "V_UPPER_BOUND", "continuation_curve", "full_info_policy", "lower_bound_check",
+                 "solve_full_info", "solve_threshold", "tolerances"),
+    "numerics": ("QuadratureConfig",),
+    "oracle": ("canonical_rules", "enumerate_rank_policies"),
+    "relranks": ("PQ_INNER_CFG", "PQ_TOL", "compute_pq", "optimal_rank_policy",
+                 "optimal_rank_value", "permutation_table", "rank_policy_a", "rank_policy_b",
+                 "shift_concentration_check"),
+    "simulate": ("SimConfig", "chunk_partials", "estimate_expected_rank", "reduce_partials"),
+    "walkcore": ("RankPolicyTable", "StoppingPolicy", "stop_at_policy", "two_step_policy"),
+})
+_cli = sys.modules[__name__]
 
 DEFAULT_SEED = 20260808
 
@@ -148,7 +138,7 @@ def _z_score(mean: float, target: float, std_error: float) -> float:
 def _numeric_guard(fn):
     try:
         return fn()
-    except (QuadratureError, BracketError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # QuadratureError and BracketError among them
         raise click.ClickException(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
 
 
@@ -168,8 +158,8 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
     """Solve the three-step problem for one distribution."""
     dist, spec = _load_dist(dist_spec)
     if model == "full":
-        cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG)
-        sol = _numeric_guard(lambda: solve_full_info(dist, cfg))
+        cfg = _quad_cfg(abs_tol, rel_tol, _cli.FULL_INNER_CFG)
+        sol = _numeric_guard(lambda: _cli.solve_full_info(dist, cfg))
         payload = {
             "manifest": _manifest("solve", spec, model="full",
                                   tolerances=sol.diagnostics["tolerances"],
@@ -180,9 +170,9 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
             "diagnostics": sol.diagnostics,
         }
     else:
-        cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
-        pq = _numeric_guard(lambda: compute_pq(dist, cfg))
-        policy, branch = optimal_rank_policy(pq)
+        cfg = _quad_cfg(abs_tol, rel_tol, _cli.PQ_INNER_CFG)
+        pq = _numeric_guard(lambda: _cli.compute_pq(dist, cfg))
+        policy, branch = _cli.optimal_rank_policy(pq)
         payload = {
             "manifest": _manifest("solve", spec, model="relranks", tolerances=pq.tolerances,
                                   method=pq.method),
@@ -190,7 +180,7 @@ def solve(dist_spec, model, abs_tol, rel_tol, out):
             "q": pq.q,
             "error_bound": pq.error_bound,
             "panels": pq.panels,
-            "value": optimal_rank_value(pq),
+            "value": _cli.optimal_rank_value(pq),
             "branch": branch,
             "rule": policy.name,
         }
@@ -224,45 +214,46 @@ def verify(dist_spec, paths, seed, out):
         rt = float(np.max(np.abs(dist.cdf(dist.ppf(us)) - us)))
         record("quantile_roundtrip", rt < QUANTILE_ROUNDTRIP_TOL, {"max_abs_defect": rt})
 
-        pq = compute_pq(dist)
+        pq = _cli.compute_pq(dist)
         defect = abs(pq.p + pq.q - 1.0 / 48.0)
-        record("pq_sum", defect <= PQ_TOL, {"p": pq.p, "q": pq.q, "defect": defect})
+        record("pq_sum", defect <= _cli.PQ_TOL, {"p": pq.p, "q": pq.q, "defect": defect})
 
-        conc = shift_concentration_check(dist)
+        conc = _cli.shift_concentration_check(dist)
         if conc.member:
-            record("p_bound_in_class", pq.p <= 1.0 / 96.0 + PQ_TOL,
+            record("p_bound_in_class", pq.p <= 1.0 / 96.0 + _cli.PQ_TOL,
                    {"p": pq.p, "bound": 1.0 / 96.0})
         else:
             record("p_bound_in_class", True,
                    {"skipped": "distribution fails the concentration grid check",
                     "worst_pair": conc.worst_pair})
 
-        sol = solve_full_info(dist)
-        record("threshold_quantile", sol.F_at_threshold >= THRESHOLD_QUANTILE_BOUND - BOUND_TOL,
-               {"F_at_threshold": sol.F_at_threshold, "bound": THRESHOLD_QUANTILE_BOUND})
-        record("value_bounds",
-               V_LOWER_BOUND - BOUND_TOL <= sol.value <= V_UPPER_BOUND + BOUND_TOL,
-               {"value": sol.value, "lower": V_LOWER_BOUND, "upper": V_UPPER_BOUND})
+        sol = _cli.solve_full_info(dist)
+        tol, lower, upper = _cli.BOUND_TOL, _cli.V_LOWER_BOUND, _cli.V_UPPER_BOUND
+        record("threshold_quantile",
+               sol.F_at_threshold >= _cli.THRESHOLD_QUANTILE_BOUND - tol,
+               {"F_at_threshold": sol.F_at_threshold, "bound": _cli.THRESHOLD_QUANTILE_BOUND})
+        record("value_bounds", lower - tol <= sol.value <= upper + tol,
+               {"value": sol.value, "lower": lower, "upper": upper})
 
-        floor = lower_bound_check(dist)
+        floor = _cli.lower_bound_check(dist)
         record("continuation_floor", floor.passed,
                {"max_violation": floor.max_violation, "worst_x": floor.worst_x})
 
         p_frac = Fraction(pq.p).limit_denominator(10**9)
-        enum = enumerate_rank_policies(p_frac, n=3)
-        closed = optimal_rank_value(p_frac)
+        enum = _cli.enumerate_rank_policies(p_frac, n=3)
+        closed = _cli.optimal_rank_value(p_frac)
         record("enumeration_matches_closed_form", enum.optimal_value == closed,
                {"p": str(p_frac), "enumeration": str(enum.optimal_value), "closed_form": str(closed)})
 
-        rank_pol, branch = optimal_rank_policy(pq)
-        cfg = SimConfig(n_paths=paths, horizon=3, seed=seed)
-        mc = estimate_expected_rank(dist, rank_pol, cfg)
-        target = optimal_rank_value(pq)
+        rank_pol, branch = _cli.optimal_rank_policy(pq)
+        cfg = _cli.SimConfig(n_paths=paths, horizon=3, seed=seed)
+        mc = _cli.estimate_expected_rank(dist, rank_pol, cfg)
+        target = _cli.optimal_rank_value(pq)
         z = _z_score(mc.mean_rank, target, mc.std_error)
         record("monte_carlo_rank_rule", abs(z) <= 4.0,
                {"branch": branch, "mean": mc.mean_rank, "target": target, "z": z})
 
-        mc2 = estimate_expected_rank(dist, full_info_policy(dist, sol.x1_star), cfg)
+        mc2 = _cli.estimate_expected_rank(dist, _cli.full_info_policy(dist, sol.x1_star), cfg)
         z2 = _z_score(mc2.mean_rank, sol.value, mc2.std_error)
         record("monte_carlo_full_info", abs(z2) <= 4.0,
                {"mean": mc2.mean_rank, "target": sol.value, "z": z2})
@@ -288,18 +279,18 @@ def table2(as_csv, out):
         uniform, _ = _load_dist('{"kind": "uniform", "a": 1.0}')
         laplace, _ = _load_dist('{"kind": "laplace", "b": 1.0}')
         extremal, _ = _load_dist('{"kind": "interval_union", "c": 1.0, "d": 2.0}')
-        v_lap = solve_full_info(laplace).value
-        v_uni = solve_full_info(uniform).value
-        v_max = solve_full_info(extremal).value
-        p_lap = compute_pq(laplace)
-        p_uni = compute_pq(uniform)
-        p_max = compute_pq(extremal)
-        stop_now = enumerate_rank_policies(Fraction(1, 96), n=3).values[
-            canonical_rules(3)["stop_at_start"]
+        v_lap = _cli.solve_full_info(laplace).value
+        v_uni = _cli.solve_full_info(uniform).value
+        v_max = _cli.solve_full_info(extremal).value
+        p_lap = _cli.compute_pq(laplace)
+        p_uni = _cli.compute_pq(uniform)
+        p_max = _cli.compute_pq(extremal)
+        stop_now = _cli.enumerate_rank_policies(Fraction(1, 96), n=3).values[
+            _cli.canonical_rules(3)["stop_at_start"]
         ]
         return [
             {"version": "Full Information", "description": "Lower bound",
-             "expected_rank": V_LOWER_BOUND},
+             "expected_rank": _cli.V_LOWER_BOUND},
             {"version": "Full Information", "description": "Laplace Distribution",
              "expected_rank": v_lap},
             {"version": "Full Information", "description": "Uniform Distribution",
@@ -307,13 +298,13 @@ def table2(as_csv, out):
             {"version": "Full Information", "description": "Maximum",
              "expected_rank": v_max},
             {"version": "Relative Ranks", "description": "Greatest Lower Bound",
-             "expected_rank": float(optimal_rank_value(Fraction(0)))},
+             "expected_rank": float(_cli.optimal_rank_value(Fraction(0)))},
             {"version": "Relative Ranks", "description": "Laplace Distribution",
-             "expected_rank": optimal_rank_value(p_lap)},
+             "expected_rank": _cli.optimal_rank_value(p_lap)},
             {"version": "Relative Ranks", "description": "Uniform Distribution",
-             "expected_rank": optimal_rank_value(p_uni)},
+             "expected_rank": _cli.optimal_rank_value(p_uni)},
             {"version": "Relative Ranks", "description": "Maximum",
-             "expected_rank": optimal_rank_value(p_max)},
+             "expected_rank": _cli.optimal_rank_value(p_max)},
             {"version": "Both Versions", "description": "Stopping Immediately",
              "expected_rank": float(stop_now)},
         ]
@@ -342,13 +333,13 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     if not lo < hi:
         raise click.UsageError("need lo < hi")
     dist, spec = _load_dist(dist_spec)
-    cfg = _quad_cfg(abs_tol, rel_tol, FULL_INNER_CFG, outer=False)
+    cfg = _quad_cfg(abs_tol, rel_tol, _cli.FULL_INNER_CFG, outer=False)
 
     def run():
-        x1s = solve_threshold(dist, cfg)
+        x1s = _cli.solve_threshold(dist, cfg)
         xs = np.linspace(lo, hi, points)
         marked = lo <= x1s <= hi
-        values = continuation_curve(dist, np.append(xs, x1s) if marked else xs, cfg).tolist()
+        values = _cli.continuation_curve(dist, np.append(xs, x1s) if marked else xs, cfg).tolist()
         rows = [{"x": x, "continuation_value": v, "is_threshold": 0}
                 for x, v in zip(xs.tolist(), values)]
         if marked:
@@ -360,18 +351,19 @@ def curve(dist_spec, lo, hi, points, abs_tol, rel_tol, as_csv, out):
     if as_csv:
         _emit_csv(rows, ["x", "continuation_value", "is_threshold"], out)
     else:
-        _emit({"manifest": _manifest("curve", spec, tolerances=tolerances(dist, cfg, outer=False)),
+        tolerances = _cli.tolerances(dist, cfg, outer=False)
+        _emit({"manifest": _manifest("curve", spec, tolerances=tolerances),
                "x1_star": x1s, "points": rows}, out)
 
 
 def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
     presets = {
-        "thm1": two_step_policy,
-        "thm2": lambda: full_info_policy(dist),
-        "thm4a": rank_policy_a,
-        "thm4b": rank_policy_b,
-        "stop_at_0": lambda: stop_at_policy(0, horizon),
-        "stop_at_n": lambda: stop_at_policy(horizon, horizon),
+        "thm1": _cli.two_step_policy,
+        "thm2": lambda: _cli.full_info_policy(dist),
+        "thm4a": _cli.rank_policy_a,
+        "thm4b": _cli.rank_policy_b,
+        "stop_at_0": lambda: _cli.stop_at_policy(0, horizon),
+        "stop_at_n": lambda: _cli.stop_at_policy(horizon, horizon),
     }
     if token in presets:
         return presets[token]()
@@ -379,7 +371,7 @@ def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
         payload = json.loads(token)
         if payload.get("kind") != "rank_table":
             raise ValueError("custom policy JSON must have kind 'rank_table'")
-        return RankPolicyTable(tuple(payload["bits"])).to_policy()
+        return _cli.RankPolicyTable(tuple(payload["bits"])).to_policy()
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(
             f"unknown policy {token!r}; use thm1/thm2/thm4a/thm4b/stop_at_0/stop_at_n "
@@ -413,11 +405,11 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
     horizon = policy.horizon
 
     def run():
-        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=seed, chunk_size=chunk_size)
-        return chunk_partials(dist, policy, cfg, workers=workers)
+        cfg = _cli.SimConfig(n_paths=paths, horizon=horizon, seed=seed, chunk_size=chunk_size)
+        return _cli.chunk_partials(dist, policy, cfg, workers=workers)
 
     parts = _numeric_guard(run)
-    res = reduce_partials(parts)
+    res = _cli.reduce_partials(parts)
     if audit_csv:
         rows = [
             {"chunk": p.index, "n_paths": p.n_paths, "rank_sum": p.rank_sum,
@@ -448,9 +440,9 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
 def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
     """The ordering parameters (p, q) of a distribution."""
     dist, spec = _load_dist(dist_spec)
-    cfg = _quad_cfg(abs_tol, rel_tol, PQ_INNER_CFG)
-    params = _numeric_guard(lambda: compute_pq(dist, cfg))
-    tab = permutation_table(params.p, params.q)
+    cfg = _quad_cfg(abs_tol, rel_tol, _cli.PQ_INNER_CFG)
+    params = _numeric_guard(lambda: _cli.compute_pq(dist, cfg))
+    tab = _cli.permutation_table(params.p, params.q)
     if as_csv:
         _emit_csv(tab.as_records(),
                   ["ordering", "reflection", "constant", "p_coefficient",
@@ -481,15 +473,18 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
     p = q = None
     spec = None
     rationalized = False
+    given = [name for name, value in (("--p", p_text), ("--q", q_text), ("--dist", dist_spec))
+             if value is not None]
     if horizon == 2:
-        given = [name for name, value in (("--p", p_text), ("--q", q_text), ("--dist", dist_spec))
-                 if value is not None]
         if given:
             raise click.UsageError(f"two-step enumeration takes no {', '.join(given)}: "
                                    "its ordering probabilities do not depend on the law")
     elif dist_spec is not None:
+        if given != ["--dist"]:
+            raise click.UsageError(f"enumeration from --dist takes no {', '.join(given[:-1])}: "
+                                   "p and q come from the distribution")
         dist, spec = _load_dist(dist_spec)
-        params = _numeric_guard(lambda: compute_pq(dist))
+        params = _numeric_guard(lambda: _cli.compute_pq(dist))
         p = Fraction(params.p).limit_denominator(10**9)
         q = Fraction(1, 48) - p
         rationalized = True
@@ -505,13 +500,13 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
         raise click.UsageError("three-step enumeration needs --p or --dist")
 
     def run():
-        return enumerate_rank_policies(p, q, n=horizon)
+        return _cli.enumerate_rank_policies(p, q, n=horizon)
 
     res = _numeric_guard(run)
     named = {
-        name: res.is_minimizer(bits) for name, bits in canonical_rules(horizon).items()
+        name: res.is_minimizer(bits) for name, bits in _cli.canonical_rules(horizon).items()
     }
-    descriptions = sorted({RankPolicyTable(bits).describe() for bits in res.minimizers})
+    descriptions = sorted({_cli.RankPolicyTable(bits).describe() for bits in res.minimizers})
     payload = {
         "manifest": _manifest("enumerate", spec, n=horizon,
                               p=str(p) if p is not None else None,

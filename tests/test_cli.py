@@ -295,6 +295,19 @@ class TestEnumerate:
         assert payload["optimal_value"] == "55/24"
         assert payload["manifest"]["p_rationalized_from_quadrature"] is True
 
+    @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--q", "1/96"]], ids=["p", "q"])
+    def test_from_distribution_rejects_p_and_q(self, runner, monkeypatch, extra):
+        # p and q come from the law: input that would be dropped is refused
+        # before any work
+        def no_work(*a, **k):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "compute_pq", no_work)
+        monkeypatch.setattr(cli, "enumerate_rank_policies", no_work)
+        res = runner.invoke(main, ["enumerate", "--dist", LAPLACE, *extra])
+        assert res.exit_code == 2, res.output
+        assert "enumeration from --dist takes no " + extra[0] in res.output
+
     def test_missing_p_exits_2(self, runner):
         res = runner.invoke(main, ["enumerate"])
         assert res.exit_code == 2

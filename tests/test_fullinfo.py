@@ -68,6 +68,19 @@ def bisect(h, a, b):
 LAPLACE_X1 = bisect(lambda x: (x + 4) * math.exp(-x) - math.exp(-2 * x) - 1, 1.0, 2.0)
 #: PowerFold(2)'s threshold, the root of 9x^4 - 12x^2 + 16x - 12 in (0, 1).
 POWERFOLD2_X1 = bisect(lambda x: 9 * x**4 - 12 * x**2 + 16 * x - 12, 0.0, 1.0)
+#: PowerFold(3)'s and (4)'s thresholds, the roots in (0, 1) of 160 (2 - W+)
+#: and 560 (2 - W+), and their V as polynomials in r = x1*, by delta.
+POWERFOLD_X1 = {
+    3: bisect(lambda x: 19 * x**6 + 40 * x**3 - 90 * x**2 + 72 * x - 40, 0.0, 1.0),
+    4: bisect(lambda x: 73 * x**8 - 140 * x**4 + 448 * x**3 - 560 * x**2 + 320 * x - 140,
+              0.0, 1.0),
+}
+POWERFOLD_V = {
+    3: lambda r: (7 / 3 - r**3 / 8 + 27 * r**4 / 160 - 27 * r**5 / 160 + r**6 / 16
+                  + 19 * r**9 / 960),
+    4: lambda r: (7 / 3 - r**4 / 8 + 8 * r**5 / 35 - r**6 / 3 + 8 * r**7 / 35 - r**8 / 16
+                  + 73 * r**12 / 3360),
+}
 
 
 class TestStage2Value:
@@ -164,6 +177,12 @@ class TestThreshold:
     def test_powerfold2(self):
         assert abs(solve_threshold(PowerFold(2)) - POWERFOLD2_X1) <= 1e-13
 
+    @pytest.mark.parametrize("delta, want", [(3, 0.99190127982356562459),
+                                             (4, 0.99822849160261625457)], ids=["delta3", "delta4"])
+    def test_powerfold3_and_4(self, delta, want):
+        assert POWERFOLD_X1[delta] == pytest.approx(want, abs=1e-15)
+        assert abs(solve_threshold(PowerFold(delta)) - POWERFOLD_X1[delta]) <= 1e-13
+
     def test_residual_contract(self, builtins):
         for name, dist in builtins.items():
             x1s = solve_threshold(dist)
@@ -210,6 +229,15 @@ class TestValue:
         want = 7 / 3 - r**2 / 8 + r**3 / 9 - r**4 / 16 + r**6 / 32
         sol = solve_full_info(PowerFold(2))
         assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
+
+    @pytest.mark.parametrize("delta, want", [(3, 2.29058749696240597990),
+                                             (4, 2.29136589633665259418)], ids=["delta3", "delta4"])
+    def test_powerfold3_and_4(self, delta, want):
+        r = POWERFOLD_X1[delta]
+        assert POWERFOLD_V[delta](r) == pytest.approx(want, abs=1e-15)
+        sol = solve_full_info(PowerFold(delta))
+        assert abs(sol.x1_star - r) <= 1e-13
+        assert abs(sol.value - POWERFOLD_V[delta](r)) <= sol.diagnostics["quadrature_error_bound"]
 
     def test_tabulated_repeatable_and_matches_reference(self, builtins, solutions):
         # the outer V integral is cut where knot differences kink the curve
