@@ -572,6 +572,28 @@ class TestInfiniteQuantileEnds:
         assert self.outer_integrand_at(monkeypatch, relranks, compute_pq, [1.0]) == [0.0]
 
 
+#: The 6-piece uniform table of the benchmark's tabulated_knots workload.
+UNIFORM6_BENCH = TabulatedCdf([[i / 6, 0.5 + 0.5 * i / 6] for i in range(7)])
+
+
+class TestLastBits:
+    # x1* and V to the last bit.  The benchmark's abs_err.max rests on them:
+    # today it is Uniform's x1* (3.62e-16 off 2 (sqrt 2 - 1)) on
+    # solve_builtin and the 6-piece table's V (1.06e-16 off its closed
+    # form) on tabulated_knots.  One ulp either way moves abs_err.max, so a
+    # refactor of the engine must leave these bits alone.
+    @pytest.mark.parametrize("dist, x1_star, value", [
+        (UNIFORM, "0x1.a827999fcef2fp-1", "0x1.23a90444020b3p+1"),
+        (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e5p-1", "0x1.238efc310536cp+1"),
+        (LAPLACE, "0x1.b5c529d2ec593p+0", "0x1.22aee69d05e81p+1"),
+        (PowerFold(2), "0x1.eca7213f22c70p-1", "0x1.24d70f8d4d00bp+1"),
+        (UNIFORM6_BENCH, "0x1.a827999fcef33p-1", "0x1.23a90444020b3p+1"),
+    ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6"])
+    def test_x1_and_value_pinned(self, dist, x1_star, value):
+        sol = solve_full_info(dist)
+        assert (sol.x1_star.hex(), sol.value.hex()) == (x1_star, value)
+
+
 def test_attributes_patched_by_the_tracer_exist():
     # perfbench/tracer.py wraps these module attributes by name; neither
     # module calls integrate_detailed, but removing it breaks every traced run.

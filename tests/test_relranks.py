@@ -97,6 +97,22 @@ class TestComputePQ:
         assert PQParams(p=1 / 48 + 1e-13, q=-1e-13).q == 0.0
 
 
+class TestLastBits:
+    # p and q to the last bit, beside x1* and V in test_fullinfo.TestLastBits;
+    # the last row is the 6-piece uniform table of the tabulated_knots workload.
+    @pytest.mark.parametrize("dist, p, q", [
+        (Uniform(1), "0x1.5555555555554p-7", "0x1.5555555555556p-7"),
+        (builtin_suite()["tabulated"], "0x1.5139e8cb1adefp-7", "0x1.5970c1df8fcbbp-7"),
+        (Laplace(1), "0x1.55555555555bep-8", "0x1.fffffffffffcbp-7"),
+        (PowerFold(2), "0x1.1c71c71c71c78p-6", "0x1.c71c71c71c6ecp-9"),
+        (TabulatedCdf([[i / 6, 0.5 + 0.5 * i / 6] for i in range(7)]),
+         "0x1.5555555555556p-7", "0x1.5555555555554p-7"),
+    ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6"])
+    def test_p_and_q_pinned(self, dist, p, q):
+        pq = compute_pq(dist)
+        assert (pq.p.hex(), pq.q.hex()) == (p, q)
+
+
 class TestFoldedIdentity:
     """compute_pq integrates fullinfo's dF-integral I(y) = J(y)/4, where J is
     the paper's folded inner integral."""
