@@ -190,7 +190,8 @@ class TabulatedCdf(SymmetricDistribution):
     relies on continuity of F throughout.
 
     ``ppf`` interpolates the mirrored knots, so at the level of a flat
-    piece it returns the piece's upper end (except 0 at the median).
+    piece it returns the piece's upper end, except 0 at the median and the
+    lower end of the support at 0.
 
     Every knot is a kink of the CDF.  The solvers recognise this class and
     integrate exactly on the pieces between knots, knots + x, twice the
@@ -250,6 +251,8 @@ class TabulatedCdf(SymmetricDistribution):
         self._f = np.concatenate([1.0 - f[:0:-1], f])
         self.support = (float(self._x[0]), float(self._x[-1]))
         self._grid = [[float(a), float(b)] for a, b in zip(x, f)]
+        # A flat piece at F = 1 mirrors to one at F = 0.
+        self._flat_at_zero = bool(self._f[1] == 0.0)
 
     def cdf(self, x):
         x = _as_float_array(x)
@@ -257,7 +260,10 @@ class TabulatedCdf(SymmetricDistribution):
 
     def ppf(self, u):
         u = _as_float_array(u)
-        return np.where(u == 0.5, 0.0, np.interp(u, self._f, self._x))
+        q = np.where(u == 0.5, 0.0, np.interp(u, self._f, self._x))
+        if self._flat_at_zero:  # np.interp would give the flat piece's upper end at u = 0
+            q = np.where(u == 0.0, self._x[0], q)
+        return q
 
     def cdf_break_points(self):
         return self._x.copy()

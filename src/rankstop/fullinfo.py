@@ -84,10 +84,15 @@ THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 #: its bracket closes to a few ulps of x1* (``find_root`` widens an x_tol
 #: finer than the float spacing to 2 eps |x|).
 _EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
-#: Points of the threshold scan, evenly spaced in u above the paper's bound.
-_SCAN_POINTS = 16
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
+#: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
+_SCAN_U = np.linspace(THRESHOLD_QUANTILE_BOUND - BOUND_TOL, 1.0 - 1e-12, 16)
+#: ``x * _X_AND_HALF`` stacks x and x/2, where the curve needs F, and
+#: ``pos != _SECOND_ROW`` marks, for each of the curve's two dF-integrals
+#: per point, the points where that integral starts at 1/2.
+_X_AND_HALF = np.array([[1.0], [0.5]])
+_SECOND_ROW = np.array([[False], [True]])
 
 
 class ThresholdError(RuntimeError):
@@ -116,7 +121,20 @@ class FullInfoSolution:
             )
 
 
-def _integrate(dist, f, lo, hi, cuts, cfg):
+class _Law:
+    """One law's constants for the integrals of one solve: its CDF knots, F
+    there, and whether it takes the exact path.  ``solve_full_info``,
+    ``solve_threshold``, ``continuation_curve`` and ``relranks.compute_pq``
+    each build one and drop it when they return, so no call sees another's."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.knots = dist.cdf_break_points()
+        self.f_knots = dist.cdf(self.knots)
+        self.exact = isinstance(dist, TabulatedCdf)
+
+
+def _integrate(law, f, lo, hi, cuts, cfg):
     """(values, bounds, panels) of the integrals of ``f(u, problem)`` over
     [lo[i], hi[i]], cut at the rows of ``cuts``; an empty range (hi < lo)
     is [lo, lo], worth 0.  A ``TabulatedCdf`` takes the fixed rule on the
@@ -124,45 +142,48 @@ def _integrate(dist, f, lo, hi, cuts, cfg):
     bounds are rounding bounds; every other law the adaptive quadrature.
     """
     lo = np.asarray(lo, dtype=float)
-    hi = np.maximum(np.asarray(hi, dtype=float), lo)
-    if isinstance(dist, TabulatedCdf):
+    hi = np.maximum(hi, lo)
+    if law.exact:
         return integrate_pieces(f, lo, hi, cuts)
     return integrate_batch(f, lo, hi, cfg, break_points=cuts)
 
 
-def _df_integrals(dist, x_shift, u_lo, u_hi, cfg):
+def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
     """(values, bounds, panels) of the dF-integrals of F(y - x_shift[i]) over u-intervals.
 
     The integrand u -> F(Q(u) - x) kinks where Q(u) - x crosses a CDF knot
     and where Q itself kinks; both sets are handed to the integrator as
     panel edges.
     """
-    knots = dist.cdf_break_points()
+    cdf, ppf = law.dist.cdf, law.dist.ppf
     cuts = None
-    if len(knots):
-        own = np.broadcast_to(dist.cdf(knots), (len(x_shift), len(knots)))
-        cuts = np.concatenate([dist.cdf(knots + x_shift[:, None]), own], axis=1)
+    k = len(law.knots)
+    if k:
+        cuts = np.empty((len(x_shift), 2 * k))
+        cuts[:, :k] = cdf(law.knots + x_shift[:, None])
+        cuts[:, k:] = law.f_knots
 
     def f(u, i):
-        return dist.cdf(dist.ppf(u) - x_shift[i])
+        return cdf(ppf(u) - x_shift[i])
 
-    return _integrate(dist, f, u_lo, u_hi, cuts, cfg)
+    return _integrate(law, f, u_lo, u_hi, cuts, cfg)
 
 
-def _u_integrals(dist, g, lo, hi, kinks, cfg):
+def _u_integrals(law, g, lo, hi, kinks, cfg):
     """(values, bounds, panels) of the outer integrals of ``g(u, problem)``
     over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
 
-    Every problem is cut at F(kinks), where g changes analytic form.  On an
-    unbounded support 0 and 1 are break points as well: there g approaches
-    its limit like a power of u (sqrt(u) on Laplace), which the
-    substitution at a break point flattens.
+    Every problem is cut at F(kinks), where g changes analytic form; both
+    integrators merge repeated break points.  On an unbounded support 0 and
+    1 are break points as well: there g approaches its limit like a power
+    of u (sqrt(u) on Laplace), which the substitution at a break point
+    flattens.
     """
-    cuts = dist.cdf(np.unique(kinks))
-    if not math.isfinite(dist.support[1]):
+    cuts = law.dist.cdf(kinks)
+    if not math.isfinite(law.dist.support[1]):
         cuts = np.concatenate([cuts, [0.0, 1.0]])
-    cuts = np.broadcast_to(cuts, (len(lo), len(cuts))) if len(cuts) else None
-    return _integrate(dist, g, lo, hi, cuts, cfg)
+    cuts = cuts[None, :].repeat(len(lo), axis=0) if len(cuts) else None
+    return _integrate(law, g, lo, hi, cuts, cfg)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -178,23 +199,23 @@ def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
     return min(stop, cont)
 
 
-def _continuation(dist, x, cfg):
+def _continuation(law, x, cfg):
     """(values, error bounds, panels) of the continuation curve at an array of x.
 
     With I the sum of two dF-integrals of F(y - x), the curve is
     15/8 + F(x) - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over (1/2, F(x/2)) and
     (F(x), 1) for x > 0, and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over
-    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one batch.
+    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one batch:
+    the first integral of every point, then the second.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     pos = x > 0
-    fx = dist.cdf(x)
-    fh = dist.cdf(0.5 * x)
-    vals, errs, panels = _df_integrals(
-        dist, np.concatenate([x, x]),
-        np.concatenate([np.where(pos, 0.5, fx), np.where(pos, fx, 0.5)]),
-        np.concatenate([fh, np.ones(n)]), cfg)
+    fx, fh = law.dist.cdf(x * _X_AND_HALF)
+    lo = np.where(pos != _SECOND_ROW, 0.5, fx)
+    hi = np.ones(2 * n)
+    hi[:n] = fh
+    vals, errs, panels = _df_integrals(law, np.concatenate([x, x]), lo.ravel(), hi, cfg)
     closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
     return closed + vals[:n] + vals[n:], errs[:n] + errs[n:], int(panels.sum())
 
@@ -202,7 +223,7 @@ def _continuation(dist, x, cfg):
 def continuation_curve(dist: SymmetricDistribution, xs,
                        cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Continuation curve at an array of first steps, both signs, in one batch."""
-    return _continuation(dist, np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
+    return _continuation(_Law(dist), np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
 
 
 def continuation_value(dist: SymmetricDistribution, x: float,
@@ -228,12 +249,13 @@ def solve_threshold(dist: SymmetricDistribution,
     ``ThresholdError``.  The root search runs at ``THRESHOLD_ROOT_CFG``,
     and at x_tol 1e-15 on the exact path of a ``TabulatedCdf``.
     """
-    return _threshold(dist, quad_cfg or FULL_INNER_CFG)[0]
+    return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
 
 
-def _threshold(dist, quad_cfg):
+def _threshold(law, quad_cfg):
     """solve_threshold's root, the curve minus 2 there, and the panels its
     scan and root search evaluated."""
+    dist = law.dist
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
@@ -242,14 +264,14 @@ def _threshold(dist, quad_cfg):
 
     def curve_minus_2(xs):
         nonlocal panels
-        values, _, n = _continuation(dist, xs, quad_cfg)
+        values, _, n = _continuation(law, xs, quad_cfg)
         panels += n
         values = values - 2.0
         seen.update(zip(map(float, xs), values))
         return values
 
-    u_lo = THRESHOLD_QUANTILE_BOUND - BOUND_TOL
-    grid = dist.ppf(np.linspace(u_lo, 1.0 - 1e-12, _SCAN_POINTS))
+    u_lo = _SCAN_U[0]
+    grid = dist.ppf(_SCAN_U)
     values = curve_minus_2(grid)
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
@@ -264,7 +286,7 @@ def _threshold(dist, quad_cfg):
         # has, and only returns points it evaluated.
         root = find_root(lambda x: seen[x] if x in seen else curve_minus_2([x])[0],
                          grid[i], grid[i + 1],
-                         _EXACT_ROOT_CFG if isinstance(dist, TabulatedCdf) else THRESHOLD_ROOT_CFG)
+                         _EXACT_ROOT_CFG if law.exact else THRESHOLD_ROOT_CFG)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
     return root, float(seen[root]), panels
@@ -302,14 +324,15 @@ def solve_full_info(dist: SymmetricDistribution,
     outer integral runs at ``cfg.outer()``.
     """
     inner_cfg = cfg or FULL_INNER_CFG
-    x1s, residual, threshold_panels = _threshold(dist, inner_cfg)
+    law = _Law(dist)
+    x1s, residual, threshold_panels = _threshold(law, inner_cfg)
     f_at = float(dist.cdf(x1s))
     panels = 0
     curve_err = 0.0
 
     def curve_of_u(us, _):
         nonlocal panels, curve_err
-        values, errs, n = _continuation(dist, dist.ppf(us), inner_cfg)
+        values, errs, n = _continuation(law, dist.ppf(us), inner_cfg)
         panels += n
         curve_err = max(curve_err, float(errs.max(initial=0.0)))
         return values
@@ -317,10 +340,10 @@ def solve_full_info(dist: SymmetricDistribution,
     # The continuation curve changes analytic form whenever the first step
     # or its half crosses a CDF knot, and where two knots are exactly the
     # first step apart, so that kinks of the inner integrand meet.
-    knots = dist.cdf_break_points()
+    knots = law.knots
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
-        dist, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, inner_cfg.outer())
+        law, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, inner_cfg.outer())
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
     bound = neg_err + pos_err + curve_err * (1.5 - f_at)
     return FullInfoSolution(
@@ -333,7 +356,7 @@ def solve_full_info(dist: SymmetricDistribution,
             "scan_upper": dist.quantile(1.0 - 1e-12),
             "panels": panels + int(outer_panels.sum()),
             "threshold_panels": threshold_panels,
-            "method": "exact_piecewise_linear" if isinstance(dist, TabulatedCdf) else "quadrature",
+            "method": "exact_piecewise_linear" if law.exact else "quadrature",
             "tolerances": tolerances(dist, inner_cfg),
         },
     )

@@ -2,8 +2,10 @@
 
 One engine, ``integrate_batch``, refines many integrals at once.  Each
 panel gets a Gauss-Kronrod 7/15 estimate and the |K15 - G7| error of
-QUADPACK's QAG.  The panels of all problems live in flat arrays (problem
-index, ends, value, error, and which ends are marked).  Each round
+QUADPACK's QAG.  The panels of all problems live in two arrays, one row
+per field: ends, value and error in a float array, problem index and
+which ends are marked in an integer array, so that a round selects,
+drops and appends panels with one numpy call per array.  Each round
 splits, in every problem still above its tolerance, the fewest of its
 worst panels whose error covers the excess, and all new panels go
 through the integrand together, in blocks of ``_BLOCK_PANELS`` panels, so
@@ -56,7 +58,7 @@ spacing at its end can round a node onto that end.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 
 import numpy as np
@@ -115,6 +117,9 @@ _SPLIT_AT = np.array([0.5, _GRADE, 1.0 - _GRADE, 0.5])
 # _RIGHT.
 _MARKED = 1 | 2
 _LEFT, _RIGHT = 1 | 4, 2 | 8
+# Masks of a split panel's (problem, mark) that its left and right child keep.
+_LEFT_CHILD = np.array([[-1], [_LEFT]])
+_RIGHT_CHILD = np.array([[-1], [_RIGHT]])
 
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
@@ -208,7 +213,7 @@ def tolerance_record(**levels) -> dict:
     """The tolerances of configs by level, flat: ``tolerance_record(inner=q,
     root=r)`` has keys inner_abs_tol, inner_rel_tol, root_x_tol, root_f_tol."""
     return {f"{level}_{name}": value for level, cfg in levels.items()
-            for name, value in asdict(cfg).items() if name.endswith("_tol")}
+            for name, value in vars(cfg).items() if name.endswith("_tol")}
 
 
 class QuadratureError(RuntimeError):
@@ -224,38 +229,37 @@ class BracketError(ValueError):
     """The supplied interval does not bracket a sign change."""
 
 
-def _evaluate(f, problem, a, b, mark):
-    """K15 values and |K15 - G7| errors of panels [a, b], one integrand call per block.
+def _evaluate(f, ids, pan):
+    """Fill rows 2 and 3 of ``pan`` with the K15 values and |K15 - G7|
+    errors of the panels [pan[0], pan[1]], one integrand call per block.
 
-    A panel takes row ``mark >> 2`` of ``_NODES`` and ``_WEIGHTS``: the
-    plain rule, or the substitution that flattens the ends its mark flags
-    as break points."""
-    val = np.empty(len(a))
-    err = np.empty(len(a))
-    for s in range(0, len(a), _BLOCK_PANELS):
-        blk = slice(s, s + _BLOCK_PANELS)
-        c = 0.5 * (a[blk] + b[blk])
-        h = 0.5 * (b[blk] - a[blk])
-        rule = mark[blk] >> 2
-        u = np.where(rule, a[blk], c)[:, None] + h[:, None] * _NODES.take(rule, axis=0)
-        y = np.asarray(f(u.ravel(), np.repeat(problem[blk], len(_XK))), dtype=float)
+    ``ids`` holds each panel's problem and mark.  A panel takes row
+    ``mark >> 2`` of ``_NODES`` and ``_WEIGHTS``: the plain rule, or the
+    substitution that flattens the ends its mark flags as break points."""
+    for s in range(0, pan.shape[1], _BLOCK_PANELS):
+        a, b, val, err = pan[:, s:s + _BLOCK_PANELS]
+        problem, mark = ids[:, s:s + _BLOCK_PANELS]
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        rule = mark >> 2
+        u = np.where(rule, a, c)[:, None] + h[:, None] * _NODES[rule]
+        y = np.asarray(f(u.ravel(), problem.repeat(u.shape[1])), dtype=float)
         if y.shape != (u.size,):
             raise TypeError("integrand must map an ndarray of nodes to values elementwise")
-        y = y.reshape(u.shape) * _WEIGHTS.take(rule, axis=0)
-        k = h * (y @ _WK)
-        val[blk] = k
-        err[blk] = np.abs(k - h * (y[:, 1::2] @ _WG))
-    return val, err
+        y = y.reshape(u.shape) * _WEIGHTS[rule]
+        val[:] = h * (y @ _WK)
+        err[:] = np.abs(val - h * (y[:, 1::2] @ _WG))
 
 
 def _bounds(a, b):
     """The problems' bounds as two 1-D float arrays, checked."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"bounds must be two 1-D arrays of equal length, got {a.shape} and {b.shape}")
-    if np.any(a > b):
-        i = int(np.argmax(a > b))
+    backwards = a > b
+    if backwards.any():
+        i = int(backwards.argmax())
         raise ValueError(f"integration bounds out of order: [{a[i]}, {b[i]}]")
     return a, b
 
@@ -270,43 +274,54 @@ def _cut_rows(break_points, m):
     return cuts
 
 
-def _initial_panels(a, b, n, break_points):
-    """(problem, a, b, mark) of the starting panels: min(n, max(1, ceil(n
-    (b - a)))) equal panels per problem, n on every problem at least 1
-    wide, split further at the break points inside it.  ``mark`` has bit 1
-    set where a panel's left end is an end of its problem or a break
-    point, and bit 2 where its right end is; bits 4 and 8 where that end
-    is a break point, one at a problem end included."""
-    m = len(a)
-    width = n * (b - a)
-    k = np.where(width < n, np.maximum(np.ceil(width), 1.0), n).astype(np.int64)
-    owner = np.repeat(np.arange(m, dtype=np.int32), k + 1)
-    first = np.cumsum(k + 1) - (k + 1)
-    j = np.arange(len(owner)) - first[owner]
-    # a + j (b - a) / k, as np.linspace computes it, and b exactly at the end
-    points = j * ((b - a) / k)[owner] + a[owner]
-    last = first + k
-    points[last] = b
-    # Per point, the bits of the mark of a panel whose left end it is.
-    edge = np.zeros(len(owner), dtype=np.int8)
-    edge[first] = 1
-    edge[last] = 1
-    if break_points is not None:
-        cuts = _cut_rows(break_points, m)
-        on = np.flatnonzero((cuts >= a[:, None]) & (cuts <= b[:, None]))
-        points = np.concatenate([points, cuts.ravel()[on]])
-        owner = np.concatenate([owner, (on // cuts.shape[1]).astype(np.int32)])
-        edge = np.concatenate([edge, np.full(len(on), _LEFT, dtype=np.int8)])
-        order = np.lexsort((points, owner))
-        points, owner, edge = points[order], owner[order], edge[order]
-    # A point repeated within a problem carries the bits of every copy.
-    repeat = (owner[1:] == owner[:-1]) & (points[1:] == points[:-1])
-    if repeat.any():
-        first = np.concatenate(([True], ~repeat))
-        edge = np.bitwise_or.reduceat(edge, np.flatnonzero(first))[np.cumsum(first) - 1]
-    keep = (owner[1:] == owner[:-1]) & (points[:-1] < points[1:])  # drops repeats and empty problems
-    mark = (edge[:-1] | (edge[1:] << 1))[keep]
-    return owner[:-1][keep], points[:-1][keep], points[1:][keep], mark
+# Slot j < n of a problem's starting mesh holds its equal point a + j (b - a)
+# / k when j < k; slot n holds b.  Bits of the slots' points: 1 at a problem
+# end, 0 inside.
+_SLOTS = np.arange(_INITIAL_PANELS)
+_SLOT_BITS = np.array([1.0] + [0.0] * (_INITIAL_PANELS - 1) + [1.0])
+
+
+def _initial_panels(a, b, break_points):
+    """(ids, pan) of the starting panels: min(n, max(1, ceil(n (b - a))))
+    equal panels per problem, n = ``_INITIAL_PANELS`` on every problem at
+    least 1 wide, split further at the break points inside it.  ``ids``
+    holds each panel's problem and mark, ``pan`` its ends in rows 0 and 1
+    and room for its value and error.  The mark has bit 1 set where a
+    panel's left end is an end of its problem or a break point, and bit 2
+    where its right end is; bits 4 and 8 where that end is a break point,
+    one at a problem end included.
+
+    Each problem's points are one row of a complex array, the point plus
+    1j times its bits (1 at a problem end, 5 at a break point, 0
+    elsewhere), so one sort per row orders the points and carries their
+    bits along.  A point repeated within a problem carries the bits of
+    every copy, which is the largest of them: sorted by (point, bits) it
+    is the last copy, which a panel's left end reads, and sorted by
+    (point, -bits) the first, which its right end reads.
+    """
+    n = _INITIAL_PANELS
+    d = b - a
+    width = n * d
+    k = np.where(width < n, np.maximum(np.ceil(width), 1.0), n)[:, None]
+    cuts = _cut_rows(break_points, len(a))
+    z = np.empty((len(a), n + 1 + cuts.shape[1]), dtype=complex)
+    points, bits = z.real, z.imag
+    # a + j (b - a) / k, as np.linspace computes it; NaN sorts last and makes no panel
+    points[:, :n] = np.where(_SLOTS < k, _SLOTS * (d[:, None] / k) + a[:, None], np.nan)
+    points[:, n] = b
+    points[:, n + 1:] = np.where((cuts < a[:, None]) | (cuts > b[:, None]), np.nan, cuts)
+    bits[:, :n + 1] = _SLOT_BITS
+    bits[:, n + 1:] = _LEFT
+    flipped = z.conj()  # the points with their bits negated
+    z.sort(axis=1)
+    flipped.sort(axis=1)
+    keep = z.real[:, :-1] < z.real[:, 1:]  # drops repeats, padding and empty problems
+    left, right = z[:, :-1][keep], flipped[:, 1:][keep]
+    ids = np.array([keep.nonzero()[0], left.imag - 2.0 * right.imag], dtype=np.int64)
+    pan = np.empty((4, len(left)))
+    pan[0] = left.real
+    pan[1] = right.real
+    return ids, pan
 
 
 def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=None):
@@ -333,6 +348,12 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     problem ends keep the plain rule, since smooth integrands would pay
     for the stretched nodes.
 
+    The live panels sit in two arrays that each round replaces whole:
+    ``pan``, rows a, b, value and error, and ``ids``, rows problem and
+    mark.  A round keeps the panels it does not split in their order and
+    appends the children of those it splits, left children first, so each
+    problem's panels are summed in the same order on every run.
+
     Returns (values, error_bounds, panels), arrays of length m; ``panels``
     counts the 15-node panels evaluated for each problem.  Raises
     QuadratureError, carrying the estimate and bound of the first failing
@@ -342,17 +363,17 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     cfg = cfg or QuadratureConfig()
     a, b = _bounds(a, b)
     m = len(a)
-    problem, pa, pb, mark = _initial_panels(a, b, _INITIAL_PANELS, break_points)
-    val, err = _evaluate(f, problem, pa, pb, mark)
-    panels = np.bincount(problem, minlength=m)
+    ids, pan = _initial_panels(a, b, break_points)
+    _evaluate(f, ids, pan)
+    panels = np.bincount(ids[0], minlength=m)
     splits = np.zeros(m, dtype=np.int64)
     # Per problem: the value and error of panels no longer refined, which
     # are every panel of a converged problem and the parked panels of the others.
-    fixed_val = np.zeros(m)
-    fixed_err = np.zeros(m)
+    fixed_val, fixed_err = np.zeros((2, m))
     while True:
-        total_val = np.bincount(problem, val, m) + fixed_val
-        total_err = np.bincount(problem, err, m) + fixed_err
+        problem = ids[0]
+        total_val = np.bincount(problem, pan[2], m) + fixed_val
+        total_err = np.bincount(problem, pan[3], m) + fixed_err
         tol = cfg.abs_tol + cfg.rel_tol * np.abs(total_val)
         over = total_err > tol
         if not over.any():
@@ -361,54 +382,57 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
         if not live.all():
             fixed_val = np.where(over, fixed_val, total_val)
             fixed_err = np.where(over, fixed_err, total_err)
-            problem, pa, pb, val, err, mark = (x[live]
-                                               for x in (problem, pa, pb, val, err, mark))
-        spent = over & (splits >= cfg.max_subdivisions)
+            ids, pan = ids[:, live], pan[:, live]
+            problem = ids[0]
+        budget = cfg.max_subdivisions - splits
+        spent = over & (budget <= 0)
         if spent.any():
-            i = int(np.argmax(spent))
+            i = int(spent.argmax())
             raise QuadratureError(_failure("quadrature did not reach the requested tolerance", i, m),
                                   float(total_val[i]), float(total_err[i]))
         # Per problem, the fewest worst panels whose error covers the excess
         # over the tolerance, within what is left of the budget.
+        err = pan[3]
         order = np.lexsort((-err, problem))
         p_sorted = problem[order]
-        before = np.cumsum(err[order]) - err[order]
-        start = np.searchsorted(p_sorted, p_sorted)  # where each problem's run begins
+        e_sorted = err[order]
+        before = e_sorted.cumsum() - e_sorted
+        start = p_sorted.searchsorted(p_sorted)  # where each problem's run begins
         before -= before[start]
         rank = np.arange(len(order)) - start
-        pick = order[(before < (total_err - tol)[p_sorted])
-                     & (rank < (cfg.max_subdivisions - splits)[p_sorted])]
-        narrow = (pb[pick] - pa[pick]) <= _NARROW * (np.abs(pa[pick]) + np.abs(pb[pick]) + 1.0)
+        pick = order[(before < (total_err - tol)[p_sorted]) & (rank < budget[p_sorted])]
+        parent, parent_ids = pan[:, pick], ids[:, pick]
+        size = np.abs(parent[:2])
+        narrow = (parent[1] - parent[0]) <= _NARROW * (size[0] + size[1] + 1.0)
         if narrow.any():
             # Cannot be split further in floating point; park their error.
-            parked = pick[narrow]
-            fixed_val += np.bincount(problem[parked], val[parked], m)
-            fixed_err += np.bincount(problem[parked], err[parked], m)
+            parked = parent_ids[0, narrow]
+            fixed_val += np.bincount(parked, parent[2, narrow], m)
+            fixed_err += np.bincount(parked, parent[3, narrow], m)
             stalled = fixed_err > tol  # only parked error is fixed in a live problem
             if stalled.any():
-                i = int(np.argmax(stalled))
+                i = int(stalled.argmax())
                 raise QuadratureError(_failure("quadrature stalled on an unresolvable feature", i, m),
                                       float(total_val[i]), float(total_err[i]))
-        split = pick[~narrow]
+            parent, parent_ids = parent[:, ~narrow], parent_ids[:, ~narrow]
+        # Each child is a copy of its parent with the cut as one end, and
+        # keeps the mark of the end it shares with its parent.
+        s = parent.shape[1]
+        at = np.where(parent[3] > 0.5 * total_err[parent_ids[0]],
+                      _SPLIT_AT[parent_ids[1] & _MARKED], 0.5)
+        cut = parent[0] + at * (parent[1] - parent[0])
+        child = np.concatenate((parent, parent), axis=1)
+        child[1, :s] = cut
+        child[0, s:] = cut
+        child_ids = np.concatenate((parent_ids & _LEFT_CHILD, parent_ids & _RIGHT_CHILD), axis=1)
+        _evaluate(f, child_ids, child)
+        split_count = np.bincount(parent_ids[0], minlength=m)
+        splits += split_count
+        panels += 2 * split_count
         rest = np.ones(len(problem), dtype=bool)
         rest[pick] = False
-        # Each child keeps the mark of the end it shares with its parent.
-        sa, sb, smark = pa[split], pb[split], mark[split]
-        at = np.where(err[split] > 0.5 * total_err[problem[split]], _SPLIT_AT[smark & _MARKED], 0.5)
-        cut = sa + at * (sb - sa)
-        new_problem = np.concatenate([problem[split], problem[split]])
-        new_a = np.concatenate([sa, cut])
-        new_b = np.concatenate([cut, sb])
-        new_mark = np.concatenate([smark & _LEFT, smark & _RIGHT])
-        new_val, new_err = _evaluate(f, new_problem, new_a, new_b, new_mark)
-        splits += np.bincount(problem[split], minlength=m)
-        panels += np.bincount(new_problem, minlength=m)
-        problem = np.concatenate([problem[rest], new_problem])
-        pa = np.concatenate([pa[rest], new_a])
-        pb = np.concatenate([pb[rest], new_b])
-        val = np.concatenate([val[rest], new_val])
-        err = np.concatenate([err[rest], new_err])
-        mark = np.concatenate([mark[rest], new_mark])
+        ids = np.concatenate((ids[:, rest], child_ids), axis=1)
+        pan = np.concatenate((pan[:, rest], child), axis=1)
 
 
 def _failure(message, i, m):
@@ -455,31 +479,33 @@ def integrate_pieces(f, a, b, break_points=None):
     m = len(a)
     cuts = _cut_rows(break_points, m)
     x, w = _PIECE_RULE
-    val = np.zeros(m)
-    mag = np.zeros(m)
+    sums = np.zeros((2, m))  # the integrals of f and of |f|
     panels = np.zeros(m, dtype=np.int64)
     rows = max(1, _BLOCK_CUTS // (cuts.shape[1] + 2))
     per_call = max(1, _BLOCK_NODES // len(x))
     for s in range(0, m, rows):
         lo, hi = a[s:s + rows, None], b[s:s + rows, None]
         # NaN padding sorts last and makes no piece.
-        pts = np.sort(np.concatenate([lo, np.clip(cuts[s:s + rows], lo, hi), hi], axis=1), axis=1)
+        pts = np.concatenate([lo, np.minimum(np.maximum(cuts[s:s + rows], lo), hi), hi], axis=1)
+        pts.sort(axis=1)
         keep = pts[:, 1:] > pts[:, :-1]
-        owner = np.nonzero(keep)[0]
+        owner = keep.nonzero()[0]
         pa, pb = pts[:, :-1][keep], pts[:, 1:][keep]
         n = len(lo)
         panels[s:s + n] = np.bincount(owner, minlength=n)
+        val, mag = sums[:, s:s + n]
+        centre, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
         for t in range(0, len(owner), per_call):
             blk = slice(t, t + per_call)
-            c = 0.5 * (pa[blk] + pb[blk])
-            h = 0.5 * (pb[blk] - pa[blk])
-            u = c[:, None] + h[:, None] * x
-            y = np.asarray(f(u.ravel(), np.repeat(owner[blk] + s, len(x))), dtype=float)
+            h, problem = half[blk], owner[blk]
+            u = centre[blk, None] + h[:, None] * x
+            y = np.asarray(f(u.ravel(), (problem + s).repeat(len(x))), dtype=float)
             if y.shape != (u.size,):
                 raise TypeError("integrand must map an ndarray of nodes to values elementwise")
             y = y.reshape(u.shape)
-            val[s:s + n] += np.bincount(owner[blk], h * (y @ w), n)
-            mag[s:s + n] += np.bincount(owner[blk], h * (np.abs(y) @ w), n)
+            val += np.bincount(problem, h * (y @ w), n)
+            mag += np.bincount(problem, h * (np.abs(y) @ w), n)
+    val, mag = sums
     return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
 
 

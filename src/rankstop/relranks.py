@@ -29,11 +29,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import SymmetricDistribution, TabulatedCdf
-from .fullinfo import _df_integrals, _u_integrals
+from .distributions import SymmetricDistribution
+from .fullinfo import _df_integrals, _Law, _u_integrals
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
 from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
-from .walkcore import RankPolicyTable, StoppingPolicy
+# The orderings and the rank rules live in walkcore and are re-exported here.
+from .walkcore import (
+    ALL_ORDERINGS,
+    RANK_RULE_A_BITS,
+    RANK_RULE_B_BITS,
+    StoppingPolicy,
+    rank_policy_a,
+    rank_policy_b,
+)
 
 __all__ = [
     "PQ_SUM",
@@ -122,7 +130,8 @@ def compute_pq(dist: SymmetricDistribution,
     """
     inner_cfg = cfg or PQ_INNER_CFG
     outer_cfg = inner_cfg.outer()
-    exact = isinstance(dist, TabulatedCdf)
+    law = _Law(dist)
+    exact = law.exact
     upper = dist.support[1]
     quarter = replace(inner_cfg, abs_tol=inner_cfg.abs_tol / 4.0)
     inner_err = 0.0
@@ -134,7 +143,7 @@ def compute_pq(dist: SymmetricDistribution,
         # On an unbounded support the lower limit F(x - upper) is 0, also at
         # x = Q(1) = +inf, where F(x - upper) would be F(inf - inf) = NaN.
         lo = dist.cdf(x - upper) if math.isfinite(upper) else np.zeros(len(x))
-        vals, errs, n = _df_integrals(dist, x, lo, 0.5, quarter)
+        vals, errs, n = _df_integrals(law, x, lo, 0.5, quarter)
         inner_err = max(inner_err, float(errs.max(initial=0.0)))
         panels += int(n.sum())
         return vals
@@ -142,10 +151,10 @@ def compute_pq(dist: SymmetricDistribution,
     # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
     # of two knots (0 included) at or below 0; between those it is quadratic
     # in r for a piecewise-linear F.
-    ends = np.unique(np.abs(np.append(dist.cdf_break_points(), 0.0)))
+    ends = np.unique(np.abs(np.append(law.knots, 0.0)))
     gaps = np.subtract.outer(ends, ends).ravel()
     total, outer_err, outer_panels = _u_integrals(
-        dist, inner, [0.5], [1.0], gaps[gaps >= 0.0],
+        law, inner, [0.5], [1.0], gaps[gaps >= 0.0],
         replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
     q = 0.5 * float(total[0])
     # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.
@@ -204,26 +213,28 @@ def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
 # ---------------------------------------------------------------------------
 # The 24-ordering probability table.
 #
-# Orderings are descending chains of position indices: (2, 0, 3, 1) means
-# S2 > S0 > S3 > S1 (index 0 is the origin S0 = 0).  Each row pairs an
-# ordering having S1 < 0 with its sign flip, which has the same
-# probability.  Probabilities are affine in (p, q) with p + q = 1/48.
+# Each row pairs an ordering having S1 < 0 (``walkcore.ALL_ORDERINGS``, first
+# half) with its sign flip, which has the same probability.  Probabilities
+# are affine in (p, q) with p + q = 1/48.
 # ---------------------------------------------------------------------------
 
 _ROW_SPEC = [
     # (negative chain, Fraction const, p coeff, q coeff)
-    ((0, 1, 2, 3), Fraction(1, 8), 0, 0),
-    ((0, 1, 3, 2), Fraction(1, 16), 0, 0),
-    ((0, 2, 1, 3), Fraction(1, 24), 0, 0),
-    ((0, 2, 3, 1), Fraction(1, 48), 0, 0),
-    ((0, 3, 1, 2), Fraction(1, 48), 2, 0),
-    ((0, 3, 2, 1), Fraction(0), 0, 2),
-    ((2, 0, 1, 3), Fraction(1, 48), 0, 0),
-    ((2, 0, 3, 1), Fraction(0), 2, 0),
-    ((2, 3, 0, 1), Fraction(0), 0, 2),
-    ((3, 0, 1, 2), Fraction(0), 0, 2),
-    ((3, 0, 2, 1), Fraction(1, 48), 2, 0),
-    ((3, 2, 0, 1), Fraction(1, 16), 0, 0),
+    (chain, const, p_coeff, q_coeff)
+    for chain, (const, p_coeff, q_coeff) in zip(ALL_ORDERINGS, [
+        (Fraction(1, 8), 0, 0),    # 0 > S1 > S2 > S3
+        (Fraction(1, 16), 0, 0),   # 0 > S1 > S3 > S2
+        (Fraction(1, 24), 0, 0),   # 0 > S2 > S1 > S3
+        (Fraction(1, 48), 0, 0),   # 0 > S2 > S3 > S1
+        (Fraction(1, 48), 2, 0),   # 0 > S3 > S1 > S2
+        (Fraction(0), 0, 2),       # 0 > S3 > S2 > S1
+        (Fraction(1, 48), 0, 0),   # S2 > 0 > S1 > S3
+        (Fraction(0), 2, 0),       # S2 > 0 > S3 > S1
+        (Fraction(0), 0, 2),       # S2 > S3 > 0 > S1
+        (Fraction(0), 0, 2),       # S3 > 0 > S1 > S2
+        (Fraction(1, 48), 2, 0),   # S3 > 0 > S2 > S1
+        (Fraction(1, 16), 0, 0),   # S3 > S2 > 0 > S1
+    ])
 ]
 
 
@@ -251,13 +262,6 @@ class TableRow:
     def probability(self, p, q):
         """Row probability at (p, q); exact for Fraction inputs."""
         return self.const + self.p_coeff * p + self.q_coeff * q
-
-
-#: Canonical order of all 24 chains: table rows top to bottom, negative
-#: column first, then the mirrored column.
-ALL_ORDERINGS: list[tuple[int, ...]] = [row for row, *_ in _ROW_SPEC] + [
-    _reflect(row) for row, *_ in _ROW_SPEC
-]
 
 
 @dataclass(frozen=True)
@@ -310,21 +314,6 @@ def permutation_table(p, q) -> PermutationTable:
 # ---------------------------------------------------------------------------
 # Optimal rank rules and values.
 # ---------------------------------------------------------------------------
-
-
-#: Stop bits (walkcore.RankPolicyTable layout) of the two optimal rank rules.
-RANK_RULE_A_BITS = (0, 1, 0, 0, 0, 0, 1, 1, 0)
-RANK_RULE_B_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
-
-
-def rank_policy_a() -> StoppingPolicy:
-    """Stop at 1 on a new maximum; else stop at 2 unless S_2 is a new minimum."""
-    return RankPolicyTable(RANK_RULE_A_BITS).to_policy("rank_rule_a")
-
-
-def rank_policy_b() -> StoppingPolicy:
-    """Stop at 1 on a new maximum; else stop at 2 only on a new maximum."""
-    return RankPolicyTable(RANK_RULE_B_BITS).to_policy("rank_rule_b")
 
 
 def optimal_rank_policy(pq) -> tuple[StoppingPolicy, str]:

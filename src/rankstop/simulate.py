@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SymmetricDistribution
-from .walkcore import FULL_INFORMATION, PolicyContractError, StoppingPolicy
-from .relranks import ALL_ORDERINGS
+from .walkcore import ALL_ORDERINGS, FULL_INFORMATION, PolicyContractError, StoppingPolicy
 
 # Paths per block of a chunk.  In a sweep from 2^11 to 2^15, 2^13 and 2^14
 # ran fastest; one pass over a whole 2^18-path chunk, whose 2 to 6 MB
@@ -271,7 +270,7 @@ def estimate_expected_rank(dist: SymmetricDistribution, policy: StoppingPolicy,
 
 @dataclass(frozen=True)
 class FrequencyResult:
-    counts: tuple[int, ...]          # aligned with relranks.ALL_ORDERINGS
+    counts: tuple[int, ...]          # aligned with walkcore.ALL_ORDERINGS
     n_paths: int
     ties_resampled: int
 

@@ -1,5 +1,8 @@
 """Walk paths, rank bookkeeping, the stopping-policy interface and rank tables.
 
+The 24 strict orderings of S_0..S_3 and the optimal rank rules live here,
+beside the two-step rule, so that simulating a rank rule loads no solver.
+
 Ranks follow the convention R_k = #(i : S_k <= S_i) including the
 self-comparison, so rank 1 is the best (the running maximum).  Relative
 ranks count only positions observed so far.  Tied positions are rejected
@@ -32,6 +35,11 @@ __all__ = [
     "monotone_transform",
     "stop_at_policy",
     "two_step_policy",
+    "ALL_ORDERINGS",
+    "RANK_RULE_A_BITS",
+    "RANK_RULE_B_BITS",
+    "rank_policy_a",
+    "rank_policy_b",
 ]
 
 FULL_INFORMATION = "full"
@@ -248,3 +256,31 @@ def two_step_policy() -> StoppingPolicy:
     maximum, else take the second.  Optimal for every continuous symmetric
     step law, in both observation models, with expected rank 15/8."""
     return RankPolicyTable(TWO_STEP_BITS).to_policy("two_step_rule")
+
+
+# Orderings are descending chains of position indices: (2, 0, 3, 1) means
+# S2 > S0 > S3 > S1 (index 0 is the origin S0 = 0).
+_NEGATIVE_ORDERINGS = [
+    (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1),
+    (2, 0, 1, 3), (2, 0, 3, 1), (2, 3, 0, 1), (3, 0, 1, 2), (3, 0, 2, 1), (3, 2, 0, 1),
+]
+
+#: Canonical order of all 24 chains: the 12 with S1 < 0, then their sign
+#: flips, which reverse the chain, in the same order.
+ALL_ORDERINGS: list[tuple[int, ...]] = _NEGATIVE_ORDERINGS + [
+    tuple(reversed(chain)) for chain in _NEGATIVE_ORDERINGS
+]
+
+#: Stop bits (RankPolicyTable layout) of the two optimal three-step rank rules.
+RANK_RULE_A_BITS = (0, 1, 0, 0, 0, 0, 1, 1, 0)
+RANK_RULE_B_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
+
+
+def rank_policy_a() -> StoppingPolicy:
+    """Stop at 1 on a new maximum; else stop at 2 unless S_2 is a new minimum."""
+    return RankPolicyTable(RANK_RULE_A_BITS).to_policy("rank_rule_a")
+
+
+def rank_policy_b() -> StoppingPolicy:
+    """Stop at 1 on a new maximum; else stop at 2 only on a new maximum."""
+    return RankPolicyTable(RANK_RULE_B_BITS).to_policy("rank_rule_b")

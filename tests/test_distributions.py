@@ -245,6 +245,17 @@ class TestTablePpf:
             if level > 0.5:
                 assert table.ppf(level) == grid[grid[:, 1] == level, 0].max()
 
+    @pytest.mark.parametrize("grid", [
+        [[0.0, 0.5], [1.0, 1.0], [2.0, 1.0]],
+        [[0.0, 0.5], [0.5, 0.8], [1.0, 1.0], [1.5, 1.0], [3.0, 1.0]],
+        [[0.0, 0.5], [1.0, 0.5], [2.0, 1.0], [2.5, 1.0]],
+    ], ids=["one_flat_piece", "two_flat_pieces", "flat_at_both_levels"])
+    def test_ends_of_the_support_with_a_flat_piece_at_one(self, grid):
+        # the mirrored flat piece at F = 0 would give its upper end at u = 0
+        table = TabulatedCdf(grid)
+        lower, upper = table.ppf([0.0, 1.0])
+        assert (lower, upper) == table.support == (-grid[-1][0], grid[-1][0])
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
     def test_uniform_closed_form_matches_table(self, a, seed):

@@ -532,7 +532,7 @@ class TestIntegrate:
                              ids=["exact", "adaptive"])
     def test_reversed_range_is_empty(self, dist, panels):
         # a table takes one piece on [0.2, 0.6], any other law 4 starting panels
-        vals, bounds, n = fullinfo._integrate(dist, lambda u, i: np.ones_like(u),
+        vals, bounds, n = fullinfo._integrate(fullinfo._Law(dist), lambda u, i: np.ones_like(u),
                                               [0.7, 0.2], [0.4, 0.6], None, FULL_INNER_CFG)
         assert (vals[0], bounds[0], n[0]) == (0.0, 0.0, 0)
         assert vals[1] == pytest.approx(0.4, abs=1e-14) and n[1] == panels

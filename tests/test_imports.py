@@ -61,3 +61,12 @@ def test_every_export_resolves():
             "assert {'__all__', *rankstop.__all__} <= set(dir(rankstop)), dir(rankstop)\n"
             "from rankstop import *")
     assert SOLVERS <= loaded_after(code)
+
+
+@pytest.mark.parametrize("policy", ["thm4a", "thm1", '{"kind": "rank_table", "bits": [0, 1, 0]}'],
+                         ids=["thm4a", "thm1", "rank_table"])
+def test_simulate_loads_no_quadrature(policy):
+    modules = loaded_after_command("simulate", "--dist", LAPLACE, "--policy", policy,
+                                   "--paths", "1000", "--seed", "1")
+    assert "rankstop.simulate" in modules
+    assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}

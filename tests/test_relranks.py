@@ -138,7 +138,8 @@ class TestFoldedIdentity:
         # y = 1.3 and beyond lie past the support of the PowerFold laws and
         # y = 2 and beyond past IRREGULAR's, where both integrals vanish.
         x = np.array([y])
-        inner = fullinfo._df_integrals(dist, x, dist.cdf(x - dist.support[1]), 0.5, self.CFG)[0][0]
+        inner = fullinfo._df_integrals(fullinfo._Law(dist), x, dist.cdf(x - dist.support[1]), 0.5,
+                                       self.CFG)[0][0]
         want = self.folded_inner(dist, y)
         tol = self.CFG.abs_tol + self.CFG.rel_tol * abs(want)
         assert abs(4.0 * inner - want) <= 5.0 * tol
