@@ -251,8 +251,6 @@ class TabulatedCdf(SymmetricDistribution):
         self._f = np.concatenate([1.0 - f[:0:-1], f])
         self.support = (float(self._x[0]), float(self._x[-1]))
         self._grid = [[float(a), float(b)] for a, b in zip(x, f)]
-        # A flat piece at F = 1 mirrors to one at F = 0.
-        self._flat_at_zero = bool(self._f[1] == 0.0)
 
     def cdf(self, x):
         x = _as_float_array(x)
@@ -261,9 +259,9 @@ class TabulatedCdf(SymmetricDistribution):
     def ppf(self, u):
         u = _as_float_array(u)
         q = np.where(u == 0.5, 0.0, np.interp(u, self._f, self._x))
-        if self._flat_at_zero:  # np.interp would give the flat piece's upper end at u = 0
-            q = np.where(u == 0.0, self._x[0], q)
-        return q
+        # A flat piece at F = 1 mirrors to one at F = 0, where np.interp
+        # would give the piece's upper end.
+        return np.where(u == 0.0, self._x[0], q)
 
     def cdf_break_points(self):
         return self._x.copy()

@@ -88,11 +88,6 @@ _EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
 BOUND_TOL = 1e-9
 #: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
 _SCAN_U = np.linspace(THRESHOLD_QUANTILE_BOUND - BOUND_TOL, 1.0 - 1e-12, 16)
-#: ``x * _X_AND_HALF`` stacks x and x/2, where the curve needs F, and
-#: ``pos != _SECOND_ROW`` marks, for each of the curve's two dF-integrals
-#: per point, the points where that integral starts at 1/2.
-_X_AND_HALF = np.array([[1.0], [0.5]])
-_SECOND_ROW = np.array([[False], [True]])
 
 
 class ThresholdError(RuntimeError):
@@ -211,11 +206,11 @@ def _continuation(law, x, cfg):
     x = np.asarray(x, dtype=float)
     n = len(x)
     pos = x > 0
-    fx, fh = law.dist.cdf(x * _X_AND_HALF)
-    lo = np.where(pos != _SECOND_ROW, 0.5, fx)
-    hi = np.ones(2 * n)
-    hi[:n] = fh
-    vals, errs, panels = _df_integrals(law, np.concatenate([x, x]), lo.ravel(), hi, cfg)
+    fx, fh = law.dist.cdf(np.array((x, 0.5 * x)))
+    vals, errs, panels = _df_integrals(
+        law, np.concatenate([x, x]),
+        np.concatenate([np.where(pos, 0.5, fx), np.where(pos, fx, 0.5)]),
+        np.concatenate([fh, np.ones(n)]), cfg)
     closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
     return closed + vals[:n] + vals[n:], errs[:n] + errs[n:], int(panels.sum())
 

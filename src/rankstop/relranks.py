@@ -213,34 +213,26 @@ def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
 # ---------------------------------------------------------------------------
 # The 24-ordering probability table.
 #
-# Each row pairs an ordering having S1 < 0 (``walkcore.ALL_ORDERINGS``, first
-# half) with its sign flip, which has the same probability.  Probabilities
-# are affine in (p, q) with p + q = 1/48.
+# Each row pairs an ordering having S1 < 0 with its sign flip, which has the
+# same probability: ``walkcore.ALL_ORDERINGS`` lists the first column, then
+# the second.  Probabilities are affine in (p, q) with p + q = 1/48.
 # ---------------------------------------------------------------------------
 
-_ROW_SPEC = [
-    # (negative chain, Fraction const, p coeff, q coeff)
-    (chain, const, p_coeff, q_coeff)
-    for chain, (const, p_coeff, q_coeff) in zip(ALL_ORDERINGS, [
-        (Fraction(1, 8), 0, 0),    # 0 > S1 > S2 > S3
-        (Fraction(1, 16), 0, 0),   # 0 > S1 > S3 > S2
-        (Fraction(1, 24), 0, 0),   # 0 > S2 > S1 > S3
-        (Fraction(1, 48), 0, 0),   # 0 > S2 > S3 > S1
-        (Fraction(1, 48), 2, 0),   # 0 > S3 > S1 > S2
-        (Fraction(0), 0, 2),       # 0 > S3 > S2 > S1
-        (Fraction(1, 48), 0, 0),   # S2 > 0 > S1 > S3
-        (Fraction(0), 2, 0),       # S2 > 0 > S3 > S1
-        (Fraction(0), 0, 2),       # S2 > S3 > 0 > S1
-        (Fraction(0), 0, 2),       # S3 > 0 > S1 > S2
-        (Fraction(1, 48), 2, 0),   # S3 > 0 > S2 > S1
-        (Fraction(1, 16), 0, 0),   # S3 > S2 > 0 > S1
-    ])
+#: (Fraction const, p coeff, q coeff) of each row, top to bottom.
+_ROW_COEFFS = [
+    (Fraction(1, 8), 0, 0),
+    (Fraction(1, 16), 0, 0),
+    (Fraction(1, 24), 0, 0),
+    (Fraction(1, 48), 0, 0),
+    (Fraction(1, 48), 2, 0),
+    (Fraction(0), 0, 2),
+    (Fraction(1, 48), 0, 0),
+    (Fraction(0), 2, 0),
+    (Fraction(0), 0, 2),
+    (Fraction(0), 0, 2),
+    (Fraction(1, 48), 2, 0),
+    (Fraction(1, 16), 0, 0),
 ]
-
-
-def _reflect(chain: tuple[int, ...]) -> tuple[int, ...]:
-    """Sign flip of the walk reverses the chain."""
-    return tuple(reversed(chain))
 
 
 def ordering_string(chain: tuple[int, ...], ascending: bool = False) -> str:
@@ -307,7 +299,8 @@ def permutation_table(p, q) -> PermutationTable:
         raise ValueError(f"p and q must be nonnegative, got p={p}, q={q}")
     if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
         raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
-    rows = tuple(TableRow(neg, _reflect(neg), c, cp, cq) for neg, c, cp, cq in _ROW_SPEC)
+    rows = tuple(TableRow(neg, pos, c, cp, cq) for neg, pos, (c, cp, cq)
+                 in zip(ALL_ORDERINGS[:12], ALL_ORDERINGS[12:], _ROW_COEFFS, strict=True))
     return PermutationTable(p=p, q=q, rows=rows)
 
 
