@@ -25,8 +25,17 @@ from itertools import product
 import numpy as np
 
 from .distributions import SymmetricDistribution
-from .relranks import ALL_ORDERINGS, PQ_SUM, RANK_RULE_A_BITS, RANK_RULE_B_BITS, permutation_table
-from .walkcore import SECOND_STEP_HISTORIES, TWO_STEP_BITS, RankPolicyTable, StoppingPolicy
+from .walkcore import (
+    ALL_ORDERINGS,
+    PQ_SUM,
+    RANK_RULE_A_BITS,
+    RANK_RULE_B_BITS,
+    SECOND_STEP_HISTORIES,
+    TWO_STEP_BITS,
+    RankPolicyTable,
+    StoppingPolicy,
+    permutation_table,
+)
 
 __all__ = [
     "EnumerationResult",

@@ -17,8 +17,8 @@ s = (1 - u)/2 and use F(-z) = 1 - F(z)), and with v = 2r - 1
 ``compute_pq`` evaluates this form with ``fullinfo``'s integrals, which
 cut and integrate for both solvers; this module keeps only the formula.
 The probabilities of all 24 strict orderings of S_0..S_3 are affine in
-(p, q); the table drives both the optimal rank rule and the exact
-policy-enumeration oracle.
+(p, q); the table (``walkcore.permutation_table``, re-exported here)
+drives both the optimal rank rule and the exact policy-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -33,12 +33,18 @@ from .distributions import SymmetricDistribution
 from .fullinfo import _df_integrals, _Law, _u_integrals
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
 from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
-# The orderings and the rank rules live in walkcore and are re-exported here.
+# The ordering table and the rank rules live in walkcore and are re-exported here.
 from .walkcore import (
     ALL_ORDERINGS,
+    PQ_SUM,
+    PQ_TOL,
     RANK_RULE_A_BITS,
     RANK_RULE_B_BITS,
+    PermutationTable,
     StoppingPolicy,
+    TableRow,
+    ordering_string,
+    permutation_table,
     rank_policy_a,
     rank_policy_b,
 )
@@ -66,17 +72,11 @@ __all__ = [
     "CaseValueReport",
 ]
 
-#: p + q for every continuous symmetric step distribution.
-PQ_SUM = Fraction(1, 48)
-
 #: Default tolerance of q's inner integrals J, in the folded form.  The
 #: outer integral runs at ``PQ_INNER_CFG.outer()``, two decades looser
 #: (1e-11), so that it stays above the inner integrals' noise floor and
 #: does not chase it.
 PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-
-#: Slack on p + q = 1/48 and on p <= 1/96, here and in ``verify``.
-PQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,100 +208,6 @@ def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
         worst_pair=(float(xs[i]), float(ys[j])),
         n_checked=gaps.size,
     )
-
-
-# ---------------------------------------------------------------------------
-# The 24-ordering probability table.
-#
-# Each row pairs an ordering having S1 < 0 with its sign flip, which has the
-# same probability: ``walkcore.ALL_ORDERINGS`` lists the first column, then
-# the second.  Probabilities are affine in (p, q) with p + q = 1/48.
-# ---------------------------------------------------------------------------
-
-#: (Fraction const, p coeff, q coeff) of each row, top to bottom.
-_ROW_COEFFS = [
-    (Fraction(1, 8), 0, 0),
-    (Fraction(1, 16), 0, 0),
-    (Fraction(1, 24), 0, 0),
-    (Fraction(1, 48), 0, 0),
-    (Fraction(1, 48), 2, 0),
-    (Fraction(0), 0, 2),
-    (Fraction(1, 48), 0, 0),
-    (Fraction(0), 2, 0),
-    (Fraction(0), 0, 2),
-    (Fraction(0), 0, 2),
-    (Fraction(1, 48), 2, 0),
-    (Fraction(1, 16), 0, 0),
-]
-
-
-def ordering_string(chain: tuple[int, ...], ascending: bool = False) -> str:
-    """Render a descending chain, optionally in ascending (mirrored) form."""
-    names = ["0" if i == 0 else f"S{i}" for i in chain]
-    if ascending:
-        return "<".join(reversed(names))
-    return ">".join(names)
-
-
-@dataclass(frozen=True)
-class TableRow:
-    negative: tuple[int, ...]   # chain with S1 < 0
-    positive: tuple[int, ...]   # its reflection, with S1 > 0
-    const: Fraction
-    p_coeff: int
-    q_coeff: int
-
-    def probability(self, p, q):
-        """Row probability at (p, q); exact for Fraction inputs."""
-        return self.const + self.p_coeff * p + self.q_coeff * q
-
-
-@dataclass(frozen=True)
-class PermutationTable:
-    """All 24 strict orderings of S_0..S_3 with their probabilities."""
-
-    p: float | Fraction
-    q: float | Fraction
-    rows: tuple[TableRow, ...]
-
-    def probability(self, chain: tuple[int, ...]):
-        chain = tuple(chain)
-        for row in self.rows:
-            if chain in (row.negative, row.positive):
-                return row.probability(self.p, self.q)
-        raise KeyError(f"not an ordering of four positions: {chain}")
-
-    def probabilities(self):
-        """Probabilities of ALL_ORDERINGS, in canonical order."""
-        one_column = [row.probability(self.p, self.q) for row in self.rows]
-        return one_column + one_column
-
-    def total(self):
-        return sum(self.probabilities())
-
-    def as_records(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            out.append({
-                "ordering": ordering_string(row.negative),
-                "reflection": ordering_string(row.positive, ascending=True),
-                "constant": str(row.const),
-                "p_coefficient": row.p_coeff,
-                "q_coefficient": row.q_coeff,
-                "probability": float(row.probability(self.p, self.q)),
-            })
-        return out
-
-
-def permutation_table(p, q) -> PermutationTable:
-    """Instantiate the 24-row ordering table at a given (p, q)."""
-    if float(p) < 0 or float(q) < 0:
-        raise ValueError(f"p and q must be nonnegative, got p={p}, q={q}")
-    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
-        raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
-    rows = tuple(TableRow(neg, pos, c, cp, cq) for neg, pos, (c, cp, cq)
-                 in zip(ALL_ORDERINGS[:12], ALL_ORDERINGS[12:], _ROW_COEFFS, strict=True))
-    return PermutationTable(p=p, q=q, rows=rows)
 
 
 # ---------------------------------------------------------------------------

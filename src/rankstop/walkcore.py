@@ -1,7 +1,9 @@
 """Walk paths, rank bookkeeping, the stopping-policy interface and rank tables.
 
-The 24 strict orderings of S_0..S_3 and the optimal rank rules live here,
-beside the two-step rule, so that simulating a rank rule loads no solver.
+The 24 strict orderings of S_0..S_3, their probability table in (p, q)
+and the optimal rank rules live here, beside the two-step rule, so that
+simulating a rank rule or enumerating rank policies at a given p loads no
+solver.
 
 Ranks follow the convention R_k = #(i : S_k <= S_i) including the
 self-comparison, so rank 1 is the best (the running maximum).  Relative
@@ -14,6 +16,7 @@ event to break arbitrarily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -35,7 +38,13 @@ __all__ = [
     "monotone_transform",
     "stop_at_policy",
     "two_step_policy",
+    "PQ_SUM",
+    "PQ_TOL",
+    "TableRow",
+    "PermutationTable",
     "ALL_ORDERINGS",
+    "ordering_string",
+    "permutation_table",
     "RANK_RULE_A_BITS",
     "RANK_RULE_B_BITS",
     "rank_policy_a",
@@ -258,18 +267,112 @@ def two_step_policy() -> StoppingPolicy:
     return RankPolicyTable(TWO_STEP_BITS).to_policy("two_step_rule")
 
 
+# ---------------------------------------------------------------------------
+# The 24-ordering probability table.
+#
 # Orderings are descending chains of position indices: (2, 0, 3, 1) means
-# S2 > S0 > S3 > S1 (index 0 is the origin S0 = 0).
-_NEGATIVE_ORDERINGS = [
-    (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1),
-    (2, 0, 1, 3), (2, 0, 3, 1), (2, 3, 0, 1), (3, 0, 1, 2), (3, 0, 2, 1), (3, 2, 0, 1),
+# S2 > S0 > S3 > S1 (index 0 is the origin S0 = 0).  Each row pairs an
+# ordering having S1 < 0 with its sign flip, which reverses the chain and
+# has the same probability.  Probabilities are affine in (p, q), the two
+# numbers of ``relranks.compute_pq``, with p + q = 1/48.
+# ---------------------------------------------------------------------------
+
+#: p + q for every continuous symmetric step distribution.
+PQ_SUM = Fraction(1, 48)
+
+#: Slack on p + q = 1/48 and on p <= 1/96, here, in ``relranks`` and in ``verify``.
+PQ_TOL = 1e-9
+
+_ROW_SPEC = [
+    # (negative chain, Fraction const, p coeff, q coeff)
+    ((0, 1, 2, 3), Fraction(1, 8), 0, 0),
+    ((0, 1, 3, 2), Fraction(1, 16), 0, 0),
+    ((0, 2, 1, 3), Fraction(1, 24), 0, 0),
+    ((0, 2, 3, 1), Fraction(1, 48), 0, 0),
+    ((0, 3, 1, 2), Fraction(1, 48), 2, 0),
+    ((0, 3, 2, 1), Fraction(0), 0, 2),
+    ((2, 0, 1, 3), Fraction(1, 48), 0, 0),
+    ((2, 0, 3, 1), Fraction(0), 2, 0),
+    ((2, 3, 0, 1), Fraction(0), 0, 2),
+    ((3, 0, 1, 2), Fraction(0), 0, 2),
+    ((3, 0, 2, 1), Fraction(1, 48), 2, 0),
+    ((3, 2, 0, 1), Fraction(1, 16), 0, 0),
 ]
 
-#: Canonical order of all 24 chains: the 12 with S1 < 0, then their sign
-#: flips, which reverse the chain, in the same order.
-ALL_ORDERINGS: list[tuple[int, ...]] = _NEGATIVE_ORDERINGS + [
-    tuple(reversed(chain)) for chain in _NEGATIVE_ORDERINGS
+#: Canonical order of all 24 chains: table rows top to bottom, negative
+#: column first, then the mirrored column.
+ALL_ORDERINGS: list[tuple[int, ...]] = [row for row, *_ in _ROW_SPEC] + [
+    row[::-1] for row, *_ in _ROW_SPEC
 ]
+
+
+def ordering_string(chain: tuple[int, ...], ascending: bool = False) -> str:
+    """Render a descending chain, optionally in ascending (mirrored) form."""
+    names = ["0" if i == 0 else f"S{i}" for i in chain]
+    if ascending:
+        return "<".join(reversed(names))
+    return ">".join(names)
+
+
+@dataclass(frozen=True)
+class TableRow:
+    negative: tuple[int, ...]   # chain with S1 < 0
+    positive: tuple[int, ...]   # its reflection, with S1 > 0
+    const: Fraction
+    p_coeff: int
+    q_coeff: int
+
+    def probability(self, p, q):
+        """Row probability at (p, q); exact for Fraction inputs."""
+        return self.const + self.p_coeff * p + self.q_coeff * q
+
+
+@dataclass(frozen=True)
+class PermutationTable:
+    """All 24 strict orderings of S_0..S_3 with their probabilities."""
+
+    p: float | Fraction
+    q: float | Fraction
+    rows: tuple[TableRow, ...]
+
+    def probability(self, chain: tuple[int, ...]):
+        chain = tuple(chain)
+        for row in self.rows:
+            if chain in (row.negative, row.positive):
+                return row.probability(self.p, self.q)
+        raise KeyError(f"not an ordering of four positions: {chain}")
+
+    def probabilities(self):
+        """Probabilities of ALL_ORDERINGS, in canonical order."""
+        one_column = [row.probability(self.p, self.q) for row in self.rows]
+        return one_column + one_column
+
+    def total(self):
+        return sum(self.probabilities())
+
+    def as_records(self) -> list[dict]:
+        out = []
+        for row in self.rows:
+            out.append({
+                "ordering": ordering_string(row.negative),
+                "reflection": ordering_string(row.positive, ascending=True),
+                "constant": str(row.const),
+                "p_coefficient": row.p_coeff,
+                "q_coefficient": row.q_coeff,
+                "probability": float(row.probability(self.p, self.q)),
+            })
+        return out
+
+
+def permutation_table(p, q) -> PermutationTable:
+    """Instantiate the 24-row ordering table at a given (p, q)."""
+    if float(p) < 0 or float(q) < 0:
+        raise ValueError(f"p and q must be nonnegative, got p={p}, q={q}")
+    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
+        raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
+    rows = tuple(TableRow(neg, neg[::-1], c, cp, cq) for neg, c, cp, cq in _ROW_SPEC)
+    return PermutationTable(p=p, q=q, rows=rows)
+
 
 #: Stop bits (RankPolicyTable layout) of the two optimal three-step rank rules.
 RANK_RULE_A_BITS = (0, 1, 0, 0, 0, 0, 1, 1, 0)

@@ -70,3 +70,9 @@ def test_simulate_loads_no_quadrature(policy):
                                    "--paths", "1000", "--seed", "1")
     assert "rankstop.simulate" in modules
     assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}
+
+
+def test_enumerate_at_given_p_loads_no_quadrature():
+    modules = loaded_after_command("enumerate", "--p", "1/100")
+    assert "rankstop.oracle" in modules
+    assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}
