@@ -22,7 +22,8 @@ import click
 import numpy as np
 
 from . import __version__, _lazy_attributes
-from .distributions import CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError, from_spec
+from .distributions import (CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError, PowerFold,
+                            from_spec)
 
 # The solver names a command runs load on first access, so each command
 # imports only the solver modules it needs.  Commands look them up on
@@ -218,6 +219,16 @@ def verify(dist_spec, paths, seed, out):
         defect = abs(pq.p + pq.q - 1.0 / 48.0)
         record("pq_sum", defect <= _cli.PQ_TOL, {"p": pq.p, "q": pq.q, "defect": defect})
 
+        if isinstance(dist, PowerFold):
+            # p = 1/48 - delta B(delta, delta)/96, B from lgamma; a few ulps of
+            # 1/48 cover the closed form's own rounding
+            d = dist.delta
+            exact = 1.0 / 48.0 - d * math.exp(2.0 * math.lgamma(d) - math.lgamma(2.0 * d)) / 96.0
+            defect = abs(pq.p - exact)
+            record("p_closed_form", defect <= pq.error_bound + 4.0 * math.ulp(1.0 / 48.0),
+                   {"p": pq.p, "closed_form": exact, "defect": defect,
+                    "error_bound": pq.error_bound})
+
         conc = _cli.shift_concentration_check(dist)
         if conc.member:
             record("p_bound_in_class", pq.p <= 1.0 / 96.0 + _cli.PQ_TOL,
@@ -369,7 +380,7 @@ def _policy_from_spec(token: str, dist, horizon: int) -> StoppingPolicy:
         return presets[token]()
     try:
         payload = json.loads(token)
-        if payload.get("kind") != "rank_table":
+        if not isinstance(payload, dict) or payload.get("kind") != "rank_table":
             raise ValueError("custom policy JSON must have kind 'rank_table'")
         return _cli.RankPolicyTable(tuple(payload["bits"])).to_policy()
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

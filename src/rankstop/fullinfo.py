@@ -120,27 +120,38 @@ class _Law:
     """One law's constants for the integrals of one solve: its CDF knots, F
     there, and whether it takes the exact path.  ``solve_full_info``,
     ``solve_threshold``, ``continuation_curve`` and ``relranks.compute_pq``
-    each build one and drop it when they return, so no call sees another's."""
+    each build one and drop it when they return, so no call sees another's.
+
+    On the adaptive path it also holds the substitution degrees the law
+    declares (``break_point_degrees``): one per knot, the one of the u-ends
+    0 and 1, and those of the cut columns of ``_df_integrals``.  The exact
+    path takes none."""
 
     def __init__(self, dist):
         self.dist = dist
         self.knots = dist.cdf_break_points()
         self.f_knots = dist.cdf(self.knots)
         self.exact = isinstance(dist, TabulatedCdf)
+        self.degrees = self.end_degree = self.df_degrees = None
+        if not self.exact:
+            self.degrees, self.end_degree = dist.break_point_degrees()
+            self.df_degrees = np.concatenate([self.degrees, self.degrees])
 
 
-def _integrate(law, f, lo, hi, cuts, cfg):
+def _integrate(law, f, lo, hi, cuts, cfg, degrees=None):
     """(values, bounds, panels) of the integrals of ``f(u, problem)`` over
     [lo[i], hi[i]], cut at the rows of ``cuts``; an empty range (hi < lo)
     is [lo, lo], worth 0.  A ``TabulatedCdf`` takes the fixed rule on the
-    pieces (``integrate_pieces``), where ``cfg`` does not apply and the
-    bounds are rounding bounds; every other law the adaptive quadrature.
+    pieces (``integrate_pieces``), where ``cfg`` and ``degrees`` do not
+    apply and the bounds are rounding bounds; every other law the adaptive
+    quadrature, with the substitution degree ``degrees`` gives each column
+    of ``cuts``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(hi, lo)
     if law.exact:
         return integrate_pieces(f, lo, hi, cuts)
-    return integrate_batch(f, lo, hi, cfg, break_points=cuts)
+    return integrate_batch(f, lo, hi, cfg, break_points=cuts, degrees=degrees)
 
 
 def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
@@ -148,7 +159,7 @@ def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
 
     The integrand u -> F(Q(u) - x) kinks where Q(u) - x crosses a CDF knot
     and where Q itself kinks; both sets are handed to the integrator as
-    panel edges.
+    panel edges, each with its knot's substitution degree.
     """
     cdf, ppf = law.dist.cdf, law.dist.ppf
     cuts = None
@@ -161,24 +172,27 @@ def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
     def f(u, i):
         return cdf(ppf(u) - x_shift[i])
 
-    return _integrate(law, f, u_lo, u_hi, cuts, cfg)
+    return _integrate(law, f, u_lo, u_hi, cuts, cfg, law.df_degrees)
 
 
-def _u_integrals(law, g, lo, hi, kinks, cfg):
+def _u_integrals(law, g, lo, hi, kinks, degrees, cfg):
     """(values, bounds, panels) of the outer integrals of ``g(u, problem)``
     over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
 
-    Every problem is cut at F(kinks), where g changes analytic form; both
-    integrators merge repeated break points.  On an unbounded support 0 and
-    1 are break points as well: there g approaches its limit like a power
-    of u (sqrt(u) on Laplace), which the substitution at a break point
-    flattens.
+    Every problem is cut at F(kinks), where g changes analytic form, with
+    the substitution degree ``degrees`` gives each kink (None on the exact
+    path); both integrators merge repeated break points, the adaptive one
+    taking their largest degree.  On an unbounded support 0 and 1 are break
+    points as well, of the law's ``end_degree``: there g approaches its
+    limit like a power of u times a logarithm (u log u on Laplace), which
+    the substitution at a break point flattens.
     """
     cuts = law.dist.cdf(kinks)
     if not math.isfinite(law.dist.support[1]):
         cuts = np.concatenate([cuts, [0.0, 1.0]])
+        degrees = np.concatenate([degrees, [law.end_degree] * 2])
     cuts = cuts[None, :].repeat(len(lo), axis=0) if len(cuts) else None
-    return _integrate(law, g, lo, hi, cuts, cfg)
+    return _integrate(law, g, lo, hi, cuts, cfg, degrees)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -334,11 +348,16 @@ def solve_full_info(dist: SymmetricDistribution,
 
     # The continuation curve changes analytic form whenever the first step
     # or its half crosses a CDF knot, and where two knots are exactly the
-    # first step apart, so that kinks of the inner integrand meet.
-    knots = law.knots
+    # first step apart, so that kinks of the inner integrand meet.  A kink
+    # at a knot or at twice one takes the knot's substitution degree, and
+    # one at a difference the smaller degree of the two knots: there the
+    # two singularities are integrated against each other.
+    knots, degrees = law.knots, law.degrees
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
+    if degrees is not None:
+        degrees = np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()])
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
-        law, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, inner_cfg.outer())
+        law, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, degrees, inner_cfg.outer())
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
     bound = neg_err + pos_err + curve_err * (1.5 - f_at)
     return FullInfoSolution(

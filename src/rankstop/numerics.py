@@ -30,16 +30,20 @@ many panels, are bisected as before.
 A panel with a break point at an end is integrated through a polynomial
 change of variables that flattens that end (Davis and Rabinowitz, 1984;
 Sidi, 1993, whose transformations are of this kind).  With H = b - a and the
-Kronrod nodes mapped to t in [0, 1], the map is u = a + H t^2 at a left
-break point, u = b - H (1 - t)^2 at a right one and the smoothstep
+Kronrod nodes mapped to t in [0, 1], the map is u = a + H t^d at a left
+break point, u = b - H (1 - t)^d at a right one and the smoothstep
 u = a + H (3t^2 - 2t^3) at both.  A singularity (u - a)^alpha then
-becomes t^(2 alpha + 1), a polynomial for alpha = 1/2.  A break point
-equal to a problem end flags that end as well.  A problem end alone does
-not: it is often only where the range stops, and on a smooth integrand
-the stretched nodes cost panels (cos(20u) on [0, 3] would take 60
-instead of 54), so integrands without break points keep the plain rule
-and their results.  On a split only the child at a flattened end keeps
-the map.
+becomes t^(d (1 + alpha) - 1), a polynomial when d alpha is an integer.
+Each break point carries its own degree d, 2 unless the caller declares
+another (the law does, in ``SymmetricDistribution.break_point_degrees``):
+the fourth root of PowerFold(4)'s quantile takes d = 4, and a kink,
+where the integrand is analytic on either side, takes d = 0, the plain
+rule.  A break point equal to a problem end flags that end as well.  A
+problem end alone does not: it is often only where the range stops, and
+on a smooth integrand the stretched nodes cost panels (cos(20u) on
+[0, 3] would take 60 instead of 54), so integrands without break points
+keep the plain rule and their results.  On a split only the child at a
+flattened end keeps the map.
 
 ``integrate_pieces`` is the fixed-rule counterpart for integrands that are
 polynomials of degree at most 3 between known break points: the 2-point
@@ -110,13 +114,39 @@ _NARROW = 8.0 * _EPS
 # solves, and about as few rounds as 1/16.
 _GRADE = 0.125
 _SPLIT_AT = np.array([0.5, _GRADE, 1.0 - _GRADE, 0.5])
-# A panel's mark has bit 1 (2) set when its left (right) end is a problem
-# end or a break point, which is what the graded split reads, and bit 4 (8)
-# when that end is a break point, which _evaluate flattens.  Of a split
-# panel, the left child keeps the bits in _LEFT and the right one those in
-# _RIGHT.
+# Substitution degrees a break point may declare, by index: 0 is a kink,
+# which keeps the plain rule, and d >= 2 flattens its end through t^d.  A
+# break point without a declared degree takes 2, which turns alpha = 1/2
+# into a polynomial; of 2, 3 and 4 for every break point alike, 2 took
+# the fewest panels on the PowerFold(2) and Laplace solves.
+_DEGREES = (0, 2, 3, 4, 5, 6, 7, 8)
+_DEFAULT_DEGREE = 2
+# A panel's mark holds the bits of its left end at the even positions and
+# those of its right end, one position higher, at the odd ones.  Bit 1 (2)
+# is set when the left (right) end is a problem end or a break point,
+# which is what the graded split reads; above it, at every other
+# position, sits the index in _DEGREES of the degree of a break point
+# there, which _evaluate reads through row ``mark >> 2`` of its rule
+# table.  Of a split panel, the left child keeps the bits in _LEFT and the
+# right one those in _RIGHT.
 _MARKED = 1 | 2
-_LEFT, _RIGHT = 1 | 4, 2 | 8
+_LEFT, _RIGHT = 0b01010101, 0b10101010
+_INDEX_BITS = 3
+
+
+def _spread(i):
+    """The bits of ``i`` at every other position: 0b101 becomes 0b10001."""
+    return sum(((i >> j) & 1) << (2 * j) for j in range(_INDEX_BITS))
+
+
+def _gather(bits):
+    """The inverse of ``_spread``, reading the even positions of ``bits``."""
+    return sum(((bits >> (2 * j)) & 1) << j for j in range(_INDEX_BITS))
+
+
+# The bits of a break point at a left end, by its degree: with a degree of
+# 2 they are 1 | 4, as when every break point took t^2.
+_POINT_BITS = {d: float(1 | _spread(i) << 2) for i, d in enumerate(_DEGREES)}
 # Masks of a split panel's (problem, mark) that its left and right child keep.
 _LEFT_CHILD = np.array([[-1], [_LEFT]])
 _RIGHT_CHILD = np.array([[-1], [_RIGHT]])
@@ -147,28 +177,33 @@ _WG = np.array([
 ])
 
 
-def _rules(degree):
+def _rules():
     """Nodes, in half widths, and weight factors of the Kronrod rule on a
-    panel [a, b], one row per value of ``mark >> 2``.  Row 0 is the plain
-    rule, nodes about the centre.  Rows 1 to 3 take the nodes through
-    u = a + H s(t), t in [0, 1], measured from a, and weight them by s'(t):
-    s = t^d flattens the left end, s = 1 - (1 - t)^d the right one and the
-    smoothstep s = 3t^2 - 2t^3 both."""
+    panel [a, b], one row per value of ``mark >> 2``, whose even bits hold
+    the degree index of the left end and whose odd bits that of the right
+    one.  With no degree at either end the row is the plain rule, nodes
+    about the centre.  Every other row takes the nodes through
+    u = a + H s(t), t in [0, 1], measured from a, and weights them by
+    s'(t): s = t^d flattens the left end, s = 1 - (1 - t)^d the right one
+    and the smoothstep s = 3t^2 - 2t^3 both."""
     t = 0.5 * (1.0 + _XK)
     r = 1.0 - t
-    nodes = np.array([_XK, 2.0 * t**degree, 2.0 * (1.0 - r**degree),
-                      2.0 * t * t * (3.0 - 2.0 * t)])
-    weights = np.array([np.ones_like(t), degree * t**(degree - 1), degree * r**(degree - 1),
-                        6.0 * t * r])
+    rows = 1 << (2 * _INDEX_BITS)
+    nodes, weights = np.empty((2, rows, len(_XK)))
+    for row in range(rows):
+        left, right = _DEGREES[_gather(row)], _DEGREES[_gather(row >> 1)]
+        if left and right:
+            nodes[row], weights[row] = 2.0 * t * t * (3.0 - 2.0 * t), 6.0 * t * r
+        elif left:
+            nodes[row], weights[row] = 2.0 * t**left, left * t**(left - 1)
+        elif right:
+            nodes[row], weights[row] = 2.0 * (1.0 - r**right), right * r**(right - 1)
+        else:
+            nodes[row], weights[row] = _XK, 1.0
     return nodes, weights
 
 
-# Degree of the one-sided substitution u = a + H t^d: a singularity
-# (u - a)^alpha at a flattened end becomes t^(d (1 + alpha) - 1), so d = 2
-# turns alpha = 1/2 into a polynomial.  Of 2, 3 and 4, 2 took the fewest
-# panels on the PowerFold(2) and Laplace solves.
-_DEGREE = 2
-_NODES, _WEIGHTS = _rules(_DEGREE)
+_NODES, _WEIGHTS = _rules()
 
 
 @dataclass(frozen=True)
@@ -235,7 +270,7 @@ def _evaluate(f, ids, pan):
 
     ``ids`` holds each panel's problem and mark.  A panel takes row
     ``mark >> 2`` of ``_NODES`` and ``_WEIGHTS``: the plain rule, or the
-    substitution that flattens the ends its mark flags as break points."""
+    substitution of the degrees its mark gives its break-point ends."""
     for s in range(0, pan.shape[1], _BLOCK_PANELS):
         a, b, val, err = pan[:, s:s + _BLOCK_PANELS]
         problem, mark = ids[:, s:s + _BLOCK_PANELS]
@@ -274,6 +309,21 @@ def _cut_rows(break_points, m):
     return cuts
 
 
+def _point_bits(degrees, k):
+    """The bits of each of k break-point columns at a left end, from their
+    degrees (``_DEFAULT_DEGREE`` for all when None), checked."""
+    if degrees is None:
+        return _POINT_BITS[_DEFAULT_DEGREE]
+    degrees = np.asarray(degrees)
+    if degrees.shape != (k,):
+        raise ValueError(f"degrees must have one entry per break-point column, got shape "
+                         f"{degrees.shape} for {k} columns")
+    try:
+        return np.array([_POINT_BITS[d] for d in degrees.tolist()])
+    except KeyError as exc:
+        raise ValueError(f"substitution degrees must be among {_DEGREES}, got {degrees}") from exc
+
+
 # Slot j < n of a problem's starting mesh holds its equal point a + j (b - a)
 # / k when j < k; slot n holds b.  Bits of the slots' points: 1 at a problem
 # end, 0 inside.
@@ -281,29 +331,30 @@ _SLOTS = np.arange(_INITIAL_PANELS)
 _SLOT_BITS = np.array([1.0] + [0.0] * (_INITIAL_PANELS - 1) + [1.0])
 
 
-def _initial_panels(a, b, break_points):
+def _initial_panels(a, b, break_points, degrees):
     """(ids, pan) of the starting panels: min(n, max(1, ceil(n (b - a))))
     equal panels per problem, n = ``_INITIAL_PANELS`` on every problem at
     least 1 wide, split further at the break points inside it.  ``ids``
     holds each panel's problem and mark, ``pan`` its ends in rows 0 and 1
     and room for its value and error.  The mark has bit 1 set where a
     panel's left end is an end of its problem or a break point, and bit 2
-    where its right end is; bits 4 and 8 where that end is a break point,
-    one at a problem end included.
+    where its right end is; above them, the index of the degree of a break
+    point at either end, one at a problem end included.
 
     Each problem's points are one row of a complex array, the point plus
-    1j times its bits (1 at a problem end, 5 at a break point, 0
-    elsewhere), so one sort per row orders the points and carries their
-    bits along.  A point repeated within a problem carries the bits of
-    every copy, which is the largest of them: sorted by (point, bits) it
-    is the last copy, which a panel's left end reads, and sorted by
-    (point, -bits) the first, which its right end reads.
+    1j times its bits (1 at a problem end, ``_POINT_BITS`` of its degree at
+    a break point, 0 elsewhere), so one sort per row orders the points and
+    carries their bits along.  A point repeated within a problem carries
+    the largest bits of its copies, so the largest degree: sorted by
+    (point, bits) it is the last copy, which a panel's left end reads, and
+    sorted by (point, -bits) the first, which its right end reads.
     """
     n = _INITIAL_PANELS
     d = b - a
     width = n * d
     k = np.where(width < n, np.maximum(np.ceil(width), 1.0), n)[:, None]
     cuts = _cut_rows(break_points, len(a))
+    point_bits = _point_bits(degrees, cuts.shape[1])
     z = np.empty((len(a), n + 1 + cuts.shape[1]), dtype=complex)
     points, bits = z.real, z.imag
     # a + j (b - a) / k, as np.linspace computes it; NaN sorts last and makes no panel
@@ -311,7 +362,7 @@ def _initial_panels(a, b, break_points):
     points[:, n] = b
     points[:, n + 1:] = np.where((cuts < a[:, None]) | (cuts > b[:, None]), np.nan, cuts)
     bits[:, :n + 1] = _SLOT_BITS
-    bits[:, n + 1:] = _LEFT
+    bits[:, n + 1:] = point_bits
     flipped = z.conj()  # the points with their bits negated
     z.sort(axis=1)
     flipped.sort(axis=1)
@@ -324,7 +375,8 @@ def _initial_panels(a, b, break_points):
     return ids, pan
 
 
-def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=None):
+def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=None,
+                    degrees=None):
     """Adaptive integrals of m problems, problem i on [a[i], b[i]].
 
     ``f(u, problem)`` takes a flat ndarray of nodes and the index of the
@@ -333,20 +385,25 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     array of known kink locations, one row per problem, padded with NaN;
     points in [a[i], b[i]] are used and points outside it are ignored.  A
     break point inside (a[i], b[i]) becomes a panel edge, and one equal to
-    a[i] or b[i] flattens that end of the problem.  A problem of width w
-    starts out split into ceil(``_INITIAL_PANELS`` w) equal panels, at least
-    1 and at most ``_INITIAL_PANELS``, plus its break points, and keeps its
-    own convergence test ``abs_tol + rel_tol * |value|`` and its own budget
-    of ``max_subdivisions`` splits.  A panel is bisected, except
-    one that holds more than half of its problem's error and touches
+    a[i] or b[i] marks that end of the problem.  ``degrees`` gives one
+    substitution degree per column of ``break_points``, each in
+    ``_DEGREES`` (0 to 8, not 1); left out, every column takes 2.  A point
+    repeated in a row takes the largest degree of its copies.  A problem
+    of width w starts out split into ceil(``_INITIAL_PANELS`` w) equal
+    panels, at least 1 and at most ``_INITIAL_PANELS``, plus its break
+    points, and keeps its own convergence test ``abs_tol + rel_tol *
+    |value|`` and its own budget of ``max_subdivisions`` splits.  A panel
+    is bisected, except one that holds more than half of its problem's
+    error and touches
     exactly one of the problem's ends and break points: that one is cut at
     ``_GRADE`` of its width from the point it touches, and only the child
-    there touches it again.  A panel with a break point at an end, a
-    problem end included, takes its nodes through u = a + H t^2 (u = b -
-    H (1 - t)^2 at the right end, the smoothstep u = a + H (3t^2 - 2t^3)
-    at both), which flattens a singularity there; panels that touch only
-    problem ends keep the plain rule, since smooth integrands would pay
-    for the stretched nodes.
+    there touches it again.  A panel with a break point of degree d >= 2
+    at an end, a problem end included, takes its nodes through
+    u = a + H t^d (u = b - H (1 - t)^d at the right end, the smoothstep
+    u = a + H (3t^2 - 2t^3) at both), which flattens a singularity there;
+    panels that touch only problem ends and break points of degree 0 keep
+    the plain rule, since smooth integrands would pay for the stretched
+    nodes.
 
     The live panels sit in two arrays that each round replaces whole:
     ``pan``, rows a, b, value and error, and ``ids``, rows problem and
@@ -363,7 +420,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     cfg = cfg or QuadratureConfig()
     a, b = _bounds(a, b)
     m = len(a)
-    ids, pan = _initial_panels(a, b, break_points)
+    ids, pan = _initial_panels(a, b, break_points, degrees)
     _evaluate(f, ids, pan)
     panels = np.bincount(ids[0], minlength=m)
     splits = np.zeros(m, dtype=np.int64)

@@ -149,12 +149,23 @@ def compute_pq(dist: SymmetricDistribution,
         return vals
 
     # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
-    # of two knots (0 included) at or below 0; between those it is quadratic
-    # in r for a piecewise-linear F.
-    ends = np.unique(np.abs(np.append(law.knots, 0.0)))
+    # of two knots (0 included, for the inner upper limit 1/2) at or below
+    # 0; between those it is quadratic in r for a piecewise-linear F.  On
+    # the adaptive path each difference takes the smaller degree of its two
+    # knots, and the 0 added takes the largest the law declares, so that a
+    # kink with it takes the other knot's degree.  A table lists each |knot|
+    # twice, once from its mirror image, and has no degrees.
+    ends = np.abs(np.append(law.knots, 0.0))
+    degrees = None
+    if exact:
+        ends = np.unique(ends)
+    else:
+        d = np.append(law.degrees, max(law.degrees, default=2))
+        degrees = np.minimum.outer(d, d).ravel()
     gaps = np.subtract.outer(ends, ends).ravel()
+    kink = gaps >= 0.0
     total, outer_err, outer_panels = _u_integrals(
-        law, inner, [0.5], [1.0], gaps[gaps >= 0.0],
+        law, inner, [0.5], [1.0], gaps[kink], None if exact else degrees[kink],
         replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
     q = 0.5 * float(total[0])
     # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.

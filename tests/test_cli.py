@@ -107,6 +107,19 @@ class TestVerify:
         pq = next(c for c in payload["checks"] if c["check"] == "pq_sum")
         assert pq["detail"]["p"] < 1 / 960
 
+    def test_powerfold_p_matches_its_closed_form(self, runner):
+        res = invoke(runner, ["verify", "--dist", '{"kind": "powerfold", "delta": 4}',
+                              "--paths", "20000", "--seed", "5"])
+        assert res.exit_code == 0
+        checks = {c["check"]: c for c in json.loads(res.output)["checks"]}
+        detail = checks["p_closed_form"]["detail"]
+        assert checks["p_closed_form"]["passed"] is True
+        assert detail["closed_form"] == pytest.approx(23 / 1120, abs=1e-17)
+        assert detail["defect"] <= detail["error_bound"] + 4 * math.ulp(1 / 48)
+        uniform = {c["check"] for c in json.loads(invoke(runner, [
+            "verify", "--dist", UNIFORM, "--paths", "2000", "--seed", "5"]).output)["checks"]}
+        assert "p_closed_form" not in uniform
+
     def test_single_path_fails_monte_carlo_checks(self, runner):
         # one path has no spread; its mean is off both targets
         res = invoke(runner, ["verify", "--dist", UNIFORM, "--paths", "1", "--seed", "5"])

@@ -278,6 +278,32 @@ class TestTablePpf:
         assert float(interval.cdf(2.0)) == 0.75 and float(interval.cdf(-0.5)) == 0.5
 
 
+class TestBreakPointDegrees:
+    # PowerFold(delta >= 1) takes at 0 the smallest d in 2..8 with d / delta
+    # an integer (4 without one) and kinks at +-1; delta < 1 keeps t^2.
+    @pytest.mark.parametrize("delta, at_zero", [(1, 2), (1.5, 3), (2, 2), (2.5, 5), (3, 3),
+                                                (4, 4), (8, 8), (1.3, 4), (9, 4)])
+    def test_powerfold(self, delta, at_zero):
+        degrees, _ = PowerFold(delta).break_point_degrees()
+        assert list(degrees) == [0, at_zero, 0]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 0.99])
+    def test_powerfold_below_one_keeps_t2(self, delta):
+        degrees, _ = PowerFold(delta).break_point_degrees()
+        assert list(degrees) == [2, 2, 2]
+
+    def test_laplace_kink_and_tails(self):
+        degrees, end_degree = Laplace(2.0).break_point_degrees()
+        assert list(degrees) == [0] and end_degree == 3
+
+    def test_one_degree_per_knot(self, builtins):
+        # tables keep the base declaration; the exact path reads none of it
+        for name, dist in builtins.items():
+            degrees, end_degree = dist.break_point_degrees()
+            assert len(degrees) == len(dist.cdf_break_points()), name
+            assert end_degree in (0, 2, 3, 4, 5, 6, 7, 8), name
+
+
 class TestSpecParsing:
     def test_roundtrip(self, builtins):
         for dist in builtins.values():

@@ -188,6 +188,14 @@ class TestCliErrors:
         assert res.exit_code == 2
         assert "p + q = 1/48" in res.output
 
+    @pytest.mark.parametrize("policy", ["[1,2]", "5", '"thm9"', "null"],
+                             ids=["list", "number", "string", "null"])
+    def test_policy_json_not_an_object(self, policy):
+        res = CliRunner().invoke(main, ["simulate", "--dist", '{"kind": "uniform", "a": 1}',
+                                        "--policy", policy, "--paths", "10"])
+        assert res.exit_code == 2
+        assert "rank_table" in res.output
+
     def test_policy_horizon_conflict(self):
         res = CliRunner().invoke(main, ["simulate", "--dist", '{"kind": "uniform", "a": 1}',
                                         "--policy", "thm4a", "--horizon", "2",

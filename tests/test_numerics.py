@@ -211,10 +211,11 @@ class TestGradedRefinement:
 
 class TestSmoothingSubstitution:
     """A panel with a break point at an end is integrated through
-    u = a + H t^2 (u = b - H (1 - t)^2 at the right end, the smoothstep at
-    both), which turns a singularity (u - a)^(1/2) there into a
-    polynomial.  A panel whose marked ends are only problem ends keeps the
-    plain rule."""
+    u = a + H t^d (u = b - H (1 - t)^d at the right end, the smoothstep at
+    both), d = 2 unless the break point declares another degree, which
+    turns a singularity (u - a)^(1/d) there into a polynomial.  A panel
+    whose marked ends are only problem ends or break points of degree 0
+    keeps the plain rule."""
 
     CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -243,6 +244,49 @@ class TestSmoothingSubstitution:
     ], ids=["exp", "cos20", "runge"])
     def test_no_break_points_change_nothing(self, f, a, b, result):
         assert integrate_detailed(f, a, b, self.CFG) == result
+
+    def solo(self, f, a, b, cut, degree):
+        """(value, bound, panels) of f on [a, b] with one break point of a degree."""
+        vals, bounds, panels = integrate_batch(lambda u, _: f(u), [a], [b], self.CFG,
+                                               [[cut]], [degree])
+        return float(vals[0]), float(bounds[0]), int(panels[0])
+
+    def test_declared_degree_makes_the_fourth_root_a_polynomial(self):
+        # u^(1/4) under u = t^4 is 4 t^4, which the starting panels integrate
+        # exactly; t^2 leaves t^(3/2) and takes 42 panels (above)
+        val, bound, n = self.solo(lambda u: u**0.25, 0.0, 1.0, 0.0, 4)
+        assert abs(val - 0.8) <= bound <= 1e-13
+        assert n == 8
+
+    def test_degree_zero_is_a_panel_edge_with_the_plain_rule(self):
+        # |u - 0.3| cut at 0.3: its nine starting panels are exact, and with
+        # degree 0 each is integrated as the plain rule integrates it alone
+        def f(u):
+            return np.abs(u - 0.3)
+
+        ends = np.array([0.0, 0.125, 0.25, 0.3, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
+        vals, bounds, panels = integrate_batch(lambda u, _: f(u), ends[:-1], ends[1:], self.CFG)
+        assert list(panels) == [1] * 9
+        plain = (sum(vals.tolist()), sum(bounds.tolist()), 9)
+        assert self.solo(f, 0.0, 1.0, 0.3, 0) == plain
+        assert self.solo(f, 0.0, 1.0, 0.3, 2) != plain
+        # the value is also the sum of two plain problems split at 0.3
+        halves = [integrate_detailed(f, a, b, self.CFG)[0] for a, b in ((0.0, 0.3), (0.3, 1.0))]
+        assert plain[0] == halves[0] + halves[1]
+
+    def test_repeated_point_takes_the_largest_degree(self):
+        # the kink and the degree-4 copy of 0 make one break point of degree 4
+        def f(u, _):
+            return u**0.25
+
+        for cuts, degrees in [([0.0, 0.0], [0, 4]), ([0.0, 0.0], [4, 0]), ([0.0], [4])]:
+            assert integrate_batch(f, [0.0], [1.0], self.CFG, [cuts], degrees)[2][0] == 8
+        assert integrate_batch(f, [0.0], [1.0], self.CFG, [[0.0]], [0])[2][0] == 44
+
+    @pytest.mark.parametrize("degrees", [[1], [9], [-2], [2.5], [2, 2], [[2]]])
+    def test_bad_degrees(self, degrees):
+        with pytest.raises(ValueError, match="degree"):
+            integrate_batch(lambda u, _: u, [0.0], [1.0], self.CFG, [[0.5]], degrees)
 
     def test_batch_mixes_substituted_and_plain_problems(self):
         # problem 0 has a break point at its left end, problem 1 none
