@@ -267,19 +267,28 @@ class TestValue:
     # (powerfold 0.5), 4114 and 320 (2), 12184 and 640 (4).  Before each
     # law declared the substitution degree of its break points (t^2 at
     # every one, Laplace's kink at 0 and its u-ends included), they took
-    # 1562 and 88 (laplace), 631 and 51 (2), 6558 and 509 (4).
+    # 1562 and 88 (laplace), 631 and 51 (2), 6558 and 509 (4).  The
+    # PowerFold rows from 2.5 on, which take t^5, t^7, t^6 and t^8 at 0 and
+    # guard every degree the engine knows, have no earlier counts.
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
         (LAPLACE, 514, 86, 5518, 1660, 8062),
         (PowerFold(0.5), 567, 142, 8898, 3010, 13016),
         (PowerFold(2), 527, 43, 11630, 2107, 21302),
         (PowerFold(4), 893, 49, 15292, 1693, 28478),
-    ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4"])
+        (PowerFold(2.5), 810, 203, None, None, None),
+        (PowerFold(3.5), 1703, 249, None, None, None),
+        (PowerFold(6), 1822, 43, None, None, None),
+        (PowerFold(8), 1909, 65, None, None, None),
+    ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4", "powerfold2.5", "powerfold3.5",
+            "powerfold6", "powerfold8"])
     def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
                            bisected):
         diagnostics = solve_full_info(dist).diagnostics
-        assert diagnostics["panels"] == panels < bisected
+        assert diagnostics["panels"] == panels
         assert diagnostics["threshold_panels"] == threshold_panels
-        assert panels <= graded and threshold_panels <= graded_threshold
+        if bisected is not None:
+            assert panels < bisected
+            assert panels <= graded and threshold_panels <= graded_threshold
 
     def test_threshold_residual_is_the_curve_at_x1(self, builtins, solutions):
         # the residual is the root search's own evaluation at x1*, not a re-solve
@@ -590,7 +599,10 @@ class TestLastBits:
         (LAPLACE, "0x1.b5c529d2ec593p+0", "0x1.22aee69d05e62p+1"),
         (PowerFold(2), "0x1.eca7213f22c70p-1", "0x1.24d70f8d4d00bp+1"),
         (UNIFORM6_BENCH, "0x1.a827999fcef33p-1", "0x1.23a90444020b3p+1"),
-    ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6"])
+        (PowerFold(2.5), "0x1.f71024d80cfeap-1", "0x1.251278e15a0d6p+1"),
+        (PowerFold(8), "0x1.ffff5d0ecf6c6p-1", "0x1.255547c0e35bap+1"),
+    ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
+            "powerfold8"])
     def test_x1_and_value_pinned(self, dist, x1_star, value):
         sol = solve_full_info(dist)
         assert (sol.x1_star.hex(), sol.value.hex()) == (x1_star, value)
