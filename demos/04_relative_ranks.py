@@ -24,7 +24,7 @@ from rankstop import (
     permutation_table,
     shift_concentration_check,
 )
-from rankstop.relranks import ordering_string
+from rankstop.walkcore import ordering_string
 
 print("p, q, rule branch, and value per distribution")
 print("-" * 64)

@@ -60,6 +60,7 @@ _EXPORTS = {
         "FULL_INFORMATION", "RELATIVE_RANKS", "WalkPath", "RankView",
         "compute_ranks", "StoppingPolicy", "RankPolicyTable", "run_policy",
         "monotone_transform", "stop_at_policy", "two_step_policy", "TieError",
+        "PermutationTable", "permutation_table", "rank_policy_a", "rank_policy_b",
     ),
     "fullinfo": (
         "FullInfoSolution", "V_LOWER_BOUND", "V_UPPER_BOUND",
@@ -69,9 +70,8 @@ _EXPORTS = {
         "lower_bound_check",
     ),
     "relranks": (
-        "PQParams", "PermutationTable", "compute_pq", "permutation_table",
-        "shift_concentration_check", "optimal_rank_policy", "optimal_rank_value",
-        "rank_policy_a", "rank_policy_b", "two_step_case_values",
+        "PQParams", "compute_pq", "shift_concentration_check", "optimal_rank_policy",
+        "optimal_rank_value", "two_step_case_values",
     ),
     "oracle": (
         "enumerate_rank_policies", "GridDPResult",

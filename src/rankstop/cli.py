@@ -35,11 +35,11 @@ __getattr__, __dir__ = _lazy_attributes(__name__, {
                  "solve_full_info", "solve_threshold", "tolerances"),
     "numerics": ("QuadratureConfig",),
     "oracle": ("canonical_rules", "enumerate_rank_policies"),
-    "relranks": ("PQ_INNER_CFG", "PQ_TOL", "compute_pq", "optimal_rank_policy",
-                 "optimal_rank_value", "permutation_table", "shift_concentration_check"),
+    "relranks": ("PQ_INNER_CFG", "compute_pq", "optimal_rank_policy", "optimal_rank_value",
+                 "shift_concentration_check"),
     "simulate": ("SimConfig", "chunk_partials", "estimate_expected_rank", "reduce_partials"),
-    "walkcore": ("RankPolicyTable", "StoppingPolicy", "rank_policy_a", "rank_policy_b",
-                 "stop_at_policy", "two_step_policy"),
+    "walkcore": ("PQ_TOL", "RankPolicyTable", "StoppingPolicy", "permutation_table",
+                 "rank_policy_a", "rank_policy_b", "stop_at_policy", "two_step_policy"),
 })
 _cli = sys.modules[__name__]
 

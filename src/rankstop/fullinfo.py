@@ -29,7 +29,7 @@ and the reported bounds are rounding bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,10 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 #: The threshold search on adaptive quadrature stops once its bracket is
 #: narrower than x_tol, or earlier on a residual below the inner quadrature
-#: tolerance, where the curve cannot be told from 2.
+#: tolerance, where the curve cannot be told from 2.  Both root configs'
+#: x_tol holds where the bracket ends at x >= 1/2; below, it shrinks with
+#: the bracket's upper end, so that x1* and V do not depend on the law's
+#: scale.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 #: The root search on the exact path, whose curve is exact up to rounding:
 #: its bracket closes to a few ulps of x1* (``find_root`` widens an x_tol
@@ -118,24 +121,22 @@ class FullInfoSolution:
 
 class _Law:
     """One law's constants for the integrals of one solve: its CDF knots, F
-    there, and whether it takes the exact path.  ``solve_full_info``,
-    ``solve_threshold``, ``continuation_curve`` and ``relranks.compute_pq``
-    each build one and drop it when they return, so no call sees another's.
-
-    On the adaptive path it also holds the substitution degrees the law
-    declares (``break_point_degrees``): one per knot, the one of the u-ends
-    0 and 1, and those of the cut columns of ``_df_integrals``.  The exact
-    path takes none."""
+    there, whether it takes the exact path and the name of its method, and
+    the substitution degrees it declares (``break_point_degrees``): one per
+    knot, the one of the u-ends 0 and 1, and those of the cut columns of
+    ``_df_integrals``.  The exact path ignores the degrees.
+    ``solve_full_info``, ``solve_threshold``, ``continuation_curve`` and
+    ``relranks.compute_pq`` each build one and drop it when they return, so
+    no call sees another's."""
 
     def __init__(self, dist):
         self.dist = dist
         self.knots = dist.cdf_break_points()
         self.f_knots = dist.cdf(self.knots)
         self.exact = isinstance(dist, TabulatedCdf)
-        self.degrees = self.end_degree = self.df_degrees = None
-        if not self.exact:
-            self.degrees, self.end_degree = dist.break_point_degrees()
-            self.df_degrees = np.concatenate([self.degrees, self.degrees])
+        self.method = "exact_piecewise_linear" if self.exact else "quadrature"
+        self.degrees, self.end_degree = dist.break_point_degrees()
+        self.df_degrees = np.concatenate([self.degrees, self.degrees])
 
 
 def _integrate(law, f, lo, hi, cuts, cfg, degrees=None):
@@ -162,12 +163,10 @@ def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
     panel edges, each with its knot's substitution degree.
     """
     cdf, ppf = law.dist.cdf, law.dist.ppf
-    cuts = None
     k = len(law.knots)
-    if k:
-        cuts = np.empty((len(x_shift), 2 * k))
-        cuts[:, :k] = cdf(law.knots + x_shift[:, None])
-        cuts[:, k:] = law.f_knots
+    cuts = np.empty((len(x_shift), 2 * k))
+    cuts[:, :k] = cdf(law.knots + x_shift[:, None])
+    cuts[:, k:] = law.f_knots
 
     def f(u, i):
         return cdf(ppf(u) - x_shift[i])
@@ -180,19 +179,18 @@ def _u_integrals(law, g, lo, hi, kinks, degrees, cfg):
     over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
 
     Every problem is cut at F(kinks), where g changes analytic form, with
-    the substitution degree ``degrees`` gives each kink (None on the exact
-    path); both integrators merge repeated break points, the adaptive one
-    taking their largest degree.  On an unbounded support 0 and 1 are break
-    points as well, of the law's ``end_degree``: there g approaches its
-    limit like a power of u times a logarithm (u log u on Laplace), which
-    the substitution at a break point flattens.
+    the substitution degree ``degrees`` gives each kink; both integrators
+    merge repeated break points, the adaptive one taking their largest
+    degree.  On an unbounded support 0 and 1 are break points as well, of
+    the law's ``end_degree``: there g approaches its limit like a power of
+    u times a logarithm (u log u on Laplace), which the substitution at a
+    break point flattens.
     """
     cuts = law.dist.cdf(kinks)
     if not math.isfinite(law.dist.support[1]):
         cuts = np.concatenate([cuts, [0.0, 1.0]])
         degrees = np.concatenate([degrees, [law.end_degree] * 2])
-    cuts = cuts[None, :].repeat(len(lo), axis=0) if len(cuts) else None
-    return _integrate(law, g, lo, hi, cuts, cfg, degrees)
+    return _integrate(law, g, lo, hi, cuts[None, :].repeat(len(lo), axis=0), cfg, degrees)
 
 
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
@@ -256,7 +254,8 @@ def solve_threshold(dist: SymmetricDistribution,
     near the origin), the scan finds no sign change and the support edge
     itself satisfies the residual tolerance.  Any other scan raises
     ``ThresholdError``.  The root search runs at ``THRESHOLD_ROOT_CFG``,
-    and at x_tol 1e-15 on the exact path of a ``TabulatedCdf``.
+    and at x_tol 1e-15 on the exact path of a ``TabulatedCdf``; a bracket
+    that ends at b < 1/2 scales x_tol by 2 b.
     """
     return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
 
@@ -290,12 +289,13 @@ def _threshold(law, quad_cfg):
             f"continuation curve minus 2 has no sign change at u in [{u_lo}, {1.0 - 1e-12}], "
             f"x in [{grid[0]}, {hi}]: {values[0]} at the start, {values[-1]} at the end")
     i = sign_changes[-1]
+    cfg = _EXACT_ROOT_CFG if law.exact else THRESHOLD_ROOT_CFG
+    cfg = replace(cfg, x_tol=cfg.x_tol * min(1.0, 2.0 * grid[i + 1]))
     try:
         # find_root starts with the curve at both bracket ends, which the scan
         # has, and only returns points it evaluated.
         root = find_root(lambda x: seen[x] if x in seen else curve_minus_2([x])[0],
-                         grid[i], grid[i + 1],
-                         _EXACT_ROOT_CFG if law.exact else THRESHOLD_ROOT_CFG)
+                         grid[i], grid[i + 1], cfg)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
     return root, float(seen[root]), panels
@@ -354,8 +354,7 @@ def solve_full_info(dist: SymmetricDistribution,
     # two singularities are integrated against each other.
     knots, degrees = law.knots, law.degrees
     kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    if degrees is not None:
-        degrees = np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()])
+    degrees = np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()])
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
         law, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, degrees, inner_cfg.outer())
     value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
@@ -370,7 +369,7 @@ def solve_full_info(dist: SymmetricDistribution,
             "scan_upper": dist.quantile(1.0 - 1e-12),
             "panels": panels + int(outer_panels.sum()),
             "threshold_panels": threshold_panels,
-            "method": "exact_piecewise_linear" if law.exact else "quadrature",
+            "method": law.method,
             "tolerances": tolerances(dist, inner_cfg),
         },
     )

@@ -4,18 +4,18 @@ One engine, ``integrate_batch``, refines many integrals at once.  Each
 panel gets a Gauss-Kronrod 7/15 estimate and the |K15 - G7| error of
 QUADPACK's QAG.  The panels of all problems live in two arrays, one row
 per field: ends, value and error in a float array, problem index and
-which ends are marked in an integer array, so that a round selects,
-drops and appends panels with one numpy call per array.  Each round
-splits, in every problem still above its tolerance, the fewest of its
-worst panels whose error covers the excess, and all new panels go
-through the integrand together, in blocks of ``_BLOCK_PANELS`` panels, so
-no integrand call sees more than a fixed number of nodes however many
-problems there are.  This is the design of SciPy's ``quad_vec`` extended
-across problems.  ``integrate_detailed`` is the one-problem case of the
-same engine.  A problem of width w starts from ceil(8 w) equal panels, at
-least 1 and at most ``_INITIAL_PANELS`` = 8, before its break points split
-them: a narrow inner problem gets the node density of the unit interval,
-not 8 panels of its own.
+mark in an integer array, so that a round selects, drops and appends
+panels with one numpy call per array.  Each round splits, in every
+problem still above its tolerance, the fewest of its worst panels whose
+error covers the excess, and all new panels go through the integrand
+together, in blocks of ``_BLOCK_PANELS`` panels, so no integrand call
+sees more than a fixed number of nodes however many problems there are.
+This is the design of SciPy's ``quad_vec`` extended across problems.
+``integrate_detailed`` is the one-problem case of the same engine.  A
+problem of width w starts from ceil(8 w) equal panels, at least 1 and at
+most ``_INITIAL_PANELS`` = 8, before its break points split them: a
+narrow inner problem gets the node density of the unit interval, not 8
+panels of its own.
 
 Panel ends that are problem ends or break points are marked: that is
 where the integrands of this package are singular, as where the quantile
@@ -44,6 +44,12 @@ on a smooth integrand the stretched nodes cost panels (cos(20u) on
 [0, 3] would take 60 instead of 54), so integrands without break points
 keep the plain rule and their results.  On a split only the child at a
 flattened end keeps the map.
+
+Each panel end carries a 4-bit code: bit 1 says the end is marked and
+bits 2 to 4 hold the index of its degree in ``_DEGREES``.  A panel's mark
+is its left end's code in the low nibble and its right end's in the high
+one, and is itself the row of the rule and split tables; a split panel's
+left child keeps the low nibble and its right child the high one.
 
 ``integrate_pieces`` is the fixed-rule counterpart for integrands that are
 polynomials of degree at most 3 between known break points: the 2-point
@@ -106,14 +112,13 @@ _EPS = float(np.finfo(float).eps)
 # A panel no wider than this times (|a| + |b| + 1) cannot be split.
 _NARROW = 8.0 * _EPS
 # Where a panel that holds most of its problem's error is split, as a
-# fraction of its width from its left end, indexed by its mark: bisected
-# when neither or both ends are marked, else _GRADE of the width from the
-# marked end.  A singularity u^a at that end then loses a factor
-# 8^(1 + a) of its error per round instead of 2^(1 + a).  Of 1/4, 1/8,
-# 1/16 and 1/32, 1/8 took the fewest panels on the PowerFold and Laplace
-# solves, and about as few rounds as 1/16.
+# fraction of its width from its left end: bisected when neither or both
+# ends are marked, else _GRADE of the width from the marked end.  A
+# singularity u^a at that end then loses a factor 8^(1 + a) of its error
+# per round instead of 2^(1 + a).  Of 1/4, 1/8, 1/16 and 1/32, 1/8 took the
+# fewest panels on the PowerFold and Laplace solves, and about as few
+# rounds as 1/16.
 _GRADE = 0.125
-_SPLIT_AT = np.array([0.5, _GRADE, 1.0 - _GRADE, 0.5])
 # Substitution degrees a break point may declare, by index: 0 is a kink,
 # which keeps the plain rule, and d >= 2 flattens its end through t^d.  A
 # break point without a declared degree takes 2, which turns alpha = 1/2
@@ -121,35 +126,13 @@ _SPLIT_AT = np.array([0.5, _GRADE, 1.0 - _GRADE, 0.5])
 # the fewest panels on the PowerFold(2) and Laplace solves.
 _DEGREES = (0, 2, 3, 4, 5, 6, 7, 8)
 _DEFAULT_DEGREE = 2
-# A panel's mark holds the bits of its left end at the even positions and
-# those of its right end, one position higher, at the odd ones.  Bit 1 (2)
-# is set when the left (right) end is a problem end or a break point,
-# which is what the graded split reads; above it, at every other
-# position, sits the index in _DEGREES of the degree of a break point
-# there, which _evaluate reads through row ``mark >> 2`` of its rule
-# table.  Of a split panel, the left child keeps the bits in _LEFT and the
-# right one those in _RIGHT.
-_MARKED = 1 | 2
-_LEFT, _RIGHT = 0b01010101, 0b10101010
-_INDEX_BITS = 3
-
-
-def _spread(i):
-    """The bits of ``i`` at every other position: 0b101 becomes 0b10001."""
-    return sum(((i >> j) & 1) << (2 * j) for j in range(_INDEX_BITS))
-
-
-def _gather(bits):
-    """The inverse of ``_spread``, reading the even positions of ``bits``."""
-    return sum(((bits >> (2 * j)) & 1) << j for j in range(_INDEX_BITS))
-
-
-# The bits of a break point at a left end, by its degree: with a degree of
-# 2 they are 1 | 4, as when every break point took t^2.
-_POINT_BITS = {d: float(1 | _spread(i) << 2) for i, d in enumerate(_DEGREES)}
+# The bits of a mark that hold a degree index, at either end.
+_DEGREE_BITS = 0xEE
+# The code of a break point, by its degree: 1 | 2 with a degree of 2.
+_POINT_BITS = {d: float(1 | i << 1) for i, d in enumerate(_DEGREES)}
 # Masks of a split panel's (problem, mark) that its left and right child keep.
-_LEFT_CHILD = np.array([[-1], [_LEFT]])
-_RIGHT_CHILD = np.array([[-1], [_RIGHT]])
+_LEFT_CHILD = np.array([[-1], [0x0F]])
+_RIGHT_CHILD = np.array([[-1], [0xF0]])
 
 
 # 15-point Kronrod abscissae on [-1, 1] and weights; the embedded 7-point
@@ -178,32 +161,34 @@ _WG = np.array([
 
 
 def _rules():
-    """Nodes, in half widths, and weight factors of the Kronrod rule on a
-    panel [a, b], one row per value of ``mark >> 2``, whose even bits hold
-    the degree index of the left end and whose odd bits that of the right
-    one.  With no degree at either end the row is the plain rule, nodes
-    about the centre.  Every other row takes the nodes through
-    u = a + H s(t), t in [0, 1], measured from a, and weights them by
-    s'(t): s = t^d flattens the left end, s = 1 - (1 - t)^d the right one
-    and the smoothstep s = 3t^2 - 2t^3 both."""
+    """By a panel's mark, the nodes, in half widths, and weight factors of
+    the Kronrod rule on the panel [a, b], and where a graded split cuts it.
+    Only the 81 marks that occur are filled.  With no
+    degree at either end the row is the plain rule, nodes about the centre.
+    Every other row takes the nodes through u = a + H s(t), t in [0, 1],
+    measured from a, and weights them by s'(t): s = t^d flattens the left
+    end, s = 1 - (1 - t)^d the right one and the smoothstep s = 3t^2 - 2t^3
+    both."""
     t = 0.5 * (1.0 + _XK)
     r = 1.0 - t
-    rows = 1 << (2 * _INDEX_BITS)
-    nodes, weights = np.empty((2, rows, len(_XK)))
-    for row in range(rows):
-        left, right = _DEGREES[_gather(row)], _DEGREES[_gather(row >> 1)]
-        if left and right:
-            nodes[row], weights[row] = 2.0 * t * t * (3.0 - 2.0 * t), 6.0 * t * r
-        elif left:
-            nodes[row], weights[row] = 2.0 * t**left, left * t**(left - 1)
-        elif right:
-            nodes[row], weights[row] = 2.0 * (1.0 - r**right), right * r**(right - 1)
-        else:
-            nodes[row], weights[row] = _XK, 1.0
-    return nodes, weights
+    # by degree index, the rule with that degree at the left and at the right end
+    lefts = [(_XK, 1.0)] + [(2.0 * t**d, d * t**(d - 1)) for d in _DEGREES[1:]]
+    rights = [(_XK, 1.0)] + [(2.0 * (1.0 - r**d), d * r**(d - 1)) for d in _DEGREES[1:]]
+    both = 2.0 * t * t * (3.0 - 2.0 * t), 6.0 * t * r
+    nodes, weights = np.empty((2, 256, len(_XK)))
+    split_at = np.full(256, 0.5)
+    codes = (0, *range(1, 16, 2))  # 0 inside a problem, odd at a marked end
+    for left in codes:
+        for right in codes:
+            mark = left | right << 4
+            i, j = left >> 1, right >> 1
+            nodes[mark], weights[mark] = both if i and j else lefts[i] if i else rights[j]
+            if (left ^ right) & 1:
+                split_at[mark] = _GRADE if left & 1 else 1.0 - _GRADE
+    return nodes, weights, split_at
 
 
-_NODES, _WEIGHTS = _rules()
+_NODES, _WEIGHTS, _SPLIT_AT = _rules()
 
 
 @dataclass(frozen=True)
@@ -269,33 +254,34 @@ def _evaluate(f, ids, pan):
     errors of the panels [pan[0], pan[1]], one integrand call per block.
 
     ``ids`` holds each panel's problem and mark.  A panel takes row
-    ``mark >> 2`` of ``_NODES`` and ``_WEIGHTS``: the plain rule, or the
+    ``mark`` of ``_NODES`` and ``_WEIGHTS``: the plain rule, or the
     substitution of the degrees its mark gives its break-point ends."""
     for s in range(0, pan.shape[1], _BLOCK_PANELS):
         a, b, val, err = pan[:, s:s + _BLOCK_PANELS]
         problem, mark = ids[:, s:s + _BLOCK_PANELS]
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
-        rule = mark >> 2
-        u = np.where(rule, a, c)[:, None] + h[:, None] * _NODES[rule]
+        u = np.where(mark & _DEGREE_BITS, a, c)[:, None] + h[:, None] * _NODES[mark]
         y = np.asarray(f(u.ravel(), problem.repeat(u.shape[1])), dtype=float)
         if y.shape != (u.size,):
             raise TypeError("integrand must map an ndarray of nodes to values elementwise")
-        y = y.reshape(u.shape) * _WEIGHTS[rule]
+        y = y.reshape(u.shape) * _WEIGHTS[mark]
         val[:] = h * (y @ _WK)
         err[:] = np.abs(val - h * (y[:, 1::2] @ _WG))
 
 
 def _bounds(a, b):
-    """The problems' bounds as two 1-D float arrays, checked."""
+    """The problems' bounds as two 1-D float arrays, checked: finite and in
+    order.  A NaN width b - a propagates through min and max and fails the
+    check, as a negative or an infinite one does."""
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"bounds must be two 1-D arrays of equal length, got {a.shape} and {b.shape}")
-    backwards = a > b
-    if backwards.any():
-        i = int(backwards.argmax())
-        raise ValueError(f"integration bounds out of order: [{a[i]}, {b[i]}]")
+    width = b - a
+    if not 0.0 <= width.min(initial=0.0) <= width.max(initial=0.0) < math.inf:
+        i = int(np.argmin((width >= 0.0) & (width < math.inf)))
+        raise ValueError(f"integration bounds must be finite and in order, got [{a[i]}, {b[i]}]")
     return a, b
 
 
@@ -310,8 +296,8 @@ def _cut_rows(break_points, m):
 
 
 def _point_bits(degrees, k):
-    """The bits of each of k break-point columns at a left end, from their
-    degrees (``_DEFAULT_DEGREE`` for all when None), checked."""
+    """The code of each of k break-point columns, from their degrees
+    (``_DEFAULT_DEGREE`` for all when None), checked."""
     if degrees is None:
         return _POINT_BITS[_DEFAULT_DEGREE]
     degrees = np.asarray(degrees)
@@ -336,18 +322,17 @@ def _initial_panels(a, b, break_points, degrees):
     equal panels per problem, n = ``_INITIAL_PANELS`` on every problem at
     least 1 wide, split further at the break points inside it.  ``ids``
     holds each panel's problem and mark, ``pan`` its ends in rows 0 and 1
-    and room for its value and error.  The mark has bit 1 set where a
-    panel's left end is an end of its problem or a break point, and bit 2
-    where its right end is; above them, the index of the degree of a break
-    point at either end, one at a problem end included.
+    and room for its value and error.  The mark holds the code of the
+    panel's left end in its low nibble and that of its right end in its
+    high one.
 
     Each problem's points are one row of a complex array, the point plus
-    1j times its bits (1 at a problem end, ``_POINT_BITS`` of its degree at
+    1j times its code (1 at a problem end, ``_POINT_BITS`` of its degree at
     a break point, 0 elsewhere), so one sort per row orders the points and
-    carries their bits along.  A point repeated within a problem carries
-    the largest bits of its copies, so the largest degree: sorted by
-    (point, bits) it is the last copy, which a panel's left end reads, and
-    sorted by (point, -bits) the first, which its right end reads.
+    carries their codes along.  A point repeated within a problem carries
+    the largest code of its copies, so the largest degree: sorted by
+    (point, code) it is the last copy, which a panel's left end reads, and
+    sorted by (point, -code) the first, which its right end reads.
     """
     n = _INITIAL_PANELS
     d = b - a
@@ -368,7 +353,7 @@ def _initial_panels(a, b, break_points, degrees):
     flipped.sort(axis=1)
     keep = z.real[:, :-1] < z.real[:, 1:]  # drops repeats, padding and empty problems
     left, right = z[:, :-1][keep], flipped[:, 1:][keep]
-    ids = np.array([keep.nonzero()[0], left.imag - 2.0 * right.imag], dtype=np.int64)
+    ids = np.array([keep.nonzero()[0], left.imag - 16.0 * right.imag], dtype=np.int64)
     pan = np.empty((4, len(left)))
     pan[0] = left.real
     pan[1] = right.real
@@ -476,7 +461,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
         # keeps the mark of the end it shares with its parent.
         s = parent.shape[1]
         at = np.where(parent[3] > 0.5 * total_err[parent_ids[0]],
-                      _SPLIT_AT[parent_ids[1] & _MARKED], 0.5)
+                      _SPLIT_AT[parent_ids[1]], 0.5)
         cut = parent[0] + at * (parent[1] - parent[0])
         child = np.concatenate((parent, parent), axis=1)
         child[1, :s] = cut
@@ -579,8 +564,8 @@ def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:
     """
     cfg = cfg or RootConfig()
     a, b = float(lo), float(hi)
-    if a > b:
-        raise ValueError(f"bracket out of order: [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bracket must be finite and in order, got [{a}, {b}]")
     fa, fb = float(f(a)), float(f(b))
     if abs(fa) <= cfg.f_tol:
         return a

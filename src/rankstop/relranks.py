@@ -17,8 +17,8 @@ s = (1 - u)/2 and use F(-z) = 1 - F(z)), and with v = 2r - 1
 ``compute_pq`` evaluates this form with ``fullinfo``'s integrals, which
 cut and integrate for both solvers; this module keeps only the formula.
 The probabilities of all 24 strict orderings of S_0..S_3 are affine in
-(p, q); the table (``walkcore.permutation_table``, re-exported here)
-drives both the optimal rank rule and the exact policy-enumeration oracle.
+(p, q); the table (``walkcore.permutation_table``) drives both the optimal
+rank rule and the exact policy-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -33,40 +33,15 @@ from .distributions import SymmetricDistribution
 from .fullinfo import _df_integrals, _Law, _u_integrals
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
 from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
-# The ordering table and the rank rules live in walkcore and are re-exported here.
-from .walkcore import (
-    ALL_ORDERINGS,
-    PQ_SUM,
-    PQ_TOL,
-    RANK_RULE_A_BITS,
-    RANK_RULE_B_BITS,
-    PermutationTable,
-    StoppingPolicy,
-    TableRow,
-    ordering_string,
-    permutation_table,
-    rank_policy_a,
-    rank_policy_b,
-)
+from .walkcore import PQ_SUM, PQ_TOL, StoppingPolicy, rank_policy_a, rank_policy_b
 
 __all__ = [
-    "PQ_SUM",
-    "PQ_TOL",
     "PQ_INNER_CFG",
     "PQParams",
-    "TableRow",
-    "PermutationTable",
-    "ALL_ORDERINGS",
-    "ordering_string",
     "compute_pq",
     "shift_concentration_check",
     "ConcentrationReport",
-    "permutation_table",
     "optimal_rank_policy",
-    "RANK_RULE_A_BITS",
-    "RANK_RULE_B_BITS",
-    "rank_policy_a",
-    "rank_policy_b",
     "optimal_rank_value",
     "two_step_case_values",
     "CaseValueReport",
@@ -150,22 +125,17 @@ def compute_pq(dist: SymmetricDistribution,
 
     # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
     # of two knots (0 included, for the inner upper limit 1/2) at or below
-    # 0; between those it is quadratic in r for a piecewise-linear F.  On
-    # the adaptive path each difference takes the smaller degree of its two
-    # knots, and the 0 added takes the largest the law declares, so that a
-    # kink with it takes the other knot's degree.  A table lists each |knot|
-    # twice, once from its mirror image, and has no degrees.
+    # 0; between those it is quadratic in r for a piecewise-linear F.  Each
+    # difference takes the smaller degree of its two knots, and the 0 added
+    # takes the largest the law declares, so that a kink with it takes the
+    # other knot's degree.  A table lists each |knot| twice, once from its
+    # mirror image; the integrators merge the repeated kinks.
     ends = np.abs(np.append(law.knots, 0.0))
-    degrees = None
-    if exact:
-        ends = np.unique(ends)
-    else:
-        d = np.append(law.degrees, max(law.degrees, default=2))
-        degrees = np.minimum.outer(d, d).ravel()
+    d = np.append(law.degrees, max(law.degrees, default=2))
     gaps = np.subtract.outer(ends, ends).ravel()
     kink = gaps >= 0.0
     total, outer_err, outer_panels = _u_integrals(
-        law, inner, [0.5], [1.0], gaps[kink], None if exact else degrees[kink],
+        law, inner, [0.5], [1.0], gaps[kink], np.minimum.outer(d, d).ravel()[kink],
         replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
     q = 0.5 * float(total[0])
     # On the exact path p = 1/48 - q rounds twice: 1/48 itself and the difference.
@@ -173,9 +143,8 @@ def compute_pq(dist: SymmetricDistribution,
     # The inner bounds count half: the r-range is 1/2 wide.
     err = 0.5 * (float(outer_err[0]) + 0.5 * inner_err) + slack
     p = float(PQ_SUM) - q
-    method = "exact_piecewise_linear" if exact else "quadrature"
     tolerances = {} if exact else tolerance_record(inner=inner_cfg, outer=outer_cfg)
-    return PQParams(p=p, q=q, method=method, error_bound=float(err),
+    return PQParams(p=p, q=q, method=law.method, error_bound=float(err),
                     panels=panels + int(outer_panels[0]), tolerances=tolerances)
 
 

@@ -31,14 +31,7 @@ from rankstop.oracle import (
     grid_dp_full_info,
     stage2_disagreement,
 )
-from rankstop.relranks import (
-    compute_pq,
-    optimal_rank_value,
-    permutation_table,
-    rank_policy_a,
-    rank_policy_b,
-    shift_concentration_check,
-)
+from rankstop.relranks import compute_pq, optimal_rank_value, shift_concentration_check
 from rankstop.simulate import (
     SimConfig,
     estimate_expected_rank,
@@ -48,6 +41,9 @@ from rankstop.walkcore import (
     WalkPath,
     compute_ranks,
     monotone_transform,
+    permutation_table,
+    rank_policy_a,
+    rank_policy_b,
     two_step_policy,
 )
 

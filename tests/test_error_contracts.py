@@ -7,19 +7,17 @@ from fractions import Fraction
 
 from rankstop.cli import main
 from rankstop.distributions import DistributionError, Laplace, TabulatedCdf, Uniform, from_spec
-from rankstop.numerics import RootConfig, find_root, integrate_detailed
+from rankstop.fullinfo import continuation_curve
+from rankstop.numerics import (RootConfig, find_root, integrate_batch, integrate_detailed,
+                              integrate_pieces)
 from rankstop.oracle import enumerate_rank_policies, grid_dp_full_info, stage2_disagreement
-from rankstop.relranks import (
-    optimal_rank_value,
-    permutation_table,
-    shift_concentration_check,
-    two_step_case_values,
-)
+from rankstop.relranks import optimal_rank_value, shift_concentration_check, two_step_case_values
 from rankstop.simulate import SimConfig, chunk_partials, permutation_frequencies
 from rankstop.walkcore import (
     RELATIVE_RANKS,
     StoppingPolicy,
     WalkPath,
+    permutation_table,
     stop_at_policy,
 )
 
@@ -48,6 +46,11 @@ class TestDistributionErrors:
             TabulatedCdf([[0.5, 0.4], [1.0, 1.0]])  # F below 1/2 at positive x
 
 
+#: Bounds that are not both finite.
+NON_FINITE = [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)]
+NON_FINITE_IDS = ["hi_inf", "lo_-inf", "lo_nan", "hi_nan"]
+
+
 class TestNumericsErrors:
     def test_non_vectorized_integrand_rejected(self):
         with pytest.raises(TypeError):
@@ -62,6 +65,29 @@ class TestNumericsErrors:
     def test_find_root_bad_bracket_order(self):
         with pytest.raises(ValueError):
             find_root(lambda x: x, 1.0, -1.0)
+
+    @staticmethod
+    def refuse(*_):
+        raise AssertionError("ran on invalid bounds")
+
+    @pytest.mark.parametrize("a, b", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_bounds_rejected_before_work(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_batch(self.refuse, [0.0, a], [1.0, b])
+        with pytest.raises(ValueError, match="finite"):
+            integrate_detailed(self.refuse, a, b)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_pieces(self.refuse, [a], [b])
+
+    @pytest.mark.parametrize("a, b", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_find_root_non_finite_bracket_rejected_before_work(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            find_root(self.refuse, a, b)
+
+    @pytest.mark.parametrize("dist", [Uniform(1), Laplace(1)], ids=["exact", "adaptive"])
+    def test_curve_at_nan_raises(self, dist):
+        with pytest.raises(ValueError, match="finite"):
+            continuation_curve(dist, [np.nan])
 
 
 class TestWalkcoreErrors:

@@ -39,6 +39,11 @@ IRREGULAR = TabulatedCdf([[0.0, 0.5], [0.13, 0.61], [0.3, 0.61], [0.71, 0.83], [
                           [1.37, 1.0]])
 
 
+def scaled_table(s):
+    """The built-in table with every x times s."""
+    return TabulatedCdf([[x * s, f] for x, f in builtin_suite()["tabulated"].spec()["grid"]])
+
+
 def w1_uniform_closed(x):
     """Closed-form continuation curve for Uniform(-1, 1)."""
     if x > 0:
@@ -326,6 +331,24 @@ class TestValue:
         assert abs(scaled.value - one.value) <= (one.diagnostics["quadrature_error_bound"]
                                                  + scaled.diagnostics["quadrature_error_bound"])
         assert scaled.x1_star / b == pytest.approx(one.x1_star, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("make", [Uniform, Laplace, scaled_table],
+                             ids=["uniform", "laplace", "tabulated"])
+    def test_small_scale_keeps_value_and_threshold_quantile(self, make, scale):
+        # The root search's x_tol is absolute; on a law this narrow it would
+        # stop far from x1* unless it shrank with the bracket.
+        one, scaled = solve_full_info(make(1.0)), solve_full_info(make(scale))
+        bound = (one.diagnostics["quadrature_error_bound"]
+                 + scaled.diagnostics["quadrature_error_bound"])
+        assert abs(scaled.value - one.value) <= bound
+        assert abs(scaled.F_at_threshold - one.F_at_threshold) <= bound
+
+    def test_threshold_near_zero_meets_the_residual_tolerance(self):
+        # x1* of PowerFold(0.01) is about 1.6e-9
+        sol = solve_full_info(PowerFold(0.01))
+        assert sol.x1_star < 1e-8
+        assert abs(sol.diagnostics["threshold_residual"]) <= fullinfo.THRESHOLD_ROOT_CFG.f_tol
 
     def test_upper_bound_attained(self):
         sol = solve_full_info(IntervalUnionUniform(1, 2))

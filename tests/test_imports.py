@@ -76,3 +76,11 @@ def test_enumerate_at_given_p_loads_no_quadrature():
     modules = loaded_after_command("enumerate", "--p", "1/100")
     assert "rankstop.oracle" in modules
     assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}
+
+
+@pytest.mark.parametrize("name", ["rank_policy_a", "permutation_table"])
+def test_rank_rules_and_ordering_table_load_no_quadrature(name):
+    # both live in walkcore, which the package resolves them from
+    modules = loaded_after(f"import rankstop\nrankstop.{name}")
+    assert "rankstop.walkcore" in modules
+    assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}

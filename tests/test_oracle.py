@@ -20,7 +20,8 @@ from rankstop.oracle import (
     grid_dp_full_info,
     stage2_disagreement,
 )
-from rankstop.relranks import ALL_ORDERINGS, PQ_SUM, optimal_rank_value, permutation_table
+from rankstop.relranks import optimal_rank_value
+from rankstop.walkcore import ALL_ORDERINGS, PQ_SUM, permutation_table
 from rankstop.simulate import SimConfig, estimate_expected_rank
 
 UNIFORM_V = 11 / 4 - math.sqrt(2) / 3

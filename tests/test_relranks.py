@@ -9,18 +9,14 @@ from rankstop.distributions import (IntervalUnionUniform, Laplace, PowerFold, Ta
 from rankstop.numerics import QuadratureConfig, integrate_batch
 from rankstop.oracle import enumerate_rank_policies
 from rankstop.relranks import (
-    ALL_ORDERINGS,
-    PQ_SUM,
     PQParams,
     compute_pq,
     optimal_rank_policy,
     optimal_rank_value,
-    permutation_table,
-    rank_policy_a,
-    rank_policy_b,
     shift_concentration_check,
     two_step_case_values,
 )
+from rankstop.walkcore import ALL_ORDERINGS, PQ_SUM, permutation_table, rank_policy_a, rank_policy_b
 
 
 #: Uniform(1) as six equal pieces, and an irregular law with a flat piece.

@@ -11,7 +11,6 @@ from rankstop import simulate
 from rankstop.distributions import IntervalUnionUniform, Laplace, SymmetricDistribution, Uniform
 from rankstop.fullinfo import full_info_policy, solve_full_info
 from rankstop.oracle import RankPolicyTable, _ranks_of_chain
-from rankstop.relranks import ALL_ORDERINGS, permutation_table, rank_policy_a, rank_policy_b
 from rankstop.simulate import (
     ChunkPartial,
     SimConfig,
@@ -27,11 +26,15 @@ from rankstop.simulate import (
     reduce_partials,
 )
 from rankstop.walkcore import (
+    ALL_ORDERINGS,
     FULL_INFORMATION,
     RELATIVE_RANKS,
     PolicyContractError,
     StoppingPolicy,
     WalkPath,
+    permutation_table,
+    rank_policy_a,
+    rank_policy_b,
     run_policy,
     stop_at_policy,
     two_step_policy,

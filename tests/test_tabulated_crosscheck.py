@@ -31,7 +31,8 @@ from rankstop.fullinfo import (
     continuation_curve,
     solve_full_info,
 )
-from rankstop.relranks import PQ_SUM, compute_pq
+from rankstop.relranks import compute_pq
+from rankstop.walkcore import PQ_SUM
 
 _SLACK = 1e-12
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankstop.distributions import Laplace, Uniform
-from rankstop.relranks import rank_policy_a, rank_policy_b
 from rankstop.walkcore import (
     FULL_INFORMATION,
     RELATIVE_RANKS,
@@ -16,6 +15,8 @@ from rankstop.walkcore import (
     WalkPath,
     compute_ranks,
     monotone_transform,
+    rank_policy_a,
+    rank_policy_b,
     run_policy,
     stop_at_policy,
     two_step_policy as table_two_step_policy,
