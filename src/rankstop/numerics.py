@@ -279,7 +279,7 @@ def _bounds(a, b):
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"bounds must be two 1-D arrays of equal length, got {a.shape} and {b.shape}")
     width = b - a
-    if not 0.0 <= width.min(initial=0.0) <= width.max(initial=0.0) < math.inf:
+    if len(width) and not 0.0 <= width.min() <= width.max() < math.inf:
         i = int(np.argmin((width >= 0.0) & (width < math.inf)))
         raise ValueError(f"integration bounds must be finite and in order, got [{a[i]}, {b[i]}]")
     return a, b
