@@ -163,11 +163,11 @@ _WG = np.array([
 def _rules():
     """By a panel's mark, the nodes, in half widths, and weight factors of
     the Kronrod rule on the panel [a, b], and where a graded split cuts it.
-    Only the 81 marks that occur are filled.  With no
-    degree at either end the row is the plain rule, nodes about the centre.
-    Every other row takes the nodes through u = a + H s(t), t in [0, 1],
-    measured from a, and weights them by s'(t): s = t^d flattens the left
-    end, s = 1 - (1 - t)^d the right one and the smoothstep s = 3t^2 - 2t^3
+    Only the 81 marks that occur are filled.  With no degree at either end
+    the row is the plain rule, nodes about the centre.  Every other row
+    takes the nodes through u = a + H s(t), t in [0, 1], measured from a,
+    and weights them by s'(t): s = t^d flattens the left end,
+    s = 1 - (1 - t)^d the right one and the smoothstep s = 3t^2 - 2t^3
     both."""
     t = 0.5 * (1.0 + _XK)
     r = 1.0 - t
