@@ -231,20 +231,23 @@ class TabulatedCdf(SymmetricDistribution):
     Every knot is a kink of the CDF.  The solvers recognise this class and
     integrate exactly on the pieces between knots, knots + x, twice the
     knots and knot differences, with the 2-point Gauss-Legendre rule instead
-    of adaptive quadrature.  Measured on a 2-core Xeon, one
-    ``solve_full_info`` plus one ``compute_pq``, best of 3 (masses jittered
-    by 10%, irregular knots on the benchmark's template):
+    of adaptive quadrature; the threshold is the root of the continuation
+    curve's quadratic piece, and q one flat integral over the folded knots
+    and their sums.  Measured on a 2-core Xeon, one ``solve_full_info``
+    plus one ``compute_pq``, best of 3 (masses jittered by 10%, irregular
+    knots on the benchmark's template):
 
     ======  =====================  =====================
     knots   even spacing           irregular spacing
     ======  =====================  =====================
-    20      0.003 s, 40 MB peak    0.005 s, 40 MB peak
-    60      0.016 s, 42 MB peak    0.035 s, 45 MB peak
-    120     0.047 s, 49 MB peak    0.15 s, 56 MB peak
+    20      0.002 s, 37 MB peak    0.005 s, 38 MB peak
+    60      0.013 s, 41 MB peak    0.029 s, 45 MB peak
+    120     0.044 s, 49 MB peak    0.13 s, 56 MB peak
     ======  =====================  =====================
 
-    Evenly spaced knots share their differences, so they cost less.  The
-    peak is the memory of the whole process, about 38 MB of it imports.
+    Nearly all of it is V's outer integral.  Evenly spaced knots share
+    their differences, so they cost less.  The peak is the memory of the
+    whole process, about 36 MB of it imports.
     """
 
     def __init__(self, grid):

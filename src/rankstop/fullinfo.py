@@ -12,18 +12,20 @@ All dF-integrals are evaluated in u-space through the substitution
 u = F(y), so unbounded supports never appear explicitly and the error
 control is uniform across distributions.  The curve is evaluated at whole
 arrays of first steps: the two dF-integrals of every point go to the
-integrator as one batch.  This module does all of the package's
-integration: ``relranks.compute_pq`` integrates q over the same
-dF-integrals, with V's outer-integral scheme.
+integrator as one batch.  The threshold works on the curve minus 2
+formed without the offset 2, whose rounding is at the scale of that
+difference.  ``relranks.compute_pq`` integrates q over the same
+dF-integrals, with V's outer-integral scheme, for every law but a table.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
-F(knots) and F(knots + x), and the curve is quadratic in u between the
-images of the knots, twice the knots and the knot differences.  The
+F(knots) and F(knots + x), and the curve is quadratic in x, and so in u,
+between the knots, twice the knots and the knot differences.  The
 2-point Gauss-Legendre rule, exact up to degree 3, on those pieces
 (``numerics.integrate_pieces``) is then exact up to rounding at both
 levels and replaces the adaptive quadrature; the tolerances do not apply
-and the reported bounds are rounding bounds.
+and the reported bounds are rounding bounds.  The threshold is the root
+of the curve's quadratic piece, found without a root search.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
+    _EPS,
+    _VALUE_ULPS,
     BracketError,
     QuadratureConfig,
     RootConfig,
@@ -78,15 +82,10 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 #: The threshold search on adaptive quadrature stops once its bracket is
 #: narrower than x_tol, or earlier on a residual below the inner quadrature
-#: tolerance, where the curve cannot be told from 2.  Both root configs'
-#: x_tol holds where the bracket ends at x >= 1/2; below, it shrinks with
-#: the bracket's upper end, so that x1* and V do not depend on the law's
-#: scale.
+#: tolerance, where the curve cannot be told from 2.  x_tol holds where the
+#: bracket ends at x >= 1/2; below, it shrinks with the bracket's upper
+#: end, so that x1* and V do not depend on the law's scale.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
-#: The root search on the exact path, whose curve is exact up to rounding:
-#: its bracket closes to a few ulps of x1* (``find_root`` widens an x_tol
-#: finer than the float spacing to 2 eps |x|).
-_EXACT_ROOT_CFG = RootConfig(x_tol=1e-15, f_tol=1e-16)
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
 #: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
@@ -206,14 +205,13 @@ def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
     return min(stop, cont)
 
 
-def _continuation(law, x, cfg):
-    """(values, error bounds, panels) of the continuation curve at an array of x.
+def _curve_terms(law, x, cfg):
+    """F(x), F(x/2), the two dF-integrals of F(y - x) of the continuation
+    curve at an array of x, the sum of their error bounds, and the panels.
 
-    With I the sum of two dF-integrals of F(y - x), the curve is
-    15/8 + F(x) - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over (1/2, F(x/2)) and
-    (F(x), 1) for x > 0, and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I over
-    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one batch:
-    the first integral of every point, then the second.
+    The integrals run over (1/2, F(x/2)) and (F(x), 1) for x > 0, and over
+    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one
+    batch: the first integral of every point, then the second.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -223,8 +221,37 @@ def _continuation(law, x, cfg):
         law, np.concatenate([x, x]),
         np.concatenate([np.where(pos, 0.5, fx), np.where(pos, fx, 0.5)]),
         np.concatenate([fh, np.ones(n)]), cfg)
-    closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
-    return closed + vals[:n] + vals[n:], errs[:n] + errs[n:], int(panels.sum())
+    return fx, fh, vals[:n], vals[n:], errs[:n] + errs[n:], int(panels.sum())
+
+
+def _continuation(law, x, cfg):
+    """(values, error bounds, panels) of the continuation curve at an array of x.
+
+    With I the sum of two dF-integrals of F(y - x) (``_curve_terms``), the
+    curve is 15/8 + F(x) - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x > 0
+    and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x <= 0.
+    """
+    fx, fh, first, second, errs, panels = _curve_terms(law, x, cfg)
+    closed = np.where(np.asarray(x) > 0, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
+    return closed + first + second, errs, panels
+
+
+def _excess(law, x, cfg):
+    """(values, error bounds, panels) of the continuation curve minus 2 at
+    an array of x > 0, formed without the offset 2:
+    (F(x) - F(x/2)) (1 - (F(x) + F(x/2))/2) - 1/8 + I.
+
+    The curve formed first and 2 subtracted after rounds at the scale of 2,
+    4.4e-16, where the threshold needs the scale of W1 - 2 itself.  The
+    bounds add to the integrals' the rounding of that closed part, each F
+    value taken within ``_VALUE_ULPS`` ulps of 1, as ``integrate_pieces``
+    takes its integrand values.
+    """
+    fx, fh, first, second, errs, panels = _curve_terms(law, x, cfg)
+    gap, rest = fx - fh, 1.0 - 0.5 * (fx + fh)
+    closed = gap * rest - 0.125
+    rounding = _VALUE_ULPS * _EPS * (2.0 * np.abs(rest) + np.abs(gap) + 0.125)
+    return closed + first + second, errs + rounding, panels
 
 
 def continuation_curve(dist: SymmetricDistribution, xs,
@@ -244,70 +271,160 @@ def solve_threshold(dist: SymmetricDistribution,
     """The positive first-step threshold where continuing stops paying.
 
     The paper's bound F(x1*) >= 1/2 + sqrt(2)/4 confines the search: the
-    continuation curve minus 2 is scanned at 16 quantiles, evenly spaced
-    in u on [``THRESHOLD_QUANTILE_BOUND`` - ``BOUND_TOL``,
-    1 - 1e-12], and its last sign change there is refined by bracketed
-    root search; the curve is nonincreasing, but if it is flat at level 2
-    this picks the largest crossing, which maximizes the stop region and
-    keeps the result reproducible.  For distributions whose curve stays
-    above 2 inside the support and only reaches 2 at the edge (no mass
-    near the origin), the scan finds no sign change and the support edge
-    itself satisfies the residual tolerance.  Any other scan raises
-    ``ThresholdError``.  The root search runs at ``THRESHOLD_ROOT_CFG``,
-    and at x_tol 1e-15 on the exact path of a ``TabulatedCdf``; a bracket
-    that ends at b < 1/2 scales x_tol by 2 b.
+    continuation curve minus 2, formed without the offset 2, is scanned at
+    16 quantiles, evenly spaced in u on [``THRESHOLD_QUANTILE_BOUND`` -
+    ``BOUND_TOL``, 1 - 1e-12], and its last sign change there is refined;
+    the curve is nonincreasing, but if it is flat at level 2 this picks the
+    largest crossing, which maximizes the stop region and keeps the result
+    reproducible.  For distributions whose curve stays above 2 inside the
+    support and only reaches 2 at the edge (no mass near the origin), the
+    scan finds no sign change and the support edge itself satisfies the
+    residual tolerance.  Any other scan raises ``ThresholdError``.
+
+    On adaptive quadrature the refinement is a bracketed root search at
+    ``THRESHOLD_ROOT_CFG``; a bracket that ends at b < 1/2 scales x_tol by
+    2 b.  A ``TabulatedCdf`` takes no search: its curve is an exact
+    quadratic between the knots, twice the knots and the knot differences,
+    so one more batch evaluates it at those breaks inside the bracket and
+    at the midpoints between them, and x1* is the root of the quadratic on
+    the piece of the last sign change.
     """
     return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
 
 
 def _threshold(law, quad_cfg):
-    """solve_threshold's root, the curve minus 2 there, and the panels its
-    scan and root search evaluated."""
+    """solve_threshold's root, the curve minus 2 there, a bound on the
+    root's error, and the panels its batches evaluated."""
     dist = law.dist
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
     panels = 0
-    seen = {}  # the curve minus 2 at every x evaluated
 
-    def curve_minus_2(xs):
+    def excess(xs):
         nonlocal panels
-        values, _, n = _continuation(law, xs, quad_cfg)
+        values, bounds, n = _excess(law, xs, quad_cfg)
         panels += n
-        values = values - 2.0
-        seen.update(zip(map(float, xs), values))
-        return values
+        return values, bounds
 
     u_lo = _SCAN_U[0]
     grid = dist.ppf(_SCAN_U)
-    values = curve_minus_2(grid)
+    values, bounds = excess(grid)
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
     if len(sign_changes) == 0:
         if 0 < values[-1] <= BOUND_TOL:
-            return float(grid[-1]), float(values[-1]), panels  # curve meets 2 only at the support edge
+            # the curve meets 2 only at the support edge
+            x = float(grid[-1])
+            return x, float(values[-1]), dist.support[1] - x + math.ulp(x), panels
         raise ThresholdError(
             f"continuation curve minus 2 has no sign change at u in [{u_lo}, {1.0 - 1e-12}], "
             f"x in [{grid[0]}, {hi}]: {values[0]} at the start, {values[-1]} at the end")
     i = sign_changes[-1]
-    cfg = _EXACT_ROOT_CFG if law.exact else THRESHOLD_ROOT_CFG
-    cfg = replace(cfg, x_tol=cfg.x_tol * min(1.0, 2.0 * grid[i + 1]))
+    ends, end_values = grid[i:i + 2], values[i:i + 2]
+    if law.exact:
+        root, residual, error = _root_on_pieces(law.knots, excess, ends, end_values)
+    else:
+        root, residual, error = _root_by_search(excess, ends, end_values, bounds[i:i + 2])
+    return root, residual, error, panels
+
+
+def _root_by_search(excess, ends, values, bounds):
+    """(root, residual, error bound) of a bracketed root search on ``ends``.
+
+    The bound is the width of the narrowest pair of evaluated points that
+    holds the root and has opposite signs, or the residual over the slope
+    of their secant if that is less (the search may stop on its residual
+    before its bracket closes), plus the curve's error bound there over
+    that slope.
+    """
+    seen = {float(x): (float(v), float(e)) for x, v, e in zip(ends, values, bounds)}
+
+    def f(x):
+        if x not in seen:
+            v, e = excess([x])
+            seen[x] = float(v[0]), float(e[0])
+        return seen[x][0]
+
+    a, b = map(float, ends)
+    cfg = replace(THRESHOLD_ROOT_CFG, x_tol=THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * b))
     try:
         # find_root starts with the curve at both bracket ends, which the scan
         # has, and only returns points it evaluated.
-        root = find_root(lambda x: seen[x] if x in seen else curve_minus_2([x])[0],
-                         grid[i], grid[i + 1], cfg)
+        root = find_root(f, a, b, cfg)
     except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
         raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
-    return root, float(seen[root]), panels
+    xs = sorted(seen)
+    lo, hi = min(((l, r) for l, r in zip(xs, xs[1:])
+                  if l <= root <= r and (seen[l][0] > 0) != (seen[r][0] > 0)),
+                 key=lambda pair: pair[1] - pair[0], default=(a, b))
+    (f_lo, e_lo), (f_hi, e_hi) = seen[lo], seen[hi]
+    slope = abs(f_hi - f_lo) / (hi - lo)
+    residual = seen[root][0]
+    return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
+
+
+def _root_on_pieces(knots, excess, ends, values):
+    """(root, residual, error bound) of a piecewise-quadratic curve on ``ends``.
+
+    One batch evaluates the curve at its breaks inside the bracket (the
+    knots, twice the knots and the knot differences) and at the midpoints
+    between them.  On the piece of the last sign change the curve is the
+    quadratic through its two ends and its midpoint; its root there comes
+    from the stable formula in the piece's coordinate s in [0, 1], and a
+    last batch evaluates the curve at it.  The bound is the curve's bound
+    and residual there over the quadratic's slope, plus an ulp.
+    """
+    breaks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
+    a, b = ends
+    edges = np.unique(np.concatenate([ends, breaks[(breaks > a) & (breaks < b)]]))
+    xs = np.empty(2 * len(edges) - 1)
+    xs[0::2] = edges
+    xs[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    w = np.empty(len(xs))
+    w[[0, -1]] = values
+    w[1:-1] = excess(xs[1:-1])[0]
+    j = np.nonzero((w[:-1] > 0) & (w[1:] <= 0))[0][-1]
+    k = j - j % 2  # the piece [xs[k], xs[k + 2]], its midpoint xs[k + 1]
+    s, slope = _quadratic_root(*w[k:k + 3], 0.5 * (j - k))
+    width = xs[k + 2] - xs[k]
+    root = float(np.clip(xs[k] + s * width, xs[j], xs[j + 1]))
+    residual, bound = (float(v[0]) for v in excess([root]))
+    error = (bound + abs(residual)) * width / abs(slope) if slope else math.inf
+    return root, residual, error + math.ulp(root)
+
+
+def _quadratic_root(w0, w_half, w1, s0):
+    """The root in [s0, s0 + 1/2] of the quadratic through (0, w0),
+    (1/2, w_half) and (1, w1), and its slope there.
+
+    The quadratic is c + b s + a s^2; its roots are q/a and c/q with
+    q = -(b + sign(b) sqrt(b^2 - 4ac))/2, neither of which cancels.
+    Rounding may leave the root just outside the half piece: the candidate
+    nearest to it is taken, the larger of two inside it.
+    """
+    w0, w_half, w1 = float(w0), float(w_half), float(w1)
+    a = 2.0 * (w0 - 2.0 * w_half + w1)
+    b = 4.0 * w_half - 3.0 * w0 - w1
+    c = w0
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    roots = []
+    if a:
+        roots.append(q / a)
+    if q:
+        roots.append(c / q)
+    s1 = s0 + 0.5
+    s = max(roots, key=lambda r: (-max(s0 - r, r - s1, 0.0), r))
+    return s, b + 2.0 * a * s
 
 
 def tolerances(dist: SymmetricDistribution, cfg: QuadratureConfig | None = None,
                outer: bool = True) -> dict:
     """``numerics.tolerance_record`` of a solve at ``cfg``: the curve's ("inner"),
     V's ("outer", left out for the curve or threshold alone) and the root
-    search's.  A ``TabulatedCdf`` runs no adaptive quadrature: root only."""
+    search's.  A ``TabulatedCdf`` runs neither adaptive quadrature nor a
+    root search: empty."""
     if isinstance(dist, TabulatedCdf):
-        return tolerance_record(root=_EXACT_ROOT_CFG)
+        return {}
     cfg = cfg or FULL_INNER_CFG
     levels = {"inner": cfg, "outer": cfg.outer()} if outer else {"inner": cfg}
     return tolerance_record(**levels, root=THRESHOLD_ROOT_CFG)
@@ -322,9 +439,14 @@ def solve_full_info(dist: SymmetricDistribution,
     on (0, x1*], and the continuation curve again beyond x1*; the two
     curve integrals are one batch (``_u_integrals``).  ``diagnostics["panels"]``
     counts the quadrature panels (pieces, on the exact path) evaluated for V, and
-    ``diagnostics["threshold_panels"]`` those of the threshold's scan and
-    root search, which also gives ``diagnostics["threshold_residual"]``,
-    the curve minus 2 at x1*.  ``diagnostics["quadrature_error_bound"]``
+    ``diagnostics["threshold_panels"]`` those of the threshold's batches,
+    the last of which gives ``diagnostics["threshold_residual"]``, the
+    curve minus 2 at x1*.  ``diagnostics["threshold_error_bound"]`` bounds
+    |x1* - the curve's root|: on the exact path the curve's rounding bound
+    and the residual over the slope of its quadratic piece, plus an ulp; on
+    adaptive quadrature the width of the narrowest opposite-sign pair the
+    search evaluated around x1*, plus the curve's bound over their secant's
+    slope.  ``diagnostics["quadrature_error_bound"]``
     adds the outer bound and the largest bound of the curve times the
     u-range it is integrated over.  ``diagnostics["method"]`` is
     "exact_piecewise_linear" for a ``TabulatedCdf`` and "quadrature"
@@ -334,7 +456,7 @@ def solve_full_info(dist: SymmetricDistribution,
     """
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
-    x1s, residual, threshold_panels = _threshold(law, inner_cfg)
+    x1s, residual, x1_bound, threshold_panels = _threshold(law, inner_cfg)
     f_at = float(dist.cdf(x1s))
     panels = 0
     curve_err = 0.0
@@ -365,6 +487,7 @@ def solve_full_info(dist: SymmetricDistribution,
         F_at_threshold=f_at,
         diagnostics={
             "threshold_residual": residual,
+            "threshold_error_bound": x1_bound,
             "quadrature_error_bound": float(bound),
             "scan_upper": dist.quantile(1.0 - 1e-12),
             "panels": panels + int(outer_panels.sum()),

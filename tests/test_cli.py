@@ -39,6 +39,8 @@ class TestSolve:
         assert payload["manifest"]["distribution"]["kind"] == "uniform"
         assert payload["diagnostics"]["panels"] > 0
         assert payload["diagnostics"]["threshold_panels"] > 0
+        bound = payload["diagnostics"]["threshold_error_bound"]
+        assert abs(payload["x1_star"] - 2 * (math.sqrt(2) - 1)) <= bound <= 1e-13
 
     def test_relranks_laplace(self, runner):
         res = invoke(runner, ["solve", "--dist", LAPLACE, "--model", "relranks"])

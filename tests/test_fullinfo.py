@@ -167,8 +167,8 @@ class TestThreshold:
         assert solve_threshold(UNIFORM) == pytest.approx(UNIFORM_X1, abs=1e-9)
 
     def test_uniform_root_converges_on_bracket(self):
-        # the search stops on its bracket (1e-15 on the exact path of a
-        # uniform law), not on a lucky small residual
+        # the root of the curve's quadratic piece, not a point with a lucky
+        # small residual
         assert abs(solve_threshold(UNIFORM) - UNIFORM_X1) <= 1e-12
 
     def test_laplace(self):
@@ -208,11 +208,11 @@ class TestThreshold:
     def test_no_crossing_above_the_quantile_bound_raises(self, monkeypatch):
         # the scan covers only F(x) >= 1/2 + sqrt(2)/4; a curve that never
         # comes down to 2 there, and not at the support edge, is an error
-        def above(dist, xs, cfg):
+        def above(dist, xs, cfg):  # a curve at 2.5, minus 2
             xs = np.asarray(xs, dtype=float)
-            return np.full(len(xs), 2.5), np.zeros(len(xs)), 0
+            return np.full(len(xs), 0.5), np.zeros(len(xs)), 0
 
-        monkeypatch.setattr(fullinfo, "_continuation", above)
+        monkeypatch.setattr(fullinfo, "_excess", above)
         with pytest.raises(fullinfo.ThresholdError, match=r"no sign change at u in \[0\.853"):
             solve_threshold(LAPLACE)
 
@@ -244,6 +244,17 @@ class TestValue:
         assert abs(sol.x1_star - r) <= 1e-13
         assert abs(sol.value - POWERFOLD_V[delta](r)) <= sol.diagnostics["quadrature_error_bound"]
 
+    @pytest.mark.parametrize("dist, x1", [
+        (UNIFORM, UNIFORM_X1), (LAPLACE, LAPLACE_X1), (PowerFold(2), POWERFOLD2_X1),
+        (PowerFold(3), POWERFOLD_X1[3]), (PowerFold(4), POWERFOLD_X1[4]),
+    ], ids=["uniform", "laplace", "powerfold2", "powerfold3", "powerfold4"])
+    def test_threshold_error_bound_covers_the_closed_form(self, dist, x1):
+        # every closed-form root above is within an ulp of the exact one
+        sol = solve_full_info(dist)
+        bound = sol.diagnostics["threshold_error_bound"]
+        assert abs(sol.x1_star - x1) + math.ulp(x1) <= bound
+        assert bound <= 1e-13
+
     def test_tabulated_repeatable_and_matches_reference(self, builtins, solutions):
         # the outer V integral is cut where knot differences kink the curve
         value = solutions["tabulated"].value
@@ -274,13 +285,15 @@ class TestValue:
     # every one, Laplace's kink at 0 and its u-ends included), they took
     # 1562 and 88 (laplace), 631 and 51 (2), 6558 and 509 (4).  The
     # PowerFold rows from 2.5 on, which take t^5, t^7, t^6 and t^8 at 0 and
-    # guard every degree the engine knows, have no earlier counts.
+    # guard every degree the engine knows, have no earlier counts.  Before
+    # the threshold formed the curve minus 2 without the offset 2, the
+    # threshold search of PowerFold(2.5) took 203 panels.
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
         (LAPLACE, 514, 86, 5518, 1660, 8062),
         (PowerFold(0.5), 567, 142, 8898, 3010, 13016),
         (PowerFold(2), 527, 43, 11630, 2107, 21302),
         (PowerFold(4), 893, 49, 15292, 1693, 28478),
-        (PowerFold(2.5), 810, 203, None, None, None),
+        (PowerFold(2.5), 810, 193, None, None, None),
         (PowerFold(3.5), 1703, 249, None, None, None),
         (PowerFold(6), 1822, 43, None, None, None),
         (PowerFold(8), 1909, 65, None, None, None),
@@ -296,11 +309,13 @@ class TestValue:
             assert panels <= graded and threshold_panels <= graded_threshold
 
     def test_threshold_residual_is_the_curve_at_x1(self, builtins, solutions):
-        # the residual is the root search's own evaluation at x1*, not a re-solve
+        # the residual is the threshold's own evaluation of the curve minus
+        # 2 at x1*, formed without the offset 2, not a re-solve
         for name, dist in builtins.items():
             sol = solutions[name]
-            want = continuation_value(dist, sol.x1_star) - 2.0
+            want = fullinfo._excess(fullinfo._Law(dist), [sol.x1_star], FULL_INNER_CFG)[0][0]
             assert sol.diagnostics["threshold_residual"] == want, name
+            assert abs(want - (continuation_value(dist, sol.x1_star) - 2.0)) <= 4e-16, name
 
     @pytest.mark.parametrize("delta", [2, 4])
     def test_panels_fall_as_the_tolerance_loosens(self, delta):
@@ -372,11 +387,10 @@ class TestValue:
         }
 
     def test_exact_path_records_no_quadrature_tolerance(self, solutions):
-        # a uniform law is a table: only the threshold's root search has
-        # tolerances, tighter than the adaptive path's since its curve is exact
+        # a uniform law is a table: no quadrature and no root search, so
+        # nothing ran at a tolerance
         for name in ("uniform", "tabulated"):
-            assert solutions[name].diagnostics["tolerances"] == {
-                "root_x_tol": 1e-15, "root_f_tol": 1e-16}, name
+            assert solutions[name].diagnostics["tolerances"] == {}, name
 
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError):
@@ -398,10 +412,12 @@ class TestExactPiecewiseLinear:
         assert sol.diagnostics["panels"] > 0
 
     # Pieces are deterministic.  With a 3-point rule on V's outer pieces, V
-    # took 398 (uniform6) and 334 (built-in table) pieces.
+    # took 398 (uniform6) and 334 (built-in table) pieces.  Before the
+    # threshold took the root of the curve's quadratic piece instead of a
+    # root search, it took 151 (uniform6) and 120 (built-in table).
     @pytest.mark.parametrize("dist, pieces, threshold_pieces", [
-        (UNIFORM6, 269, 151),
-        (builtin_suite()["tabulated"], 227, 120),
+        (UNIFORM6, 269, 154),
+        (builtin_suite()["tabulated"], 227, 102),
     ], ids=["uniform6", "builtin_table"])
     def test_pieces_pinned(self, dist, pieces, threshold_pieces):
         diagnostics = solve_full_info(dist).diagnostics
@@ -414,8 +430,9 @@ class TestExactPiecewiseLinear:
         (TabulatedCdf([[100 * i / 6, 0.5 + i / 12] for i in range(7)]), 100.0),
     ], ids=["uniform10", "uniform1000", "uniform6x100"])
     def test_threshold_scales_to_a_few_ulps(self, dist, scale):
-        # x_tol 1e-15 is finer than the float spacing near x1* once x1* > 1;
-        # the root search then closes its bracket to a few ulps of x1*
+        # the root of the curve's quadratic piece is within a few ulps of
+        # x1* at any scale (1 to 3 today; 4 to 5 when a root search closed
+        # its bracket to 2 eps |x|)
         x1s = solve_threshold(dist)
         assert abs(x1s / scale - UNIFORM_X1) <= 8 * math.ulp(UNIFORM_X1)
 
@@ -473,6 +490,59 @@ class TestExactPiecewiseLinear:
         for name, sol in solutions.items():
             want = "quadrature" if name in ("laplace", "powerfold") else "exact_piecewise_linear"
             assert sol.diagnostics["method"] == want, name
+
+
+class TestExactPathStructure:
+    """What a table's solve and compute_pq call, counted; no wall time."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        """Calls of ``module.name`` from now on, in a list that grows."""
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def refuse(monkeypatch, module, name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} called")
+
+        monkeypatch.setattr(module, name, refused)
+
+    @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
+                             ids=["uniform6", "irregular", "builtin_table"])
+    def test_solve_takes_three_curve_batches_and_no_root_search(self, dist, monkeypatch):
+        # the scan, the breaks and midpoints in its bracket, and the root;
+        # V's outer integral is one more batch of the curve itself
+        threshold = self.count(monkeypatch, fullinfo, "_excess")
+        curve = self.count(monkeypatch, fullinfo, "_continuation")
+        self.refuse(monkeypatch, fullinfo, "find_root")
+        solve_full_info(dist)
+        assert len(threshold) == 3
+        assert [len(xs) for _, xs, _ in threshold][::2] == [16, 1]
+        assert len(curve) == 1
+
+    @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
+                             ids=["uniform6", "irregular", "builtin_table"])
+    def test_pq_takes_one_flat_integral(self, dist, monkeypatch):
+        calls = self.count(monkeypatch, relranks, "integrate_pieces")
+        for name in ("_df_integrals", "_u_integrals"):
+            self.refuse(monkeypatch, relranks, name)
+        compute_pq(dist)
+        assert len(calls) == 1
+
+    def test_interval_union_returns_the_support_edge_after_one_scan(self, monkeypatch):
+        threshold = self.count(monkeypatch, fullinfo, "_excess")
+        self.refuse(monkeypatch, fullinfo, "find_root")
+        dist = IntervalUnionUniform(1, 2)
+        assert solve_threshold(dist) == dist.quantile(1.0 - 1e-12)
+        assert len(threshold) == 1
 
 
 class TestPolicy:
@@ -610,20 +680,25 @@ UNIFORM6_BENCH = TabulatedCdf([[i / 6, 0.5 + 0.5 * i / 6] for i in range(7)])
 
 class TestLastBits:
     # x1* and V to the last bit.  The benchmark's abs_err.max rests on them:
-    # today it is Uniform's x1* (3.62e-16 off 2 (sqrt 2 - 1)) on
-    # solve_builtin and the 6-piece table's V (1.06e-16 off its closed
-    # form) on tabulated_knots.  One ulp either way moves abs_err.max, so a
-    # refactor of the engine must leave these bits alone.  Laplace's V was
+    # on tabulated_knots it is the 6-piece table's V (1.06e-16 off its
+    # closed form).  One ulp either way moves abs_err.max, so a refactor of
+    # the engine must leave these bits alone.  Laplace's V was
     # 0x1.22aee69d05e81p+1 (1.2e-14 off its closed form, now 2.2e-15)
-    # before its kink and u-ends took their declared degrees.
+    # before its kink and u-ends took their declared degrees.  Before the
+    # threshold formed the curve minus 2 without the offset 2 (and, on a
+    # table, took the root of the curve's quadratic piece), x1* was
+    # 0x1.a827999fcef2fp-1 on Uniform (3.62e-16 off 2 (sqrt 2 - 1), now
+    # 1.40e-16), 0x1.b5c529d2ec593p+0 on Laplace, 0x1.eca7213f22c70p-1 on
+    # PowerFold(2), 0x1.f71024d80cfeap-1 on PowerFold(2.5), whose V was
+    # 0x1.251278e15a0d6p+1, and 0x1.ffff5d0ecf6c6p-1 on PowerFold(8).
     @pytest.mark.parametrize("dist, x1_star, value", [
-        (UNIFORM, "0x1.a827999fcef2fp-1", "0x1.23a90444020b3p+1"),
+        (UNIFORM, "0x1.a827999fcef31p-1", "0x1.23a90444020b3p+1"),
         (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e5p-1", "0x1.238efc310536cp+1"),
-        (LAPLACE, "0x1.b5c529d2ec593p+0", "0x1.22aee69d05e62p+1"),
-        (PowerFold(2), "0x1.eca7213f22c70p-1", "0x1.24d70f8d4d00bp+1"),
+        (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e62p+1"),
+        (PowerFold(2), "0x1.eca7213f22c6bp-1", "0x1.24d70f8d4d00bp+1"),
         (UNIFORM6_BENCH, "0x1.a827999fcef33p-1", "0x1.23a90444020b3p+1"),
-        (PowerFold(2.5), "0x1.f71024d80cfeap-1", "0x1.251278e15a0d6p+1"),
-        (PowerFold(8), "0x1.ffff5d0ecf6c6p-1", "0x1.255547c0e35bap+1"),
+        (PowerFold(2.5), "0x1.f71024d80cfe2p-1", "0x1.251278e15a0d5p+1"),
+        (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35bap+1"),
     ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
             "powerfold8"])
     def test_x1_and_value_pinned(self, dist, x1_star, value):
@@ -649,12 +724,14 @@ class WrappedLaplace(SymmetricDistribution):
 
 
 def test_law_without_declared_degrees_keeps_its_results():
-    # Laplace's results before it declared a kink at 0 and t^3 at the u-ends
+    # Laplace's results before it declared a kink at 0 and t^3 at the u-ends;
+    # x1* was 0x1.b5c529d2ec593p+0 before the threshold formed the curve
+    # minus 2 without the offset 2
     dist = WrappedLaplace()
     degrees, end_degree = dist.break_point_degrees()
     assert list(degrees) == [2] and end_degree == 2
     sol = solve_full_info(dist)
-    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec593p+0", "0x1.22aee69d05e81p+1")
+    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec585p+0", "0x1.22aee69d05e81p+1")
     assert (sol.diagnostics["panels"], sol.diagnostics["threshold_panels"]) == (1562, 88)
     assert compute_pq(dist).panels == 244
 

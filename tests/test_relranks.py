@@ -104,16 +104,19 @@ class TestComputePQ:
 
 class TestLastBits:
     # p and q to the last bit, beside x1* and V in test_fullinfo.TestLastBits;
-    # the last row is the 6-piece uniform table of the tabulated_knots workload.
-    # PowerFold(2)'s q was 0x1.c71c71c71c6ecp-9 before its knot at 0 took a
-    # declared degree and its support edges became kinks.
+    # the "uniform6" row is the 6-piece uniform table of the tabulated_knots
+    # workload.  PowerFold(2)'s q was 0x1.c71c71c71c6ecp-9 before its knot at
+    # 0 took a declared degree and its support edges became kinks.  Before q
+    # of a table was one flat integral, the 6-piece table's p and q were
+    # 0x1.5555555555556p-7 and 0x1.5555555555554p-7 (p 1.2e-18 off 1/96,
+    # now 5.8e-19).
     @pytest.mark.parametrize("dist, p, q", [
         (Uniform(1), "0x1.5555555555554p-7", "0x1.5555555555556p-7"),
         (builtin_suite()["tabulated"], "0x1.5139e8cb1adefp-7", "0x1.5970c1df8fcbbp-7"),
         (Laplace(1), "0x1.55555555555bep-8", "0x1.fffffffffffcbp-7"),
         (PowerFold(2), "0x1.1c71c71c71c78p-6", "0x1.c71c71c71c6ebp-9"),
         (TabulatedCdf([[i / 6, 0.5 + 0.5 * i / 6] for i in range(7)]),
-         "0x1.5555555555556p-7", "0x1.5555555555554p-7"),
+         "0x1.5555555555555p-7", "0x1.5555555555555p-7"),
         (PowerFold(2.5), "0x1.35eadb2c001ccp-6", "0x1.f6a7a29553888p-10"),
         (PowerFold(8), "0x1.554e8b3646c94p-6", "0x1.b287c3a3041e3p-20"),
     ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
@@ -180,10 +183,13 @@ class TestExactPiecewiseLinear:
 
     # Pieces are deterministic.  With a 3-point rule on the outer pieces,
     # compute_pq took 122 (uniform6) and 138 (built-in table) pieces; on
-    # the folded CDF's pieces instead of the dF-integrals', 84 and 95.
+    # the folded CDF's pieces instead of the dF-integrals', 84 and 95; as
+    # an outer integral over the dF-integrals, 87 and 98, outer and inner.
+    # The flat integral of (1 - G) h takes one piece per gap between the
+    # knots and their pairwise sums below the largest knot.
     @pytest.mark.parametrize("dist, pieces", [
-        (UNIFORM6, 87),
-        (builtin_suite()["tabulated"], 98),
+        (UNIFORM6, 7),
+        (builtin_suite()["tabulated"], 7),
     ], ids=["uniform6", "builtin_table"])
     def test_pieces_pinned(self, dist, pieces):
         assert compute_pq(dist).panels == pieces
