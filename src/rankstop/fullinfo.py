@@ -232,7 +232,8 @@ def _continuation(law, x, cfg):
     and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x <= 0.
     """
     fx, fh, first, second, errs, panels = _curve_terms(law, x, cfg)
-    closed = np.where(np.asarray(x) > 0, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
+    pos = np.asarray(x) > 0
+    closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
     return closed + first + second, errs, panels
 
 

@@ -12,6 +12,9 @@ shares no code with the solvers:
   exact on the pieces where F(y - x) is linear and the density constant;
 - x1* is found by bisection on Fractions, from a bracket of +-1e-12
   around the solver's threshold, to 1/16 of its float spacing;
+- V integrates that curve, in the same form for x <= 0, against dF by
+  Simpson's rule on the pieces between the knots, twice the knots and
+  the knot differences, where it is quadratic;
 - q = P(|X3| > |X1| + |X2|)/16 is the integral of (1 - G(z)) h(z), with
   G the folded CDF and h the density of |X1| + |X2|, by Simpson's rule,
   exact on the pieces between the folded knots and their pairwise sums,
@@ -23,7 +26,7 @@ F); tables are its degree-1 case.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -85,17 +88,19 @@ class Table:
         j = bisect_left(xs, y)
         return fs[j - 1] + (fs[j] - fs[j - 1]) * (y - xs[j - 1]) / (xs[j] - xs[j - 1])
 
-    def density(self, a, b):
-        """The constant density on (a, b), which holds no knot."""
-        return (self.F(b) - self.F(a)) / (b - a)
+    def inside(self, a, b):
+        """The knots strictly between a and b."""
+        return self.xs[bisect_right(self.xs, a):bisect_left(self.xs, b)]
 
     def df_integral(self, x, a, b):
         """The integral of F(y - x) dF(y) over (a, b): trapezoids on the
-        pieces cut at the knots and the knots + x."""
-        pts = sorted({a, b} | {k for k in self.xs if a < k < b}
-                     | {k + x for k in self.xs if a < k + x < b})
-        return sum(self.density(lo, hi) * (hi - lo) * (self.F(lo - x) + self.F(hi - x)) / 2
-                   for lo, hi in zip(pts, pts[1:]))
+        pieces cut at the knots and the knots + x, where F(y - x) is linear
+        and dF(y) constant."""
+        pts = sorted({a, b, *self.inside(a, b), *(k + x for k in self.inside(a - x, b - x))})
+        f = [self.F(y) for y in pts]
+        g = [self.F(y - x) for y in pts]
+        return sum(((f[i + 1] - f[i]) * (g[i] + g[i + 1]) for i in range(len(pts) - 1)),
+                   Fraction(0)) / 2
 
     def w1_minus_2(self, x):
         """The continuation curve minus 2 at x > 0, in the paper's form."""
@@ -103,6 +108,30 @@ class Table:
         integral = (self.df_integral(x, Fraction(0), x / 2)
                     + self.df_integral(x, x, max(x, self.xs[-1])))
         return Fraction(15, 8) + fx - fh - (fx * fx - fh * fh) / 2 + integral - 2
+
+    def w1(self, x):
+        """The continuation curve at any x, in the paper's form."""
+        if x > 0:
+            return self.w1_minus_2(x) + 2
+        fx, fh = self.F(x), self.F(x / 2)
+        integral = self.df_integral(x, x, x / 2) + self.df_integral(x, Fraction(0), self.xs[-1])
+        return Fraction(19, 8) - fh - (fx * fx - fh * fh) / 2 + integral
+
+    def value(self, x1):
+        """V at the threshold x1: the curve integrated against dF below 0
+        and above x1, and 2 on (0, x1].  The curve is quadratic and dF
+        constant between the knots, twice the knots and the knot
+        differences, so Simpson's rule on those pieces is exact."""
+        ks = self.xs
+        cuts = {*ks, *(2 * k for k in ks), *(a - b for a in ks for b in ks), Fraction(0), x1}
+        pts = sorted(c for c in cuts if ks[0] <= c <= ks[-1] and not 0 < c < x1)
+        w = [self.w1(x) for x in pts]
+        total = 2 * (self.F(x1) - Fraction(1, 2))
+        for i, (a, b) in enumerate(zip(pts, pts[1:])):
+            mass = self.F(b) - self.F(a)
+            if mass and not (a == 0 and b == x1):
+                total += mass * (w[i] + 4 * self.w1((a + b) / 2) + w[i + 1]) / 6
+        return total
 
     def threshold(self, near):
         """The root of W1 - 2 within 1e-12 of ``near``, to 1/16 of its float
@@ -195,6 +224,12 @@ class TestOracle:
         table = Table.of(TABLES[name])
         assert table.q() == table.q_four_corners()
 
+    def test_value_of_the_uniform(self):
+        # 11/4 - sqrt(2)/3, at a root within 1/16 ulp of 2 (sqrt(2) - 1)
+        six = Table([(Fraction(i, 6), Fraction(1, 2) + Fraction(i, 12)) for i in range(7)])
+        v = six.value(six.threshold(2.0 * (math.sqrt(2.0) - 1.0)))
+        assert abs(v - Fraction(11.0 / 4.0 - math.sqrt(2.0) / 3.0)) <= Fraction(1e-15)
+
     def test_uniform_curve_is_its_closed_form(self):
         # 9/4 - x/4 - x^2/16 for x > 0
         table = Table.of(Uniform(1))
@@ -219,6 +254,17 @@ def check_table(dist, ulps=2):
 @pytest.mark.parametrize("name", list(TABLES))
 def test_threshold_and_pq_match_the_oracle(name):
     check_table(TABLES[name])
+
+
+# V costs the oracle a third of a second per 12-knot table: one table per knot count.
+@pytest.mark.parametrize("name", ["builtin", "uniform", "uniform6", "seed1-knots6",
+                                  "seed1-knots9", "seed1-knots12"])
+def test_value_matches_the_oracle(name):
+    dist = TABLES[name]
+    table = Table.of(dist)
+    sol = solve_full_info(dist)
+    v = table.value(table.threshold(sol.x1_star))
+    assert abs(Fraction(sol.value) - v) <= Fraction(sol.diagnostics["quadrature_error_bound"])
 
 
 #: A table whose curve falls slowly through 2 on a flat piece of F:
