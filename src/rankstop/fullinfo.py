@@ -1,31 +1,33 @@
 """The three-step full-information solution.
 
 After the first step lands at x, the best expected rank achievable by
-taking at least one more step is a continuation curve with closed
-dF-integral expressions, one branch for x > 0 and one for x < 0.  The
+taking at least one more step is a continuation curve W1 with closed
+dF-integral expressions, one branch for x > 0 and one for x <= 0.  The
 positive branch decreases from 9/4 (at 0+) to 15/8 (far out), so it
 crosses the stop payoff 2 at a threshold x1*; the optimal rule stops at
-time 1 exactly on (0, x1*].  Integrating the stage-1 value over the first
-step gives the optimal expected rank V.
+time 1 exactly on (0, x1*] and continues elsewhere, so the optimal
+expected rank is V = 2 + E[W1(X1) - 2; continue].
 
-All dF-integrals are evaluated in u-space through the substitution
-u = F(y), so unbounded supports never appear explicitly and the error
-control is uniform across distributions.  The curve is evaluated at whole
-arrays of first steps: the two dF-integrals of every point go to the
-integrator as one batch.  The threshold works on the curve minus 2
-formed without the offset 2, whose rounding is at the scale of that
-difference.  ``relranks.compute_pq`` integrates q over the same
+One function evaluates the curve: ``_excess``, W1 - 2 formed without the
+offset 2, whose rounding is at the scale of that difference.  The
+threshold is its root, V is 2 plus its integrals over the two
+continuation regions, and ``continuation_curve`` is 2 plus it.  All
+dF-integrals are evaluated in u-space through the substitution u = F(y),
+so unbounded supports never appear explicitly and the error control is
+uniform across distributions.  The curve is evaluated at whole arrays of
+first steps: the two dF-integrals of every point go to the integrator as
+one batch.  ``relranks.compute_pq`` integrates q over the same
 dF-integrals, with V's outer-integral scheme, for every law but a table.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
 F(knots) and F(knots + x), and the curve is quadratic in x, and so in u,
-between the knots, twice the knots and the knot differences.  The
-2-point Gauss-Legendre rule, exact up to degree 3, on those pieces
-(``numerics.integrate_pieces``) is then exact up to rounding at both
-levels and replaces the adaptive quadrature; the tolerances do not apply
-and the reported bounds are rounding bounds.  The threshold is the root
-of the curve's quadratic piece, found without a root search.
+between its breaks (``_curve_breaks``).  The 2-point Gauss-Legendre
+rule, exact up to degree 3, on those pieces (``numerics.integrate_pieces``)
+is then exact up to rounding at both levels and replaces the adaptive
+quadrature; the tolerances do not apply and the reported bounds are
+rounding bounds.  The threshold is the root of the curve's quadratic
+piece, found without a root search.
 """
 
 from __future__ import annotations
@@ -192,6 +194,22 @@ def _u_integrals(law, g, lo, hi, kinks, degrees, cfg):
     return _integrate(law, g, lo, hi, cuts[None, :].repeat(len(lo), axis=0), cfg, degrees)
 
 
+def _curve_breaks(law):
+    """The first steps where the continuation curve changes analytic form,
+    and their substitution degrees.
+
+    The curve kinks where the first step or its half crosses a CDF knot,
+    and where two knots are exactly the first step apart, so that kinks of
+    the inner integrand meet: the knots, twice the knots and the knot
+    differences.  A kink at a knot or at twice one takes the knot's
+    degree, and one at a difference the smaller degree of the two knots:
+    there the two singularities are integrated against each other.
+    """
+    knots, degrees = law.knots, law.degrees
+    return (np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()]),
+            np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()]))
+
+
 def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
     """Best expected rank after observing the first two steps.
 
@@ -205,13 +223,21 @@ def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
     return min(stop, cont)
 
 
-def _curve_terms(law, x, cfg):
-    """F(x), F(x/2), the two dF-integrals of F(y - x) of the continuation
-    curve at an array of x, the sum of their error bounds, and the panels.
+def _excess(law, x, cfg):
+    """(values, error bounds, panels) of the continuation curve minus 2 at
+    an array of first steps of either sign, formed without the offset 2.
 
-    The integrals run over (1/2, F(x/2)) and (F(x), 1) for x > 0, and over
-    (F(x), F(x/2)) and (1/2, 1) for x <= 0.  All 2n integrals are one
-    batch: the first integral of every point, then the second.
+    With I the sum of two dF-integrals of F(y - x), over (1/2, F(x/2)) and
+    (F(x), 1) in u for x > 0 and over (F(x), F(x/2)) and (1/2, 1) for
+    x <= 0, all 2n of them one batch, W1 - 2 is
+    (F(x) - F(x/2)) (1 - (F(x) + F(x/2))/2) - 1/8 + I for x > 0 and
+    3/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x <= 0: 1/4 on both
+    sides of 0, 7/8 far left and -1/8 far right.  W1 formed first and 2
+    subtracted after would round at the scale of 2, 4.4e-16, where the
+    threshold needs the scale of W1 - 2 itself.  The bounds add to the
+    integrals' the rounding of the closed part, each F value taken within
+    ``_VALUE_ULPS`` ulps of 1, as ``integrate_pieces`` takes its integrand
+    values.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -221,44 +247,19 @@ def _curve_terms(law, x, cfg):
         law, np.concatenate([x, x]),
         np.concatenate([np.where(pos, 0.5, fx), np.where(pos, fx, 0.5)]),
         np.concatenate([fh, np.ones(n)]), cfg)
-    return fx, fh, vals[:n], vals[n:], errs[:n] + errs[n:], int(panels.sum())
-
-
-def _continuation(law, x, cfg):
-    """(values, error bounds, panels) of the continuation curve at an array of x.
-
-    With I the sum of two dF-integrals of F(y - x) (``_curve_terms``), the
-    curve is 15/8 + F(x) - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x > 0
-    and 19/8 - F(x/2) - (F(x)^2 - F(x/2)^2)/2 + I for x <= 0.
-    """
-    fx, fh, first, second, errs, panels = _curve_terms(law, x, cfg)
-    pos = np.asarray(x) > 0
-    closed = np.where(pos, 15.0 / 8.0 + fx, 19.0 / 8.0) - fh - 0.5 * (fx * fx - fh * fh)
-    return closed + first + second, errs, panels
-
-
-def _excess(law, x, cfg):
-    """(values, error bounds, panels) of the continuation curve minus 2 at
-    an array of x > 0, formed without the offset 2:
-    (F(x) - F(x/2)) (1 - (F(x) + F(x/2))/2) - 1/8 + I.
-
-    The curve formed first and 2 subtracted after rounds at the scale of 2,
-    4.4e-16, where the threshold needs the scale of W1 - 2 itself.  The
-    bounds add to the integrals' the rounding of that closed part, each F
-    value taken within ``_VALUE_ULPS`` ulps of 1, as ``integrate_pieces``
-    takes its integrand values.
-    """
-    fx, fh, first, second, errs, panels = _curve_terms(law, x, cfg)
     gap, rest = fx - fh, 1.0 - 0.5 * (fx + fh)
-    closed = gap * rest - 0.125
-    rounding = _VALUE_ULPS * _EPS * (2.0 * np.abs(rest) + np.abs(gap) + 0.125)
-    return closed + first + second, errs + rounding, panels
+    closed = np.where(pos, gap * rest - 0.125, 0.375 - fh - 0.5 * (fx * fx - fh * fh))
+    # at least |d(W1 - 2)/dF(x)| + |d(W1 - 2)/dF(x/2)|, and 1/8 for the arithmetic
+    slopes = np.where(pos, 2.0 * np.abs(rest) + np.abs(gap), 1.0 + gap)
+    rounding = _VALUE_ULPS * _EPS * (slopes + 0.125)
+    return closed + vals[:n] + vals[n:], errs[:n] + errs[n:] + rounding, int(panels.sum())
 
 
 def continuation_curve(dist: SymmetricDistribution, xs,
                        cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """Continuation curve at an array of first steps, both signs, in one batch."""
-    return _continuation(_Law(dist), np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
+    """Continuation curve at an array of first steps, both signs, in one
+    batch: 2 plus ``_excess``, so it rounds at the scale of 2."""
+    return 2.0 + _excess(_Law(dist), np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
 
 
 def continuation_value(dist: SymmetricDistribution, x: float,
@@ -323,7 +324,7 @@ def _threshold(law, quad_cfg):
     i = sign_changes[-1]
     ends, end_values = grid[i:i + 2], values[i:i + 2]
     if law.exact:
-        root, residual, error = _root_on_pieces(law.knots, excess, ends, end_values)
+        root, residual, error = _root_on_pieces(law, excess, ends, end_values)
     else:
         root, residual, error = _root_by_search(excess, ends, end_values, bounds[i:i + 2])
     return root, residual, error, panels
@@ -364,18 +365,18 @@ def _root_by_search(excess, ends, values, bounds):
     return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
 
 
-def _root_on_pieces(knots, excess, ends, values):
+def _root_on_pieces(law, excess, ends, values):
     """(root, residual, error bound) of a piecewise-quadratic curve on ``ends``.
 
-    One batch evaluates the curve at its breaks inside the bracket (the
-    knots, twice the knots and the knot differences) and at the midpoints
-    between them.  On the piece of the last sign change the curve is the
-    quadratic through its two ends and its midpoint; its root there comes
-    from the stable formula in the piece's coordinate s in [0, 1], and a
-    last batch evaluates the curve at it.  The bound is the curve's bound
-    and residual there over the quadratic's slope, plus an ulp.
+    One batch evaluates the curve at its breaks inside the bracket
+    (``_curve_breaks``) and at the midpoints between them.  On the piece of
+    the last sign change the curve is the quadratic through its two ends
+    and its midpoint; its root there comes from the stable formula in the
+    piece's coordinate s in [0, 1], and a last batch evaluates the curve
+    at it.  The bound is the curve's bound and residual there over the
+    quadratic's slope, plus an ulp.
     """
-    breaks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
+    breaks = _curve_breaks(law)[0]
     a, b = ends
     edges = np.unique(np.concatenate([ends, breaks[(breaks > a) & (breaks < b)]]))
     xs = np.empty(2 * len(edges) - 1)
@@ -435,25 +436,27 @@ def solve_full_info(dist: SymmetricDistribution,
                     cfg: QuadratureConfig | None = None) -> FullInfoSolution:
     """Threshold, optimal expected rank, and diagnostics for one distribution.
 
-    V splits exactly at 0 and at the threshold: the first-step integral of
-    the continuation curve over the negative half, the flat stop payoff 2
-    on (0, x1*], and the continuation curve again beyond x1*; the two
-    curve integrals are one batch (``_u_integrals``).  ``diagnostics["panels"]``
-    counts the quadrature panels (pieces, on the exact path) evaluated for V, and
-    ``diagnostics["threshold_panels"]`` those of the threshold's batches,
+    V is 2 plus the first-step integrals of the curve minus 2
+    (``_excess``) over the continuation regions, the negative half and
+    beyond x1*, in u over [0, 1/2] and [F(x1*), 1]; the stop region
+    (0, x1*] adds nothing.  The two integrals are one batch
+    (``_u_integrals``), and 2 is added last.  ``diagnostics["panels"]``
+    counts the quadrature panels (pieces, on the exact path) evaluated for
+    V, and ``diagnostics["threshold_panels"]`` those of the threshold's batches,
     the last of which gives ``diagnostics["threshold_residual"]``, the
     curve minus 2 at x1*.  ``diagnostics["threshold_error_bound"]`` bounds
     |x1* - the curve's root|: on the exact path the curve's rounding bound
     and the residual over the slope of its quadratic piece, plus an ulp; on
     adaptive quadrature the width of the narrowest opposite-sign pair the
     search evaluated around x1*, plus the curve's bound over their secant's
-    slope.  ``diagnostics["quadrature_error_bound"]``
-    adds the outer bound and the largest bound of the curve times the
-    u-range it is integrated over.  ``diagnostics["method"]`` is
-    "exact_piecewise_linear" for a ``TabulatedCdf`` and "quadrature"
-    otherwise, and ``diagnostics["tolerances"]`` is ``tolerances(dist,
-    cfg)``.  ``cfg`` is the tolerance of the curve and the threshold; V's
-    outer integral runs at ``cfg.outer()``.
+    slope.  ``diagnostics["quadrature_error_bound"]`` adds the outer
+    bound, the largest bound of the curve times the u-range it is
+    integrated over, and the rounding of the sum 2 + the integrals.
+    ``diagnostics["method"]`` is "exact_piecewise_linear" for a
+    ``TabulatedCdf`` and "quadrature" otherwise, and
+    ``diagnostics["tolerances"]`` is ``tolerances(dist, cfg)``.  ``cfg`` is
+    the tolerance of the curve and the threshold; V's outer integral runs
+    at ``cfg.outer()``, whose rel_tol applies to V - 2.
     """
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
@@ -462,26 +465,17 @@ def solve_full_info(dist: SymmetricDistribution,
     panels = 0
     curve_err = 0.0
 
-    def curve_of_u(us, _):
+    def excess_of_u(us, _):
         nonlocal panels, curve_err
-        values, errs, n = _continuation(law, dist.ppf(us), inner_cfg)
+        values, errs, n = _excess(law, dist.ppf(us), inner_cfg)
         panels += n
         curve_err = max(curve_err, float(errs.max(initial=0.0)))
         return values
 
-    # The continuation curve changes analytic form whenever the first step
-    # or its half crosses a CDF knot, and where two knots are exactly the
-    # first step apart, so that kinks of the inner integrand meet.  A kink
-    # at a knot or at twice one takes the knot's substitution degree, and
-    # one at a difference the smaller degree of the two knots: there the
-    # two singularities are integrated against each other.
-    knots, degrees = law.knots, law.degrees
-    kinks = np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()])
-    degrees = np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()])
     (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
-        law, curve_of_u, [0.0, f_at], [0.5, 1.0], kinks, degrees, inner_cfg.outer())
-    value = float(neg_val + 2.0 * (f_at - 0.5) + pos_val)
-    bound = neg_err + pos_err + curve_err * (1.5 - f_at)
+        law, excess_of_u, [0.0, f_at], [0.5, 1.0], *_curve_breaks(law), inner_cfg.outer())
+    value = float(2.0 + (neg_val + pos_val))
+    bound = neg_err + pos_err + curve_err * (1.5 - f_at) + _EPS * value
     return FullInfoSolution(
         x1_star=x1s,
         value=value,

@@ -71,16 +71,21 @@ def bisect(h, a, b):
 
 #: Laplace(1)'s threshold, where its curve meets 2: (x + 4) e^-x - e^-2x = 1.
 LAPLACE_X1 = bisect(lambda x: (x + 4) * math.exp(-x) - math.exp(-2 * x) - 1, 1.0, 2.0)
+#: Laplace(1)'s V, by its threshold.
+LAPLACE_V = (437 / 192 + (2 * LAPLACE_X1 + 9) * math.exp(-2 * LAPLACE_X1) / 64
+             - math.exp(-LAPLACE_X1) / 16 - math.exp(-3 * LAPLACE_X1) / 48)
 #: PowerFold(2)'s threshold, the root of 9x^4 - 12x^2 + 16x - 12 in (0, 1).
 POWERFOLD2_X1 = bisect(lambda x: 9 * x**4 - 12 * x**2 + 16 * x - 12, 0.0, 1.0)
 #: PowerFold(3)'s and (4)'s thresholds, the roots in (0, 1) of 160 (2 - W+)
-#: and 560 (2 - W+), and their V as polynomials in r = x1*, by delta.
+#: and 560 (2 - W+), and V of PowerFold(2, 3, 4) as polynomials in r = x1*,
+#: by delta.
 POWERFOLD_X1 = {
     3: bisect(lambda x: 19 * x**6 + 40 * x**3 - 90 * x**2 + 72 * x - 40, 0.0, 1.0),
     4: bisect(lambda x: 73 * x**8 - 140 * x**4 + 448 * x**3 - 560 * x**2 + 320 * x - 140,
               0.0, 1.0),
 }
 POWERFOLD_V = {
+    2: lambda r: 7 / 3 - r**2 / 8 + r**3 / 9 - r**4 / 16 + r**6 / 32,
     3: lambda r: (7 / 3 - r**3 / 8 + 27 * r**4 / 160 - 27 * r**5 / 160 + r**6 / 16
                   + 19 * r**9 / 960),
     4: lambda r: (7 / 3 - r**4 / 8 + 8 * r**5 / 35 - r**6 / 3 + 8 * r**7 / 35 - r**8 / 16
@@ -154,6 +159,22 @@ class TestContinuationCurve:
             gap = continuation_value(UNIFORM, eps) - continuation_value(UNIFORM, -eps)
             assert abs(gap) < 40 * eps
 
+    @pytest.mark.parametrize("dist, w1, hi", [(UNIFORM, w1_uniform_closed, 0.98),
+                                              (LAPLACE, w1_laplace_closed, 5.0)],
+                             ids=["uniform", "laplace"])
+    def test_excess_within_its_bound_on_both_signs(self, dist, w1, hi):
+        xs = np.linspace(-hi, hi, 26)
+        values, bounds, _ = fullinfo._excess(fullinfo._Law(dist), xs, FULL_INNER_CFG)
+        for x, value, bound in zip(xs, values, bounds):
+            assert abs(value - (w1(x) - 2.0)) <= bound, x
+
+    @pytest.mark.parametrize("dist", [UNIFORM, LAPLACE], ids=["uniform", "laplace"])
+    def test_excess_limits_at_zero(self, dist):
+        # both branches meet at 9/4 - 2, the x <= 0 one at 0 itself
+        xs = np.array([-(2.0 ** -1000), 0.0, 2.0 ** -1000])
+        values, bounds, _ = fullinfo._excess(fullinfo._Law(dist), xs, FULL_INNER_CFG)
+        assert np.all(np.abs(values - 0.25) <= bounds)
+
     def test_positive_branch_nonincreasing(self, builtins):
         for name, dist in builtins.items():
             hi = dist.quantile(1 - 1e-9)
@@ -222,18 +243,25 @@ class TestValue:
         assert solutions["uniform"].value == pytest.approx(UNIFORM_V, abs=1e-8)
 
     def test_laplace(self, solutions):
-        r = LAPLACE_X1
-        want = (437 / 192 + (2 * r + 9) * math.exp(-2 * r) / 64 - math.exp(-r) / 16
-                - math.exp(-3 * r) / 48)
-        assert want == pytest.approx(2.27096254984990081515, abs=1e-15)
+        assert LAPLACE_V == pytest.approx(2.27096254984990081515, abs=1e-15)
         sol = solutions["laplace"]
-        assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
+        assert abs(sol.value - LAPLACE_V) <= sol.diagnostics["quadrature_error_bound"]
 
     def test_powerfold2(self):
-        r = POWERFOLD2_X1
-        want = 7 / 3 - r**2 / 8 + r**3 / 9 - r**4 / 16 + r**6 / 32
         sol = solve_full_info(PowerFold(2))
+        want = POWERFOLD_V[2](POWERFOLD2_X1)
         assert abs(sol.value - want) <= sol.diagnostics["quadrature_error_bound"]
+
+    @pytest.mark.parametrize("dist, want", [
+        (LAPLACE, LAPLACE_V),
+        (PowerFold(2), POWERFOLD_V[2](POWERFOLD2_X1)),
+        (PowerFold(3), POWERFOLD_V[3](POWERFOLD_X1[3])),
+        (PowerFold(4), POWERFOLD_V[4](POWERFOLD_X1[4])),
+    ], ids=["laplace", "powerfold2", "powerfold3", "powerfold4"])
+    def test_value_within_a_few_ulps_of_the_closed_form(self, dist, want):
+        # 1.6e-15 to 1.9e-15 off by 50-digit references; V summed as the
+        # integrals of W1 plus 2 (F(x1*) - 1/2) read up to 4.7e-15
+        assert abs(solve_full_info(dist).value - want) <= 2.5e-15
 
     @pytest.mark.parametrize("delta, want", [(3, 2.29058749696240597990),
                                              (4, 2.29136589633665259418)], ids=["delta3", "delta4"])
@@ -518,15 +546,14 @@ class TestExactPathStructure:
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
     def test_solve_takes_three_curve_batches_and_no_root_search(self, dist, monkeypatch):
-        # the scan, the breaks and midpoints in its bracket, and the root;
-        # V's outer integral is one more batch of the curve itself
-        threshold = self.count(monkeypatch, fullinfo, "_excess")
-        curve = self.count(monkeypatch, fullinfo, "_continuation")
+        # the threshold's three: the scan, the breaks and midpoints in its
+        # bracket, and the root; V's outer integral is a fourth batch of the
+        # same curve
+        batches = self.count(monkeypatch, fullinfo, "_excess")
         self.refuse(monkeypatch, fullinfo, "find_root")
         solve_full_info(dist)
-        assert len(threshold) == 3
-        assert [len(xs) for _, xs, _ in threshold][::2] == [16, 1]
-        assert len(curve) == 1
+        assert len(batches) == 4
+        assert [len(xs) for _, xs, _ in batches][:3:2] == [16, 1]
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
@@ -664,10 +691,10 @@ class TestInfiniteQuantileEnds:
         return list(values)
 
     def test_v_integrand_is_the_curve_limits(self, monkeypatch):
-        # the continuation curve far left and far right, up to the rounding
-        # of the quadrature rule
+        # the continuation curve minus 2 far left and far right (23/8 - 2
+        # and 15/8 - 2), up to the rounding of the quadrature rule
         assert self.outer_integrand_at(monkeypatch, fullinfo, solve_full_info,
-                                       [0.0, 1.0]) == pytest.approx([23 / 8, 15 / 8], abs=1e-14)
+                                       [0.0, 1.0]) == pytest.approx([7 / 8, -1 / 8], abs=1e-14)
 
     def test_q_integrand_vanishes_at_one(self, monkeypatch):
         # I(Q(1)) = I(+inf): no s in (0, 1/2) has Q(s) above +inf
@@ -691,16 +718,23 @@ class TestLastBits:
     # 1.40e-16), 0x1.b5c529d2ec593p+0 on Laplace, 0x1.eca7213f22c70p-1 on
     # PowerFold(2), 0x1.f71024d80cfeap-1 on PowerFold(2.5), whose V was
     # 0x1.251278e15a0d6p+1, and 0x1.ffff5d0ecf6c6p-1 on PowerFold(8).
+    # Before V was 2 plus the integrals of the curve minus 2, it was
+    # 0x1.238efc310536cp+1 on the built-in table, 0x1.22aee69d05e62p+1 on
+    # Laplace, 0x1.24d70f8d4d00bp+1 on PowerFold(2), 0x1.251278e15a0d5p+1
+    # on PowerFold(2.5), 0x1.255547c0e35bap+1 on PowerFold(8) and
+    # 0x1.2555555555556p+1 on the interval union, each farther from its
+    # exact value; the interval union's is now 55/24 correctly rounded.
     @pytest.mark.parametrize("dist, x1_star, value", [
         (UNIFORM, "0x1.a827999fcef31p-1", "0x1.23a90444020b3p+1"),
-        (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e5p-1", "0x1.238efc310536cp+1"),
-        (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e62p+1"),
-        (PowerFold(2), "0x1.eca7213f22c6bp-1", "0x1.24d70f8d4d00bp+1"),
+        (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e5p-1", "0x1.238efc310536dp+1"),
+        (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e6ap+1"),
+        (PowerFold(2), "0x1.eca7213f22c6bp-1", "0x1.24d70f8d4d012p+1"),
         (UNIFORM6_BENCH, "0x1.a827999fcef33p-1", "0x1.23a90444020b3p+1"),
-        (PowerFold(2.5), "0x1.f71024d80cfe2p-1", "0x1.251278e15a0d5p+1"),
-        (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35bap+1"),
+        (PowerFold(2.5), "0x1.f71024d80cfe2p-1", "0x1.251278e15a0dcp+1"),
+        (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35c1p+1"),
+        (IntervalUnionUniform(1, 2), "0x1.fffffffffdcd1p+0", "0x1.2555555555555p+1"),
     ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
-            "powerfold8"])
+            "powerfold8", "interval_union"])
     def test_x1_and_value_pinned(self, dist, x1_star, value):
         sol = solve_full_info(dist)
         assert (sol.x1_star.hex(), sol.value.hex()) == (x1_star, value)
@@ -726,12 +760,13 @@ class WrappedLaplace(SymmetricDistribution):
 def test_law_without_declared_degrees_keeps_its_results():
     # Laplace's results before it declared a kink at 0 and t^3 at the u-ends;
     # x1* was 0x1.b5c529d2ec593p+0 before the threshold formed the curve
-    # minus 2 without the offset 2
+    # minus 2 without the offset 2, and V 0x1.22aee69d05e81p+1 (1.18e-14 off
+    # its closed form, now 1.54e-14) before V integrated the curve minus 2
     dist = WrappedLaplace()
     degrees, end_degree = dist.break_point_degrees()
     assert list(degrees) == [2] and end_degree == 2
     sol = solve_full_info(dist)
-    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec585p+0", "0x1.22aee69d05e81p+1")
+    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec585p+0", "0x1.22aee69d05e89p+1")
     assert (sol.diagnostics["panels"], sol.diagnostics["threshold_panels"]) == (1562, 88)
     assert compute_pq(dist).panels == 244
 
