@@ -228,24 +228,27 @@ class TabulatedCdf(SymmetricDistribution):
     piece it returns the piece's upper end, except 0 at the median and the
     lower end of the support at 0.
 
-    Every knot is a kink of the CDF.  The solvers recognise this class and
-    integrate exactly on the pieces between knots, knots + x, twice the
-    knots and knot differences, with the 2-point Gauss-Legendre rule instead
-    of adaptive quadrature; the threshold is the root of the continuation
-    curve's quadratic piece, and q one flat integral over the folded knots
+    Every knot is a kink of the CDF.  The solvers recognise this class:
+    the dF-integrals take the 2-point Gauss-Legendre rule on the pieces
+    between F(knots) and F(knots + x) instead of adaptive quadrature; one
+    batch of the continuation curve at its breaks (the knots, twice the
+    knots and the knot differences) and at the midpoints between them
+    gives both the threshold, the root of the curve's quadratic piece, and
+    V, by Simpson's rule; and q is one flat integral over the folded knots
     and their sums.  Measured on a 2-core Xeon, one ``solve_full_info``
-    plus one ``compute_pq``, best of 3 (masses jittered by 10%, irregular
-    knots on the benchmark's template):
+    plus one ``compute_pq``, best of 9 in three processes (masses jittered
+    by 10%, irregular knots on the benchmark's template):
 
     ======  =====================  =====================
     knots   even spacing           irregular spacing
     ======  =====================  =====================
-    20      0.002 s, 37 MB peak    0.005 s, 38 MB peak
-    60      0.013 s, 41 MB peak    0.029 s, 45 MB peak
-    120     0.044 s, 49 MB peak    0.13 s, 56 MB peak
+    20      0.001 s, 36 MB peak    0.002 s, 37 MB peak
+    60      0.004 s, 39 MB peak    0.010 s, 41 MB peak
+    120     0.012 s, 42 MB peak    0.036 s, 50 MB peak
     ======  =====================  =====================
 
-    Nearly all of it is V's outer integral.  Evenly spaced knots share
+    Nearly all of it is the curve's batch: each of its points opens two
+    dF-integrals over pieces cut at every knot.  Evenly spaced knots share
     their differences, so they cost less.  The peak is the memory of the
     whole process, about 36 MB of it imports.
     """
@@ -261,8 +264,10 @@ class TabulatedCdf(SymmetricDistribution):
         if x[0] < 0:
             raise DistributionError("tabulated grid must cover x >= 0 only; the negative side is mirrored")
 
-        # Collapse duplicate x values; a jump there would be an atom.
-        x, start, count = np.unique(x, return_index=True, return_counts=True)
+        # Collapse runs of equal x values; a jump there would be an atom.
+        start = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+        count = np.diff(np.append(start, len(x)))
+        x = x[start]
         jump = np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)
         if np.any(jump > _ATOM_TOL):
             i = int(np.argmax(jump > _ATOM_TOL))
@@ -288,7 +293,7 @@ class TabulatedCdf(SymmetricDistribution):
         self._x = np.concatenate([-x[:0:-1], x])
         self._f = np.concatenate([1.0 - f[:0:-1], f])
         self.support = (float(self._x[0]), float(self._x[-1]))
-        self._grid = [[float(a), float(b)] for a, b in zip(x, f)]
+        self._grid = np.column_stack((x, f)).tolist()
 
     def cdf(self, x):
         x = _as_float_array(x)

@@ -21,13 +21,14 @@ dF-integrals, with V's outer-integral scheme, for every law but a table.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
-F(knots) and F(knots + x), and the curve is quadratic in x, and so in u,
-between its breaks (``_curve_breaks``).  The 2-point Gauss-Legendre
-rule, exact up to degree 3, on those pieces (``numerics.integrate_pieces``)
-is then exact up to rounding at both levels and replaces the adaptive
-quadrature; the tolerances do not apply and the reported bounds are
-rounding bounds.  The threshold is the root of the curve's quadratic
-piece, found without a root search.
+F(knots) and F(knots + x), where the 2-point Gauss-Legendre rule
+(``numerics.integrate_pieces``) is exact up to rounding, and the curve is
+quadratic in x between its breaks (``_curve_breaks``).  So one batch of
+the curve, at its breaks and the midpoints between them, gives both the
+threshold, the root of the quadratic piece where the curve crosses 2,
+found without a root search, and V, by Simpson's rule on the pieces
+against dF, which is constant on each (``_table_solution``).  The
+tolerances do not apply and the reported bounds are rounding bounds.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
+    _BLOCK_CUTS,
+    _BLOCK_NODES,
     _EPS,
     _VALUE_ULPS,
     BracketError,
@@ -161,15 +164,21 @@ def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
 
     The integrand u -> F(Q(u) - x) kinks where Q(u) - x crosses a CDF knot
     and where Q itself kinks; both sets are handed to the integrator as
-    panel edges, each with its knot's substitution degree.
+    panel edges, each with its knot's substitution degree.  On a table the
+    integrand interpolates the knots both ways: its nodes lie strictly
+    inside pieces cut at every F level, where ``TabulatedCdf.ppf``'s pins
+    at the median and at u = 0 never apply.
     """
     cdf, ppf = law.dist.cdf, law.dist.ppf
-    k = len(law.knots)
+    knots, f_knots = law.knots, law.f_knots
+    k = len(knots)
     cuts = np.empty((len(x_shift), 2 * k))
-    cuts[:, :k] = cdf(law.knots + x_shift[:, None])
-    cuts[:, k:] = law.f_knots
+    cuts[:, :k] = cdf(knots + x_shift[:, None])
+    cuts[:, k:] = f_knots
 
     def f(u, i):
+        if law.exact:
+            return np.interp(np.interp(u, f_knots, knots) - x_shift[i], knots, f_knots)
         return cdf(ppf(u) - x_shift[i])
 
     return _integrate(law, f, u_lo, u_hi, cuts, cfg, law.df_degrees)
@@ -285,18 +294,28 @@ def solve_threshold(dist: SymmetricDistribution,
 
     On adaptive quadrature the refinement is a bracketed root search at
     ``THRESHOLD_ROOT_CFG``; a bracket that ends at b < 1/2 scales x_tol by
-    2 b.  A ``TabulatedCdf`` takes no search: its curve is an exact
-    quadratic between the knots, twice the knots and the knot differences,
-    so one more batch evaluates it at those breaks inside the bracket and
-    at the midpoints between them, and x1* is the root of the quadratic on
-    the piece of the last sign change.
+    2 b.  A ``TabulatedCdf`` takes neither the scan nor a search but
+    ``_table_solution``, which solves x1* and V from one batch of its
+    curve; V is dropped here.
     """
-    return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
+    law = _Law(dist)
+    if law.exact:
+        return _table_solution(law)[0]
+    return _threshold(law, quad_cfg or FULL_INNER_CFG)[0]
+
+
+def _no_crossing(x_lo, x_hi, w_lo, w_hi):
+    """The ThresholdError of a curve minus 2 with no sign change from x_lo
+    = Q(``_SCAN_U[0]``) to x_hi = Q(1 - 1e-12), where it reads w_lo and w_hi."""
+    return ThresholdError(
+        f"continuation curve minus 2 has no sign change at u in [{_SCAN_U[0]}, {_SCAN_U[-1]}], "
+        f"x in [{x_lo}, {x_hi}]: {w_lo} at the start, {w_hi} at the end")
 
 
 def _threshold(law, quad_cfg):
-    """solve_threshold's root, the curve minus 2 there, a bound on the
-    root's error, and the panels its batches evaluated."""
+    """solve_threshold's root on adaptive quadrature, the curve minus 2
+    there, a bound on the root's error, and the panels its batches
+    evaluated."""
     dist = law.dist
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
@@ -309,7 +328,6 @@ def _threshold(law, quad_cfg):
         panels += n
         return values, bounds
 
-    u_lo = _SCAN_U[0]
     grid = dist.ppf(_SCAN_U)
     values, bounds = excess(grid)
     sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
@@ -318,15 +336,10 @@ def _threshold(law, quad_cfg):
             # the curve meets 2 only at the support edge
             x = float(grid[-1])
             return x, float(values[-1]), dist.support[1] - x + math.ulp(x), panels
-        raise ThresholdError(
-            f"continuation curve minus 2 has no sign change at u in [{u_lo}, {1.0 - 1e-12}], "
-            f"x in [{grid[0]}, {hi}]: {values[0]} at the start, {values[-1]} at the end")
+        raise _no_crossing(grid[0], hi, values[0], values[-1])
     i = sign_changes[-1]
-    ends, end_values = grid[i:i + 2], values[i:i + 2]
-    if law.exact:
-        root, residual, error = _root_on_pieces(law, excess, ends, end_values)
-    else:
-        root, residual, error = _root_by_search(excess, ends, end_values, bounds[i:i + 2])
+    root, residual, error = _root_by_search(excess, grid[i:i + 2], values[i:i + 2],
+                                            bounds[i:i + 2])
     return root, residual, error, panels
 
 
@@ -365,49 +378,146 @@ def _root_by_search(excess, ends, values, bounds):
     return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
 
 
-def _root_on_pieces(law, excess, ends, values):
-    """(root, residual, error bound) of a piecewise-quadratic curve on ``ends``.
+def _table_solution(law, cfg=None):
+    """(x1*, residual, its error bound, V, V's bound, V's pieces, the
+    curve's pieces) of a ``TabulatedCdf``, from one batch of its curve.
 
-    One batch evaluates the curve at its breaks inside the bracket
-    (``_curve_breaks``) and at the midpoints between them.  On the piece of
-    the last sign change the curve is the quadratic through its two ends
-    and its midpoint; its root there comes from the stable formula in the
-    piece's coordinate s in [0, 1], and a last batch evaluates the curve
-    at it.  The bound is the curve's bound and residual there over the
-    quadratic's slope, plus an ulp.
+    The curve minus 2 is a quadratic between its breaks (``_curve_breaks``).
+    One batch evaluates it at the breaks inside (Q(0), 0) and inside
+    (Q(u0), Q(1)), u0 = ``_SCAN_U[0]``, at the ends of both ranges and at
+    Q(1 - 1e-12), and at the midpoints between consecutive points, in
+    ``_excess`` calls of at most ``_BLOCK_NODES`` points, fewer where the
+    knots are so many that a call's cut rows would pass 32 ``_BLOCK_CUTS``
+    floats (16 MB).  x1* is the root
+    of the quadratic on the piece of the last sign change at or below
+    Q(1 - 1e-12), by the stable formula in the piece's coordinate, and one
+    more batch gives the curve minus 2 there; where there is no sign
+    change, the support-edge return and ``ThresholdError`` are the scan's
+    (``solve_threshold``).  The error bound is the curve's bound and
+    residual at x1* over the quadratic's slope, plus an ulp.
+
+    dF is constant on every piece, so Simpson's rule, exact on quadratics,
+    gives V = 2 + sum (F(b) - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces
+    [a, b] of the continuation region, with w the curve minus 2 at the
+    ends and the midpoint m; the crossing piece adds its quadratic's exact
+    integral from x1* to its end.  V's bound is the largest bound of the
+    batch times the u-range it covers, the rounding of the sum and of its
+    F values, and that of 2 + the sum.  ``cfg`` does not apply.
     """
-    breaks = _curve_breaks(law)[0]
-    a, b = ends
-    edges = np.unique(np.concatenate([ends, breaks[(breaks > a) & (breaks < b)]]))
-    xs = np.empty(2 * len(edges) - 1)
-    xs[0::2] = edges
-    xs[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    w = np.empty(len(xs))
-    w[[0, -1]] = values
-    w[1:-1] = excess(xs[1:-1])[0]
-    j = np.nonzero((w[:-1] > 0) & (w[1:] <= 0))[0][-1]
-    k = j - j % 2  # the piece [xs[k], xs[k + 2]], its midpoint xs[k + 1]
-    s, slope = _quadratic_root(*w[k:k + 3], 0.5 * (j - k))
-    width = xs[k + 2] - xs[k]
-    root = float(np.clip(xs[k] + s * width, xs[j], xs[j + 1]))
-    residual, bound = (float(v[0]) for v in excess([root]))
-    error = (bound + abs(residual)) * width / abs(slope) if slope else math.inf
-    return root, residual, error + math.ulp(root)
+    dist = law.dist
+    x_lo, hi = dist.ppf(_SCAN_U[[0, -1]])
+    if hi <= 0:
+        raise ThresholdError("distribution has no usable positive support")
+    *edges, i_hi = _table_edges(law, x_lo, hi)
+    xs = []
+    for e in edges:
+        x = np.empty(2 * len(e) - 1)
+        x[0::2] = e
+        x[1::2] = 0.5 * (e[:-1] + e[1:])
+        xs.append(x)
+    batch = np.concatenate(xs)
+    # A point's two dF-integrals hold a row of 2 k cuts each, k the
+    # mirrored knots: a block of n points holds 4 k n floats, at most
+    # 32 _BLOCK_CUTS.
+    block = min(_BLOCK_NODES, max(1, 8 * _BLOCK_CUTS // len(law.knots)))
+    parts = [_excess(law, batch[s:s + block], cfg) for s in range(0, len(batch), block)]
+    w = np.concatenate([part[0] for part in parts])
+    curve_err = max(float(part[1].max()) for part in parts)
+    curve_pieces = sum(part[2] for part in parts)
+    w_neg, w = w[:len(xs[0])], w[len(xs[0]):]
+    f_neg, f_pos = (dist.cdf(e) for e in edges)
+    x = xs[1]
+
+    # the threshold, on the points at or below Q(1 - 1e-12)
+    last = 2 * i_hi
+    changes = np.nonzero((w[:last] > 0) & (w[1:last + 1] <= 0))[0]
+    if len(changes) == 0:
+        if not 0 < w[last] <= BOUND_TOL:
+            raise _no_crossing(x_lo, hi, w[0], w[last])
+        # the curve meets 2 only at the support edge
+        x1s, residual, first = float(hi), float(w[last]), last
+        x1_bound = dist.support[1] - x1s + math.ulp(x1s)
+        crossing = np.zeros((3, 0))
+    else:
+        j = changes[-1]
+        k = j - j % 2  # the piece [x[k], x[k + 2]], its midpoint x[k + 1]
+        a, b, c = _quadratic(*w[k:k + 3])
+        s, slope = _quadratic_root(a, b, c, 0.5 * (j - k))
+        left, right = x[k], x[k + 2]
+        width = right - left
+        x1s = float(np.clip(left + s * width, x[j], x[j + 1]))
+        residual, bound, n = _excess(law, [x1s], cfg)
+        residual = float(residual[0])
+        curve_pieces += n
+        error = (float(bound[0]) + abs(residual)) * width / abs(slope) if slope else math.inf
+        x1_bound = error + math.ulp(x1s)
+        # [x1*, right]: its mass and the means of the quadratic and of the
+        # modulus of its terms over s in [(x1* - left) / width, 1]
+        s, first = (x1s - left) / width, k + 2
+        terms = np.array([c, b * (1.0 + s) / 2.0, a * (1.0 + s + s * s) / 3.0])
+        crossing = np.array([[(f_pos[first // 2] - f_pos[k // 2]) * (right - x1s) / width],
+                             [terms.sum()], [np.abs(terms).sum()]])
+
+    # V, by Simpson's rule on the continuation pieces: the rows are each
+    # piece's mass and the means of the curve minus 2 and of its modulus,
+    # the crossing piece first among the positive ones
+    ranges = [np.concatenate([head, [
+        np.diff(fv),
+        (wv[:-1:2] + 4.0 * wv[1::2] + wv[2::2]) / 6.0,
+        (np.abs(wv[:-1:2]) + 4.0 * np.abs(wv[1::2]) + np.abs(wv[2::2])) / 6.0]], axis=1)
+        for wv, fv, head in ((w_neg, f_neg, np.zeros((3, 0))),
+                             (w[first:], f_pos[first // 2:], crossing))]
+    neg, pos = ((mass * mean).sum() for mass, mean, _ in ranges)
+    value = 2.0 + float(neg + pos)
+    n_pieces = sum(r.shape[1] for r in ranges)
+    # each term rounds a few times and the sum once per term, as in
+    # integrate_pieces; an F value off by _VALUE_ULPS ulps of 1 moves mass
+    # from one of its pieces to the other, by the jump of their means
+    magnitude = sum((mass * mean_abs).sum() for mass, _, mean_abs in ranges)
+    jumps = sum(np.abs(np.diff(mean, prepend=0.0, append=0.0)).sum() for _, mean, _ in ranges)
+    rounding = _EPS * ((n_pieces + _VALUE_ULPS) * magnitude + _VALUE_ULPS * jumps)
+    bound = rounding + curve_err * (1.5 - float(dist.cdf(x1s))) + _EPS * value
+    return x1s, residual, x1_bound, value, float(bound), n_pieces, int(curve_pieces)
 
 
-def _quadratic_root(w0, w_half, w1, s0):
-    """The root in [s0, s0 + 1/2] of the quadratic through (0, w0),
-    (1/2, w_half) and (1, w1), and its slope there.
+def _table_edges(law, x_lo, hi):
+    """The ends of (Q(0), 0) and of (x_lo, Q(1)), hi inside it, each with
+    the curve's breaks inside it, in order; and the index of hi.
 
-    The quadratic is c + b s + a s^2; its roots are q/a and c/q with
-    q = -(b + sign(b) sqrt(b^2 - 4ac))/2, neither of which cancels.
-    Rounding may leave the root just outside the half piece: the candidate
-    nearest to it is taken, the larger of two inside it.
+    Breaks closer than four ulps of the largest knot are merged, and those
+    that close to an end dropped: they are knot sums and differences that
+    would coincide but for the knots' rounding, and a piece that narrow
+    costs two curve points and moves V and x1* by less than their rounding.
     """
+    lo, top = law.dist.support
+    tol = 4.0 * _EPS * top
+    breaks = np.sort(_curve_breaks(law)[0])
+    breaks = breaks[np.concatenate([[True], breaks[1:] - breaks[:-1] > tol])]
+
+    def inside(a, b):
+        return breaks[np.searchsorted(breaks, a + tol, "right"):np.searchsorted(breaks, b - tol)]
+
+    below = inside(x_lo, hi)
+    return (np.concatenate([[lo], inside(lo, 0.0), [0.0]]),
+            np.concatenate([[x_lo], below, [hi], inside(hi, top), [top]]), len(below) + 1)
+
+
+def _quadratic(w0, w_half, w1):
+    """(a, b, c) of the quadratic c + b s + a s^2 through (0, w0),
+    (1/2, w_half) and (1, w1)."""
     w0, w_half, w1 = float(w0), float(w_half), float(w1)
-    a = 2.0 * (w0 - 2.0 * w_half + w1)
-    b = 4.0 * w_half - 3.0 * w0 - w1
-    c = w0
+    return 2.0 * (w0 - 2.0 * w_half + w1), 4.0 * w_half - 3.0 * w0 - w1, w0
+
+
+def _quadratic_root(a, b, c, s0):
+    """The root in [s0, s0 + 1/2] of the quadratic c + b s + a s^2, and its
+    slope there.
+
+    Its roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2,
+    neither of which cancels.  Rounding may leave the root just outside the
+    half piece: the candidate nearest to it is taken, the larger of two
+    inside it.
+    """
     q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
     roots = []
     if a:
@@ -438,28 +548,55 @@ def solve_full_info(dist: SymmetricDistribution,
 
     V is 2 plus the first-step integrals of the curve minus 2
     (``_excess``) over the continuation regions, the negative half and
-    beyond x1*, in u over [0, 1/2] and [F(x1*), 1]; the stop region
-    (0, x1*] adds nothing.  The two integrals are one batch
-    (``_u_integrals``), and 2 is added last.  ``diagnostics["panels"]``
-    counts the quadrature panels (pieces, on the exact path) evaluated for
-    V, and ``diagnostics["threshold_panels"]`` those of the threshold's batches,
-    the last of which gives ``diagnostics["threshold_residual"]``, the
-    curve minus 2 at x1*.  ``diagnostics["threshold_error_bound"]`` bounds
+    beyond x1*; the stop region (0, x1*] adds nothing.  On adaptive
+    quadrature the two integrals run in u over [0, 1/2] and [F(x1*), 1] as
+    one batch (``_u_integrals``), 2 added last; ``diagnostics["panels"]``
+    counts the quadrature panels evaluated for V and
+    ``diagnostics["threshold_panels"]`` those of the threshold's batches.
+    A ``TabulatedCdf`` takes ``_table_solution``, which solves x1* and V
+    from one batch of its curve: there ``threshold_panels`` counts the
+    dF-integral pieces of both of its curve batches and ``panels`` the
+    curve pieces V sums, which evaluate nothing more.  The threshold's
+    last batch gives ``diagnostics["threshold_residual"]``, the curve
+    minus 2 at x1*.  ``diagnostics["threshold_error_bound"]`` bounds
     |x1* - the curve's root|: on the exact path the curve's rounding bound
     and the residual over the slope of its quadratic piece, plus an ulp; on
     adaptive quadrature the width of the narrowest opposite-sign pair the
     search evaluated around x1*, plus the curve's bound over their secant's
     slope.  ``diagnostics["quadrature_error_bound"]`` adds the outer
-    bound, the largest bound of the curve times the u-range it is
-    integrated over, and the rounding of the sum 2 + the integrals.
-    ``diagnostics["method"]`` is "exact_piecewise_linear" for a
-    ``TabulatedCdf`` and "quadrature" otherwise, and
-    ``diagnostics["tolerances"]`` is ``tolerances(dist, cfg)``.  ``cfg`` is
-    the tolerance of the curve and the threshold; V's outer integral runs
-    at ``cfg.outer()``, whose rel_tol applies to V - 2.
+    bound (on the exact path, the rounding of the Simpson sum), the largest
+    bound of the curve times the u-range it is integrated over, and the
+    rounding of the sum 2 + the integrals.  ``diagnostics["method"]`` is
+    "exact_piecewise_linear" for a ``TabulatedCdf`` and "quadrature"
+    otherwise, and ``diagnostics["tolerances"]`` is ``tolerances(dist,
+    cfg)``.  ``cfg`` is the tolerance of the curve and the threshold; V's
+    outer integral runs at ``cfg.outer()``, whose rel_tol applies to V - 2.
     """
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
+    solve = _table_solution if law.exact else _adaptive_solution
+    x1s, residual, x1_bound, value, bound, panels, threshold_panels = solve(law, inner_cfg)
+    return FullInfoSolution(
+        x1_star=x1s,
+        value=value,
+        F_at_threshold=float(dist.cdf(x1s)),
+        diagnostics={
+            "threshold_residual": residual,
+            "threshold_error_bound": x1_bound,
+            "quadrature_error_bound": bound,
+            "scan_upper": dist.quantile(1.0 - 1e-12),
+            "panels": panels,
+            "threshold_panels": threshold_panels,
+            "method": law.method,
+            "tolerances": tolerances(dist, inner_cfg),
+        },
+    )
+
+
+def _adaptive_solution(law, inner_cfg):
+    """``_table_solution``'s tuple on adaptive quadrature: the threshold's
+    scan and search, then V's outer integrals of the curve."""
+    dist = law.dist
     x1s, residual, x1_bound, threshold_panels = _threshold(law, inner_cfg)
     f_at = float(dist.cdf(x1s))
     panels = 0
@@ -476,21 +613,8 @@ def solve_full_info(dist: SymmetricDistribution,
         law, excess_of_u, [0.0, f_at], [0.5, 1.0], *_curve_breaks(law), inner_cfg.outer())
     value = float(2.0 + (neg_val + pos_val))
     bound = neg_err + pos_err + curve_err * (1.5 - f_at) + _EPS * value
-    return FullInfoSolution(
-        x1_star=x1s,
-        value=value,
-        F_at_threshold=f_at,
-        diagnostics={
-            "threshold_residual": residual,
-            "threshold_error_bound": x1_bound,
-            "quadrature_error_bound": float(bound),
-            "scan_upper": dist.quantile(1.0 - 1e-12),
-            "panels": panels + int(outer_panels.sum()),
-            "threshold_panels": threshold_panels,
-            "method": law.method,
-            "tolerances": tolerances(dist, inner_cfg),
-        },
-    )
+    return (x1s, residual, x1_bound, value, float(bound), panels + int(outer_panels.sum()),
+            threshold_panels)
 
 
 def stage2_stop_region(x1, x2):

@@ -96,7 +96,11 @@ _BLOCK_PANELS = 256
 _INITIAL_PANELS = 8
 # Nodes per integrand call of integrate_pieces, and padded break points
 # per block of its problems; together they bound the memory of one call.
-_BLOCK_NODES = 1 << 10
+# Its integrands are a table's dF-integrand, two interpolations per node,
+# and relranks._table_q's, a (nodes x knots) interpolation: at 4096 nodes
+# a 120-knot table's solve and compute_pq hold no more memory than at 1024
+# and run no slower, and a 12-knot one makes a quarter of the calls.
+_BLOCK_NODES = 1 << 12
 _BLOCK_CUTS = 1 << 16
 # Rounding bound of integrate_pieces: every integrand value and rule weight
 # is taken to be within this many ulps, and each node adds one rounding to
@@ -104,9 +108,10 @@ _BLOCK_CUTS = 1 << 16
 _VALUE_ULPS = 16
 # Nodes and weights on [-1, 1] of integrate_pieces' one rule, the 2-point
 # Gauss-Legendre rule: exact up to degree 3, and the exact-path integrands
-# are linear (inner) and quadratic (outer) on their pieces.  These are the
-# values of np.polynomial.legendre.leggauss(2) bit for bit; calling it
-# would import numpy.polynomial, 2 MB, into every process.
+# are linear (a table's dF-integrands) and quadratic (q's) on their
+# pieces.  These are the values of np.polynomial.legendre.leggauss(2) bit
+# for bit; calling it would import numpy.polynomial, 2 MB, into every
+# process.
 _PIECE_RULE = (np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 3.0), np.ones(2))
 _EPS = float(np.finfo(float).eps)
 # A panel no wider than this times (|a| + |b| + 1) cannot be split.
@@ -530,23 +535,26 @@ def integrate_pieces(f, a, b, break_points=None):
         # NaN padding sorts last and makes no piece.
         pts = np.concatenate([lo, np.minimum(np.maximum(cuts[s:s + rows], lo), hi), hi], axis=1)
         pts.sort(axis=1)
-        keep = pts[:, 1:] > pts[:, :-1]
-        owner = keep.nonzero()[0]
-        pa, pb = pts[:, :-1][keep], pts[:, 1:][keep]
+        left, right = pts[:, :-1], pts[:, 1:]
+        keep = right > left
         n = len(lo)
-        panels[s:s + n] = np.bincount(owner, minlength=n)
+        panels[s:s + n] = keep.sum(axis=1)
+        owner = np.repeat(np.arange(n), panels[s:s + n])
+        pa, pb = left[keep], right[keep]
         val, mag = sums[:, s:s + n]
         centre, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
         for t in range(0, len(owner), per_call):
             blk = slice(t, t + per_call)
             h, problem = half[blk], owner[blk]
-            u = centre[blk, None] + h[:, None] * x
-            y = np.asarray(f(u.ravel(), (problem + s).repeat(len(x))), dtype=float)
+            # one row per node of the rule, so that numpy broadcasts along
+            # the long axis
+            u = x[:, None] * h + centre[blk]
+            y = np.asarray(f(u.ravel(), np.tile(problem + s, len(x))), dtype=float)
             if y.shape != (u.size,):
                 raise TypeError("integrand must map an ndarray of nodes to values elementwise")
             y = y.reshape(u.shape)
-            val += np.bincount(problem, h * (y @ w), n)
-            mag += np.bincount(problem, h * (np.abs(y) @ w), n)
+            val += np.bincount(problem, h * (w @ y), n)
+            mag += np.bincount(problem, h * (w @ np.abs(y)), n)
     val, mag = sums
     return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
 

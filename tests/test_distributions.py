@@ -204,6 +204,26 @@ class TestTabulatedValidation:
         dist = TabulatedCdf([[0.0, 0.5], [1.0, 0.7], [1.0, 0.7 + 4e-10], [2.0, 1.0], [2.0, 1.0]])
         assert dist.spec()["grid"] == [[0.0, 0.5], [1.0, (0.7 + 0.7 + 4e-10) / 2], [2.0, 1.0]]
 
+    @pytest.mark.parametrize("grid, want", [
+        ([[0.0, 0.5], [0.3, 0.6], [0.3, 0.6], [0.3, 0.6], [1.0, 1.0], [1.0, 1.0]],
+         [[0.0, 0.5], [0.3, 0.6], [1.0, 1.0]]),
+        ([[1.0, 1.0], [0.25, 0.7], [0.0, 0.5], [0.5, 0.8], [0.25, 0.7]],
+         [[0.0, 0.5], [0.25, 0.7], [0.5, 0.8], [1.0, 1.0]]),
+        ([[0.5, 0.75], [0.2, 0.6], [0.5, 0.75], [1.5, 1.0], [0.2, 0.6]],
+         [[0.0, 0.5], [0.2, 0.6], [0.5, 0.75], [1.5, 1.0]]),
+    ], ids=["repeated_runs", "unsorted", "unsorted_without_origin"])
+    def test_sorts_and_collapses_repeated_x(self, grid, want):
+        dist = TabulatedCdf(grid)
+        assert dist.spec()["grid"] == want
+        assert all(type(v) is float for point in dist.spec()["grid"] for v in point)
+        x, f = np.array(want).T
+        np.testing.assert_array_equal(dist._x, np.concatenate([-x[:0:-1], x]))
+        np.testing.assert_array_equal(dist._f, np.concatenate([1.0 - f[:0:-1], f]))
+
+    def test_atom_is_named_in_an_unsorted_grid(self):
+        with pytest.raises(DistributionError, match=r"atom at x=0\.4: F jumps by 0\.1"):
+            TabulatedCdf([[1.0, 1.0], [0.4, 0.7], [0.1, 0.55], [0.4, 0.6], [0.0, 0.5]])
+
     def test_rejects_unreached_total_mass(self):
         with pytest.raises(DistributionError):
             TabulatedCdf([[0.0, 0.5], [1.0, 0.9]])

@@ -24,6 +24,7 @@ from rankstop.fullinfo import (
 from rankstop.numerics import QuadratureConfig
 from rankstop.relranks import compute_pq
 from rankstop.walkcore import WalkPath, run_policy
+from test_table_oracle import SLOW_CROSSING, knot_grid
 
 UNIFORM = Uniform(1)
 LAPLACE = Laplace(1)
@@ -439,13 +440,17 @@ class TestExactPiecewiseLinear:
         assert abs(sol.value - UNIFORM_V) <= sol.diagnostics["quadrature_error_bound"]
         assert sol.diagnostics["panels"] > 0
 
-    # Pieces are deterministic.  With a 3-point rule on V's outer pieces, V
-    # took 398 (uniform6) and 334 (built-in table) pieces.  Before the
-    # threshold took the root of the curve's quadratic piece instead of a
-    # root search, it took 151 (uniform6) and 120 (built-in table).
+    # Pieces are deterministic.  ``pieces`` are the curve pieces V sums and
+    # ``threshold_pieces`` the dF-integral pieces of the curve's two
+    # batches.  Before one batch of the curve gave both x1* and V, V's
+    # outer integral took 269 (uniform6) and 227 (built-in table) pieces,
+    # its dF-integrals' included, and the threshold's three batches 154
+    # and 102.  With a 3-point rule on V's outer pieces, V took 398 and
+    # 334 pieces.  Before the threshold took the root of the curve's
+    # quadratic piece instead of a root search, it took 151 and 120.
     @pytest.mark.parametrize("dist, pieces, threshold_pieces", [
-        (UNIFORM6, 269, 154),
-        (builtin_suite()["tabulated"], 227, 102),
+        (UNIFORM6, 9, 192),
+        (builtin_suite()["tabulated"], 12, 205),
     ], ids=["uniform6", "builtin_table"])
     def test_pieces_pinned(self, dist, pieces, threshold_pieces):
         diagnostics = solve_full_info(dist).diagnostics
@@ -545,15 +550,37 @@ class TestExactPathStructure:
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
-    def test_solve_takes_three_curve_batches_and_no_root_search(self, dist, monkeypatch):
-        # the threshold's three: the scan, the breaks and midpoints in its
-        # bracket, and the root; V's outer integral is a fourth batch of the
-        # same curve
+    def test_solve_takes_two_curve_batches_no_root_search_and_no_u_integrals(self, dist,
+                                                                             monkeypatch):
+        # one batch at the curve's breaks and midpoints gives the crossing
+        # piece and V, and a second the residual at x1*
         batches = self.count(monkeypatch, fullinfo, "_excess")
-        self.refuse(monkeypatch, fullinfo, "find_root")
+        for name in ("find_root", "_u_integrals"):
+            self.refuse(monkeypatch, fullinfo, name)
         solve_full_info(dist)
-        assert len(batches) == 4
-        assert [len(xs) for _, xs, _ in batches][:3:2] == [16, 1]
+        assert len(batches) == 2
+        assert len(batches[1][1]) == 1
+
+    @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"],
+                                      SLOW_CROSSING, IntervalUnionUniform(1, 2)],
+                             ids=["uniform6", "irregular", "builtin_table", "slow_crossing",
+                                  "interval_union"])
+    def test_threshold_is_the_full_solve_s(self, dist):
+        assert solve_threshold(dist) == solve_full_info(dist).x1_star
+
+    def test_curve_calls_of_a_60_knot_solve_are_blocked(self, monkeypatch):
+        dist = TabulatedCdf(knot_grid(np.random.default_rng(0), 60))
+        base = solve_full_info(dist)
+        batches = self.count(monkeypatch, fullinfo, "_excess")
+        solve_full_info(dist)
+        assert max(len(xs) for _, xs, _ in batches) <= numerics._BLOCK_NODES
+        # at 64 points a call the batch takes several; every point is its own
+        # pair of dF-integrals, so x1* and V keep their bits
+        monkeypatch.setattr(fullinfo, "_BLOCK_NODES", 64)
+        batches.clear()
+        small = solve_full_info(dist)
+        assert len(batches) > 3 and max(len(xs) for _, xs, _ in batches) == 64
+        assert (small.x1_star, small.value) == (base.x1_star, base.value)
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
@@ -565,11 +592,15 @@ class TestExactPathStructure:
         assert len(calls) == 1
 
     def test_interval_union_returns_the_support_edge_after_one_scan(self, monkeypatch):
-        threshold = self.count(monkeypatch, fullinfo, "_excess")
-        self.refuse(monkeypatch, fullinfo, "find_root")
+        # the one batch of the curve is the whole solve: no root to evaluate
+        batches = self.count(monkeypatch, fullinfo, "_excess")
+        for name in ("find_root", "_u_integrals"):
+            self.refuse(monkeypatch, fullinfo, name)
         dist = IntervalUnionUniform(1, 2)
         assert solve_threshold(dist) == dist.quantile(1.0 - 1e-12)
-        assert len(threshold) == 1
+        assert len(batches) == 1
+        solve_full_info(dist)
+        assert len(batches) == 2
 
 
 class TestPolicy:
@@ -724,12 +755,18 @@ class TestLastBits:
     # on PowerFold(2.5), 0x1.255547c0e35bap+1 on PowerFold(8) and
     # 0x1.2555555555556p+1 on the interval union, each farther from its
     # exact value; the interval union's is now 55/24 correctly rounded.
+    # Before one batch of a table's curve gave its x1* and V, on the curve's
+    # whole quadratic piece rather than its part inside a scan's bracket,
+    # x1* was 0x1.a827999fcef31p-1 on Uniform (1.40e-16 off 2 (sqrt 2 - 1),
+    # now 2.9e-17, correctly rounded), 0x1.a827999fcef33p-1 on the 6-piece
+    # table (8.2e-17 off) and 0x1.bb8fd106ed9e5p-1 on the built-in table
+    # (1.74 ulps off the root of its float table, now 0.74).
     @pytest.mark.parametrize("dist, x1_star, value", [
-        (UNIFORM, "0x1.a827999fcef31p-1", "0x1.23a90444020b3p+1"),
-        (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e5p-1", "0x1.238efc310536dp+1"),
+        (UNIFORM, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
+        (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e6p-1", "0x1.238efc310536dp+1"),
         (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e6ap+1"),
         (PowerFold(2), "0x1.eca7213f22c6bp-1", "0x1.24d70f8d4d012p+1"),
-        (UNIFORM6_BENCH, "0x1.a827999fcef33p-1", "0x1.23a90444020b3p+1"),
+        (UNIFORM6_BENCH, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
         (PowerFold(2.5), "0x1.f71024d80cfe2p-1", "0x1.251278e15a0dcp+1"),
         (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35c1p+1"),
         (IntervalUnionUniform(1, 2), "0x1.fffffffffdcd1p+0", "0x1.2555555555555p+1"),
