@@ -385,16 +385,16 @@ def _table_solution(law, cfg=None):
     The curve minus 2 is a quadratic between its breaks (``_curve_breaks``).
     One batch evaluates it at the breaks inside (Q(0), 0) and inside
     (Q(u0), Q(1)), u0 = ``_SCAN_U[0]``, at the ends of both ranges and at
-    Q(1 - 1e-12), and at the midpoints between consecutive points, in
-    ``_excess`` calls of at most ``_BLOCK_NODES`` points, fewer where the
-    knots are so many that a call's cut rows would pass 32 ``_BLOCK_CUTS``
-    floats (16 MB).  x1* is the root
-    of the quadratic on the piece of the last sign change at or below
-    Q(1 - 1e-12), by the stable formula in the piece's coordinate, and one
-    more batch gives the curve minus 2 there; where there is no sign
-    change, the support-edge return and ``ThresholdError`` are the scan's
-    (``solve_threshold``).  The error bound is the curve's bound and
-    residual at x1* over the quadratic's slope, plus an ulp.
+    Q(1 - 1e-12), and at the midpoints between consecutive points
+    (``_table_edges``).  It goes to ``_excess`` in calls of at most
+    ``_BLOCK_NODES`` points, fewer where the knots are so many that a
+    call's cut rows would pass 16 ``_BLOCK_CUTS`` floats (8 MB).  x1* is
+    the root of the quadratic on the piece of the last sign change at or
+    below Q(1 - 1e-12), by the stable formula in the piece's coordinate,
+    and one more batch gives the curve minus 2 there; where there is no
+    sign change, the support-edge return and ``ThresholdError`` are the
+    scan's (``solve_threshold``).  The error bound is the curve's bound
+    and residual at x1* over the quadratic's slope, plus an ulp.
 
     dF is constant on every piece, so Simpson's rule, exact on quadratics,
     gives V = 2 + sum (F(b) - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces
@@ -418,8 +418,8 @@ def _table_solution(law, cfg=None):
     batch = np.concatenate(xs)
     # A point's two dF-integrals hold a row of 2 k cuts each, k the
     # mirrored knots: a block of n points holds 4 k n floats, at most
-    # 32 _BLOCK_CUTS.
-    block = min(_BLOCK_NODES, max(1, 8 * _BLOCK_CUTS // len(law.knots)))
+    # 16 _BLOCK_CUTS.
+    block = min(_BLOCK_NODES, max(1, 4 * _BLOCK_CUTS // len(law.knots)))
     parts = [_excess(law, batch[s:s + block], cfg) for s in range(0, len(batch), block)]
     w = np.concatenate([part[0] for part in parts])
     curve_err = max(float(part[1].max()) for part in parts)

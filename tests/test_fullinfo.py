@@ -235,8 +235,9 @@ class TestThreshold:
             return np.full(len(xs), 0.5), np.zeros(len(xs)), 0
 
         monkeypatch.setattr(fullinfo, "_excess", above)
-        with pytest.raises(fullinfo.ThresholdError, match=r"no sign change at u in \[0\.853"):
-            solve_threshold(LAPLACE)
+        for dist in (LAPLACE, UNIFORM6):  # the scan, and a table's one batch
+            with pytest.raises(fullinfo.ThresholdError, match=r"no sign change at u in \[0\.853"):
+                solve_threshold(dist)
 
 
 class TestValue:
@@ -565,7 +566,7 @@ class TestExactPathStructure:
                                       SLOW_CROSSING, IntervalUnionUniform(1, 2)],
                              ids=["uniform6", "irregular", "builtin_table", "slow_crossing",
                                   "interval_union"])
-    def test_threshold_is_the_full_solve_s(self, dist):
+    def test_threshold_matches_the_full_solve_bit_for_bit(self, dist):
         assert solve_threshold(dist) == solve_full_info(dist).x1_star
 
     def test_curve_calls_of_a_60_knot_solve_are_blocked(self, monkeypatch):

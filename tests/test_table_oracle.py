@@ -269,7 +269,8 @@ def test_value_matches_the_oracle(name):
 
 #: A table whose curve falls slowly through 2 on a flat piece of F:
 #: W1' = -0.062 at x1* = 1.90, where an ulp of x moves the curve by
-#: 1.4e-17, about its rounding.  The quadratic's root is 2.5 ulps off.
+#: 1.4e-17, about its rounding.  The quadratic's root is 2.49 ulps off,
+#: fitted on the whole crossing piece as on its part in a scan's bracket.
 SLOW_CROSSING = TabulatedCdf([[0.0, 0.5], [0.7338185758438632, 0.8813752643410016],
                               [1.1088185758438631, 0.8813752643410016],
                               [2.108818575843863, 0.8813752643410016],
