@@ -11,7 +11,11 @@ expected rank is V = 2 + E[W1(X1) - 2; continue].
 One function evaluates the curve: ``_excess``, W1 - 2 formed without the
 offset 2, whose rounding is at the scale of that difference.  The
 threshold is its root, V is 2 plus its integrals over the two
-continuation regions, and ``continuation_curve`` is 2 plus it.  All
+continuation regions, and ``continuation_curve`` is 2 plus it.  On
+adaptive quadrature the root comes from a 16-point scan of the curve and
+two small batches at the scan's estimate of it (``_root_by_batches``);
+Brent's method (``find_root``) finishes only a bracket they leave open,
+as around a kink of the curve.  All
 dF-integrals are evaluated in u-space through the substitution u = F(y),
 so unbounded supports never appear explicitly and the error control is
 uniform across distributions.  The curve is evaluated at whole arrays of
@@ -85,12 +89,17 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 #: the threshold; V's outer integral runs at ``FULL_INNER_CFG.outer()``,
 #: two decades looser (1e-10), so that it never chases the curve's noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-#: The threshold search on adaptive quadrature stops once its bracket is
-#: narrower than x_tol, or earlier on a residual below the inner quadrature
-#: tolerance, where the curve cannot be told from 2.  x_tol holds where the
-#: bracket ends at x >= 1/2; below, it shrinks with the bracket's upper
-#: end, so that x1* and V do not depend on the law's scale.
+#: The threshold search on adaptive quadrature, its two batches and Brent's
+#: method after them alike, stops once its bracket is narrower than x_tol,
+#: or earlier on a residual below the inner quadrature tolerance, where the
+#: curve cannot be told from 2.  x_tol holds where the scan's bracket ends
+#: at x >= 1/2; below, it shrinks with the bracket's upper end, so that x1*
+#: and V do not depend on the law's scale.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
+#: The threshold search's first batch: the scan's estimate of the root and
+#: the points this fraction of the scan's bracket to either side of it,
+#: which hold the root when the estimate is that close.
+_STENCIL = 1e-4
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
 #: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
@@ -292,9 +301,15 @@ def solve_threshold(dist: SymmetricDistribution,
     scan finds no sign change and the support edge itself satisfies the
     residual tolerance.  Any other scan raises ``ThresholdError``.
 
-    On adaptive quadrature the refinement is a bracketed root search at
-    ``THRESHOLD_ROOT_CFG``; a bracket that ends at b < 1/2 scales x_tol by
-    2 b.  A ``TabulatedCdf`` takes neither the scan nor a search but
+    On adaptive quadrature the refinement evaluates the curve in two small
+    batches: three points around the root of u interpolated inversely on
+    the curve through the scan's points next to the crossing, then the root
+    of the inverse quadratic through the three evaluated points nearest it.
+    Each stops the search if the narrowest sign change so far meets
+    ``THRESHOLD_ROOT_CFG`` (a bracket that ends at b < 1/2 scales x_tol by
+    2 b); where they leave it open, as around a kink of the curve, Brent's
+    method finishes it by the same rule.  Smooth curves close in the two
+    batches.  A ``TabulatedCdf`` takes neither the scan nor a search but
     ``_table_solution``, which solves x1* and V from one batch of its
     curve; V is dropped here.
     """
@@ -314,8 +329,8 @@ def _no_crossing(x_lo, x_hi, w_lo, w_hi):
 
 def _threshold(law, quad_cfg):
     """solve_threshold's root on adaptive quadrature, the curve minus 2
-    there, a bound on the root's error, and the panels its batches
-    evaluated."""
+    there, a bound on the root's error, Q(1 - 1e-12) and the panels its
+    batches evaluated."""
     dist = law.dist
     hi = dist.quantile(1.0 - 1e-12)
     if hi <= 0:
@@ -335,39 +350,87 @@ def _threshold(law, quad_cfg):
         if 0 < values[-1] <= BOUND_TOL:
             # the curve meets 2 only at the support edge
             x = float(grid[-1])
-            return x, float(values[-1]), dist.support[1] - x + math.ulp(x), panels
+            return x, float(values[-1]), dist.support[1] - x + math.ulp(x), hi, panels
         raise _no_crossing(grid[0], hi, values[0], values[-1])
     i = sign_changes[-1]
-    root, residual, error = _root_by_search(excess, grid[i:i + 2], values[i:i + 2],
-                                            bounds[i:i + 2])
-    return root, residual, error, panels
+    # the first guess, interpolated in u, where the scan's points are evenly
+    # spaced: in x, which Q crowds near 0 and the support edge, it lands
+    # farther from the root
+    near = slice(max(i - 1, 0), i + 3)
+    u0 = _inverse_root(_SCAN_U[near], values[near], _SCAN_U[i], _SCAN_U[i + 1])
+    root, residual, error = _root_by_batches(excess, grid[i:i + 2], values[i:i + 2],
+                                             bounds[i:i + 2], float(dist.ppf(u0)))
+    return root, residual, error, hi, panels
 
 
-def _root_by_search(excess, ends, values, bounds):
-    """(root, residual, error bound) of a bracketed root search on ``ends``.
+def _root_by_batches(excess, ends, values, bounds, guess):
+    """(root, residual, error bound) of the curve minus 2 on the bracket
+    ``ends``, where it changes sign, from a first ``guess`` at the root.
 
-    The bound is the width of the narrowest pair of evaluated points that
-    holds the root and has opposite signs, or the residual over the slope
-    of their secant if that is less (the search may stop on its residual
-    before its bracket closes), plus the curve's error bound there over
-    that slope.
+    Two batches close the bracket where the curve is smooth.  The first
+    evaluates three points: the guess, kept inside the bracket, and the
+    points ``_STENCIL`` of the bracket to either side of it.  The second
+    evaluates one: the root of x interpolated inversely on the curve
+    through the three evaluated points nearest the root.  After each, the
+    search stops if the pair of neighbouring evaluated points where the
+    curve last changes sign meets ``find_root``'s rule at
+    ``THRESHOLD_ROOT_CFG``: the end of smaller |curve| is within f_tol of
+    0, or the pair is no wider than x_tol (or 2 eps |x| where that is
+    wider), x_tol scaled by 2 b where the bracket ends at b < 1/2.  That
+    end is the root.  Where the batches leave the pair open, as around a
+    kink of the curve, ``find_root`` (Brent's method) finishes from it,
+    with every point evaluated so far at hand.
+
+    The root is always a point the search evaluated, and the residual the
+    curve there.  The bound is the width of the narrowest pair of
+    evaluated points that holds the root and has opposite signs, or the
+    residual over the slope of their secant if that is less (the search
+    may stop on its residual before its bracket closes), plus the curve's
+    error bound there over that slope.
     """
     seen = {float(x): (float(v), float(e)) for x, v, e in zip(ends, values, bounds)}
-
-    def f(x):
-        if x not in seen:
-            v, e = excess([x])
-            seen[x] = float(v[0]), float(e[0])
-        return seen[x][0]
-
     a, b = map(float, ends)
     cfg = replace(THRESHOLD_ROOT_CFG, x_tol=THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * b))
-    try:
-        # find_root starts with the curve at both bracket ends, which the scan
-        # has, and only returns points it evaluated.
-        root = find_root(f, a, b, cfg)
-    except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
-        raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
+
+    def evaluate(xs):
+        new = [x for x in dict.fromkeys(map(float, xs)) if x not in seen]
+        if new:
+            v, e = excess(new)
+            seen.update(zip(new, zip(v.tolist(), e.tolist())))
+
+    def bracket():
+        """The last neighbouring pair of evaluated points where the curve
+        changes sign, its end of smaller |curve|, and whether it is closed."""
+        xs = sorted(seen)
+        lo, hi = [(l, r) for l, r in zip(xs, xs[1:]) if seen[l][0] > 0 >= seen[r][0]][-1]
+        best = min(hi, lo, key=lambda x: abs(seen[x][0]))
+        closed = (abs(seen[best][0]) <= cfg.f_tol
+                  or hi - lo <= max(cfg.x_tol, 2.0 * _EPS * abs(best)))
+        return lo, hi, best, closed
+
+    step = _STENCIL * (b - a)
+    x0 = min(max(guess, a + step), b - step)
+    evaluate([x0 - step, x0, x0 + step])
+    lo, hi, root, closed = bracket()
+    if not closed:
+        xs = sorted(seen)
+        j = xs.index(lo)
+        # the pair and the neighbour of it where the curve is nearer 0
+        near = [lo, hi] + sorted(xs[max(j - 1, 0):j] + xs[j + 2:j + 3],
+                                 key=lambda x: abs(seen[x][0]))[:1]
+        evaluate([_inverse_root(near, [seen[x][0] for x in near], lo, hi)])
+        lo, hi, root, closed = bracket()
+    if not closed:
+        def f(x):
+            evaluate([x])
+            return seen[x][0]
+
+        try:
+            # find_root starts with the curve at both ends of the pair, which
+            # the batches have, and only returns points it evaluated.
+            root = find_root(f, lo, hi, cfg)
+        except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
+            raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
     xs = sorted(seen)
     lo, hi = min(((l, r) for l, r in zip(xs, xs[1:])
                   if l <= root <= r and (seen[l][0] > 0) != (seen[r][0] > 0)),
@@ -378,9 +441,25 @@ def _root_by_search(excess, ends, values, bounds):
     return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
 
 
+def _inverse_root(xs, ws, lo, hi):
+    """Where x, interpolated as a polynomial in w through the points (w,
+    x), meets w = 0, kept inside [lo, hi]; the midpoint where two w
+    coincide.  The polynomial is summed about the point of smallest |w|,
+    so that its terms are offsets from it."""
+    (w0, x0), *rest = sorted(zip(map(float, ws), map(float, xs)), key=lambda p: abs(p[0]))
+    ws = [w0] + [w for w, _ in rest]
+    x = math.nan
+    if len(set(ws)) == len(ws):
+        x = x0 + sum((x - x0) * math.prod(v / (v - w) for v in ws if v != w) for w, x in rest)
+    if not math.isfinite(x):
+        x = 0.5 * (lo + hi)
+    return min(max(x, lo), hi)
+
+
 def _table_solution(law, cfg=None):
-    """(x1*, residual, its error bound, V, V's bound, V's pieces, the
-    curve's pieces) of a ``TabulatedCdf``, from one batch of its curve.
+    """(x1*, V, F(x1*), diagnostics) of a ``TabulatedCdf``, from one batch
+    of its curve: ``solve_full_info``'s record of the residual, x1*'s and
+    V's bounds, Q(1 - 1e-12), V's pieces and the curve's pieces.
 
     The curve minus 2 is a quadratic between its breaks (``_curve_breaks``).
     One batch evaluates it at the breaks inside (Q(0), 0) and inside
@@ -476,8 +555,9 @@ def _table_solution(law, cfg=None):
     magnitude = sum((mass * mean_abs).sum() for mass, _, mean_abs in ranges)
     jumps = sum(np.abs(np.diff(mean, prepend=0.0, append=0.0)).sum() for _, mean, _ in ranges)
     rounding = _EPS * ((n_pieces + _VALUE_ULPS) * magnitude + _VALUE_ULPS * jumps)
-    bound = rounding + curve_err * (1.5 - float(dist.cdf(x1s))) + _EPS * value
-    return x1s, residual, x1_bound, value, float(bound), n_pieces, int(curve_pieces)
+    f_at = float(dist.cdf(x1s))
+    bound = rounding + curve_err * (1.5 - f_at) + _EPS * value
+    return x1s, value, f_at, _diagnostics(residual, x1_bound, bound, hi, n_pieces, curve_pieces)
 
 
 def _table_edges(law, x_lo, hi):
@@ -575,29 +655,25 @@ def solve_full_info(dist: SymmetricDistribution,
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
     solve = _table_solution if law.exact else _adaptive_solution
-    x1s, residual, x1_bound, value, bound, panels, threshold_panels = solve(law, inner_cfg)
-    return FullInfoSolution(
-        x1_star=x1s,
-        value=value,
-        F_at_threshold=float(dist.cdf(x1s)),
-        diagnostics={
-            "threshold_residual": residual,
-            "threshold_error_bound": x1_bound,
-            "quadrature_error_bound": bound,
-            "scan_upper": dist.quantile(1.0 - 1e-12),
-            "panels": panels,
-            "threshold_panels": threshold_panels,
-            "method": law.method,
-            "tolerances": tolerances(dist, inner_cfg),
-        },
-    )
+    x1s, value, f_at, diagnostics = solve(law, inner_cfg)
+    diagnostics.update(method=law.method, tolerances=tolerances(dist, inner_cfg))
+    return FullInfoSolution(x1_star=x1s, value=value, F_at_threshold=f_at,
+                            diagnostics=diagnostics)
+
+
+def _diagnostics(residual, x1_bound, bound, scan_upper, panels, threshold_panels):
+    """The diagnostics both solutions report, in the order of the record."""
+    return {"threshold_residual": residual, "threshold_error_bound": x1_bound,
+            "quadrature_error_bound": float(bound), "scan_upper": float(scan_upper),
+            "panels": int(panels), "threshold_panels": int(threshold_panels)}
 
 
 def _adaptive_solution(law, inner_cfg):
     """``_table_solution``'s tuple on adaptive quadrature: the threshold's
-    scan and search, then V's outer integrals of the curve."""
+    scan and search, then V's outer integrals of the curve; V's and the
+    threshold's panels in place of pieces."""
     dist = law.dist
-    x1s, residual, x1_bound, threshold_panels = _threshold(law, inner_cfg)
+    x1s, residual, x1_bound, scan_upper, threshold_panels = _threshold(law, inner_cfg)
     f_at = float(dist.cdf(x1s))
     panels = 0
     curve_err = 0.0
@@ -613,8 +689,8 @@ def _adaptive_solution(law, inner_cfg):
         law, excess_of_u, [0.0, f_at], [0.5, 1.0], *_curve_breaks(law), inner_cfg.outer())
     value = float(2.0 + (neg_val + pos_val))
     bound = neg_err + pos_err + curve_err * (1.5 - f_at) + _EPS * value
-    return (x1s, residual, x1_bound, value, float(bound), panels + int(outer_panels.sum()),
-            threshold_panels)
+    return x1s, value, f_at, _diagnostics(residual, x1_bound, bound, scan_upper,
+                                          panels + outer_panels.sum(), threshold_panels)
 
 
 def stage2_stop_region(x1, x2):

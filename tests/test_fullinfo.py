@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from rankstop.fullinfo import (
 from rankstop.numerics import QuadratureConfig
 from rankstop.relranks import compute_pq
 from rankstop.walkcore import WalkPath, run_policy
-from test_table_oracle import SLOW_CROSSING, knot_grid
+from test_table_oracle import SLOW_CROSSING, Table, knot_grid
+from test_tabulated_crosscheck import Delegate
 
 UNIFORM = Uniform(1)
 LAPLACE = Laplace(1)
@@ -275,9 +277,10 @@ class TestValue:
         assert abs(sol.value - POWERFOLD_V[delta](r)) <= sol.diagnostics["quadrature_error_bound"]
 
     @pytest.mark.parametrize("dist, x1", [
-        (UNIFORM, UNIFORM_X1), (LAPLACE, LAPLACE_X1), (PowerFold(2), POWERFOLD2_X1),
-        (PowerFold(3), POWERFOLD_X1[3]), (PowerFold(4), POWERFOLD_X1[4]),
-    ], ids=["uniform", "laplace", "powerfold2", "powerfold3", "powerfold4"])
+        (UNIFORM, UNIFORM_X1), (LAPLACE, LAPLACE_X1), (Laplace(3), 3 * LAPLACE_X1),
+        (PowerFold(2), POWERFOLD2_X1), (PowerFold(3), POWERFOLD_X1[3]),
+        (PowerFold(4), POWERFOLD_X1[4]),
+    ], ids=["uniform", "laplace", "laplace3", "powerfold2", "powerfold3", "powerfold4"])
     def test_threshold_error_bound_covers_the_closed_form(self, dist, x1):
         # every closed-form root above is within an ulp of the exact one
         sol = solve_full_info(dist)
@@ -317,16 +320,19 @@ class TestValue:
     # PowerFold rows from 2.5 on, which take t^5, t^7, t^6 and t^8 at 0 and
     # guard every degree the engine knows, have no earlier counts.  Before
     # the threshold formed the curve minus 2 without the offset 2, the
-    # threshold search of PowerFold(2.5) took 203 panels.
+    # threshold search of PowerFold(2.5) took 203 panels.  Before the
+    # search took two batches of the curve (three points, then one) in
+    # place of Brent's one-point steps, it took 142 (powerfold 0.5), 193
+    # (2.5), 43 (6) and 65 (8); the other rows held.
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
         (LAPLACE, 514, 86, 5518, 1660, 8062),
-        (PowerFold(0.5), 567, 142, 8898, 3010, 13016),
+        (PowerFold(0.5), 567, 150, 8898, 3010, 13016),
         (PowerFold(2), 527, 43, 11630, 2107, 21302),
         (PowerFold(4), 893, 49, 15292, 1693, 28478),
-        (PowerFold(2.5), 810, 193, None, None, None),
+        (PowerFold(2.5), 810, 203, None, None, None),
         (PowerFold(3.5), 1703, 249, None, None, None),
-        (PowerFold(6), 1822, 43, None, None, None),
-        (PowerFold(8), 1909, 65, None, None, None),
+        (PowerFold(6), 1822, 45, None, None, None),
+        (PowerFold(8), 1909, 69, None, None, None),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4", "powerfold2.5", "powerfold3.5",
             "powerfold6", "powerfold8"])
     def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
@@ -604,6 +610,36 @@ class TestExactPathStructure:
         assert len(batches) == 2
 
 
+class TestAdaptiveSearchStructure:
+    """What the threshold search on adaptive quadrature evaluates, counted."""
+
+    @pytest.mark.parametrize("dist", [LAPLACE, Laplace(3), PowerFold(2)],
+                             ids=["laplace", "laplace3", "powerfold2"])
+    def test_threshold_takes_the_scan_and_two_small_batches(self, dist, monkeypatch):
+        # three points around the scan's estimate of the root, then the
+        # inverse quadratic's point through them: no Brent step
+        batches = TestExactPathStructure.count(monkeypatch, fullinfo, "_excess")
+        TestExactPathStructure.refuse(monkeypatch, fullinfo, "find_root")
+        x1s = solve_threshold(dist)
+        sizes = [len(xs) for _, xs, _ in batches]
+        assert sizes[0] == 16 and len(sizes) <= 3 and max(sizes[1:]) <= 3
+        assert x1s in {float(x) for _, xs, _ in batches for x in xs}
+
+    def test_kinked_curve_is_finished_by_find_root(self, monkeypatch):
+        # SLOW_CROSSING's curve, through adaptive quadrature, crosses 2
+        # between kinks that the scan's bracket holds: the two batches leave
+        # the crossing open and find_root closes it, by the same rule
+        calls = TestExactPathStructure.count(monkeypatch, fullinfo, "find_root")
+        sol = solve_full_info(Delegate(SLOW_CROSSING))
+        (_, lo, hi, cfg), = calls
+        assert cfg == fullinfo.THRESHOLD_ROOT_CFG  # the bracket ends above 1/2
+        assert lo <= sol.x1_star <= hi
+        assert abs(sol.diagnostics["threshold_residual"]) <= cfg.f_tol
+        root = Table.of(SLOW_CROSSING).threshold(sol.x1_star)
+        assert abs(Fraction(sol.x1_star) - root) <= Fraction(
+            sol.diagnostics["threshold_error_bound"])
+
+
 class TestPolicy:
     def test_stop_at_one_inside_threshold(self):
         policy = full_info_policy(UNIFORM, UNIFORM_X1)
@@ -761,14 +797,19 @@ class TestLastBits:
     # x1* was 0x1.a827999fcef31p-1 on Uniform (1.40e-16 off 2 (sqrt 2 - 1),
     # now 2.9e-17, correctly rounded), 0x1.a827999fcef33p-1 on the 6-piece
     # table (8.2e-17 off) and 0x1.bb8fd106ed9e5p-1 on the built-in table
-    # (1.74 ulps off the root of its float table, now 0.74).
+    # (1.74 ulps off the root of its float table, now 0.74).  Before the
+    # threshold search took two batches of the curve in place of Brent's
+    # one-point steps, x1* was 0x1.eca7213f22c6bp-1 on PowerFold(2) (1.1e-16
+    # off its closed form, now 2.2e-16, both inside the reported bound of
+    # 6.6e-15) and 0x1.f71024d80cfe2p-1 on PowerFold(2.5), where its residual
+    # was -9.9e-15 and is now -1.7e-18; no V moved.
     @pytest.mark.parametrize("dist, x1_star, value", [
         (UNIFORM, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
         (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e6p-1", "0x1.238efc310536dp+1"),
         (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e6ap+1"),
-        (PowerFold(2), "0x1.eca7213f22c6bp-1", "0x1.24d70f8d4d012p+1"),
+        (PowerFold(2), "0x1.eca7213f22c6ap-1", "0x1.24d70f8d4d012p+1"),
         (UNIFORM6_BENCH, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
-        (PowerFold(2.5), "0x1.f71024d80cfe2p-1", "0x1.251278e15a0dcp+1"),
+        (PowerFold(2.5), "0x1.f71024d80cf56p-1", "0x1.251278e15a0dcp+1"),
         (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35c1p+1"),
         (IntervalUnionUniform(1, 2), "0x1.fffffffffdcd1p+0", "0x1.2555555555555p+1"),
     ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
@@ -799,12 +840,14 @@ def test_law_without_declared_degrees_keeps_its_results():
     # Laplace's results before it declared a kink at 0 and t^3 at the u-ends;
     # x1* was 0x1.b5c529d2ec593p+0 before the threshold formed the curve
     # minus 2 without the offset 2, and V 0x1.22aee69d05e81p+1 (1.18e-14 off
-    # its closed form, now 1.54e-14) before V integrated the curve minus 2
+    # its closed form, now 1.54e-14) before V integrated the curve minus 2,
+    # and x1* 0x1.b5c529d2ec585p+0 (2.9e-15 off its closed form, now 3.1e-15)
+    # before the threshold search took two batches of the curve
     dist = WrappedLaplace()
     degrees, end_degree = dist.break_point_degrees()
     assert list(degrees) == [2] and end_degree == 2
     sol = solve_full_info(dist)
-    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec585p+0", "0x1.22aee69d05e89p+1")
+    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec584p+0", "0x1.22aee69d05e89p+1")
     assert (sol.diagnostics["panels"], sol.diagnostics["threshold_panels"]) == (1562, 88)
     assert compute_pq(dist).panels == 244
 
