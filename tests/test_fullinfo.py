@@ -626,9 +626,11 @@ class TestAdaptiveSearchStructure:
         assert x1s in {float(x) for _, xs, _ in batches for x in xs}
 
     def test_kinked_curve_is_finished_by_find_root(self, monkeypatch):
-        # SLOW_CROSSING's curve, through adaptive quadrature, crosses 2
-        # between kinks that the scan's bracket holds: the two batches leave
-        # the crossing open and find_root closes it, by the same rule
+        # SLOW_CROSSING's F is flat on [0.73, 2.11]: the scan, even in u,
+        # brackets the crossing (1.90) by [0.72, 2.11], with kinks of the
+        # curve inside, and its estimate in u lands at the bracket's start.
+        # The two batches leave the crossing open; find_root closes it from
+        # there, by the same rule, on the adaptive path.
         calls = TestExactPathStructure.count(monkeypatch, fullinfo, "find_root")
         sol = solve_full_info(Delegate(SLOW_CROSSING))
         (_, lo, hi, cfg), = calls
@@ -800,9 +802,9 @@ class TestLastBits:
     # (1.74 ulps off the root of its float table, now 0.74).  Before the
     # threshold search took two batches of the curve in place of Brent's
     # one-point steps, x1* was 0x1.eca7213f22c6bp-1 on PowerFold(2) (1.1e-16
-    # off its closed form, now 2.2e-16, both inside the reported bound of
-    # 6.6e-15) and 0x1.f71024d80cfe2p-1 on PowerFold(2.5), where its residual
-    # was -9.9e-15 and is now -1.7e-18; no V moved.
+    # off its closed form, now 2.2e-16, inside reported bounds of 6.5e-15
+    # and 6.6e-15) and 0x1.f71024d80cfe2p-1 on PowerFold(2.5), where its
+    # residual was -9.9e-15 and is now -1.7e-18; no V moved.
     @pytest.mark.parametrize("dist, x1_star, value", [
         (UNIFORM, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
         (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e6p-1", "0x1.238efc310536dp+1"),
