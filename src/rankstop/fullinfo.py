@@ -15,13 +15,13 @@ continuation regions, and ``continuation_curve`` is 2 plus it.  On
 adaptive quadrature the root comes from a 16-point scan of the curve and
 two small batches at the scan's estimate of it (``_root_by_batches``);
 Brent's method (``find_root``) finishes only a bracket they leave open,
-as around a kink of the curve.  All
-dF-integrals are evaluated in u-space through the substitution u = F(y),
-so unbounded supports never appear explicitly and the error control is
-uniform across distributions.  The curve is evaluated at whole arrays of
-first steps: the two dF-integrals of every point go to the integrator as
-one batch.  ``relranks.compute_pq`` integrates q over the same
-dF-integrals, with V's outer-integral scheme, for every law but a table.
+as around a kink of the curve.  All dF-integrals are evaluated in u-space
+through the substitution u = F(y), so unbounded supports never appear
+explicitly and the error control is uniform across distributions.  The
+curve is evaluated at whole arrays of first steps: the two dF-integrals
+of every point go to the integrator as one batch.  ``relranks.compute_pq``
+integrates q over the same dF-integrals, with V's outer-integral scheme,
+for every law but a table.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
