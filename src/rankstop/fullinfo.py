@@ -8,37 +8,54 @@ crosses the stop payoff 2 at a threshold x1*; the optimal rule stops at
 time 1 exactly on (0, x1*] and continues elsewhere, so the optimal
 expected rank is V = 2 + E[W1(X1) - 2; continue].
 
+The negative half of that expectation needs no integral of the curve:
+
+    E[W1(X1) - 2; X1 <= 0] = 13/48 + p,  so  V = 109/48 + p + T,
+    T = E[W1(X1) - 2; X1 > x1*] <= 0,
+
+with p = 1/48 - q as in ``relranks``.  After X1 <= 0 the optimal
+rule differs from rank rule a (stop at 2 unless S2 is a new minimum) only
+on the band 0 < X2 <= -X1, X2 > -X1/2, where S2 has middle rank and the
+rule continues, gaining F(X2) + F(S2) - 1 = P(-S2 < X3 <= X2) over a stop
+at 2.  Over the band that gain is P(0 < X3 <= X2 <= -X1 < X2 + X3), which
+is p by the exchangeability of |X1|, |X2| and |X3|.  The ordering table
+(``walkcore.permutation_table``) gives rule a E[rank - 2; S1 < 0] =
+13/48 + 2p, so the optimal rule's is 13/48 + p.  The paper's bounds
+follow term by term: p <= 1/48 and T <= 0 give V <= 55/24.
+
 One function evaluates the curve: ``_excess``, W1 - 2 formed without the
 offset 2, whose rounding is at the scale of that difference.  The
-threshold is its root, V is 2 plus its integrals over the two
-continuation regions, and ``continuation_curve`` is 2 plus it.  On
-adaptive quadrature the root comes from a 16-point scan of the curve and
-two small batches at the scan's estimate of it (``_root_by_batches``);
-Brent's method (``find_root``) finishes only a bracket they leave open,
-as around a kink of the curve.  All dF-integrals are evaluated in u-space
-through the substitution u = F(y), so unbounded supports never appear
-explicitly and the error control is uniform across distributions.  The
-curve is evaluated at whole arrays of first steps: the two dF-integrals
-of every point go to the integrator as one batch.  ``relranks.compute_pq``
-integrates q over the same dF-integrals, with V's outer-integral scheme,
-for every law but a table.
+threshold is its root, T its integral beyond x1*, and
+``continuation_curve`` is 2 plus it.  On adaptive quadrature the root
+comes from a 16-point scan of the curve and two small batches at the
+scan's estimate of it (``_root_by_batches``); Brent's method
+(``find_root``) finishes only a bracket they leave open, as around a kink
+of the curve.  All dF-integrals are evaluated in u-space through the
+substitution u = F(y), so unbounded supports never appear explicitly and
+the error control is uniform across distributions.  The curve is
+evaluated at whole arrays of first steps: the two dF-integrals of every
+point go to the integrator as one batch.  ``_q`` integrates q over the
+same dF-integrals, with T's outer-integral scheme, for every law but a
+table; it serves both ``solve_full_info`` and ``relranks.compute_pq``.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
 F(knots) and F(knots + x), where the 2-point Gauss-Legendre rule
 (``numerics.integrate_pieces``) is exact up to rounding, and the curve is
 quadratic in x between its breaks (``_curve_breaks``).  So one batch of
-the curve, at its breaks and the midpoints between them, gives both the
-threshold, the root of the quadratic piece where the curve crosses 2,
-found without a root search, and V, by Simpson's rule on the pieces
-against dF, which is constant on each (``_table_solution``).  The
-tolerances do not apply and the reported bounds are rounding bounds.
+the curve, at its breaks on the positive range and the midpoints between
+them, gives both the threshold, the root of the quadratic piece where the
+curve crosses 2, found without a root search, and T, by Simpson's rule on
+the pieces against dF, which is constant on each (``_table_solution``);
+q is one flat integral.  The tolerances do not apply and the reported
+bounds are rounding bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,7 +74,7 @@ from .numerics import (
     integrate_pieces,
     tolerance_record,
 )
-from .walkcore import FULL_INFORMATION, StoppingPolicy
+from .walkcore import FULL_INFORMATION, PQ_SUM, StoppingPolicy
 
 __all__ = [
     "V_LOWER_BOUND",
@@ -82,12 +99,16 @@ __all__ = [
 #: Universal bounds on the optimal three-step expected rank.
 V_LOWER_BOUND = (109.0 - math.sqrt(2.0)) / 48.0
 V_UPPER_BOUND = 55.0 / 24.0
+#: V = 109/48 + p + T: 109/48 in two floats, its double and what that misses.
+_V_BASE = 109.0 / 48.0
+_V_BASE_ERROR = float(Fraction(109, 48) - Fraction(_V_BASE))
 #: F(x1*) always sits at least this high.
 THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 
 #: Default tolerance of the continuation curve's dF-integrals, and so of
-#: the threshold; V's outer integral runs at ``FULL_INNER_CFG.outer()``,
-#: two decades looser (1e-10), so that it never chases the curve's noise.
+#: the threshold, and of q's inner integrals; the outer integrals of T and
+#: q run at ``FULL_INNER_CFG.outer()``, two decades looser (1e-10), so that
+#: they never chase the inner integrals' noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 #: The threshold search on adaptive quadrature, its two batches and Brent's
 #: method after them alike, stops once its bracket is narrower than x_tol,
@@ -310,8 +331,8 @@ def solve_threshold(dist: SymmetricDistribution,
     2 b); where they leave it open, as around a kink of the curve, Brent's
     method finishes it by the same rule.  Smooth curves close in the two
     batches.  A ``TabulatedCdf`` takes neither the scan nor a search but
-    ``_table_solution``, which solves x1* and V from one batch of its
-    curve; V is dropped here.
+    ``_table_solution``, which solves x1* and T from one batch of its
+    curve; T is dropped here.
     """
     law = _Law(dist)
     if law.exact:
@@ -457,55 +478,44 @@ def _inverse_root(xs, ws, lo, hi):
 
 
 def _table_solution(law, cfg=None):
-    """(x1*, V, F(x1*), diagnostics) of a ``TabulatedCdf``, from one batch
-    of its curve: ``solve_full_info``'s record of the residual, x1*'s and
-    V's bounds, Q(1 - 1e-12), V's pieces and the curve's pieces.
+    """(x1*, F(x1*), T, T's bound, ``_diagnostics``) of a ``TabulatedCdf``,
+    from one batch of its curve, with pieces in place of panels.
 
     The curve minus 2 is a quadratic between its breaks (``_curve_breaks``).
-    One batch evaluates it at the breaks inside (Q(0), 0) and inside
-    (Q(u0), Q(1)), u0 = ``_SCAN_U[0]``, at the ends of both ranges and at
-    Q(1 - 1e-12), and at the midpoints between consecutive points
-    (``_table_edges``).  It goes to ``_excess`` in calls of at most
-    ``_BLOCK_NODES`` points, fewer where the knots are so many that a
-    call's cut rows would pass 16 ``_BLOCK_CUTS`` floats (8 MB).  x1* is
-    the root of the quadratic on the piece of the last sign change at or
-    below Q(1 - 1e-12), by the stable formula in the piece's coordinate,
-    and one more batch gives the curve minus 2 there; where there is no
-    sign change, the support-edge return and ``ThresholdError`` are the
-    scan's (``solve_threshold``).  The error bound is the curve's bound
-    and residual at x1* over the quadratic's slope, plus an ulp.
+    One batch, in calls of at most ``_BLOCK_NODES`` points, evaluates it at
+    the breaks inside (Q(u0), Q(1)), u0 = ``_SCAN_U[0]``, at the ends of
+    that range and at Q(1 - 1e-12), and at the midpoints between
+    consecutive points (``_table_edges``).  x1* is the root of the
+    quadratic on the piece of the last sign change at or below
+    Q(1 - 1e-12), by the stable formula in the piece's coordinate, and one
+    more batch gives the curve minus 2 there; where there is no sign
+    change, the support-edge return and ``ThresholdError`` are the scan's
+    (``solve_threshold``).  The error bound is the curve's bound and
+    residual at x1* over the quadratic's slope, plus an ulp.
 
     dF is constant on every piece, so Simpson's rule, exact on quadratics,
-    gives V = 2 + sum (F(b) - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces
-    [a, b] of the continuation region, with w the curve minus 2 at the
-    ends and the midpoint m; the crossing piece adds its quadratic's exact
-    integral from x1* to its end.  V's bound is the largest bound of the
-    batch times the u-range it covers, the rounding of the sum and of its
-    F values, and that of 2 + the sum.  ``cfg`` does not apply.
+    gives T = sum (F(b) - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces
+    [a, b] beyond x1*, with w the curve minus 2 at the ends and the
+    midpoint m; the crossing piece adds its quadratic's exact integral from
+    x1* to its end.  T's bound is the largest bound of the batch times the
+    u-range it covers, 1 - F(x1*), and the rounding of the sum and of its
+    F values.  ``cfg`` does not apply.
     """
     dist = law.dist
     x_lo, hi = dist.ppf(_SCAN_U[[0, -1]])
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
-    *edges, i_hi = _table_edges(law, x_lo, hi)
-    xs = []
-    for e in edges:
-        x = np.empty(2 * len(e) - 1)
-        x[0::2] = e
-        x[1::2] = 0.5 * (e[:-1] + e[1:])
-        xs.append(x)
-    batch = np.concatenate(xs)
-    # A point's two dF-integrals hold a row of 2 k cuts each, k the
-    # mirrored knots: a block of n points holds 4 k n floats, at most
-    # 16 _BLOCK_CUTS.
+    edges, i_hi = _table_edges(law, x_lo, hi)
+    x = np.empty(2 * len(edges) - 1)
+    x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    # A point's two dF-integrals hold 2 k cuts each, k the mirrored knots:
+    # n points hold 4 k n floats, at most 16 _BLOCK_CUTS (8 MB).
     block = min(_BLOCK_NODES, max(1, 4 * _BLOCK_CUTS // len(law.knots)))
-    parts = [_excess(law, batch[s:s + block], cfg) for s in range(0, len(batch), block)]
+    parts = [_excess(law, x[s:s + block], cfg) for s in range(0, len(x), block)]
     w = np.concatenate([part[0] for part in parts])
     curve_err = max(float(part[1].max()) for part in parts)
     curve_pieces = sum(part[2] for part in parts)
-    w_neg, w = w[:len(xs[0])], w[len(xs[0]):]
-    f_neg, f_pos = (dist.cdf(e) for e in edges)
-    x = xs[1]
+    f_edges = dist.cdf(edges)
 
     # the threshold, on the points at or below Q(1 - 1e-12)
     last = 2 * i_hi
@@ -534,42 +544,37 @@ def _table_solution(law, cfg=None):
         # modulus of its terms over s in [(x1* - left) / width, 1]
         s, first = (x1s - left) / width, k + 2
         terms = np.array([c, b * (1.0 + s) / 2.0, a * (1.0 + s + s * s) / 3.0])
-        crossing = np.array([[(f_pos[first // 2] - f_pos[k // 2]) * (right - x1s) / width],
+        crossing = np.array([[(f_edges[first // 2] - f_edges[k // 2]) * (right - x1s) / width],
                              [terms.sum()], [np.abs(terms).sum()]])
 
-    # V, by Simpson's rule on the continuation pieces: the rows are each
+    # T, by Simpson's rule on the pieces beyond x1*: the rows are each
     # piece's mass and the means of the curve minus 2 and of its modulus,
-    # the crossing piece first among the positive ones
-    ranges = [np.concatenate([head, [
-        np.diff(fv),
-        (wv[:-1:2] + 4.0 * wv[1::2] + wv[2::2]) / 6.0,
-        (np.abs(wv[:-1:2]) + 4.0 * np.abs(wv[1::2]) + np.abs(wv[2::2])) / 6.0]], axis=1)
-        for wv, fv, head in ((w_neg, f_neg, np.zeros((3, 0))),
-                             (w[first:], f_pos[first // 2:], crossing))]
-    neg, pos = ((mass * mean).sum() for mass, mean, _ in ranges)
-    value = 2.0 + float(neg + pos)
-    n_pieces = sum(r.shape[1] for r in ranges)
+    # the crossing piece first
+    w = w[first:]
+    mass, mean, mean_abs = np.concatenate([crossing, [
+        np.diff(f_edges[first // 2:]),
+        (w[:-1:2] + 4.0 * w[1::2] + w[2::2]) / 6.0,
+        (np.abs(w[:-1:2]) + 4.0 * np.abs(w[1::2]) + np.abs(w[2::2])) / 6.0]], axis=1)
     # each term rounds a few times and the sum once per term, as in
     # integrate_pieces; an F value off by _VALUE_ULPS ulps of 1 moves mass
     # from one of its pieces to the other, by the jump of their means
-    magnitude = sum((mass * mean_abs).sum() for mass, _, mean_abs in ranges)
-    jumps = sum(np.abs(np.diff(mean, prepend=0.0, append=0.0)).sum() for _, mean, _ in ranges)
-    rounding = _EPS * ((n_pieces + _VALUE_ULPS) * magnitude + _VALUE_ULPS * jumps)
+    jumps = np.abs(np.diff(mean, prepend=0.0, append=0.0)).sum()
+    rounding = _EPS * ((len(mass) + _VALUE_ULPS) * (mass * mean_abs).sum() + _VALUE_ULPS * jumps)
     f_at = float(dist.cdf(x1s))
-    bound = rounding + curve_err * (1.5 - f_at) + _EPS * value
-    return x1s, value, f_at, _diagnostics(residual, x1_bound, bound, hi, n_pieces, curve_pieces)
+    return (x1s, f_at, float((mass * mean).sum()), float(rounding + curve_err * (1.0 - f_at)),
+            _diagnostics(residual, x1_bound, hi, len(mass), curve_pieces))
 
 
 def _table_edges(law, x_lo, hi):
-    """The ends of (Q(0), 0) and of (x_lo, Q(1)), hi inside it, each with
-    the curve's breaks inside it, in order; and the index of hi.
+    """The ends of (x_lo, Q(1)), hi inside it, with the curve's breaks
+    inside it, in order; and the index of hi.
 
     Breaks closer than four ulps of the largest knot are merged, and those
     that close to an end dropped: they are knot sums and differences that
     would coincide but for the knots' rounding, and a piece that narrow
-    costs two curve points and moves V and x1* by less than their rounding.
+    costs two curve points and moves T and x1* by less than their rounding.
     """
-    lo, top = law.dist.support
+    top = law.dist.support[1]
     tol = 4.0 * _EPS * top
     breaks = np.sort(_curve_breaks(law)[0])
     breaks = breaks[np.concatenate([[True], breaks[1:] - breaks[:-1] > tol])]
@@ -578,8 +583,7 @@ def _table_edges(law, x_lo, hi):
         return breaks[np.searchsorted(breaks, a + tol, "right"):np.searchsorted(breaks, b - tol)]
 
     below = inside(x_lo, hi)
-    return (np.concatenate([[lo], inside(lo, 0.0), [0.0]]),
-            np.concatenate([[x_lo], below, [hi], inside(hi, top), [top]]), len(below) + 1)
+    return np.concatenate([[x_lo], below, [hi], inside(hi, top), [top]]), len(below) + 1
 
 
 def _quadratic(w0, w_half, w1):
@@ -611,10 +615,10 @@ def _quadratic_root(a, b, c, s0):
 
 def tolerances(dist: SymmetricDistribution, cfg: QuadratureConfig | None = None,
                outer: bool = True) -> dict:
-    """``numerics.tolerance_record`` of a solve at ``cfg``: the curve's ("inner"),
-    V's ("outer", left out for the curve or threshold alone) and the root
-    search's.  A ``TabulatedCdf`` runs neither adaptive quadrature nor a
-    root search: empty."""
+    """``numerics.tolerance_record`` of a solve at ``cfg``: the curve's and
+    q's inner integrals ("inner"), T's and q's outer ones ("outer", left
+    out for the curve or threshold alone) and the root search's; empty on a
+    ``TabulatedCdf``, which runs neither quadrature nor a root search."""
     if isinstance(dist, TabulatedCdf):
         return {}
     cfg = cfg or FULL_INNER_CFG
@@ -626,57 +630,58 @@ def solve_full_info(dist: SymmetricDistribution,
                     cfg: QuadratureConfig | None = None) -> FullInfoSolution:
     """Threshold, optimal expected rank, and diagnostics for one distribution.
 
-    V is 2 plus the first-step integrals of the curve minus 2
-    (``_excess``) over the continuation regions, the negative half and
-    beyond x1*; the stop region (0, x1*] adds nothing.  On adaptive
-    quadrature the two integrals run in u over [0, 1/2] and [F(x1*), 1] as
-    one batch (``_u_integrals``), 2 added last; ``diagnostics["panels"]``
-    counts the quadrature panels evaluated for V and
-    ``diagnostics["threshold_panels"]`` those of the threshold's batches.
-    A ``TabulatedCdf`` takes ``_table_solution``, which solves x1* and V
-    from one batch of its curve: there ``threshold_panels`` counts the
-    dF-integral pieces of both of its curve batches and ``panels`` the
-    curve pieces V sums, which evaluate nothing more.  The threshold's
-    last batch gives ``diagnostics["threshold_residual"]``, the curve
-    minus 2 at x1*.  ``diagnostics["threshold_error_bound"]`` bounds
-    |x1* - the curve's root|: on the exact path the curve's rounding bound
-    and the residual over the slope of its quadratic piece, plus an ulp; on
-    adaptive quadrature the width of the narrowest opposite-sign pair the
-    search evaluated around x1*, plus the curve's bound over their secant's
-    slope.  ``diagnostics["quadrature_error_bound"]`` adds the outer
-    bound (on the exact path, the rounding of the Simpson sum), the largest
-    bound of the curve times the u-range it is integrated over, and the
-    rounding of the sum 2 + the integrals.  ``diagnostics["method"]`` is
-    "exact_piecewise_linear" for a ``TabulatedCdf`` and "quadrature"
-    otherwise, and ``diagnostics["tolerances"]`` is ``tolerances(dist,
-    cfg)``.  ``cfg`` is the tolerance of the curve and the threshold; V's
-    outer integral runs at ``cfg.outer()``, whose rel_tol applies to V - 2.
+    V is 109/48 + p + T (module docstring), summed by ``math.fsum`` with
+    109/48 in two floats: p = 1/48 - q from ``_q`` at ``cfg``, and T the
+    integral of the curve minus 2 beyond x1*, over [F(x1*), 1] in u on
+    adaptive quadrature and by ``_table_solution``'s Simpson sum on a
+    ``TabulatedCdf``.
+
+    In ``diagnostics``, ``panels`` counts the panels of T and of p, or on a
+    table T's curve pieces, which evaluate nothing more, and q's pieces;
+    ``threshold_panels`` those of the threshold's batches, or on a table
+    the dF-integral pieces of both curve batches.  ``threshold_residual``
+    is the curve minus 2 at x1*, from the threshold's last batch, and
+    ``threshold_error_bound`` bounds |x1* - the curve's root|: on a table
+    the curve's rounding bound and the residual over the slope of its
+    quadratic piece, plus an ulp; elsewhere the width of the narrowest
+    opposite-sign pair the search evaluated around x1*, plus the curve's
+    bound over their secant's slope.  ``p`` and ``p_error_bound`` are p and
+    its bound.  ``quadrature_error_bound``, V's, adds p's bound, T's outer
+    bound (on a table, the rounding of the Simpson sum), the curve's
+    largest bound times 1 - F(x1*), and the rounding of the sum.
+    ``method`` is "exact_piecewise_linear" on a table and "quadrature"
+    otherwise, and ``tolerances`` is ``tolerances(dist, cfg)``.  ``cfg`` is
+    the tolerance of the curve, the threshold and q's inner integrals; the
+    outer integrals of T and q run at ``cfg.outer()``.
     """
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
     solve = _table_solution if law.exact else _adaptive_solution
-    x1s, value, f_at, diagnostics = solve(law, inner_cfg)
-    diagnostics.update(method=law.method, tolerances=tolerances(dist, inner_cfg))
+    x1s, f_at, t, t_bound, diagnostics = solve(law, inner_cfg)
+    q, p_bound, p_panels = _q(law, inner_cfg)
+    p = float(PQ_SUM) - q
+    value = math.fsum([_V_BASE, _V_BASE_ERROR, p, t])
+    diagnostics.update(quadrature_error_bound=p_bound + t_bound + _EPS * value, p=p,
+                       p_error_bound=p_bound, panels=diagnostics["panels"] + p_panels,
+                       method=law.method, tolerances=tolerances(dist, inner_cfg))
     return FullInfoSolution(x1_star=x1s, value=value, F_at_threshold=f_at,
                             diagnostics=diagnostics)
 
 
-def _diagnostics(residual, x1_bound, bound, scan_upper, panels, threshold_panels):
-    """The diagnostics both solutions report, in the order of the record."""
+def _diagnostics(residual, x1_bound, scan_upper, panels, threshold_panels):
+    """The threshold's diagnostics and T's panels, from either solution."""
     return {"threshold_residual": residual, "threshold_error_bound": x1_bound,
-            "quadrature_error_bound": float(bound), "scan_upper": float(scan_upper),
-            "panels": int(panels), "threshold_panels": int(threshold_panels)}
+            "scan_upper": float(scan_upper), "panels": int(panels),
+            "threshold_panels": int(threshold_panels)}
 
 
 def _adaptive_solution(law, inner_cfg):
     """``_table_solution``'s tuple on adaptive quadrature: the threshold's
-    scan and search, then V's outer integrals of the curve; V's and the
-    threshold's panels in place of pieces."""
+    scan and search, then T's outer integral of the curve."""
     dist = law.dist
     x1s, residual, x1_bound, scan_upper, threshold_panels = _threshold(law, inner_cfg)
     f_at = float(dist.cdf(x1s))
-    panels = 0
-    curve_err = 0.0
+    panels, curve_err = 0, 0.0
 
     def excess_of_u(us, _):
         nonlocal panels, curve_err
@@ -685,12 +690,81 @@ def _adaptive_solution(law, inner_cfg):
         curve_err = max(curve_err, float(errs.max(initial=0.0)))
         return values
 
-    (neg_val, pos_val), (neg_err, pos_err), outer_panels = _u_integrals(
-        law, excess_of_u, [0.0, f_at], [0.5, 1.0], *_curve_breaks(law), inner_cfg.outer())
-    value = float(2.0 + (neg_val + pos_val))
-    bound = neg_err + pos_err + curve_err * (1.5 - f_at) + _EPS * value
-    return x1s, value, f_at, _diagnostics(residual, x1_bound, bound, scan_upper,
-                                          panels + outer_panels.sum(), threshold_panels)
+    # T's range, at most 0.146 wide, would start from one panel, 3.5e-15 off
+    # on Laplace; cut at its midpoint (degree 0: smooth there), from two.
+    kinks, degrees = _curve_breaks(law)
+    t, t_err, outer_panels = _u_integrals(
+        law, excess_of_u, [f_at], [1.0], np.append(kinks, dist.ppf(0.5 * (f_at + 1.0))),
+        np.append(degrees, 0), inner_cfg.outer())
+    return (x1s, f_at, float(t[0]), float(t_err[0]) + curve_err * (1.0 - f_at),
+            _diagnostics(residual, x1_bound, scan_upper, panels + int(outer_panels[0]),
+                         threshold_panels))
+
+
+def _q(law, cfg):
+    """(q, a bound on both q and p = 1/48 - q, panels) of ``law`` in the
+    forms of the ``relranks`` module docstring, for ``solve_full_info`` and
+    ``relranks.compute_pq``.
+
+    A ``TabulatedCdf`` integrates (1 - G(z)) h(z) / 16 over [0, k_max], k
+    the folded knots, cut at the knots and their pairwise sums, where the
+    integrand is quadratic: ``cfg`` does not apply, the bound is a rounding
+    bound and the panels are the pieces.  Every other law takes q as 1/2
+    times the integral of I(Q(r)) over (1/2, 1), both levels cut where
+    they kink.  ``cfg`` is the tolerance of the folded inner integral J and
+    the outer integral runs at ``cfg.outer()``: since J = 4 I and the
+    integral of J over v is 8 times that of I over r, the absolute
+    tolerances act on I and its integral as a quarter and an eighth.
+    """
+    if law.exact:
+        pos = law.knots >= 0.0
+        k = law.knots[pos]
+        g_at = 2.0 * law.f_knots[pos] - 1.0
+        density = np.diff(g_at) / np.diff(k)  # g_i, G's density on [k_i, k_i+1]
+
+        def integrand(z, _):  # h(z) = sum_i g_i (G(z - k_i) - G(z - k_i+1))
+            below = np.interp(z[:, None] - k, k, g_at)  # G(z - k_i), 0 where z < k_i
+            return (1.0 - np.interp(z, k, g_at)) * ((below[:, :-1] - below[:, 1:]) @ density)
+
+        sums = np.add.outer(k, k).ravel()
+        cuts = np.concatenate([k, sums[sums < k[-1]]])
+        total, bound, pieces = integrate_pieces(integrand, [0.0], [k[-1]], cuts[None, :])
+        # p = 1/48 - q rounds twice: 1/48 itself and the difference.
+        return (float(total[0]) / 16.0, float(bound[0]) / 16.0 + _EPS * float(PQ_SUM),
+                int(pieces[0]))
+    dist = law.dist
+    upper = dist.support[1]
+    quarter = replace(cfg, abs_tol=cfg.abs_tol / 4.0)
+    outer_cfg = cfg.outer()
+    inner_err = 0.0
+    panels = 0
+
+    def inner(rs, _):
+        nonlocal inner_err, panels
+        x = dist.ppf(rs)
+        # On an unbounded support the lower limit F(x - upper) is 0, also at
+        # x = Q(1) = +inf, where F(x - upper) would be F(inf - inf) = NaN.
+        lo = dist.cdf(x - upper) if math.isfinite(upper) else np.zeros(len(x))
+        vals, errs, n = _df_integrals(law, x, lo, 0.5, quarter)
+        inner_err = max(inner_err, float(errs.max(initial=0.0)))
+        panels += int(n.sum())
+        return vals
+
+    # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
+    # of two knots (0 included, for the inner upper limit 1/2) at or below
+    # 0.  Each difference takes the smaller degree of its two knots, and the
+    # 0 added takes the largest the law declares, so that a kink with it
+    # takes the other knot's degree.  The integrators merge repeated kinks.
+    ends = np.abs(np.append(law.knots, 0.0))
+    d = np.append(law.degrees, max(law.degrees, default=2))
+    gaps = np.subtract.outer(ends, ends).ravel()
+    kink = gaps >= 0.0
+    total, outer_err, outer_panels = _u_integrals(
+        law, inner, [0.5], [1.0], gaps[kink], np.minimum.outer(d, d).ravel()[kink],
+        replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
+    # The inner bounds count half: the r-range is 1/2 wide.
+    err = 0.5 * (float(outer_err[0]) + 0.5 * inner_err) + 1e-14
+    return 0.5 * float(total[0]), float(err), panels + int(outer_panels[0])
 
 
 def stage2_stop_region(x1, x2):

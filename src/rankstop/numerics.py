@@ -97,7 +97,7 @@ _INITIAL_PANELS = 8
 # Nodes per integrand call of integrate_pieces, and padded break points
 # per block of its problems; together they bound the memory of one call.
 # Its integrands are a table's dF-integrand, two interpolations per node,
-# and relranks._table_q's, a (nodes x knots) interpolation: at 4096 nodes
+# and fullinfo._q's on a table, a (nodes x knots) interpolation: at 4096 nodes
 # a 120-knot table's solve and compute_pq hold no more memory than at 1024
 # and run no slower, and a 12-knot one makes a quarter of the calls.
 _BLOCK_NODES = 1 << 12

@@ -14,14 +14,15 @@ s = (1 - u)/2 and use F(-z) = 1 - F(z)), and with v = 2r - 1
 
     q = (1/2) * integral over (1/2, 1) of I(Q(r)) dr.
 
-``compute_pq`` evaluates this form with ``fullinfo``'s integrals, which
-cut and integrate for both solvers.  A ``TabulatedCdf`` takes one flat
-integral instead: with h the density of |X1| + |X2|,
+A ``TabulatedCdf`` takes one flat integral instead: with h the density of
+|X1| + |X2|,
 
     q = (1/16) * integral over (0, inf) of {1 - G(z)} h(z) dz,
 
 whose integrand is quadratic between the folded knots and their pairwise
-sums, so that one fixed-rule call is exact up to rounding.
+sums, so that one fixed-rule call is exact up to rounding.  Both forms
+are ``fullinfo._q``, which V = 109/48 + p + T calls too; ``compute_pq``
+wraps it.
 The probabilities of all 24 strict orderings of S_0..S_3 are affine in
 (p, q); the table (``walkcore.permutation_table``) drives both the optimal
 rank rule and the exact policy-enumeration oracle.
@@ -29,17 +30,15 @@ rank rule and the exact policy-enumeration oracle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .distributions import SymmetricDistribution
-from .fullinfo import _df_integrals, _Law, _u_integrals
+from .fullinfo import _Law, _q
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
-from .numerics import (_EPS, QuadratureConfig, integrate_detailed, integrate_pieces,
-                       tolerance_record)
+from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
 from .walkcore import PQ_SUM, PQ_TOL, StoppingPolicy, rank_policy_a, rank_policy_b
 
 __all__ = [
@@ -97,89 +96,15 @@ class PQParams:
 
 def compute_pq(dist: SymmetricDistribution,
                cfg: QuadratureConfig | None = None) -> PQParams:
-    """Evaluate q and set p = 1/48 - q.
-
-    A ``TabulatedCdf`` takes ``_table_q``'s one flat integral (method
-    "exact_piecewise_linear"), where ``cfg`` does not apply and the error
-    bound is a rounding bound.  Every other law takes q as 1/2 times the
-    integral of I(Q(r)) over (1/2, 1): every node r of the outer integral
-    opens one dF-integral I(Q(r)) (see the module docstring), and both
-    levels go through ``fullinfo``, which cuts them where they kink.
-    ``cfg`` is the tolerance of the folded inner integral J and the outer
-    integral runs at ``cfg.outer()``, as on the folded form: since J = 4 I
-    and the integral of J over v is 8 times that of I over r, the absolute
-    tolerances act on I and its integral as a quarter and an eighth, and
-    the relative ones as they are.
-    """
+    """Evaluate q by ``fullinfo._q`` and set p = 1/48 - q.  ``cfg`` is the
+    tolerance of the folded inner integral J, the outer integral's
+    ``cfg.outer()``; a ``TabulatedCdf`` (method "exact_piecewise_linear")
+    takes neither and its bound is a rounding bound."""
     law = _Law(dist)
-    if law.exact:
-        q, err, panels = _table_q(law)
-        # p = 1/48 - q rounds twice: 1/48 itself and the difference.
-        return PQParams(p=float(PQ_SUM) - q, q=q, method=law.method,
-                        error_bound=err + _EPS * float(PQ_SUM), panels=panels)
-    inner_cfg = cfg or PQ_INNER_CFG
-    outer_cfg = inner_cfg.outer()
-    upper = dist.support[1]
-    quarter = replace(inner_cfg, abs_tol=inner_cfg.abs_tol / 4.0)
-    inner_err = 0.0
-    panels = 0
-
-    def inner(rs, _):
-        nonlocal inner_err, panels
-        x = dist.ppf(rs)
-        # On an unbounded support the lower limit F(x - upper) is 0, also at
-        # x = Q(1) = +inf, where F(x - upper) would be F(inf - inf) = NaN.
-        lo = dist.cdf(x - upper) if math.isfinite(upper) else np.zeros(len(x))
-        vals, errs, n = _df_integrals(law, x, lo, 0.5, quarter)
-        inner_err = max(inner_err, float(errs.max(initial=0.0)))
-        panels += int(n.sum())
-        return vals
-
-    # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
-    # of two knots (0 included, for the inner upper limit 1/2) at or below
-    # 0.  Each difference takes the smaller degree of its two knots, and the
-    # 0 added takes the largest the law declares, so that a kink with it
-    # takes the other knot's degree.  The integrators merge repeated kinks.
-    ends = np.abs(np.append(law.knots, 0.0))
-    d = np.append(law.degrees, max(law.degrees, default=2))
-    gaps = np.subtract.outer(ends, ends).ravel()
-    kink = gaps >= 0.0
-    total, outer_err, outer_panels = _u_integrals(
-        law, inner, [0.5], [1.0], gaps[kink], np.minimum.outer(d, d).ravel()[kink],
-        replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
-    q = 0.5 * float(total[0])
-    # The inner bounds count half: the r-range is 1/2 wide.
-    err = 0.5 * (float(outer_err[0]) + 0.5 * inner_err) + 1e-14
-    return PQParams(p=float(PQ_SUM) - q, q=q, method=law.method, error_bound=float(err),
-                    panels=panels + int(outer_panels[0]),
-                    tolerances=tolerance_record(inner=inner_cfg, outer=outer_cfg))
-
-
-def _table_q(law):
-    """(q, its rounding bound, pieces) of a ``TabulatedCdf``, in one flat
-    integral.
-
-    With k the folded knots, G = 2F - 1 the folded CDF and g_i its density
-    on [k_i, k_i+1], |X1| + |X2| has density h(z) = sum_i g_i (G(z - k_i) -
-    G(z - k_i+1)), G being 0 below 0, and q = (1/16) P(|X3| > |X1| + |X2|)
-    is (1/16) times the integral of (1 - G(z)) h(z).  1 - G vanishes from
-    k_max on, so the integral runs over [0, k_max], cut at the knots and at
-    their pairwise sums, where the integrand is quadratic and the 2-point
-    rule of ``integrate_pieces`` exact up to rounding.
-    """
-    pos = law.knots >= 0.0
-    k = law.knots[pos]
-    g_at = 2.0 * law.f_knots[pos] - 1.0
-    density = np.diff(g_at) / np.diff(k)
-
-    def integrand(z, _):
-        below = np.interp(z[:, None] - k, k, g_at)  # G(z - k_i), 0 where z < k_i
-        return (1.0 - np.interp(z, k, g_at)) * ((below[:, :-1] - below[:, 1:]) @ density)
-
-    sums = np.add.outer(k, k).ravel()
-    cuts = np.concatenate([k, sums[sums < k[-1]]])
-    total, bound, pieces = integrate_pieces(integrand, [0.0], [k[-1]], cuts[None, :])
-    return float(total[0]) / 16.0, float(bound[0]) / 16.0, int(pieces[0])
+    cfg = cfg or PQ_INNER_CFG
+    q, err, panels = _q(law, cfg)
+    return PQParams(p=float(PQ_SUM) - q, q=q, method=law.method, error_bound=err, panels=panels,
+                    tolerances={} if law.exact else tolerance_record(inner=cfg, outer=cfg.outer()))
 
 
 @dataclass(frozen=True)

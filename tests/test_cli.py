@@ -42,6 +42,13 @@ class TestSolve:
         bound = payload["diagnostics"]["threshold_error_bound"]
         assert abs(payload["x1_star"] - 2 * (math.sqrt(2) - 1)) <= bound <= 1e-13
 
+    def test_full_reports_p_and_its_bound(self, runner):
+        # V = 109/48 + p + T: p's term of V's bound, beside the total
+        res = invoke(runner, ["solve", "--dist", LAPLACE, "--model", "full"])
+        diagnostics = json.loads(res.output)["diagnostics"]
+        assert abs(diagnostics["p"] - 1 / 192) <= diagnostics["p_error_bound"]
+        assert 0 < diagnostics["p_error_bound"] <= diagnostics["quadrature_error_bound"]
+
     def test_relranks_laplace(self, runner):
         res = invoke(runner, ["solve", "--dist", LAPLACE, "--model", "relranks"])
         payload = json.loads(res.output)

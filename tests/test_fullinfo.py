@@ -24,7 +24,7 @@ from rankstop.fullinfo import (
 )
 from rankstop.numerics import QuadratureConfig
 from rankstop.relranks import compute_pq
-from rankstop.walkcore import WalkPath, run_policy
+from rankstop.walkcore import PQ_SUM, WalkPath, permutation_table, rank_policy_a, run_policy
 from test_table_oracle import SLOW_CROSSING, Table, knot_grid
 from test_tabulated_crosscheck import Delegate
 
@@ -323,16 +323,20 @@ class TestValue:
     # threshold search of PowerFold(2.5) took 203 panels.  Before the
     # search took two batches of the curve (three points, then one) in
     # place of Brent's one-point steps, it took 142 (powerfold 0.5), 193
-    # (2.5), 43 (6) and 65 (8); the other rows held.
+    # (2.5), 43 (6) and 65 (8); the other rows held.  Since V is 109/48 +
+    # p + T, ``panels`` counts T's panels and p's; before, when V also
+    # integrated the curve over X1 <= 0, it took 514 (laplace), 567
+    # (powerfold 0.5), 527 (2), 893 (4), 810 (2.5), 1703 (3.5), 1822 (6)
+    # and 1909 (8), and the threshold's panels held.
     @pytest.mark.parametrize("dist, panels, threshold_panels, graded, graded_threshold, bisected", [
-        (LAPLACE, 514, 86, 5518, 1660, 8062),
-        (PowerFold(0.5), 567, 150, 8898, 3010, 13016),
-        (PowerFold(2), 527, 43, 11630, 2107, 21302),
-        (PowerFold(4), 893, 49, 15292, 1693, 28478),
-        (PowerFold(2.5), 810, 203, None, None, None),
-        (PowerFold(3.5), 1703, 249, None, None, None),
-        (PowerFold(6), 1822, 45, None, None, None),
-        (PowerFold(8), 1909, 69, None, None, None),
+        (LAPLACE, 430, 86, 5518, 1660, 8062),
+        (PowerFold(0.5), 533, 150, 8898, 3010, 13016),
+        (PowerFold(2), 154, 43, 11630, 2107, 21302),
+        (PowerFold(4), 141, 49, 15292, 1693, 28478),
+        (PowerFold(2.5), 782, 203, None, None, None),
+        (PowerFold(3.5), 1054, 249, None, None, None),
+        (PowerFold(6), 135, 45, None, None, None),
+        (PowerFold(8), 659, 69, None, None, None),
     ], ids=["laplace", "powerfold0.5", "powerfold2", "powerfold4", "powerfold2.5", "powerfold3.5",
             "powerfold6", "powerfold8"])
     def test_panels_pinned(self, dist, panels, threshold_panels, graded, graded_threshold,
@@ -356,7 +360,7 @@ class TestValue:
     @pytest.mark.parametrize("delta", [2, 4])
     def test_panels_fall_as_the_tolerance_loosens(self, delta):
         # the outer tolerance follows the flag, so a looser flag never
-        # makes V's outer integral chase the curve's noise
+        # makes T's outer integral chase the curve's noise
         panels = [solve_full_info(PowerFold(delta), QuadratureConfig(tol, tol)).diagnostics["panels"]
                   for tol in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]
         assert panels == sorted(panels, reverse=True)
@@ -435,6 +439,49 @@ class TestValue:
             FullInfoSolution(x1_star=1.0, value=2.28, F_at_threshold=0.6)
 
 
+class TestNegativeHalf:
+    """E[W1(X1) - 2; X1 <= 0] = 13/48 + p, on which V = 109/48 + p + T rests."""
+
+    @pytest.mark.parametrize("p", [Fraction(1, 192), Fraction(1, 96), Fraction(1, 100)])
+    def test_rank_rule_a_takes_13_48ths_plus_2p(self, p):
+        # each ordering of S0..S3 with S1 < 0 as a walk, its rank under rank
+        # rule a, weighted by the ordering table at (p, 1/48 - p)
+        total = Fraction(0)
+        for row in permutation_table(p, PQ_SUM - p).rows:
+            height = {i: -n for n, i in enumerate(row.negative)}  # a descending chain
+            s = [height[i] - height[0] for i in range(4)]
+            path = WalkPath([s[k] - s[k - 1] for k in (1, 2, 3)])
+            assert path.sums[1] < 0
+            total += row.probability(p, PQ_SUM - p) * (run_policy(rank_policy_a(), path)[1] - 2)
+        assert total == Fraction(13, 48) + 2 * p
+
+    @pytest.mark.parametrize("dist", [
+        LAPLACE, Laplace(3), PowerFold(0.1), PowerFold(0.5), PowerFold(1), PowerFold(2),
+        PowerFold(2.5), PowerFold(8), Delegate(builtin_suite()["tabulated"]),
+        Delegate(IntervalUnionUniform(1, 2)),
+    ], ids=["laplace", "laplace3", "powerfold0.1", "powerfold0.5", "powerfold1", "powerfold2",
+            "powerfold2.5", "powerfold8", "builtin_table", "interval_union"])
+    def test_quadrature_of_the_negative_half_is_13_48ths_plus_p(self, dist):
+        # the integral V took before it was 109/48 + p + T: the curve minus 2
+        # over u in [0, 1/2], at V's tolerances; within its bound and p's of
+        # 13/48 + p (gaps of 1.7e-15 to 6.4e-15)
+        law = fullinfo._Law(dist)
+        curve_err = [0.0]
+
+        def excess_of_u(us, _):
+            values, errs, _ = fullinfo._excess(law, dist.ppf(us), FULL_INNER_CFG)
+            curve_err.append(float(errs.max(initial=0.0)))
+            return values
+
+        value, bound, _ = fullinfo._u_integrals(law, excess_of_u, [0.0], [0.5],
+                                                *fullinfo._curve_breaks(law),
+                                                FULL_INNER_CFG.outer())
+        pq = compute_pq(dist)
+        gap = abs(Fraction(float(value[0])) - Fraction(13, 48) - Fraction(pq.p))
+        assert gap <= (Fraction(float(bound[0])) + Fraction(0.5 * max(curve_err))
+                       + Fraction(pq.error_bound))
+
+
 class TestExactPiecewiseLinear:
     """A TabulatedCdf is solved by fixed rules on its pieces, exact up to rounding."""
 
@@ -455,9 +502,13 @@ class TestExactPiecewiseLinear:
     # and 102.  With a 3-point rule on V's outer pieces, V took 398 and
     # 334 pieces.  Before the threshold took the root of the curve's
     # quadratic piece instead of a root search, it took 151 and 120.
+    # Since V is 109/48 + p + T, ``pieces`` counts T's curve pieces and the
+    # 7 pieces of q's flat integral, and the curve batches cover only the
+    # positive range; before, V summed 9 and 12 pieces on both ranges, and
+    # the batches took 192 and 205 dF-integral pieces.
     @pytest.mark.parametrize("dist, pieces, threshold_pieces", [
-        (UNIFORM6, 9, 192),
-        (builtin_suite()["tabulated"], 12, 205),
+        (UNIFORM6, 10, 52),
+        (builtin_suite()["tabulated"], 10, 51),
     ], ids=["uniform6", "builtin_table"])
     def test_pieces_pinned(self, dist, pieces, threshold_pieces):
         diagnostics = solve_full_info(dist).diagnostics
@@ -581,20 +632,21 @@ class TestExactPathStructure:
         batches = self.count(monkeypatch, fullinfo, "_excess")
         solve_full_info(dist)
         assert max(len(xs) for _, xs, _ in batches) <= numerics._BLOCK_NODES
-        # at 64 points a call the batch takes several; every point is its own
+        # at 32 points a call the batch takes several; every point is its own
         # pair of dF-integrals, so x1* and V keep their bits
-        monkeypatch.setattr(fullinfo, "_BLOCK_NODES", 64)
+        monkeypatch.setattr(fullinfo, "_BLOCK_NODES", 32)
         batches.clear()
         small = solve_full_info(dist)
-        assert len(batches) > 3 and max(len(xs) for _, xs, _ in batches) == 64
+        assert len(batches) > 3 and max(len(xs) for _, xs, _ in batches) == 32
         assert (small.x1_star, small.value) == (base.x1_star, base.value)
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
     def test_pq_takes_one_flat_integral(self, dist, monkeypatch):
-        calls = self.count(monkeypatch, relranks, "integrate_pieces")
+        # compute_pq wraps fullinfo._q, where q's code lives
+        calls = self.count(monkeypatch, fullinfo, "integrate_pieces")
         for name in ("_df_integrals", "_u_integrals"):
-            self.refuse(monkeypatch, relranks, name)
+            self.refuse(monkeypatch, fullinfo, name)
         compute_pq(dist)
         assert len(calls) == 1
 
@@ -743,32 +795,33 @@ class TestInfiniteQuantileEnds:
     integrands must give their limits at those ends, not NaN."""
 
     @staticmethod
-    def outer_integrand_at(monkeypatch, module, solve, us):
-        """``solve(LAPLACE)`` with ``module._u_integrals`` also evaluating its
-        outer integrand at ``us``, RuntimeWarnings raised; those values."""
+    def outer_integrand_at(monkeypatch, solve, us):
+        """``solve(LAPLACE)`` with ``fullinfo._u_integrals`` also evaluating
+        its outer integrands at ``us``, RuntimeWarnings raised; those values,
+        one list per outer integral, in the order of the calls."""
         seen = []
-        real = module._u_integrals
+        real = fullinfo._u_integrals
 
         def probe(dist, g, *args):
-            seen.append(g(np.array(us), np.zeros(len(us), dtype=np.int64)))
+            seen.append(list(g(np.array(us), np.zeros(len(us), dtype=np.int64))))
             return real(dist, g, *args)
 
-        monkeypatch.setattr(module, "_u_integrals", probe)
+        monkeypatch.setattr(fullinfo, "_u_integrals", probe)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             solve(LAPLACE)
-        (values,) = seen
-        return list(values)
+        return seen
 
     def test_v_integrand_is_the_curve_limits(self, monkeypatch):
         # the continuation curve minus 2 far left and far right (23/8 - 2
-        # and 15/8 - 2), up to the rounding of the quadrature rule
-        assert self.outer_integrand_at(monkeypatch, fullinfo, solve_full_info,
-                                       [0.0, 1.0]) == pytest.approx([7 / 8, -1 / 8], abs=1e-14)
+        # and 15/8 - 2), up to the rounding of the quadrature rule: T's
+        # integrand, then p's
+        t, _ = self.outer_integrand_at(monkeypatch, solve_full_info, [0.0, 1.0])
+        assert t == pytest.approx([7 / 8, -1 / 8], abs=1e-14)
 
     def test_q_integrand_vanishes_at_one(self, monkeypatch):
         # I(Q(1)) = I(+inf): no s in (0, 1/2) has Q(s) above +inf
-        assert self.outer_integrand_at(monkeypatch, relranks, compute_pq, [1.0]) == [0.0]
+        assert self.outer_integrand_at(monkeypatch, compute_pq, [1.0]) == [[0.0]]
 
 
 #: The 6-piece uniform table of the benchmark's tabulated_knots workload.
@@ -804,15 +857,20 @@ class TestLastBits:
     # one-point steps, x1* was 0x1.eca7213f22c6bp-1 on PowerFold(2) (1.1e-16
     # off its closed form, now 2.2e-16, inside reported bounds of 6.5e-15
     # and 6.6e-15) and 0x1.f71024d80cfe2p-1 on PowerFold(2.5), where its
-    # residual was -9.9e-15 and is now -1.7e-18; no V moved.
+    # residual was -9.9e-15 and is now -1.7e-18; no V moved.  Before V was
+    # 109/48 + p + T, V was 0x1.22aee69d05e6ap+1 on Laplace (1.6e-15 off its
+    # closed form, now 6.1e-16), 0x1.24d70f8d4d012p+1 on PowerFold(2)
+    # (1.6e-15 off, now 1.7e-16), 0x1.251278e15a0dcp+1 on PowerFold(2.5)
+    # and 0x1.255547c0e35c1p+1 on PowerFold(8), 1.8e-15 and 6.2e-15 off a
+    # solve at 1e-14, which they now equal; the tables' and x1* held.
     @pytest.mark.parametrize("dist, x1_star, value", [
         (UNIFORM, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
         (builtin_suite()["tabulated"], "0x1.bb8fd106ed9e6p-1", "0x1.238efc310536dp+1"),
-        (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e6ap+1"),
-        (PowerFold(2), "0x1.eca7213f22c6ap-1", "0x1.24d70f8d4d012p+1"),
+        (LAPLACE, "0x1.b5c529d2ec582p+0", "0x1.22aee69d05e65p+1"),
+        (PowerFold(2), "0x1.eca7213f22c6ap-1", "0x1.24d70f8d4d016p+1"),
         (UNIFORM6_BENCH, "0x1.a827999fcef32p-1", "0x1.23a90444020b3p+1"),
-        (PowerFold(2.5), "0x1.f71024d80cf56p-1", "0x1.251278e15a0dcp+1"),
-        (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35c1p+1"),
+        (PowerFold(2.5), "0x1.f71024d80cf56p-1", "0x1.251278e15a0e0p+1"),
+        (PowerFold(8), "0x1.ffff5d0ecf6c4p-1", "0x1.255547c0e35cfp+1"),
         (IntervalUnionUniform(1, 2), "0x1.fffffffffdcd1p+0", "0x1.2555555555555p+1"),
     ], ids=["uniform", "tabulated", "laplace", "powerfold2", "uniform6", "powerfold2.5",
             "powerfold8", "interval_union"])
@@ -844,13 +902,16 @@ def test_law_without_declared_degrees_keeps_its_results():
     # minus 2 without the offset 2, and V 0x1.22aee69d05e81p+1 (1.18e-14 off
     # its closed form, now 1.54e-14) before V integrated the curve minus 2,
     # and x1* 0x1.b5c529d2ec585p+0 (2.9e-15 off its closed form, now 3.1e-15)
-    # before the threshold search took two batches of the curve
+    # before the threshold search took two batches of the curve.  Before V
+    # was 109/48 + p + T, V was 0x1.22aee69d05e89p+1 (1.5e-14 off its closed
+    # form, now 4.2e-14, inside a reported bound of 5.2e-11) and took 1562
+    # panels, where T and p now take 616.
     dist = WrappedLaplace()
     degrees, end_degree = dist.break_point_degrees()
     assert list(degrees) == [2] and end_degree == 2
     sol = solve_full_info(dist)
-    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec584p+0", "0x1.22aee69d05e89p+1")
-    assert (sol.diagnostics["panels"], sol.diagnostics["threshold_panels"]) == (1562, 88)
+    assert (sol.x1_star.hex(), sol.value.hex()) == ("0x1.b5c529d2ec584p+0", "0x1.22aee69d05e08p+1")
+    assert (sol.diagnostics["panels"], sol.diagnostics["threshold_panels"]) == (616, 88)
     assert compute_pq(dist).panels == 244
 
 

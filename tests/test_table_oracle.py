@@ -14,7 +14,8 @@ shares no code with the solvers:
   around the solver's threshold, to 1/16 of its float spacing;
 - V integrates that curve, in the same form for x <= 0, against dF by
   Simpson's rule on the pieces between the knots, twice the knots and
-  the knot differences, where it is quadratic;
+  the knot differences, where it is quadratic; ``negative_half`` is the
+  same sum of the curve minus 2 below 0, which is 13/48 + p;
 - q = P(|X3| > |X1| + |X2|)/16 is the integral of (1 - G(z)) h(z), with
   G the folded CDF and h the density of |X1| + |X2|, by Simpson's rule,
   exact on the pieces between the folded knots and their pairwise sums,
@@ -132,6 +133,16 @@ class Table:
             if mass and not (a == 0 and b == x1):
                 total += mass * (w[i] + 4 * self.w1((a + b) / 2) + w[i + 1]) / 6
         return total
+
+    def negative_half(self):
+        """E[W1(X1) - 2; X1 <= 0]: the curve minus 2 against dF below 0, by
+        Simpson's rule on ``value``'s pieces there, where it is quadratic."""
+        ks = self.xs
+        cuts = {*ks, *(2 * k for k in ks), *(a - b for a in ks for b in ks), Fraction(0)}
+        pts = sorted(c for c in cuts if ks[0] <= c <= 0)
+        return sum(((self.F(b) - self.F(a))
+                    * (self.w1(a) + 4 * self.w1((a + b) / 2) + self.w1(b) - 12) / 6
+                    for a, b in zip(pts, pts[1:])), Fraction(0))
 
     def threshold(self, near):
         """The root of W1 - 2 within 1e-12 of ``near``, to 1/16 of its float
@@ -265,6 +276,14 @@ def test_value_matches_the_oracle(name):
     sol = solve_full_info(dist)
     v = table.value(table.threshold(sol.x1_star))
     assert abs(Fraction(sol.value) - v) <= Fraction(sol.diagnostics["quadrature_error_bound"])
+
+
+@pytest.mark.parametrize("name", [*TABLES, "interval_union"])
+def test_negative_half_is_13_48ths_plus_p(name):
+    # the identity V = 109/48 + p + T rests on, exact on every table: the
+    # oracle's own Simpson sum below 0 and its own q
+    table = Table.of(TABLES.get(name) or IntervalUnionUniform(1, 2))
+    assert table.negative_half() == Fraction(13, 48) + (Fraction(1, 48) - table.q())
 
 
 #: A table whose curve falls slowly through 2 on a flat piece of F:
