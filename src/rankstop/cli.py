@@ -139,7 +139,7 @@ def _z_score(mean: float, target: float, std_error: float) -> float:
 def _numeric_guard(fn):
     try:
         return fn()
-    except (ValueError, RuntimeError) as exc:  # QuadratureError and BracketError among them
+    except (ValueError, RuntimeError) as exc:  # QuadratureError and ThresholdError among them
         raise click.ClickException(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
 
 

@@ -26,11 +26,13 @@ follow term by term: p <= 1/48 and T <= 0 give V <= 55/24.
 One function evaluates the curve: ``_excess``, W1 - 2 formed without the
 offset 2, whose rounding is at the scale of that difference.  The
 threshold is its root, T its integral beyond x1*, and
-``continuation_curve`` is 2 plus it.  On adaptive quadrature the root
-comes from a 16-point scan of the curve and two small batches at the
-scan's estimate of it (``_root_by_batches``); Brent's method
-(``find_root``) finishes only a bracket they leave open, as around a kink
-of the curve.  All dF-integrals are evaluated in u-space through the
+``continuation_curve`` is 2 plus it.  One search finds the root on every
+law (``_threshold``): a first batch of the curve at 16 quantiles and at
+its breaks between them, so that its last sign change lies on a piece
+where the curve is smooth, then on a table the root of the quadratic the
+curve is there, and on every other law small batches at the root
+interpolated inversely on the points nearest it (``_root_by_batches``).
+All dF-integrals are evaluated in u-space through the
 substitution u = F(y), so unbounded supports never appear explicitly and
 the error control is uniform across distributions.  The curve is
 evaluated at whole arrays of first steps: the two dF-integrals of every
@@ -42,13 +44,13 @@ For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
 F(knots) and F(knots + x), where the 2-point Gauss-Legendre rule
 (``numerics.integrate_pieces``) is exact up to rounding, and the curve is
-quadratic in x between its breaks (``_curve_breaks``).  So one batch of
-the curve, at its breaks on the positive range and the midpoints between
-them, gives both the threshold, the root of the quadratic piece where the
-curve crosses 2, found without a root search, and T, by Simpson's rule on
-the pieces against dF, which is constant on each (``_table_solution``);
-q is one flat integral.  The tolerances do not apply and the reported
-bounds are rounding bounds.
+quadratic in x between its breaks (``_curve_breaks``).  So the
+threshold's first batch, at its breaks on the positive range and the
+midpoints between them, gives both the threshold, the root of the
+quadratic piece where the curve crosses 2, found without a root search,
+and T, by Simpson's rule on the pieces against dF, which is constant on
+each (``_table_solution``); q is one flat integral.  The tolerances do
+not apply and the reported bounds are rounding bounds.
 """
 
 from __future__ import annotations
@@ -65,10 +67,9 @@ from .numerics import (
     _BLOCK_NODES,
     _EPS,
     _VALUE_ULPS,
-    BracketError,
     QuadratureConfig,
     RootConfig,
-    find_root,
+    find_root,  # unused here; perfbench/tracer.py patches it by attribute
     integrate_batch,
     integrate_detailed,  # unused here; perfbench/tracer.py patches it by attribute
     integrate_pieces,
@@ -110,16 +111,16 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 #: q run at ``FULL_INNER_CFG.outer()``, two decades looser (1e-10), so that
 #: they never chase the inner integrals' noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-#: The threshold search on adaptive quadrature, its two batches and Brent's
-#: method after them alike, stops once its bracket is narrower than x_tol,
-#: or earlier on a residual below the inner quadrature tolerance, where the
-#: curve cannot be told from 2.  x_tol holds where the scan's bracket ends
+#: The threshold search on adaptive quadrature stops after the batch that
+#: leaves its pair of evaluated points around the root narrower than x_tol,
+#: or a residual below the inner quadrature tolerance, where the curve
+#: cannot be told from 2.  x_tol holds where the first batch's bracket ends
 #: at x >= 1/2; below, it shrinks with the bracket's upper end, so that x1*
 #: and V do not depend on the law's scale.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
-#: The threshold search's first batch: the scan's estimate of the root and
-#: the points this fraction of the scan's bracket to either side of it,
-#: which hold the root when the estimate is that close.
+#: The first batch of ``_root_by_batches``: the first guess at the root and
+#: the points this fraction of the bracket to either side of it, which hold
+#: the root when the guess is that close.
 _STENCIL = 1e-4
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
@@ -312,95 +313,137 @@ def solve_threshold(dist: SymmetricDistribution,
     """The positive first-step threshold where continuing stops paying.
 
     The paper's bound F(x1*) >= 1/2 + sqrt(2)/4 confines the search: the
-    continuation curve minus 2, formed without the offset 2, is scanned at
-    16 quantiles, evenly spaced in u on [``THRESHOLD_QUANTILE_BOUND`` -
-    ``BOUND_TOL``, 1 - 1e-12], and its last sign change there is refined;
-    the curve is nonincreasing, but if it is flat at level 2 this picks the
-    largest crossing, which maximizes the stop region and keeps the result
-    reproducible.  For distributions whose curve stays above 2 inside the
+    continuation curve minus 2, formed without the offset 2, is evaluated
+    in one batch at 16 quantiles, evenly spaced in u on
+    [``THRESHOLD_QUANTILE_BOUND`` - ``BOUND_TOL``, 1 - 1e-12], and at the
+    curve's breaks (``_curve_breaks``) between the first and the last, and
+    its last sign change there is refined; the curve is nonincreasing, but
+    if it is flat at level 2 this picks the largest crossing, which
+    maximizes the stop region and keeps the result reproducible.  With the
+    breaks in the batch, the curve is smooth between the two points of that
+    sign change.  For distributions whose curve stays above 2 inside the
     support and only reaches 2 at the edge (no mass near the origin), the
-    scan finds no sign change and the support edge itself satisfies the
-    residual tolerance.  Any other scan raises ``ThresholdError``.
+    batch finds no sign change and the support edge itself satisfies the
+    residual tolerance.  Any other batch raises ``ThresholdError``.
 
-    On adaptive quadrature the refinement evaluates the curve in two small
-    batches: three points around the root of u interpolated inversely on
-    the curve through the scan's points next to the crossing, then the root
-    of the inverse quadratic through the three evaluated points nearest it.
-    Each stops the search if the narrowest sign change so far meets
-    ``THRESHOLD_ROOT_CFG`` (a bracket that ends at b < 1/2 scales x_tol by
-    2 b); where they leave it open, as around a kink of the curve, Brent's
-    method finishes it by the same rule.  Smooth curves close in the two
-    batches.  A ``TabulatedCdf`` takes neither the scan nor a search but
-    ``_table_solution``, which solves x1* and T from one batch of its
-    curve; T is dropped here.
+    On a ``TabulatedCdf`` the batch also holds the midpoints between its
+    points, and its breaks and midpoints on to the support edge, for T: the
+    curve is a quadratic between its breaks, and x1* is the root of the
+    one where it changes sign, found without a root search.  Every other
+    law refines the sign change in small batches of the curve
+    (``_root_by_batches``), from the root of u interpolated inversely on
+    the curve through the batch's points next to it, until the pair of
+    points around the root meets ``THRESHOLD_ROOT_CFG``.
     """
-    law = _Law(dist)
-    if law.exact:
-        return _table_solution(law)[0]
-    return _threshold(law, quad_cfg or FULL_INNER_CFG)[0]
+    return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
 
 
-def _no_crossing(x_lo, x_hi, w_lo, w_hi):
-    """The ThresholdError of a curve minus 2 with no sign change from x_lo
-    = Q(``_SCAN_U[0]``) to x_hi = Q(1 - 1e-12), where it reads w_lo and w_hi."""
-    return ThresholdError(
-        f"continuation curve minus 2 has no sign change at u in [{_SCAN_U[0]}, {_SCAN_U[-1]}], "
-        f"x in [{x_lo}, {x_hi}]: {w_lo} at the start, {w_hi} at the end")
+def _threshold(law, cfg):
+    """(x1*, the curve minus 2 there, a bound on |x1* - the curve's root|,
+    Q(1 - 1e-12), the panels or pieces of every batch, the first batch) of
+    ``solve_threshold``'s search.  The first batch is its points, the curve
+    minus 2 and its bounds there, and the index of the point where the
+    curve last changes sign, None where x1* is the support edge.
 
-
-def _threshold(law, quad_cfg):
-    """solve_threshold's root on adaptive quadrature, the curve minus 2
-    there, a bound on the root's error, Q(1 - 1e-12) and the panels its
-    batches evaluated."""
+    A table's error bound is the curve's bound and residual at x1* over
+    the slope of its quadratic, plus an ulp; the quadratic's root is found
+    by the stable formula in the piece's coordinate, and one more batch
+    gives the curve minus 2 there.  The batches evaluate at most
+    ``_BLOCK_NODES`` points a call.
+    """
     dist = law.dist
-    hi = dist.quantile(1.0 - 1e-12)
+    grid = dist.ppf(_SCAN_U)
+    x_lo, hi = grid[0], grid[-1]
     if hi <= 0:
         raise ThresholdError("distribution has no usable positive support")
+    # Breaks closer than four ulps of the largest |knot| to the one before or
+    # to an end are dropped: they are knot sums and differences that would
+    # coincide but for the knots' rounding, and a piece that narrow costs two
+    # curve points and moves T and x1* by less than their rounding.
+    tol = 4.0 * _EPS * float(np.abs(law.knots).max(initial=0.0))
+    breaks = np.sort(_curve_breaks(law)[0])
+    breaks = np.concatenate([breaks[:1], breaks[1:][np.diff(breaks) > tol]])
+
+    def inside(a, b):
+        return breaks[np.searchsorted(breaks, a + tol, "right"):np.searchsorted(breaks, b - tol)]
+
+    below = inside(x_lo, hi)
+    if law.exact:
+        top = dist.support[1]
+        edges = np.concatenate([[x_lo], below, [hi], inside(hi, top), [top]])
+        x = np.empty(2 * len(edges) - 1)
+        x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+        last = 2 * len(below) + 2
+    else:
+        # each point keeps its u, the scan's or F(break), for the first guess
+        x, u = grid, _SCAN_U
+        if len(below):  # none on the builtin laws: they skip the merge
+            x, keep = np.unique(np.concatenate([grid, below]), return_index=True)
+            u = np.concatenate([_SCAN_U, dist.cdf(below)])[keep]
+        last = len(x) - 1
+    # A point's two dF-integrals hold 2 k cuts each, k the mirrored knots:
+    # n points hold 4 k n floats, at most 16 _BLOCK_CUTS (8 MB).
+    block = min(_BLOCK_NODES, max(1, 4 * _BLOCK_CUTS // max(len(law.knots), 1)))
     panels = 0
 
     def excess(xs):
         nonlocal panels
-        values, bounds, n = _excess(law, xs, quad_cfg)
-        panels += n
-        return values, bounds
+        values, bounds, n = zip(*(_excess(law, xs[s:s + block], cfg)
+                                  for s in range(0, len(xs), block)))
+        panels += sum(n)
+        return np.concatenate(values), np.concatenate(bounds)
 
-    grid = dist.ppf(_SCAN_U)
-    values, bounds = excess(grid)
-    sign_changes = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
-    if len(sign_changes) == 0:
-        if 0 < values[-1] <= BOUND_TOL:
-            # the curve meets 2 only at the support edge
-            x = float(grid[-1])
-            return x, float(values[-1]), dist.support[1] - x + math.ulp(x), hi, panels
-        raise _no_crossing(grid[0], hi, values[0], values[-1])
-    i = sign_changes[-1]
-    # the first guess, interpolated in u, where the scan's points are evenly
-    # spaced: in x, which Q crowds near 0 and the support edge, it lands
-    # farther from the root
-    near = slice(max(i - 1, 0), i + 3)
-    u0 = _inverse_root(_SCAN_U[near], values[near], _SCAN_U[i], _SCAN_U[i + 1])
-    root, residual, error = _root_by_batches(excess, grid[i:i + 2], values[i:i + 2],
-                                             bounds[i:i + 2], float(dist.ppf(u0)))
-    return root, residual, error, hi, panels
+    w, bounds = excess(x)
+    changes = np.nonzero((w[:last] > 0) & (w[1:last + 1] <= 0))[0]
+    if len(changes) == 0:
+        if not 0 < w[last] <= BOUND_TOL:
+            raise ThresholdError(
+                f"continuation curve minus 2 has no sign change at u in "
+                f"[{_SCAN_U[0]}, {_SCAN_U[-1]}], x in [{x_lo}, {hi}]: "
+                f"{w[0]} at the start, {w[last]} at the end")
+        # the curve meets 2 only at the support edge
+        x1s = float(hi)
+        return (x1s, float(w[last]), dist.support[1] - x1s + math.ulp(x1s), x1s, panels,
+                (x, w, bounds, None))
+    j = changes[-1]
+    if law.exact:
+        k = j - j % 2  # the piece [x[k], x[k + 2]], its midpoint x[k + 1]
+        a, b, c = _quadratic(*w[k:k + 3])
+        s, slope = _quadratic_root(a, b, c, 0.5 * (j - k))
+        width = x[k + 2] - x[k]
+        x1s = float(np.clip(x[k] + s * width, x[j], x[j + 1]))
+        residual, bound = excess([x1s])
+        residual = float(residual[0])
+        error = (float(bound[0]) + abs(residual)) * width / abs(slope) if slope else math.inf
+        x1_bound = error + math.ulp(x1s)
+    else:
+        # the first guess, interpolated in u, where the scan's points are
+        # evenly spaced: in x, which Q crowds near 0 and the support edge, it
+        # lands farther from the root
+        near = slice(max(j - 1, 0), j + 3)
+        u0 = _inverse_root(u[near], w[near], u[j], u[j + 1])
+        x1s, residual, x1_bound = _root_by_batches(excess, x[j:j + 2], w[j:j + 2],
+                                                   bounds[j:j + 2], float(dist.ppf(u0)))
+    return x1s, residual, x1_bound, float(hi), panels, (x, w, bounds, j)
 
 
 def _root_by_batches(excess, ends, values, bounds, guess):
     """(root, residual, error bound) of the curve minus 2 on the bracket
     ``ends``, where it changes sign, from a first ``guess`` at the root.
 
-    Two batches close the bracket where the curve is smooth.  The first
-    evaluates three points: the guess, kept inside the bracket, and the
-    points ``_STENCIL`` of the bracket to either side of it.  The second
-    evaluates one: the root of x interpolated inversely on the curve
-    through the three evaluated points nearest the root.  After each, the
-    search stops if the pair of neighbouring evaluated points where the
-    curve last changes sign meets ``find_root``'s rule at
+    The first batch evaluates three points: the guess, kept inside the
+    bracket, and the points ``_STENCIL`` of the bracket to either side of
+    it.  Every later batch evaluates one: the root of x interpolated
+    inversely on the curve through the three evaluated points nearest the
+    root, or, after a batch that failed to halve the pair of points around
+    the root, that pair's midpoint, so that no more than two batches pass
+    per halving.  After each, the search stops if the pair of neighbouring
+    evaluated points where the curve last changes sign is closed at
     ``THRESHOLD_ROOT_CFG``: the end of smaller |curve| is within f_tol of
     0, or the pair is no wider than x_tol (or 2 eps |x| where that is
     wider), x_tol scaled by 2 b where the bracket ends at b < 1/2.  That
-    end is the root.  Where the batches leave the pair open, as around a
-    kink of the curve, ``find_root`` (Brent's method) finishes from it,
-    with every point evaluated so far at hand.
+    end is the root.  Where the curve is smooth the first two batches close
+    the pair.
 
     The root is always a point the search evaluated, and the residual the
     curve there.  The bound is the width of the narrowest pair of
@@ -411,7 +454,7 @@ def _root_by_batches(excess, ends, values, bounds, guess):
     """
     seen = {float(x): (float(v), float(e)) for x, v, e in zip(ends, values, bounds)}
     a, b = map(float, ends)
-    cfg = replace(THRESHOLD_ROOT_CFG, x_tol=THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * b))
+    x_tol = THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * b)
 
     def evaluate(xs):
         new = [x for x in dict.fromkeys(map(float, xs)) if x not in seen]
@@ -425,33 +468,29 @@ def _root_by_batches(excess, ends, values, bounds, guess):
         xs = sorted(seen)
         lo, hi = [(l, r) for l, r in zip(xs, xs[1:]) if seen[l][0] > 0 >= seen[r][0]][-1]
         best = min(hi, lo, key=lambda x: abs(seen[x][0]))
-        closed = (abs(seen[best][0]) <= cfg.f_tol
-                  or hi - lo <= max(cfg.x_tol, 2.0 * _EPS * abs(best)))
+        closed = (abs(seen[best][0]) <= THRESHOLD_ROOT_CFG.f_tol
+                  or hi - lo <= max(x_tol, 2.0 * _EPS * abs(best)))
         return lo, hi, best, closed
 
     step = _STENCIL * (b - a)
     x0 = min(max(guess, a + step), b - step)
     evaluate([x0 - step, x0, x0 + step])
     lo, hi, root, closed = bracket()
-    if not closed:
-        xs = sorted(seen)
-        j = xs.index(lo)
-        # the pair and the neighbour of it where the curve is nearer 0
-        near = [lo, hi] + sorted(xs[max(j - 1, 0):j] + xs[j + 2:j + 3],
-                                 key=lambda x: abs(seen[x][0]))[:1]
-        evaluate([_inverse_root(near, [seen[x][0] for x in near], lo, hi)])
+    bisect = False
+    while not closed:
+        width = hi - lo
+        if bisect:
+            x = 0.5 * (lo + hi)
+        else:
+            xs = sorted(seen)
+            j = xs.index(lo)
+            # the pair and the neighbour of it where the curve is nearer 0
+            near = [lo, hi] + sorted(xs[max(j - 1, 0):j] + xs[j + 2:j + 3],
+                                     key=lambda x: abs(seen[x][0]))[:1]
+            x = _inverse_root(near, [seen[x][0] for x in near], lo, hi)
+        evaluate([x])
         lo, hi, root, closed = bracket()
-    if not closed:
-        def f(x):
-            evaluate([x])
-            return seen[x][0]
-
-        try:
-            # find_root starts with the curve at both ends of the pair, which
-            # the batches have, and only returns points it evaluated.
-            root = find_root(f, lo, hi, cfg)
-        except BracketError as exc:  # pragma: no cover - noise at the 1e-10 level
-            raise ThresholdError(f"could not bracket the threshold: {exc}") from exc
+        bisect = hi - lo > 0.5 * width
     xs = sorted(seen)
     lo, hi = min(((l, r) for l, r in zip(xs, xs[1:])
                   if l <= root <= r and (seen[l][0] > 0) != (seen[r][0] > 0)),
@@ -477,69 +516,30 @@ def _inverse_root(xs, ws, lo, hi):
     return min(max(x, lo), hi)
 
 
-def _table_solution(law, cfg=None):
-    """(x1*, F(x1*), T, T's bound, ``_diagnostics``) of a ``TabulatedCdf``,
-    from one batch of its curve, with pieces in place of panels.
+def _table_solution(law, x1s, f_at, batch):
+    """(T, its bound, pieces) of a ``TabulatedCdf``, from the first batch
+    of ``_threshold``: the curve minus 2 at the curve's breaks from
+    Q(``_SCAN_U[0]``) to the support edge, Q(1 - 1e-12) among them, and
+    at the midpoints between consecutive points.
 
-    The curve minus 2 is a quadratic between its breaks (``_curve_breaks``).
-    One batch, in calls of at most ``_BLOCK_NODES`` points, evaluates it at
-    the breaks inside (Q(u0), Q(1)), u0 = ``_SCAN_U[0]``, at the ends of
-    that range and at Q(1 - 1e-12), and at the midpoints between
-    consecutive points (``_table_edges``).  x1* is the root of the
-    quadratic on the piece of the last sign change at or below
-    Q(1 - 1e-12), by the stable formula in the piece's coordinate, and one
-    more batch gives the curve minus 2 there; where there is no sign
-    change, the support-edge return and ``ThresholdError`` are the scan's
-    (``solve_threshold``).  The error bound is the curve's bound and
-    residual at x1* over the quadratic's slope, plus an ulp.
-
-    dF is constant on every piece, so Simpson's rule, exact on quadratics,
-    gives T = sum (F(b) - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces
-    [a, b] beyond x1*, with w the curve minus 2 at the ends and the
-    midpoint m; the crossing piece adds its quadratic's exact integral from
-    x1* to its end.  T's bound is the largest bound of the batch times the
-    u-range it covers, 1 - F(x1*), and the rounding of the sum and of its
-    F values.  ``cfg`` does not apply.
+    dF is constant on every piece between breaks, where the curve is
+    quadratic, so Simpson's rule, exact on quadratics, gives T = sum (F(b)
+    - F(a)) (w_a + 4 w_m + w_b) / 6 over the pieces [a, b] beyond x1*,
+    with w the curve minus 2 at the ends and the midpoint m; the crossing
+    piece adds its quadratic's exact integral from x1* to its end.  T's
+    bound is the largest bound of the batch times the u-range it covers, 1
+    - F(x1*) = 1 - ``f_at``, and the rounding of the sum and of its F
+    values.
     """
-    dist = law.dist
-    x_lo, hi = dist.ppf(_SCAN_U[[0, -1]])
-    if hi <= 0:
-        raise ThresholdError("distribution has no usable positive support")
-    edges, i_hi = _table_edges(law, x_lo, hi)
-    x = np.empty(2 * len(edges) - 1)
-    x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
-    # A point's two dF-integrals hold 2 k cuts each, k the mirrored knots:
-    # n points hold 4 k n floats, at most 16 _BLOCK_CUTS (8 MB).
-    block = min(_BLOCK_NODES, max(1, 4 * _BLOCK_CUTS // len(law.knots)))
-    parts = [_excess(law, x[s:s + block], cfg) for s in range(0, len(x), block)]
-    w = np.concatenate([part[0] for part in parts])
-    curve_err = max(float(part[1].max()) for part in parts)
-    curve_pieces = sum(part[2] for part in parts)
-    f_edges = dist.cdf(edges)
-
-    # the threshold, on the points at or below Q(1 - 1e-12)
-    last = 2 * i_hi
-    changes = np.nonzero((w[:last] > 0) & (w[1:last + 1] <= 0))[0]
-    if len(changes) == 0:
-        if not 0 < w[last] <= BOUND_TOL:
-            raise _no_crossing(x_lo, hi, w[0], w[last])
-        # the curve meets 2 only at the support edge
-        x1s, residual, first = float(hi), float(w[last]), last
-        x1_bound = dist.support[1] - x1s + math.ulp(x1s)
-        crossing = np.zeros((3, 0))
+    x, w, bounds, j = batch
+    f_edges = law.dist.cdf(x[0::2])
+    if j is None:  # x1* is Q(1 - 1e-12), a point of the batch
+        first, crossing = int(np.searchsorted(x, x1s)), np.zeros((3, 0))
     else:
-        j = changes[-1]
-        k = j - j % 2  # the piece [x[k], x[k + 2]], its midpoint x[k + 1]
+        k = j - j % 2
         a, b, c = _quadratic(*w[k:k + 3])
-        s, slope = _quadratic_root(a, b, c, 0.5 * (j - k))
         left, right = x[k], x[k + 2]
         width = right - left
-        x1s = float(np.clip(left + s * width, x[j], x[j + 1]))
-        residual, bound, n = _excess(law, [x1s], cfg)
-        residual = float(residual[0])
-        curve_pieces += n
-        error = (float(bound[0]) + abs(residual)) * width / abs(slope) if slope else math.inf
-        x1_bound = error + math.ulp(x1s)
         # [x1*, right]: its mass and the means of the quadratic and of the
         # modulus of its terms over s in [(x1* - left) / width, 1]
         s, first = (x1s - left) / width, k + 2
@@ -560,30 +560,8 @@ def _table_solution(law, cfg=None):
     # from one of its pieces to the other, by the jump of their means
     jumps = np.abs(np.diff(mean, prepend=0.0, append=0.0)).sum()
     rounding = _EPS * ((len(mass) + _VALUE_ULPS) * (mass * mean_abs).sum() + _VALUE_ULPS * jumps)
-    f_at = float(dist.cdf(x1s))
-    return (x1s, f_at, float((mass * mean).sum()), float(rounding + curve_err * (1.0 - f_at)),
-            _diagnostics(residual, x1_bound, hi, len(mass), curve_pieces))
-
-
-def _table_edges(law, x_lo, hi):
-    """The ends of (x_lo, Q(1)), hi inside it, with the curve's breaks
-    inside it, in order; and the index of hi.
-
-    Breaks closer than four ulps of the largest knot are merged, and those
-    that close to an end dropped: they are knot sums and differences that
-    would coincide but for the knots' rounding, and a piece that narrow
-    costs two curve points and moves T and x1* by less than their rounding.
-    """
-    top = law.dist.support[1]
-    tol = 4.0 * _EPS * top
-    breaks = np.sort(_curve_breaks(law)[0])
-    breaks = breaks[np.concatenate([[True], breaks[1:] - breaks[:-1] > tol])]
-
-    def inside(a, b):
-        return breaks[np.searchsorted(breaks, a + tol, "right"):np.searchsorted(breaks, b - tol)]
-
-    below = inside(x_lo, hi)
-    return np.concatenate([[x_lo], below, [hi], inside(hi, top), [top]]), len(below) + 1
+    return (float((mass * mean).sum()), float(rounding + float(bounds.max()) * (1.0 - f_at)),
+            len(mass))
 
 
 def _quadratic(w0, w_half, w1):
@@ -630,10 +608,12 @@ def solve_full_info(dist: SymmetricDistribution,
                     cfg: QuadratureConfig | None = None) -> FullInfoSolution:
     """Threshold, optimal expected rank, and diagnostics for one distribution.
 
-    V is 109/48 + p + T (module docstring), summed by ``math.fsum`` with
-    109/48 in two floats: p = 1/48 - q from ``_q`` at ``cfg``, and T the
-    integral of the curve minus 2 beyond x1*, over [F(x1*), 1] in u on
-    adaptive quadrature and by ``_table_solution``'s Simpson sum on a
+    x1* is ``solve_threshold``'s, from ``_threshold``, whose tuple gives
+    the threshold's diagnostics.  V is 109/48 + p + T (module docstring),
+    summed by ``math.fsum`` with 109/48 in two floats: p = 1/48 - q from
+    ``_q`` at ``cfg``, and T the integral of the curve minus 2 beyond x1*,
+    over [F(x1*), 1] in u on adaptive quadrature and by
+    ``_table_solution``'s Simpson sum on the threshold's first batch on a
     ``TabulatedCdf``.
 
     In ``diagnostics``, ``panels`` counts the panels of T and of p, or on a
@@ -656,31 +636,28 @@ def solve_full_info(dist: SymmetricDistribution,
     """
     inner_cfg = cfg or FULL_INNER_CFG
     law = _Law(dist)
-    solve = _table_solution if law.exact else _adaptive_solution
-    x1s, f_at, t, t_bound, diagnostics = solve(law, inner_cfg)
+    x1s, residual, x1_bound, scan_upper, threshold_panels, batch = _threshold(law, inner_cfg)
+    f_at = float(dist.cdf(x1s))
+    t, t_bound, t_panels = (_table_solution(law, x1s, f_at, batch) if law.exact
+                            else _adaptive_solution(law, f_at, inner_cfg))
     q, p_bound, p_panels = _q(law, inner_cfg)
     p = float(PQ_SUM) - q
     value = math.fsum([_V_BASE, _V_BASE_ERROR, p, t])
-    diagnostics.update(quadrature_error_bound=p_bound + t_bound + _EPS * value, p=p,
-                       p_error_bound=p_bound, panels=diagnostics["panels"] + p_panels,
-                       method=law.method, tolerances=tolerances(dist, inner_cfg))
+    diagnostics = {"threshold_residual": residual, "threshold_error_bound": x1_bound,
+                   "scan_upper": scan_upper, "panels": t_panels + p_panels,
+                   "threshold_panels": threshold_panels,
+                   "quadrature_error_bound": p_bound + t_bound + _EPS * value, "p": p,
+                   "p_error_bound": p_bound, "method": law.method,
+                   "tolerances": tolerances(dist, inner_cfg)}
     return FullInfoSolution(x1_star=x1s, value=value, F_at_threshold=f_at,
                             diagnostics=diagnostics)
 
 
-def _diagnostics(residual, x1_bound, scan_upper, panels, threshold_panels):
-    """The threshold's diagnostics and T's panels, from either solution."""
-    return {"threshold_residual": residual, "threshold_error_bound": x1_bound,
-            "scan_upper": float(scan_upper), "panels": int(panels),
-            "threshold_panels": int(threshold_panels)}
-
-
-def _adaptive_solution(law, inner_cfg):
-    """``_table_solution``'s tuple on adaptive quadrature: the threshold's
-    scan and search, then T's outer integral of the curve."""
+def _adaptive_solution(law, f_at, inner_cfg):
+    """(T, its bound, panels) on adaptive quadrature: the outer integral of
+    the curve minus 2 over [F(x1*), 1] = [``f_at``, 1] in u, at
+    ``inner_cfg.outer()``."""
     dist = law.dist
-    x1s, residual, x1_bound, scan_upper, threshold_panels = _threshold(law, inner_cfg)
-    f_at = float(dist.cdf(x1s))
     panels, curve_err = 0, 0.0
 
     def excess_of_u(us, _):
@@ -696,9 +673,8 @@ def _adaptive_solution(law, inner_cfg):
     t, t_err, outer_panels = _u_integrals(
         law, excess_of_u, [f_at], [1.0], np.append(kinks, dist.ppf(0.5 * (f_at + 1.0))),
         np.append(degrees, 0), inner_cfg.outer())
-    return (x1s, f_at, float(t[0]), float(t_err[0]) + curve_err * (1.0 - f_at),
-            _diagnostics(residual, x1_bound, scan_upper, panels + int(outer_panels[0]),
-                         threshold_panels))
+    return (float(t[0]), float(t_err[0]) + curve_err * (1.0 - f_at),
+            panels + int(outer_panels[0]))
 
 
 def _q(law, cfg):

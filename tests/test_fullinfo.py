@@ -677,21 +677,46 @@ class TestAdaptiveSearchStructure:
         assert sizes[0] == 16 and len(sizes) <= 3 and max(sizes[1:]) <= 3
         assert x1s in {float(x) for _, xs, _ in batches for x in xs}
 
-    def test_kinked_curve_is_finished_by_find_root(self, monkeypatch):
+    def test_kinked_crossing_closes_without_find_root(self, monkeypatch):
         # SLOW_CROSSING's F is flat on [0.73, 2.11]: the scan, even in u,
         # brackets the crossing (1.90) by [0.72, 2.11], with kinks of the
-        # curve inside, and its estimate in u lands at the bracket's start.
-        # The two batches leave the crossing open; find_root closes it from
-        # there, by the same rule, on the adaptive path.
-        calls = TestExactPathStructure.count(monkeypatch, fullinfo, "find_root")
-        sol = solve_full_info(Delegate(SLOW_CROSSING))
-        (_, lo, hi, cfg), = calls
-        assert cfg == fullinfo.THRESHOLD_ROOT_CFG  # the bracket ends above 1/2
-        assert lo <= sol.x1_star <= hi
-        assert abs(sol.diagnostics["threshold_residual"]) <= cfg.f_tol
-        root = Table.of(SLOW_CROSSING).threshold(sol.x1_star)
-        assert abs(Fraction(sol.x1_star) - root) <= Fraction(
-            sol.diagnostics["threshold_error_bound"])
+        # curve inside.  Those kinks join the first batch, so the last sign
+        # change lies on a smooth piece, which the batches close; from the
+        # scan alone the batches left it to Brent's method, after 8.
+        batches = TestExactPathStructure.count(monkeypatch, fullinfo, "_excess")
+        TestExactPathStructure.refuse(monkeypatch, fullinfo, "find_root")
+        dist = Delegate(SLOW_CROSSING)
+        x1s = solve_threshold(dist)
+        assert len(batches) <= 4
+        sol = solve_full_info(dist)
+        assert sol.x1_star == x1s
+        assert abs(sol.diagnostics["threshold_residual"]) <= fullinfo.THRESHOLD_ROOT_CFG.f_tol
+        root = Table.of(SLOW_CROSSING).threshold(x1s)
+        assert abs(Fraction(x1s) - root) <= Fraction(sol.diagnostics["threshold_error_bound"])
+
+    def test_bisection_closes_a_pair_that_interpolation_creeps_into(self):
+        # exp(-8 (x - 1/2)) - exp(-2/5) is smooth and convex, with its root
+        # at 11/20.  From a guess at 3/4, inverse interpolation reaches the
+        # root from below while the pair's upper end stays: the bisection
+        # after each step that fails to halve the pair closes it, at no
+        # more than two batches per halving.
+        evaluated = []
+
+        def excess(xs):
+            xs = np.asarray(xs, dtype=float)
+            evaluated.append(xs)
+            # the curve's terms are of order 1: a bound of a few ulps of 1
+            return np.exp(-8.0 * (xs - 0.5)) - math.exp(-0.4), np.full(len(xs), 4.0 * numerics._EPS)
+
+        ends = np.array([0.5, 1.0])
+        values, bounds = excess(ends)
+        evaluated.clear()
+        root, residual, bound = fullinfo._root_by_batches(excess, ends, values, bounds, 0.75)
+        halvings = math.ceil(math.log2(0.5 / fullinfo.THRESHOLD_ROOT_CFG.x_tol))
+        assert len(evaluated) <= 2 * halvings + 2
+        assert root in np.concatenate(evaluated)
+        assert residual == excess([root])[0][0]
+        assert abs(Fraction(root) - Fraction(11, 20)) <= Fraction(bound)
 
 
 class TestPolicy:

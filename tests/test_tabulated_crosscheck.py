@@ -80,6 +80,9 @@ def test_exact_path_agrees_with_quadrature(table):
     # the adaptive threshold solves the exact curve within the inner tolerance
     residual = continuation_curve(table, [adaptive.x1_star])[0] - 2.0
     assert abs(residual) <= FULL_INNER_CFG.abs_tol + 2.0 * FULL_INNER_CFG.rel_tol + _SLACK
+    # and both thresholds are within their bounds of the one root
+    assert abs(exact.x1_star - adaptive.x1_star) <= (
+        exact.diagnostics["threshold_error_bound"] + adaptive.diagnostics["threshold_error_bound"])
     assert V_LOWER_BOUND - _SLACK <= exact.value <= V_UPPER_BOUND + _SLACK
     assert exact.F_at_threshold >= THRESHOLD_QUANTILE_BOUND - _SLACK
 
