@@ -118,6 +118,9 @@ class Laplace(SymmetricDistribution):
         b = float(b)
         if not (math.isfinite(b) and b > 0):
             raise DistributionError(f"laplace scale must be positive, got {b}")
+        if not math.isfinite(1.0 / (2.0 * b)):
+            raise DistributionError(f"laplace scale {b} is too small: its density 1/(2b) "
+                                    "overflows a double")
         self.b = b
         self.support = (-math.inf, math.inf)
 
@@ -289,6 +292,12 @@ class TabulatedCdf(SymmetricDistribution):
             raise DistributionError(f"tabulated grid must reach F = 1, got {f[-1]}")
         f[-1] = 1.0
         f = np.minimum(f, 1.0)
+        with np.errstate(over="ignore"):
+            density = np.diff(f) / np.diff(x)
+        if not np.all(np.isfinite(density)):
+            i = int(np.argmin(np.isfinite(density)))
+            raise DistributionError(f"tabulated grid piece [{x[i]}, {x[i + 1]}] is too narrow: "
+                                    "its density overflows a double")
 
         self._x = np.concatenate([-x[:0:-1], x])
         self._f = np.concatenate([1.0 - f[:0:-1], f])

@@ -30,15 +30,16 @@ threshold is its root, T its integral beyond x1*, and
 law (``_threshold``): a first batch of the curve at 16 quantiles and at
 its breaks between them, so that its last sign change lies on a piece
 where the curve is smooth, then on a table the root of the quadratic the
-curve is there, and on every other law small batches at the root
-interpolated inversely on the points nearest it (``_root_by_batches``).
-All dF-integrals are evaluated in u-space through the
-substitution u = F(y), so unbounded supports never appear explicitly and
-the error control is uniform across distributions.  The curve is
-evaluated at whole arrays of first steps: the two dF-integrals of every
-point go to the integrator as one batch.  ``_q`` integrates q over the
-same dF-integrals, with T's outer-integral scheme, for every law but a
-table; it serves both ``solve_full_info`` and ``relranks.compute_pq``.
+curve is there, and on every other law the library's one root finder,
+``numerics.find_root``, in small batches at the root interpolated
+inversely on the points nearest it.  All dF-integrals are evaluated in
+u-space through the substitution u = F(y), so unbounded supports never
+appear explicitly and the error control is uniform across distributions.
+The curve is evaluated at whole arrays of first steps: the two
+dF-integrals of every point go to the integrator as one batch.  ``_q``
+integrates q over the same dF-integrals, with T's outer-integral scheme,
+for every law but a table; it serves both ``solve_full_info`` and
+``relranks.compute_pq``.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
@@ -69,7 +70,8 @@ from .numerics import (
     _VALUE_ULPS,
     QuadratureConfig,
     RootConfig,
-    find_root,  # unused here; perfbench/tracer.py patches it by attribute
+    _inverse_root,
+    find_root,
     integrate_batch,
     integrate_detailed,  # unused here; perfbench/tracer.py patches it by attribute
     integrate_pieces,
@@ -111,17 +113,13 @@ THRESHOLD_QUANTILE_BOUND = 0.5 + math.sqrt(2.0) / 4.0
 #: q run at ``FULL_INNER_CFG.outer()``, two decades looser (1e-10), so that
 #: they never chase the inner integrals' noise.
 FULL_INNER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-#: The threshold search on adaptive quadrature stops after the batch that
-#: leaves its pair of evaluated points around the root narrower than x_tol,
-#: or a residual below the inner quadrature tolerance, where the curve
-#: cannot be told from 2.  x_tol holds where the first batch's bracket ends
-#: at x >= 1/2; below, it shrinks with the bracket's upper end, so that x1*
-#: and V do not depend on the law's scale.
+#: The threshold search on adaptive quadrature (``numerics.find_root``)
+#: stops after the batch that leaves its pair of evaluated points around the
+#: root narrower than x_tol, or a residual below the inner quadrature
+#: tolerance, where the curve cannot be told from 2.  x_tol holds where the
+#: first batch's bracket ends at x >= 1/2; below, ``_threshold`` scales it
+#: by 2 x, so that x1* and V do not depend on the law's scale.
 THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
-#: The first batch of ``_root_by_batches``: the first guess at the root and
-#: the points this fraction of the bracket to either side of it, which hold
-#: the root when the guess is that close.
-_STENCIL = 1e-4
 #: Slack on the universal bounds above, here and in ``verify``.
 BOUND_TOL = 1e-9
 #: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
@@ -330,10 +328,10 @@ def solve_threshold(dist: SymmetricDistribution,
     points, and its breaks and midpoints on to the support edge, for T: the
     curve is a quadratic between its breaks, and x1* is the root of the
     one where it changes sign, found without a root search.  Every other
-    law refines the sign change in small batches of the curve
-    (``_root_by_batches``), from the root of u interpolated inversely on
-    the curve through the batch's points next to it, until the pair of
-    points around the root meets ``THRESHOLD_ROOT_CFG``.
+    law refines the sign change with ``numerics.find_root``, in small
+    batches of the curve, from the root of u interpolated inversely on the
+    curve through the batch's points next to it, until the pair of points
+    around the root meets ``THRESHOLD_ROOT_CFG``.
     """
     return _threshold(_Law(dist), quad_cfg or FULL_INNER_CFG)[0]
 
@@ -348,7 +346,11 @@ def _threshold(law, cfg):
     A table's error bound is the curve's bound and residual at x1* over
     the slope of its quadratic, plus an ulp; the quadratic's root is found
     by the stable formula in the piece's coordinate, and one more batch
-    gives the curve minus 2 there.  The batches evaluate at most
+    gives the curve minus 2 there.  Every other law hands the crossing
+    pair, with the curve and its bounds there, and the first guess to
+    ``numerics.find_root``, once, at ``THRESHOLD_ROOT_CFG`` with x_tol
+    scaled by min(1, 2 b) for the pair's upper end b; its (root, residual,
+    bound) are the first three entries.  The batches evaluate at most
     ``_BLOCK_NODES`` points a call.
     """
     dist = law.dist
@@ -422,98 +424,11 @@ def _threshold(law, cfg):
         # lands farther from the root
         near = slice(max(j - 1, 0), j + 3)
         u0 = _inverse_root(u[near], w[near], u[j], u[j + 1])
-        x1s, residual, x1_bound = _root_by_batches(excess, x[j:j + 2], w[j:j + 2],
-                                                   bounds[j:j + 2], float(dist.ppf(u0)))
+        root_cfg = replace(THRESHOLD_ROOT_CFG,
+                           x_tol=THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * float(x[j + 1])))
+        x1s, residual, x1_bound = find_root(excess, x[j:j + 2], w[j:j + 2], bounds[j:j + 2],
+                                            float(dist.ppf(u0)), root_cfg)
     return x1s, residual, x1_bound, float(hi), panels, (x, w, bounds, j)
-
-
-def _root_by_batches(excess, ends, values, bounds, guess):
-    """(root, residual, error bound) of the curve minus 2 on the bracket
-    ``ends``, where it changes sign, from a first ``guess`` at the root.
-
-    The first batch evaluates three points: the guess, kept inside the
-    bracket, and the points ``_STENCIL`` of the bracket to either side of
-    it.  Every later batch evaluates one: the root of x interpolated
-    inversely on the curve through the three evaluated points nearest the
-    root, or, after a batch that failed to halve the pair of points around
-    the root, that pair's midpoint, so that no more than two batches pass
-    per halving.  After each, the search stops if the pair of neighbouring
-    evaluated points where the curve last changes sign is closed at
-    ``THRESHOLD_ROOT_CFG``: the end of smaller |curve| is within f_tol of
-    0, or the pair is no wider than x_tol (or 2 eps |x| where that is
-    wider), x_tol scaled by 2 b where the bracket ends at b < 1/2.  That
-    end is the root.  Where the curve is smooth the first two batches close
-    the pair.
-
-    The root is always a point the search evaluated, and the residual the
-    curve there.  The bound is the width of the narrowest pair of
-    evaluated points that holds the root and has opposite signs, or the
-    residual over the slope of their secant if that is less (the search
-    may stop on its residual before its bracket closes), plus the curve's
-    error bound there over that slope.
-    """
-    seen = {float(x): (float(v), float(e)) for x, v, e in zip(ends, values, bounds)}
-    a, b = map(float, ends)
-    x_tol = THRESHOLD_ROOT_CFG.x_tol * min(1.0, 2.0 * b)
-
-    def evaluate(xs):
-        new = [x for x in dict.fromkeys(map(float, xs)) if x not in seen]
-        if new:
-            v, e = excess(new)
-            seen.update(zip(new, zip(v.tolist(), e.tolist())))
-
-    def bracket():
-        """The last neighbouring pair of evaluated points where the curve
-        changes sign, its end of smaller |curve|, and whether it is closed."""
-        xs = sorted(seen)
-        lo, hi = [(l, r) for l, r in zip(xs, xs[1:]) if seen[l][0] > 0 >= seen[r][0]][-1]
-        best = min(hi, lo, key=lambda x: abs(seen[x][0]))
-        closed = (abs(seen[best][0]) <= THRESHOLD_ROOT_CFG.f_tol
-                  or hi - lo <= max(x_tol, 2.0 * _EPS * abs(best)))
-        return lo, hi, best, closed
-
-    step = _STENCIL * (b - a)
-    x0 = min(max(guess, a + step), b - step)
-    evaluate([x0 - step, x0, x0 + step])
-    lo, hi, root, closed = bracket()
-    bisect = False
-    while not closed:
-        width = hi - lo
-        if bisect:
-            x = 0.5 * (lo + hi)
-        else:
-            xs = sorted(seen)
-            j = xs.index(lo)
-            # the pair and the neighbour of it where the curve is nearer 0
-            near = [lo, hi] + sorted(xs[max(j - 1, 0):j] + xs[j + 2:j + 3],
-                                     key=lambda x: abs(seen[x][0]))[:1]
-            x = _inverse_root(near, [seen[x][0] for x in near], lo, hi)
-        evaluate([x])
-        lo, hi, root, closed = bracket()
-        bisect = hi - lo > 0.5 * width
-    xs = sorted(seen)
-    lo, hi = min(((l, r) for l, r in zip(xs, xs[1:])
-                  if l <= root <= r and (seen[l][0] > 0) != (seen[r][0] > 0)),
-                 key=lambda pair: pair[1] - pair[0], default=(a, b))
-    (f_lo, e_lo), (f_hi, e_hi) = seen[lo], seen[hi]
-    slope = abs(f_hi - f_lo) / (hi - lo)
-    residual = seen[root][0]
-    return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
-
-
-def _inverse_root(xs, ws, lo, hi):
-    """Where x, interpolated as a polynomial in w through the points (w,
-    x), meets w = 0, kept inside [lo, hi]; the midpoint where two w
-    coincide.  The polynomial is summed about the point of smallest |w|,
-    so that its terms are offsets from it."""
-    (w0, x0), *rest = sorted(zip(map(float, ws), map(float, xs)), key=lambda p: abs(p[0]))
-    ws = [w0] + [w for w, _ in rest]
-    x = math.nan
-    if len(set(ws)) == len(ws):
-        x = x0 + sum((x - x0) * math.prod(v / (v - w) for v in ws if v != w) for w, x in rest)
-    if not math.isfinite(x):
-        x = 0.5 * (lo + hi)
-    return min(max(x, lo), hi)
 
 
 def _table_solution(law, x1s, f_at, batch):

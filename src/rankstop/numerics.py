@@ -63,6 +63,11 @@ are bounded and piecewise smooth.  Both rules place their nodes strictly
 inside each panel, so u may run over all of [0, 1] even where the
 quantile is infinite at 0 and 1; only a panel narrower than the float
 spacing at its end can round a node onto that end.
+
+``find_root`` is the package's one root finder: bracketed inverse
+interpolation, safeguarded by bisection, of the family of Brent (1973,
+ch. 4), in batches of points, since its caller, the full-information
+threshold, pays a batch of integrals per call of its function.
 """
 
 from __future__ import annotations
@@ -114,6 +119,10 @@ _VALUE_ULPS = 16
 # process.
 _PIECE_RULE = (np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 3.0), np.ones(2))
 _EPS = float(np.finfo(float).eps)
+# The first batch of find_root after the ends: the first guess at the root
+# and the points this fraction of the bracket to either side of it, which
+# hold the root when the guess is that close.
+_STENCIL = 1e-4
 # A panel no wider than this times (|a| + |b| + 1) cannot be split.
 _NARROW = 8.0 * _EPS
 # Where a panel that holds most of its problem's error is split, as a
@@ -224,14 +233,11 @@ class QuadratureConfig:
 class RootConfig:
     x_tol: float = 1e-12
     f_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0 < self.x_tol < math.inf and 0 < self.f_tol < math.inf):
             raise ValueError("root tolerances must be positive and finite, got "
                              f"x_tol={self.x_tol!r}, f_tol={self.f_tol!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def tolerance_record(**levels) -> dict:
@@ -559,61 +565,129 @@ def integrate_pieces(f, a, b, break_points=None):
     return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
 
 
-def find_root(f, lo, hi, cfg: RootConfig | None = None) -> float:
-    """Root of a continuous scalar ``f`` inside the bracket [lo, hi].
+def find_root(f, ends, values=None, bounds=None, guess=None, cfg: RootConfig | None = None):
+    """(root, residual, error bound) of ``f`` on the bracket ``ends`` = (a,
+    b), where it changes sign, found in small batches of points.
 
-    Brent's method: inverse quadratic or secant steps while they shrink
-    the bracket fast enough, bisection otherwise, so convergence is
-    guaranteed.  Stops when |f(x)| <= f_tol or the bracket is narrower than
-    x_tol, and returns the bracket end with the smaller |f|; the result
-    never leaves the initial bracket.  Where x_tol is finer than the float
-    spacing near the root, the bracket closes to 2 eps |x| instead, 2-4
-    ulps, which it can always reach.
+    ``f`` maps a 1-D array of points to two arrays: its values there and
+    bounds on their errors.  ``values`` and ``bounds`` are those at the
+    ends, evaluated in a first batch when left out, and ``guess`` is a
+    first guess at the root, the secant's root between the ends when left
+    out.  An end where the value is 0 is the root, and nothing more is
+    evaluated.
+
+    The next batch evaluates three points: the guess, kept inside the
+    bracket, and the points ``_STENCIL`` of the bracket to either side of
+    it.  Every later batch evaluates one: the root of x interpolated
+    inversely on ``f`` through the three evaluated points nearest the root,
+    or, after a batch that failed to halve the pair of points around the
+    root, that pair's midpoint, so that no more than two batches pass per
+    halving.  After each, the search stops if the last pair of neighbouring
+    evaluated points where ``f`` changes sign from its sign at a is closed
+    at ``cfg``: the end of smaller |f| is within f_tol of 0, or the pair is
+    no wider than x_tol, or than 2 eps |x| where x_tol is finer than the
+    float spacing there, which the pair can always reach.  That end is the
+    root.  Where ``f`` is smooth the first two batches after the ends close
+    the pair.
+
+    The root is always a point the search evaluated, and the residual
+    ``f`` there.  The bound is the width of the narrowest pair of evaluated
+    points that holds the root and has opposite signs, or, if less, the
+    residual over the slope of their secant, an estimate right to first
+    order in the pair's width (the search may stop on its residual before
+    its pair closes); plus the larger error bound of the pair over that
+    slope.
+
+    Raises ValueError, before ``f`` runs, when the ends are not finite and
+    in order, and, naming the point, when a value is not finite;
+    BracketError when the values at the ends have the same sign.
     """
     cfg = cfg or RootConfig()
-    a, b = float(lo), float(hi)
+    a, b = map(float, ends)
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError(f"bracket must be finite and in order, got [{a}, {b}]")
-    fa, fb = float(f(a)), float(f(b))
-    if abs(fa) <= cfg.f_tol:
-        return a
-    if abs(fb) <= cfg.f_tol:
-        return b
-    if fa * fb > 0:
+    seen = {}
+
+    def record(xs, v, e):
+        v = np.asarray(v, dtype=float)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"root function is not finite at x={xs[i]!r}: {float(v[i])!r}")
+        seen.update(zip(xs, zip(v.tolist(), np.asarray(e, dtype=float).tolist())))
+
+    def evaluate(xs):
+        new = [x for x in dict.fromkeys(map(float, xs)) if x not in seen]
+        if new:
+            record(new, *f(np.array(new)))
+
+    if values is None:
+        evaluate([a, b])
+    else:
+        record([a, b], values, bounds)
+    fa, fb = seen[a][0], seen[b][0]
+    up = fa > 0  # the sign at a
+
+    def bracket():
+        """The last neighbouring pair of evaluated points where f changes
+        sign from its sign at a, its end of smaller |f|, and whether it is
+        closed."""
+        xs = sorted(seen)
+        lo, hi = [(l, r) for l, r in zip(xs, xs[1:])
+                  if (seen[l][0] > 0) == up and (seen[r][0] > 0) != up][-1]
+        best = min(hi, lo, key=lambda x: abs(seen[x][0]))
+        closed = (abs(seen[best][0]) <= cfg.f_tol
+                  or hi - lo <= max(cfg.x_tol, 2.0 * _EPS * abs(best)))
+        return lo, hi, best, closed
+
+    if fa == 0.0 or fb == 0.0:
+        root = a if fa == 0.0 else b
+    elif (fb > 0) == up:
         raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa!r}, f(b)={fb!r}")
-    # b is the best estimate, a the previous one, c the far end of the
-    # bracket [b, c]; d is the last step and e the one before it.
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(cfg.max_iter):
-        if fb * fc > 0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(0.5 * cfg.x_tol, _EPS * abs(b))
-        half = 0.5 * (c - b)
-        if abs(half) <= tol or abs(fb) <= cfg.f_tol:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
+    else:
+        step = _STENCIL * (b - a)
+        if guess is None:
+            guess = _inverse_root([a, b], [fa, fb], a, b)
+        x0 = min(max(guess, a + step), b - step)
+        evaluate([x0 - step, x0, x0 + step])
+        lo, hi, root, closed = bracket()
+        bisect = False
+        while not closed:
+            width = hi - lo
+            if bisect:
+                x = 0.5 * (lo + hi)
             else:
-                d = e = half
-        else:
-            d = e = half
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, half)
-        fb = float(f(b))
-    raise RuntimeError(f"root refinement did not converge in {cfg.max_iter} iterations")
+                xs = sorted(seen)
+                j = xs.index(lo)
+                # the pair and the neighbour of it where f is nearer 0
+                near = [lo, hi] + sorted(xs[max(j - 1, 0):j] + xs[j + 2:j + 3],
+                                         key=lambda x: abs(seen[x][0]))[:1]
+                x = _inverse_root(near, [seen[x][0] for x in near], lo, hi)
+            evaluate([x])
+            lo, hi, root, closed = bracket()
+            bisect = hi - lo > 0.5 * width
+    xs = sorted(seen)
+    lo, hi = min(((l, r) for l, r in zip(xs, xs[1:])
+                  if l <= root <= r and (seen[l][0] > 0) != (seen[r][0] > 0)),
+                 key=lambda pair: pair[1] - pair[0], default=(a, b))
+    (f_lo, e_lo), (f_hi, e_hi) = seen[lo], seen[hi]
+    residual = seen[root][0]
+    slope = abs(f_hi - f_lo) / (hi - lo) if hi > lo else 0.0
+    if not slope:  # 0 at both ends, or at the one end of [a, a]
+        return root, residual, math.inf if max(e_lo, e_hi) else 0.0
+    return root, residual, min(hi - lo, abs(residual) / slope) + max(e_lo, e_hi) / slope
+
+
+def _inverse_root(xs, ws, lo, hi):
+    """Where x, interpolated as a polynomial in w through the points (w,
+    x), meets w = 0, kept inside [lo, hi]; the midpoint where two w
+    coincide.  The polynomial is summed about the point of smallest |w|,
+    so that its terms are offsets from it."""
+    (w0, x0), *rest = sorted(zip(map(float, ws), map(float, xs)), key=lambda p: abs(p[0]))
+    ws = [w0] + [w for w, _ in rest]
+    x = math.nan
+    if len(set(ws)) == len(ws):
+        x = x0 + sum((x - x0) * math.prod(v / (v - w) for v in ws if v != w) for w, x in rest)
+    if not math.isfinite(x):
+        x = 0.5 * (lo + hi)
+    return min(max(x, lo), hi)

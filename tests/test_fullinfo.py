@@ -668,25 +668,26 @@ class TestAdaptiveSearchStructure:
     @pytest.mark.parametrize("dist", [LAPLACE, Laplace(3), PowerFold(2)],
                              ids=["laplace", "laplace3", "powerfold2"])
     def test_threshold_takes_the_scan_and_two_small_batches(self, dist, monkeypatch):
-        # three points around the scan's estimate of the root, then the
-        # inverse quadratic's point through them: no Brent step
+        # one root search: three points around the scan's estimate of the
+        # root, then the inverse quadratic's point through them
         batches = TestExactPathStructure.count(monkeypatch, fullinfo, "_excess")
-        TestExactPathStructure.refuse(monkeypatch, fullinfo, "find_root")
+        searches = TestExactPathStructure.count(monkeypatch, fullinfo, "find_root")
         x1s = solve_threshold(dist)
         sizes = [len(xs) for _, xs, _ in batches]
+        assert len(searches) == 1
         assert sizes[0] == 16 and len(sizes) <= 3 and max(sizes[1:]) <= 3
         assert x1s in {float(x) for _, xs, _ in batches for x in xs}
 
-    def test_kinked_crossing_closes_without_find_root(self, monkeypatch):
+    def test_kinked_crossing_closes_in_one_find_root_call(self, monkeypatch):
         # SLOW_CROSSING's F is flat on [0.73, 2.11]: the scan, even in u,
         # brackets the crossing (1.90) by [0.72, 2.11], with kinks of the
         # curve inside.  Those kinks join the first batch, so the last sign
-        # change lies on a smooth piece, which the batches close; from the
-        # scan alone the batches left it to Brent's method, after 8.
+        # change lies on a smooth piece, which one root search closes.
         batches = TestExactPathStructure.count(monkeypatch, fullinfo, "_excess")
-        TestExactPathStructure.refuse(monkeypatch, fullinfo, "find_root")
+        searches = TestExactPathStructure.count(monkeypatch, fullinfo, "find_root")
         dist = Delegate(SLOW_CROSSING)
         x1s = solve_threshold(dist)
+        assert len(searches) == 1
         assert len(batches) <= 4
         sol = solve_full_info(dist)
         assert sol.x1_star == x1s
@@ -711,7 +712,8 @@ class TestAdaptiveSearchStructure:
         ends = np.array([0.5, 1.0])
         values, bounds = excess(ends)
         evaluated.clear()
-        root, residual, bound = fullinfo._root_by_batches(excess, ends, values, bounds, 0.75)
+        root, residual, bound = numerics.find_root(excess, ends, values, bounds, 0.75,
+                                                   fullinfo.THRESHOLD_ROOT_CFG)
         halvings = math.ceil(math.log2(0.5 / fullinfo.THRESHOLD_ROOT_CFG.x_tol))
         assert len(evaluated) <= 2 * halvings + 2
         assert root in np.concatenate(evaluated)
@@ -940,9 +942,25 @@ def test_law_without_declared_degrees_keeps_its_results():
     assert compute_pq(dist).panels == 244
 
 
-def test_attributes_patched_by_the_tracer_exist():
+def test_attributes_patched_by_the_tracer_exist(monkeypatch):
     # perfbench/tracer.py wraps these module attributes by name; neither
     # module calls integrate_detailed, but removing it breaks every traced run.
     for module, name in [(fullinfo, "integrate_detailed"), (relranks, "integrate_detailed"),
                          (fullinfo, "find_root")]:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    # The tracer's find_root wrapper passes the root function on wrapped in
+    # one that calls it with one positional argument, and counts its calls.
+    base = solve_full_info(LAPLACE)
+    real, runs, evals = fullinfo.find_root, [], []
+
+    def traced(f, *args, **kwargs):
+        def root_fn(x):
+            evals.append(x)
+            return f(x)
+        runs.append(args)
+        return real(root_fn, *args, **kwargs)
+
+    monkeypatch.setattr(fullinfo, "find_root", traced)
+    sol = solve_full_info(LAPLACE)
+    assert len(runs) == 1 and evals
+    assert (sol.x1_star.hex(), sol.value.hex()) == (base.x1_star.hex(), base.value.hex())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankstop import numerics
 from rankstop.distributions import Uniform
-from rankstop.fullinfo import FULL_INNER_CFG, continuation_value
+from rankstop.fullinfo import FULL_INNER_CFG, continuation_curve
 from rankstop.numerics import (
     BracketError,
     QuadratureConfig,
@@ -377,36 +377,77 @@ class TestIntegratePieces:
             integrate_pieces(lambda u, i: u[:1], [0.0], [1.0])
 
 
+def exact(g):
+    """A root function of ``find_root`` from a vectorized ``g`` that is
+    exact up to its rounding: its values and bounds of 0."""
+    def f(xs):
+        v = g(np.asarray(xs, dtype=float))
+        return v, np.zeros(len(v))
+    return f
+
+
+def covers(found, exact_root):
+    """Whether ``find_root``'s (root, residual, bound) covers |root - exact_root|."""
+    root, _, bound = found
+    return abs(root - exact_root) <= bound
+
+
 class TestFindRoot:
     def test_sqrt2(self):
-        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        found = find_root(exact(lambda x: x * x - 2.0), (1.0, 2.0))
+        assert found[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert covers(found, math.sqrt(2.0))
 
     def test_identity_through_zero(self):
-        assert find_root(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        found = find_root(exact(lambda x: x), (-1.0, 1.0))
+        assert found[0] == pytest.approx(0.0, abs=1e-12)
+        assert covers(found, 0.0)
 
     def test_continuation_curve_threshold(self):
-        # root of the first-step continuation curve at level 2 for Uniform(-1, 1)
+        # root of the first-step continuation curve at level 2 for Uniform(-1, 1),
+        # whose values round at the scale of 2
         dist = Uniform(1)
-        root = find_root(
-            lambda x: continuation_value(dist, x) - 2.0, 0.1, 0.999,
-            RootConfig(x_tol=1e-13, f_tol=1e-11),
-        )
-        assert root == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), abs=1e-9)
+
+        def f(xs):
+            return continuation_curve(dist, xs) - 2.0, np.full(len(xs), 8.0 * numerics._EPS)
+
+        found = find_root(f, (0.1, 0.999), cfg=RootConfig(x_tol=1e-13, f_tol=1e-11))
+        assert found[0] == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), abs=1e-9)
+        assert covers(found, 2.0 * (math.sqrt(2.0) - 1.0))
 
     @pytest.mark.parametrize("c", [80.0, 1e6 + 1.0])
     def test_x_tol_below_float_spacing(self, c):
         # no float x has x * x == c, and neighbouring floats near sqrt(c) lie
         # farther apart than x_tol: the bracket stops at float resolution
-        root = find_root(lambda x: x * x - c, 0.0, c, RootConfig(x_tol=1e-15, f_tol=1e-16))
-        assert abs(root - math.sqrt(c)) <= 2 * math.ulp(math.sqrt(c))
+        found = find_root(exact(lambda x: x * x - c), (0.0, c),
+                          cfg=RootConfig(x_tol=1e-15, f_tol=1e-16))
+        assert abs(found[0] - math.sqrt(c)) <= 2 * math.ulp(math.sqrt(c))
+        assert covers(found, math.sqrt(c))
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root(exact(lambda x: x * x + 1.0), (-1.0, 1.0))
 
     def test_endpoint_root(self):
-        assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        calls = []
+
+        def f(xs):
+            calls.append(xs)
+            return xs - 1.0, np.zeros(len(xs))
+
+        assert find_root(f, (1.0, 2.0)) == (1.0, 0.0, 0.0)
+        assert len(calls) == 1  # the ends, and nothing more
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_the_point(self, bad):
+        # a band of NaN or infinite values around the root
+        def f(xs):
+            return np.where(np.abs(xs - 0.3) < 0.05, bad, 0.3 - xs), np.zeros(len(xs))
+
+        with pytest.raises(ValueError, match=r"not finite at x=0\.2999:"):
+            find_root(f, (0.0, 1.0), guess=0.3)
+        with pytest.raises(ValueError, match=r"not finite at x=1\.0"):
+            find_root(f, (0.0, 1.0), [0.3, bad], [0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-5, 5), st.floats(0.01, 5), st.floats(0.1, 4))
@@ -414,8 +455,11 @@ class TestFindRoot:
         lo, hi = center - halfwidth, center + halfwidth
 
         def f(x):
-            return scale * (x - center) ** 3 + 0.5 * (x - center)
+            cube, line = scale * (x - center) ** 3, 0.5 * (x - center)
+            # each term rounds, and one below the float range rounds to 0
+            return cube + line, 4.0 * numerics._EPS * (np.abs(cube) + np.abs(line)) + math.ulp(0.0)
 
-        root = find_root(f, lo, hi)
-        assert lo <= root <= hi
-        assert root == pytest.approx(center, abs=1e-9)
+        found = find_root(f, (lo, hi))
+        assert lo <= found[0] <= hi
+        assert found[0] == pytest.approx(center, abs=1e-9)
+        assert covers(found, center)
