@@ -245,15 +245,16 @@ class TabulatedCdf(SymmetricDistribution):
     ======  =====================  =====================
     knots   even spacing           irregular spacing
     ======  =====================  =====================
-    20      0.001 s, 36 MB peak    0.002 s, 37 MB peak
-    60      0.004 s, 39 MB peak    0.010 s, 41 MB peak
-    120     0.012 s, 42 MB peak    0.036 s, 50 MB peak
+    20      0.0007 s, 37 MB peak   0.0008 s, 37 MB peak
+    60      0.0014 s, 37 MB peak   0.0036 s, 38 MB peak
+    120     0.0056 s, 38 MB peak   0.012 s, 39 MB peak
     ======  =====================  =====================
 
     Nearly all of it is the curve's batch: each of its points opens two
-    dF-integrals over pieces cut at every knot.  Evenly spaced knots share
-    their differences, so they cost less.  The peak is the memory of the
-    whole process, about 36 MB of it imports.
+    dF-integrals over pieces cut at every knot, in blocks of rows of
+    bounded memory.  Evenly spaced knots share their differences, so they
+    cost less.  The peak is the memory of the whole process, about 36 MB
+    of it imports.
     """
 
     def __init__(self, grid):

@@ -36,10 +36,11 @@ inversely on the points nearest it.  All dF-integrals are evaluated in
 u-space through the substitution u = F(y), so unbounded supports never
 appear explicitly and the error control is uniform across distributions.
 The curve is evaluated at whole arrays of first steps: the two
-dF-integrals of every point go to the integrator as one batch.  ``_q``
-integrates q over the same dF-integrals, with T's outer-integral scheme,
-for every law but a table; it serves both ``solve_full_info`` and
-``relranks.compute_pq``.
+dF-integrals of every point go to ``_df_integrals`` as one batch, and it
+alone decides how they are integrated.  T, and q for every law but a
+table, are outer integrals over inner dF-integrals, and ``_outer`` alone
+counts their panels and bounds their error.  ``_q`` serves both
+``solve_full_info`` and ``relranks.compute_pq``.
 
 For a ``TabulatedCdf`` (piecewise-linear F) every integrand is a
 polynomial between known cuts: the dF-integrands are linear between
@@ -64,8 +65,6 @@ import numpy as np
 
 from .distributions import SymmetricDistribution, TabulatedCdf
 from .numerics import (
-    _BLOCK_CUTS,
-    _BLOCK_NODES,
     _EPS,
     _VALUE_ULPS,
     QuadratureConfig,
@@ -124,6 +123,10 @@ THRESHOLD_ROOT_CFG = RootConfig(x_tol=1e-13, f_tol=1e-14)
 BOUND_TOL = 1e-9
 #: The threshold scan's 16 points, evenly spaced in u above the paper's bound.
 _SCAN_U = np.linspace(THRESHOLD_QUANTILE_BOUND - BOUND_TOL, 1.0 - 1e-12, 16)
+#: Padded cuts per ``integrate_pieces`` call of a table's dF-integrals: a
+#: block of rows holds at most 512 KB of them, so that a batch of the curve
+#: at any number of points holds bounded memory.
+_BLOCK_CUTS = 1 << 16
 
 
 class ThresholdError(RuntimeError):
@@ -157,7 +160,11 @@ class _Law:
     there, whether it takes the exact path and the name of its method, and
     the substitution degrees it declares (``break_point_degrees``): one per
     knot, the one of the u-ends 0 and 1, and those of the cut columns of
-    ``_df_integrals``.  The exact path ignores the degrees.
+    ``_df_integrals``.  On the exact path ``_df_integrals`` takes the fixed
+    rule and ignores the degrees, and ``_threshold``, ``solve_full_info``
+    and ``_q`` take a table's own schemes (the quadratic's root, Simpson's
+    rule on the curve, q as one flat integral) in place of ``find_root``
+    and ``_outer``.
     ``solve_full_info``, ``solve_threshold``, ``continuation_curve`` and
     ``relranks.compute_pq`` each build one and drop it when they return, so
     no call sees another's."""
@@ -172,64 +179,81 @@ class _Law:
         self.df_degrees = np.concatenate([self.degrees, self.degrees])
 
 
-def _integrate(law, f, lo, hi, cuts, cfg, degrees=None):
-    """(values, bounds, panels) of the integrals of ``f(u, problem)`` over
-    [lo[i], hi[i]], cut at the rows of ``cuts``; an empty range (hi < lo)
-    is [lo, lo], worth 0.  A ``TabulatedCdf`` takes the fixed rule on the
-    pieces (``integrate_pieces``), where ``cfg`` and ``degrees`` do not
-    apply and the bounds are rounding bounds; every other law the adaptive
-    quadrature, with the substitution degree ``degrees`` gives each column
-    of ``cuts``.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.maximum(hi, lo)
-    if law.exact:
-        return integrate_pieces(f, lo, hi, cuts)
-    return integrate_batch(f, lo, hi, cfg, break_points=cuts, degrees=degrees)
-
-
 def _df_integrals(law, x_shift, u_lo, u_hi, cfg):
-    """(values, bounds, panels) of the dF-integrals of F(y - x_shift[i]) over u-intervals.
+    """(values, bounds, panels) of the dF-integrals of F(y - x_shift[i])
+    over u in [u_lo[i], u_hi[i]]; an empty range (u_hi < u_lo) is [u_lo,
+    u_lo], worth 0.
 
     The integrand u -> F(Q(u) - x) kinks where Q(u) - x crosses a CDF knot
     and where Q itself kinks; both sets are handed to the integrator as
-    panel edges, each with its knot's substitution degree.  On a table the
-    integrand interpolates the knots both ways: its nodes lie strictly
-    inside pieces cut at every F level, where ``TabulatedCdf.ppf``'s pins
-    at the median and at u = 0 never apply.
+    panel edges.  This is the one place where a table is integrated
+    differently.  Every other law takes the adaptive quadrature at
+    ``cfg``, all integrals in one batch, each cut with its knot's
+    substitution degree.  A ``TabulatedCdf`` takes the fixed rule on its
+    pieces (``integrate_pieces``), where ``cfg`` does not apply and the
+    bounds are rounding bounds, in blocks of rows that hold at most
+    ``_BLOCK_CUTS`` padded cuts, so that a batch of any length holds
+    bounded memory.  Its integrand interpolates the knots both ways: its
+    nodes lie strictly inside pieces cut at every F level, where
+    ``TabulatedCdf.ppf``'s pins at the median and at u = 0 never apply.
     """
     cdf, ppf = law.dist.cdf, law.dist.ppf
     knots, f_knots = law.knots, law.f_knots
     k = len(knots)
-    cuts = np.empty((len(x_shift), 2 * k))
-    cuts[:, :k] = cdf(knots + x_shift[:, None])
-    cuts[:, k:] = f_knots
+    u_lo = np.asarray(u_lo, dtype=float)
+    u_hi = np.maximum(u_hi, u_lo)
 
-    def f(u, i):
-        if law.exact:
-            return np.interp(np.interp(u, f_knots, knots) - x_shift[i], knots, f_knots)
-        return cdf(ppf(u) - x_shift[i])
+    def cuts(x):
+        rows = np.empty((len(x), 2 * k))
+        rows[:, :k] = cdf(knots + x[:, None])
+        rows[:, k:] = f_knots
+        return rows
 
-    return _integrate(law, f, u_lo, u_hi, cuts, cfg, law.df_degrees)
+    if not law.exact:
+        return integrate_batch(lambda u, i: cdf(ppf(u) - x_shift[i]), u_lo, u_hi, cfg,
+                               break_points=cuts(x_shift), degrees=law.df_degrees)
+    rows = max(1, _BLOCK_CUTS // (2 * k + 2))  # each row padded with its two ends
+    blocks = []
+    for s in range(0, max(len(x_shift), 1), rows):  # an empty batch makes one empty call
+        x = x_shift[s:s + rows]
+        blocks.append(integrate_pieces(
+            lambda u, i: np.interp(np.interp(u, f_knots, knots) - x[i], knots, f_knots),
+            u_lo[s:s + rows], u_hi[s:s + rows], cuts(x)))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _u_integrals(law, g, lo, hi, kinks, degrees, cfg):
-    """(values, bounds, panels) of the outer integrals of ``g(u, problem)``
-    over u-intervals [lo[i], hi[i]], each opening a batch of dF-integrals.
+def _outer(law, inner, lo, hi, kinks, degrees, cfg):
+    """(value, bound, panels) of the outer integral over u in [lo, hi] of a
+    function of u whose every value is an inner integral: ``inner(us)``
+    gives the (values, bounds, panels) of those at an array of u.
 
-    Every problem is cut at F(kinks), where g changes analytic form, with
-    the substitution degree ``degrees`` gives each kink; both integrators
-    merge repeated break points, the adaptive one taking their largest
-    degree.  On an unbounded support 0 and 1 are break points as well, of
-    the law's ``end_degree``: there g approaches its limit like a power of
-    u times a logarithm (u log u on Laplace), which the substitution at a
-    break point flattens.
+    The outer quadrature runs at ``cfg``, cut at F(kinks), where the
+    integrand changes analytic form, with the substitution degree
+    ``degrees`` gives each kink; the integrator merges repeated break
+    points, taking their largest degree.  On an unbounded support 0 and 1
+    are break points as well, of the law's ``end_degree``: there the
+    integrand approaches its limit like a power of u times a logarithm (u
+    log u on Laplace), which the substitution at a break point flattens.
+    The bound is the outer quadrature's plus the largest inner bound times
+    hi - lo, and the panels count those of both levels.
     """
     cuts = law.dist.cdf(kinks)
     if not math.isfinite(law.dist.support[1]):
         cuts = np.concatenate([cuts, [0.0, 1.0]])
         degrees = np.concatenate([degrees, [law.end_degree] * 2])
-    return _integrate(law, g, lo, hi, cuts[None, :].repeat(len(lo), axis=0), cfg, degrees)
+    inner_panels, inner_bound = 0, 0.0
+
+    def integrand(us, _):
+        nonlocal inner_panels, inner_bound
+        values, bounds, panels = inner(us)
+        inner_panels += int(np.sum(panels))
+        inner_bound = max(inner_bound, float(bounds.max(initial=0.0)))
+        return values
+
+    value, bound, panels = integrate_batch(integrand, [lo], [hi], cfg,
+                                           break_points=cuts[None, :], degrees=degrees)
+    return (float(value[0]), float(bound[0]) + inner_bound * (hi - lo),
+            inner_panels + int(panels[0]))
 
 
 def _curve_breaks(law):
@@ -295,8 +319,10 @@ def _excess(law, x, cfg):
 
 def continuation_curve(dist: SymmetricDistribution, xs,
                        cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """Continuation curve at an array of first steps, both signs, in one
-    batch: 2 plus ``_excess``, so it rounds at the scale of 2."""
+    """Continuation curve at an array of first steps, both signs: 2 plus
+    ``_excess``, so it rounds at the scale of 2.  On a table the
+    dF-integrals of the points go through in blocks of bounded memory
+    (``_df_integrals``), however many points there are."""
     return 2.0 + _excess(_Law(dist), np.atleast_1d(xs), cfg or FULL_INNER_CFG)[0]
 
 
@@ -350,8 +376,7 @@ def _threshold(law, cfg):
     pair, with the curve and its bounds there, and the first guess to
     ``numerics.find_root``, once, at ``THRESHOLD_ROOT_CFG`` with x_tol
     scaled by min(1, 2 b) for the pair's upper end b; its (root, residual,
-    bound) are the first three entries.  The batches evaluate at most
-    ``_BLOCK_NODES`` points a call.
+    bound) are the first three entries.
     """
     dist = law.dist
     grid = dist.ppf(_SCAN_U)
@@ -383,17 +408,13 @@ def _threshold(law, cfg):
             x, keep = np.unique(np.concatenate([grid, below]), return_index=True)
             u = np.concatenate([_SCAN_U, dist.cdf(below)])[keep]
         last = len(x) - 1
-    # A point's two dF-integrals hold 2 k cuts each, k the mirrored knots:
-    # n points hold 4 k n floats, at most 16 _BLOCK_CUTS (8 MB).
-    block = min(_BLOCK_NODES, max(1, 4 * _BLOCK_CUTS // max(len(law.knots), 1)))
     panels = 0
 
     def excess(xs):
         nonlocal panels
-        values, bounds, n = zip(*(_excess(law, xs[s:s + block], cfg)
-                                  for s in range(0, len(xs), block)))
-        panels += sum(n)
-        return np.concatenate(values), np.concatenate(bounds)
+        values, bounds, n = _excess(law, xs, cfg)
+        panels += n
+        return values, bounds
 
     w, bounds = excess(x)
     changes = np.nonzero((w[:last] > 0) & (w[1:last + 1] <= 0))[0]
@@ -572,24 +593,12 @@ def _adaptive_solution(law, f_at, inner_cfg):
     """(T, its bound, panels) on adaptive quadrature: the outer integral of
     the curve minus 2 over [F(x1*), 1] = [``f_at``, 1] in u, at
     ``inner_cfg.outer()``."""
-    dist = law.dist
-    panels, curve_err = 0, 0.0
-
-    def excess_of_u(us, _):
-        nonlocal panels, curve_err
-        values, errs, n = _excess(law, dist.ppf(us), inner_cfg)
-        panels += n
-        curve_err = max(curve_err, float(errs.max(initial=0.0)))
-        return values
-
     # T's range, at most 0.146 wide, would start from one panel, 3.5e-15 off
     # on Laplace; cut at its midpoint (degree 0: smooth there), from two.
     kinks, degrees = _curve_breaks(law)
-    t, t_err, outer_panels = _u_integrals(
-        law, excess_of_u, [f_at], [1.0], np.append(kinks, dist.ppf(0.5 * (f_at + 1.0))),
-        np.append(degrees, 0), inner_cfg.outer())
-    return (float(t[0]), float(t_err[0]) + curve_err * (1.0 - f_at),
-            panels + int(outer_panels[0]))
+    return _outer(law, lambda us: _excess(law, law.dist.ppf(us), inner_cfg), f_at, 1.0,
+                  np.append(kinks, law.dist.ppf(0.5 * (f_at + 1.0))), np.append(degrees, 0),
+                  inner_cfg.outer())
 
 
 def _q(law, cfg):
@@ -627,19 +636,13 @@ def _q(law, cfg):
     upper = dist.support[1]
     quarter = replace(cfg, abs_tol=cfg.abs_tol / 4.0)
     outer_cfg = cfg.outer()
-    inner_err = 0.0
-    panels = 0
 
-    def inner(rs, _):
-        nonlocal inner_err, panels
+    def inner(rs):
         x = dist.ppf(rs)
         # On an unbounded support the lower limit F(x - upper) is 0, also at
         # x = Q(1) = +inf, where F(x - upper) would be F(inf - inf) = NaN.
         lo = dist.cdf(x - upper) if math.isfinite(upper) else np.zeros(len(x))
-        vals, errs, n = _df_integrals(law, x, lo, 0.5, quarter)
-        inner_err = max(inner_err, float(errs.max(initial=0.0)))
-        panels += int(n.sum())
-        return vals
+        return _df_integrals(law, x, lo, 0.5, quarter)
 
     # I(Q(r)) kinks where two cuts of its integrand meet, at the differences
     # of two knots (0 included, for the inner upper limit 1/2) at or below
@@ -650,12 +653,11 @@ def _q(law, cfg):
     d = np.append(law.degrees, max(law.degrees, default=2))
     gaps = np.subtract.outer(ends, ends).ravel()
     kink = gaps >= 0.0
-    total, outer_err, outer_panels = _u_integrals(
-        law, inner, [0.5], [1.0], gaps[kink], np.minimum.outer(d, d).ravel()[kink],
-        replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
-    # The inner bounds count half: the r-range is 1/2 wide.
-    err = 0.5 * (float(outer_err[0]) + 0.5 * inner_err) + 1e-14
-    return 0.5 * float(total[0]), float(err), panels + int(outer_panels[0])
+    total, bound, panels = _outer(law, inner, 0.5, 1.0, gaps[kink],
+                                  np.minimum.outer(d, d).ravel()[kink],
+                                  replace(outer_cfg, abs_tol=outer_cfg.abs_tol / 8.0))
+    # q is half the integral over r, and its bound half the integral's.
+    return 0.5 * total, 0.5 * bound + 1e-14, panels
 
 
 def stage2_stop_region(x1, x2):

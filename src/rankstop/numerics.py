@@ -54,7 +54,8 @@ left child keeps the low nibble and its right child the high one.
 ``integrate_pieces`` is the fixed-rule counterpart for integrands that are
 polynomials of degree at most 3 between known break points: the 2-point
 Gauss-Legendre rule on every piece, no refinement, and a rounding bound in
-place of an error estimate.
+place of an error estimate.  It bounds the nodes of each integrand call;
+its callers bound the rows of break points they pass at once.
 
 Integrands must be vectorized (ndarray of nodes in, ndarray of values
 out).  Every integrand in this package is evaluated in u-space after the
@@ -99,14 +100,16 @@ _BLOCK_PANELS = 256
 # features near the ends of the unit u-interval meet a node, and a problem
 # on [0, 1e9] still starts with 8.
 _INITIAL_PANELS = 8
-# Nodes per integrand call of integrate_pieces, and padded break points
-# per block of its problems; together they bound the memory of one call.
-# Its integrands are a table's dF-integrand, two interpolations per node,
-# and fullinfo._q's on a table, a (nodes x knots) interpolation: at 4096 nodes
+# Nodes per integrand call of integrate_pieces, which bounds the memory of
+# one call; its callers bound the rows of break points they pass.  Its
+# integrands are a table's dF-integrand, two interpolations per node, and
+# fullinfo._q's on a table, a (nodes x knots) interpolation: at 4096 nodes
 # a 120-knot table's solve and compute_pq hold no more memory than at 1024
 # and run no slower, and a 12-knot one makes a quarter of the calls.
 _BLOCK_NODES = 1 << 12
-_BLOCK_CUTS = 1 << 16
+# Splits each problem of integrate_batch may make before it raises
+# QuadratureError.
+_MAX_SPLITS = 10**6
 # Rounding bound of integrate_pieces: every integrand value and rule weight
 # is taken to be within this many ulps, and each node adds one rounding to
 # the sum.
@@ -209,14 +212,11 @@ _NODES, _WEIGHTS, _SPLIT_AT = _rules()
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 10**6
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("quadrature tolerances must be positive and finite, got "
                              f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
     def outer(self) -> QuadratureConfig:
         """The config of an outer integral over inner integrals at this one.
@@ -388,7 +388,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
     of width w starts out split into ceil(``_INITIAL_PANELS`` w) equal
     panels, at least 1 and at most ``_INITIAL_PANELS``, plus its break
     points, and keeps its own convergence test ``abs_tol + rel_tol *
-    |value|`` and its own budget of ``max_subdivisions`` splits.  A panel
+    |value|`` and its own budget of ``_MAX_SPLITS`` splits.  A panel
     is bisected, except one that holds more than half of its problem's
     error and touches
     exactly one of the problem's ends and break points: that one is cut at
@@ -437,7 +437,7 @@ def integrate_batch(f, a, b, cfg: QuadratureConfig | None = None, break_points=N
             fixed_err = np.where(over, fixed_err, total_err)
             ids, pan = ids[:, live], pan[:, live]
             problem = ids[0]
-        budget = cfg.max_subdivisions - splits
+        budget = _MAX_SPLITS - splits
         spent = over & (budget <= 0)
         if spent.any():
             i = int(spent.argmax())
@@ -520,9 +520,9 @@ def integrate_pieces(f, a, b, break_points=None):
     the 2-point Gauss-Legendre rule ``_PIECE_RULE`` is applied to every
     piece, so the result is exact up to rounding when ``f`` is a polynomial
     of degree at most 3 on every piece.  There is no refinement and no
-    tolerance.  Problems go through in blocks of at most ``_BLOCK_CUTS``
-    padded break points, and no integrand call sees more than
-    ``_BLOCK_NODES`` nodes.
+    tolerance.  No integrand call sees more than ``_BLOCK_NODES`` nodes,
+    but the pieces of all m problems are formed at once, so the caller
+    bounds m times k.
 
     Returns (values, bounds, panels), arrays of length m.  ``bounds`` are
     rounding bounds: (nodes + ``_VALUE_ULPS``) * eps times the integral of
@@ -532,36 +532,30 @@ def integrate_pieces(f, a, b, break_points=None):
     m = len(a)
     cuts = _cut_rows(break_points, m)
     x, w = _PIECE_RULE
-    sums = np.zeros((2, m))  # the integrals of f and of |f|
-    panels = np.zeros(m, dtype=np.int64)
-    rows = max(1, _BLOCK_CUTS // (cuts.shape[1] + 2))
+    lo, hi = a[:, None], b[:, None]
+    # NaN padding sorts last and makes no piece.
+    pts = np.concatenate([lo, np.minimum(np.maximum(cuts, lo), hi), hi], axis=1)
+    pts.sort(axis=1)
+    left, right = pts[:, :-1], pts[:, 1:]
+    keep = right > left
+    panels = keep.sum(axis=1)
+    owner = np.repeat(np.arange(m), panels)
+    pa, pb = left[keep], right[keep]
+    centre, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+    val, mag = np.zeros((2, m))  # the integrals of f and of |f|
     per_call = max(1, _BLOCK_NODES // len(x))
-    for s in range(0, m, rows):
-        lo, hi = a[s:s + rows, None], b[s:s + rows, None]
-        # NaN padding sorts last and makes no piece.
-        pts = np.concatenate([lo, np.minimum(np.maximum(cuts[s:s + rows], lo), hi), hi], axis=1)
-        pts.sort(axis=1)
-        left, right = pts[:, :-1], pts[:, 1:]
-        keep = right > left
-        n = len(lo)
-        panels[s:s + n] = keep.sum(axis=1)
-        owner = np.repeat(np.arange(n), panels[s:s + n])
-        pa, pb = left[keep], right[keep]
-        val, mag = sums[:, s:s + n]
-        centre, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-        for t in range(0, len(owner), per_call):
-            blk = slice(t, t + per_call)
-            h, problem = half[blk], owner[blk]
-            # one row per node of the rule, so that numpy broadcasts along
-            # the long axis
-            u = x[:, None] * h + centre[blk]
-            y = np.asarray(f(u.ravel(), np.tile(problem + s, len(x))), dtype=float)
-            if y.shape != (u.size,):
-                raise TypeError("integrand must map an ndarray of nodes to values elementwise")
-            y = y.reshape(u.shape)
-            val += np.bincount(problem, h * (w @ y), n)
-            mag += np.bincount(problem, h * (w @ np.abs(y)), n)
-    val, mag = sums
+    for t in range(0, len(owner), per_call):
+        blk = slice(t, t + per_call)
+        h, problem = half[blk], owner[blk]
+        # one row per node of the rule, so that numpy broadcasts along the
+        # long axis
+        u = x[:, None] * h + centre[blk]
+        y = np.asarray(f(u.ravel(), np.tile(problem, len(x))), dtype=float)
+        if y.shape != (u.size,):
+            raise TypeError("integrand must map an ndarray of nodes to values elementwise")
+        y = y.reshape(u.shape)
+        val += np.bincount(problem, h * (w @ y), m)
+        mag += np.bincount(problem, h * (w @ np.abs(y)), m)
     return val, (len(x) * panels + _VALUE_ULPS) * _EPS * mag, panels
 
 

@@ -183,11 +183,11 @@ def optimal_rank_value(p):
     """
     if isinstance(p, PQParams):
         p = p.p
-    if isinstance(p, Fraction):
-        return min(Fraction(55, 24), Fraction(109, 48) + 2 * p)
-    p = float(p)
+    p = p if isinstance(p, Fraction) else float(p)
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
+    if isinstance(p, Fraction):
+        return min(Fraction(55, 24), Fraction(109, 48) + 2 * p)
     return min(55.0 / 24.0, 109.0 / 48.0 + 2.0 * p)
 
 

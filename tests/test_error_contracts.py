@@ -156,6 +156,12 @@ class TestRelranksErrors:
         with pytest.raises(ValueError):
             optimal_rank_value(-0.1)
 
+    @pytest.mark.parametrize("p", [Fraction(-1, 48), -1 / 48], ids=["fraction", "float"])
+    def test_value_rejects_negative_p_of_either_kind(self, p):
+        # a negative Fraction gave 107/48 = 109/48 - 2/48, below the floor
+        with pytest.raises(ValueError, match="nonnegative"):
+            optimal_rank_value(p)
+
     def test_case_values_sum_constraint(self):
         with pytest.raises(ValueError):
             two_step_case_values(Fraction(1, 96), Fraction(1, 96) + Fraction(1, 10))

@@ -464,22 +464,15 @@ class TestNegativeHalf:
     def test_quadrature_of_the_negative_half_is_13_48ths_plus_p(self, dist):
         # the integral V took before it was 109/48 + p + T: the curve minus 2
         # over u in [0, 1/2], at V's tolerances; within its bound and p's of
-        # 13/48 + p (gaps of 1.7e-15 to 6.4e-15)
+        # 13/48 + p (gaps of 1.7e-15 to 6.4e-15); the bound holds the
+        # curve's largest bound times the half's u-range, 1/2
         law = fullinfo._Law(dist)
-        curve_err = [0.0]
-
-        def excess_of_u(us, _):
-            values, errs, _ = fullinfo._excess(law, dist.ppf(us), FULL_INNER_CFG)
-            curve_err.append(float(errs.max(initial=0.0)))
-            return values
-
-        value, bound, _ = fullinfo._u_integrals(law, excess_of_u, [0.0], [0.5],
-                                                *fullinfo._curve_breaks(law),
-                                                FULL_INNER_CFG.outer())
+        value, bound, _ = fullinfo._outer(
+            law, lambda us: fullinfo._excess(law, dist.ppf(us), FULL_INNER_CFG), 0.0, 0.5,
+            *fullinfo._curve_breaks(law), FULL_INNER_CFG.outer())
         pq = compute_pq(dist)
-        gap = abs(Fraction(float(value[0])) - Fraction(13, 48) - Fraction(pq.p))
-        assert gap <= (Fraction(float(bound[0])) + Fraction(0.5 * max(curve_err))
-                       + Fraction(pq.error_bound))
+        gap = abs(Fraction(value) - Fraction(13, 48) - Fraction(pq.p))
+        assert gap <= Fraction(bound) + Fraction(pq.error_bound)
 
 
 class TestExactPiecewiseLinear:
@@ -608,12 +601,12 @@ class TestExactPathStructure:
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
-    def test_solve_takes_two_curve_batches_no_root_search_and_no_u_integrals(self, dist,
-                                                                             monkeypatch):
+    def test_solve_takes_two_curve_batches_no_root_search_and_no_outer_integral(self, dist,
+                                                                              monkeypatch):
         # one batch at the curve's breaks and midpoints gives the crossing
         # piece and V, and a second the residual at x1*
         batches = self.count(monkeypatch, fullinfo, "_excess")
-        for name in ("find_root", "_u_integrals"):
+        for name in ("find_root", "_outer"):
             self.refuse(monkeypatch, fullinfo, name)
         solve_full_info(dist)
         assert len(batches) == 2
@@ -626,26 +619,61 @@ class TestExactPathStructure:
     def test_threshold_matches_the_full_solve_bit_for_bit(self, dist):
         assert solve_threshold(dist) == solve_full_info(dist).x1_star
 
+    @staticmethod
+    def cut_counts(monkeypatch):
+        """The number of break points of every ``integrate_pieces`` call of
+        ``fullinfo`` from now on, in a list that grows."""
+        sizes = []
+        real = fullinfo.integrate_pieces
+
+        def counted(f, a, b, break_points):
+            sizes.append(np.size(break_points))
+            return real(f, a, b, break_points)
+
+        monkeypatch.setattr(fullinfo, "integrate_pieces", counted)
+        return sizes
+
+    @staticmethod
+    def three_rows(monkeypatch, dist):
+        """``_BLOCK_CUTS`` at three rows of ``dist``'s dF-integrals, each
+        padded with its two ends."""
+        monkeypatch.setattr(fullinfo, "_BLOCK_CUTS", 3 * (2 * len(dist.cdf_break_points()) + 2))
+
     def test_curve_calls_of_a_60_knot_solve_are_blocked(self, monkeypatch):
         dist = TabulatedCdf(knot_grid(np.random.default_rng(0), 60))
+        sizes = self.cut_counts(monkeypatch)
         base = solve_full_info(dist)
-        batches = self.count(monkeypatch, fullinfo, "_excess")
-        solve_full_info(dist)
-        assert max(len(xs) for _, xs, _ in batches) <= numerics._BLOCK_NODES
-        # at 32 points a call the batch takes several; every point is its own
-        # pair of dF-integrals, so x1* and V keep their bits
-        monkeypatch.setattr(fullinfo, "_BLOCK_NODES", 32)
-        batches.clear()
+        calls = len(sizes)
+        assert max(sizes) <= fullinfo._BLOCK_CUTS
+        # at three rows a call the curve's batch takes many calls; every
+        # point is its own pair of dF-integrals, so x1* and V keep their bits
+        self.three_rows(monkeypatch, dist)
+        sizes.clear()
         small = solve_full_info(dist)
-        assert len(batches) > 3 and max(len(xs) for _, xs, _ in batches) == 32
+        assert len(sizes) > 10 * calls
         assert (small.x1_star, small.value) == (base.x1_star, base.value)
+
+    def test_curve_of_a_60_knot_table_is_blocked(self, monkeypatch):
+        # continuation_curve, and so the CLI's curve command, blocks a
+        # table's dF-integrals as the solve does, however many points it takes
+        dist = TabulatedCdf(knot_grid(np.random.default_rng(0), 60))
+        xs = np.linspace(-1.0, 1.0, 5000)
+        sizes = self.cut_counts(monkeypatch)
+        base = fullinfo.continuation_curve(dist, xs)
+        assert len(sizes) > 1 and max(sizes) <= fullinfo._BLOCK_CUTS
+        # At three rows a call the values hold to an ulp, not to the bit: a
+        # row whose pieces spanned two integrand calls of integrate_pieces
+        # sums them in another grouping.  8 of these 5,000 values move.
+        self.three_rows(monkeypatch, dist)
+        small = fullinfo.continuation_curve(dist, xs)
+        assert np.all(np.abs(small - base) <= np.spacing(base))
 
     @pytest.mark.parametrize("dist", [UNIFORM6, IRREGULAR, builtin_suite()["tabulated"]],
                              ids=["uniform6", "irregular", "builtin_table"])
     def test_pq_takes_one_flat_integral(self, dist, monkeypatch):
         # compute_pq wraps fullinfo._q, where q's code lives
         calls = self.count(monkeypatch, fullinfo, "integrate_pieces")
-        for name in ("_df_integrals", "_u_integrals"):
+        for name in ("_df_integrals", "_outer"):
             self.refuse(monkeypatch, fullinfo, name)
         compute_pq(dist)
         assert len(calls) == 1
@@ -653,7 +681,7 @@ class TestExactPathStructure:
     def test_interval_union_returns_the_support_edge_after_one_scan(self, monkeypatch):
         # the one batch of the curve is the whole solve: no root to evaluate
         batches = self.count(monkeypatch, fullinfo, "_excess")
-        for name in ("find_root", "_u_integrals"):
+        for name in ("find_root", "_outer"):
             self.refuse(monkeypatch, fullinfo, name)
         dist = IntervalUnionUniform(1, 2)
         assert solve_threshold(dist) == dist.quantile(1.0 - 1e-12)
@@ -805,15 +833,26 @@ class TestScaleInvariance:
         assert scaled.x1_star == pytest.approx(0.5 * base.x1_star, abs=1e-7)
 
 
-class TestIntegrate:
-    @pytest.mark.parametrize("dist, panels", [(UNIFORM, 1), (LAPLACE, 4)],
+class TestDfIntegrals:
+    @pytest.mark.parametrize("dist, panels", [(UNIFORM6, 6), (LAPLACE, 4)],
                              ids=["exact", "adaptive"])
     def test_reversed_range_is_empty(self, dist, panels):
-        # a table takes one piece on [0.2, 0.6], any other law 4 starting panels
-        vals, bounds, n = fullinfo._integrate(fullinfo._Law(dist), lambda u, i: np.ones_like(u),
-                                              [0.7, 0.2], [0.4, 0.6], None, FULL_INNER_CFG)
+        # the integral of F(Q(u)) = u over [0.2, 0.6] is 0.16: the table
+        # takes the 6 pieces between its F levels there, Laplace 4 starting
+        # panels
+        vals, bounds, n = fullinfo._df_integrals(fullinfo._Law(dist), np.zeros(2),
+                                                 np.array([0.7, 0.2]), np.array([0.4, 0.6]),
+                                                 FULL_INNER_CFG)
         assert (vals[0], bounds[0], n[0]) == (0.0, 0.0, 0)
-        assert vals[1] == pytest.approx(0.4, abs=1e-14) and n[1] == panels
+        assert vals[1] == pytest.approx(0.16, abs=1e-14) and n[1] == panels
+
+    @pytest.mark.parametrize("dist", [UNIFORM6, LAPLACE], ids=["exact", "adaptive"])
+    def test_no_shifts(self, dist):
+        empty = np.zeros(0)
+        vals, bounds, n = fullinfo._df_integrals(fullinfo._Law(dist), empty, empty, empty,
+                                                 FULL_INNER_CFG)
+        assert vals.shape == bounds.shape == n.shape == (0,)
+        assert fullinfo.continuation_curve(dist, []).shape == (0,)
 
 
 class TestInfiniteQuantileEnds:
@@ -823,17 +862,17 @@ class TestInfiniteQuantileEnds:
 
     @staticmethod
     def outer_integrand_at(monkeypatch, solve, us):
-        """``solve(LAPLACE)`` with ``fullinfo._u_integrals`` also evaluating
-        its outer integrands at ``us``, RuntimeWarnings raised; those values,
-        one list per outer integral, in the order of the calls."""
+        """``solve(LAPLACE)`` with ``fullinfo._outer`` also evaluating its
+        inner integrals at ``us``, RuntimeWarnings raised; those values, one
+        list per outer integral, in the order of the calls."""
         seen = []
-        real = fullinfo._u_integrals
+        real = fullinfo._outer
 
-        def probe(dist, g, *args):
-            seen.append(list(g(np.array(us), np.zeros(len(us), dtype=np.int64))))
-            return real(dist, g, *args)
+        def probe(law, inner, *args):
+            seen.append(list(inner(np.array(us))[0]))
+            return real(law, inner, *args)
 
-        monkeypatch.setattr(fullinfo, "_u_integrals", probe)
+        monkeypatch.setattr(fullinfo, "_outer", probe)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             solve(LAPLACE)

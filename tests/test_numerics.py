@@ -44,8 +44,9 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_detailed(lambda x: x, 1.0, 0.0)
 
-    def test_budget_exhausted_carries_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    def test_budget_exhausted_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 4)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
         with pytest.raises(QuadratureError) as info:
             integrate_detailed(lambda x: np.abs(np.sin(40.0 * x)), 0.0, 3.0, cfg)
         err = info.value
@@ -92,8 +93,8 @@ class TestConfigs:
         # exactly the tolerances written, where 100 * 1e-13 is 1.0000000000000001e-11
         assert FULL_INNER_CFG.outer() == QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
         assert PQ_INNER_CFG.outer() == QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
-        cfg = QuadratureConfig(abs_tol=2.5e-12, rel_tol=1e-6, max_subdivisions=7)
-        assert cfg.outer() == QuadratureConfig(abs_tol=2.5e-10, rel_tol=1e-4, max_subdivisions=7)
+        cfg = QuadratureConfig(abs_tol=2.5e-12, rel_tol=1e-6)
+        assert cfg.outer() == QuadratureConfig(abs_tol=2.5e-10, rel_tol=1e-4)
 
     def test_tolerance_record(self):
         assert tolerance_record(inner=QuadratureConfig(1e-9, 1e-8), root=RootConfig(1e-7, 1e-6)) == {
@@ -160,8 +161,9 @@ class TestIntegrateBatch:
         assert max(sizes) == block
         assert sum(sizes) > 10 * block
 
-    def test_small_budget_raises_with_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    def test_small_budget_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 4)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
 
         def f(u, i):
             return np.where(i == 0, u, np.abs(np.sin(40.0 * u)))
@@ -338,8 +340,8 @@ class TestIntegratePieces:
         assert np.all(np.abs(high - low) <= 4 * np.spacing(np.abs(low)))
 
     def test_blocks_bound_every_call(self, monkeypatch):
-        # many problems with many cuts: split into several blocks of
-        # problems, none of whose integrand calls exceeds _BLOCK_NODES
+        # many problems with many cuts: no integrand call exceeds
+        # _BLOCK_NODES (the rows a call takes are its caller's to bound)
         rng = np.random.default_rng(2)
         m, k = 300, 40
         s = rng.uniform(0.0, 1.0, (m, k))
@@ -351,7 +353,6 @@ class TestIntegratePieces:
 
         whole = integrate_pieces(f, np.zeros(m), np.ones(m), s)
         assert max(sizes) <= numerics._BLOCK_NODES
-        monkeypatch.setattr(numerics, "_BLOCK_CUTS", 3 * (k + 2))
         monkeypatch.setattr(numerics, "_BLOCK_NODES", 10)
         sizes.clear()
         blocked = integrate_pieces(f, np.zeros(m), np.ones(m), s)
