@@ -57,25 +57,24 @@ _EXPORTS = {
         "integrate_batch", "find_root",
     ),
     "walkcore": (
-        "FULL_INFORMATION", "RELATIVE_RANKS", "WalkPath", "RankView",
-        "compute_ranks", "StoppingPolicy", "RankPolicyTable", "run_policy",
-        "monotone_transform", "stop_at_policy", "two_step_policy", "TieError",
+        "FULL_INFORMATION", "RELATIVE_RANKS", "StoppingPolicy", "RankPolicyTable",
+        "stop_at_policy", "two_step_policy",
         "PermutationTable", "permutation_table", "rank_policy_a", "rank_policy_b",
     ),
     "fullinfo": (
         "FullInfoSolution", "V_LOWER_BOUND", "V_UPPER_BOUND",
-        "THRESHOLD_QUANTILE_BOUND", "stage2_value", "continuation_value",
+        "THRESHOLD_QUANTILE_BOUND", "continuation_value",
         "continuation_curve", "solve_threshold",
         "solve_full_info", "stage2_stop_region", "full_info_policy",
         "lower_bound_check",
     ),
     "relranks": (
         "PQParams", "compute_pq", "shift_concentration_check", "optimal_rank_policy",
-        "optimal_rank_value", "two_step_case_values",
+        "optimal_rank_value",
     ),
     "oracle": (
         "enumerate_rank_policies", "GridDPResult",
-        "grid_dp_full_info", "stage2_disagreement", "stage2_disagreement_csv",
+        "grid_dp_full_info", "stage2_disagreement",
     ),
     "simulate": (
         "SimConfig", "SimResult", "ChunkPartial", "chunk_partials",

@@ -100,6 +100,26 @@ def _load_dist(spec_text: str):
     return dist, dist.spec()
 
 
+#: Integer PowerFold exponents up to this take their exact p, whose
+#: denominator has up to 600 digits there.  A larger integer exponent (1e300
+#: is one) is rationalized from quadrature: its binomial would not finish.
+_EXACT_P_MAX_DELTA = 1000
+
+
+def _exact_p(dist) -> Fraction | None:
+    """p of a PowerFold with an integer exponent delta, as a Fraction; else None.
+
+    p = 1/48 - delta B(delta, delta)/96, and for an integer delta
+    delta B(delta, delta) = delta ((delta - 1)!)^2 / (2 delta - 1)!
+    = 1 / C(2 delta - 1, delta).
+    """
+    if not (isinstance(dist, PowerFold) and dist.delta.is_integer()
+            and dist.delta <= _EXACT_P_MAX_DELTA):
+        return None
+    d = int(dist.delta)
+    return Fraction(1, 48) - Fraction(1, 96 * math.comb(2 * d - 1, d))
+
+
 def _emit(payload: dict, out: str | None):
     # Streams are passed explicitly: click.echo's default-stream cache maps a
     # stream to itself, so every stream it ever saw (each CliRunner
@@ -219,11 +239,14 @@ def verify(dist_spec, paths, seed, out):
         defect = abs(pq.p + pq.q - 1.0 / 48.0)
         record("pq_sum", defect <= _cli.PQ_TOL, {"p": pq.p, "q": pq.q, "defect": defect})
 
+        exact_p = _exact_p(dist)
         if isinstance(dist, PowerFold):
-            # p = 1/48 - delta B(delta, delta)/96, B from lgamma; a few ulps of
-            # 1/48 cover the closed form's own rounding
+            # p = 1/48 - delta B(delta, delta)/96, exact for an integer delta and
+            # else B from lgamma; a few ulps of 1/48 cover the closed form's own
+            # rounding
             d = dist.delta
-            exact = 1.0 / 48.0 - d * math.exp(2.0 * math.lgamma(d) - math.lgamma(2.0 * d)) / 96.0
+            exact = (float(exact_p) if exact_p is not None else
+                     1.0 / 48.0 - d * math.exp(2.0 * math.lgamma(d) - math.lgamma(2.0 * d)) / 96.0)
             defect = abs(pq.p - exact)
             record("p_closed_form", defect <= pq.error_bound + 4.0 * math.ulp(1.0 / 48.0),
                    {"p": pq.p, "closed_form": exact, "defect": defect,
@@ -250,7 +273,7 @@ def verify(dist_spec, paths, seed, out):
         record("continuation_floor", floor.passed,
                {"max_violation": floor.max_violation, "worst_x": floor.worst_x})
 
-        p_frac = Fraction(pq.p).limit_denominator(10**9)
+        p_frac = exact_p if exact_p is not None else Fraction(pq.p).limit_denominator(10**9)
         enum = _cli.enumerate_rank_policies(p_frac, n=3)
         closed = _cli.optimal_rank_value(p_frac)
         record("enumeration_matches_closed_form", enum.optimal_value == closed,
@@ -475,7 +498,8 @@ def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
 @click.option("--p", "p_text", default=None, help="exact p as a fraction, e.g. 1/96")
 @click.option("--q", "q_text", default=None, help="exact q (defaults to 1/48 - p)")
 @click.option("--dist", "dist_spec", default=None,
-              help="compute p from a distribution instead (rationalized)")
+              help="compute p from a distribution instead (exact for a powerfold of "
+                   "integer delta, else rationalized from quadrature)")
 @click.option("--n", "horizon", type=click.Choice(["2", "3"]), default="3")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
@@ -495,10 +519,12 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
             raise click.UsageError(f"enumeration from --dist takes no {', '.join(given[:-1])}: "
                                    "p and q come from the distribution")
         dist, spec = _load_dist(dist_spec)
-        params = _numeric_guard(lambda: _cli.compute_pq(dist))
-        p = Fraction(params.p).limit_denominator(10**9)
+        p = _exact_p(dist)
+        rationalized = p is None
+        if rationalized:
+            params = _numeric_guard(lambda: _cli.compute_pq(dist))
+            p = Fraction(params.p).limit_denominator(10**9)
         q = Fraction(1, 48) - p
-        rationalized = True
     elif p_text is not None:
         try:
             p = Fraction(p_text)

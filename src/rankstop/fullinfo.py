@@ -87,7 +87,6 @@ __all__ = [
     "THRESHOLD_ROOT_CFG",
     "FullInfoSolution",
     "ThresholdError",
-    "stage2_value",
     "continuation_value",
     "continuation_curve",
     "solve_threshold",
@@ -270,19 +269,6 @@ def _curve_breaks(law):
     knots, degrees = law.knots, law.degrees
     return (np.concatenate([knots, 2.0 * knots, np.subtract.outer(knots, knots).ravel()]),
             np.concatenate([degrees, degrees, np.minimum.outer(degrees, degrees).ravel()]))
-
-
-def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
-    """Best expected rank after observing the first two steps.
-
-    The stop payoff is the relative rank of S_2 plus 1/2 for the remaining
-    step; the continuation payoff is 3.5 - F(x2) - F(x1 + x2).
-    """
-    s1, s2 = x1, x1 + x2
-    r2 = 1 + (s2 <= 0.0) + (s2 <= s1)
-    stop = r2 + 0.5
-    cont = 3.5 - float(dist.cdf(x2)) - float(dist.cdf(x1 + x2))
-    return min(stop, cont)
 
 
 def _excess(law, x, cfg):

@@ -44,7 +44,6 @@ __all__ = [
     "GridDPResult",
     "grid_dp_full_info",
     "stage2_disagreement",
-    "stage2_disagreement_csv",
 ]
 
 # Strict orderings of (0, S1, S2) as descending index chains, with their
@@ -285,43 +284,15 @@ def grid_dp_full_info(dist: SymmetricDistribution, m: int = 2001,
     )
 
 
-def _stage2_rule_blocks(dp: GridDPResult, policy: StoppingPolicy):
-    for lo in range(0, dp.m, _BLOCK):
-        x1 = dp.atoms[lo : lo + _BLOCK]
-        n1 = len(x1)
-        pairs = np.empty((n1 * dp.m, 2))
-        pairs[:, 0] = np.repeat(x1, dp.m)
-        pairs[:, 1] = np.tile(dp.atoms, n1)
-        yield lo, policy.batch_rule(2, pairs).reshape(n1, dp.m)
-
-
 def stage2_disagreement(dp: GridDPResult, policy: StoppingPolicy) -> float:
     """Fraction of (x1, x2) atom cells where the DP stop decision at the
     second step differs from a full-information policy's."""
     if dp.stop_second is None:
         raise ValueError("two-step DP has no second-step decision grid")
     mismatched = 0
-    for lo, rule in _stage2_rule_blocks(dp, policy):
-        mismatched += int(np.count_nonzero(rule != dp.stop_second[lo : lo + rule.shape[0]]))
+    for lo in range(0, dp.m, _BLOCK):
+        x1 = dp.atoms[lo : lo + _BLOCK]
+        pairs = np.column_stack([np.repeat(x1, dp.m), np.tile(dp.atoms, len(x1))])
+        rule = policy.batch_rule(2, pairs).reshape(len(x1), dp.m)
+        mismatched += int(np.count_nonzero(rule != dp.stop_second[lo : lo + _BLOCK]))
     return mismatched / dp.m**2
-
-
-def stage2_disagreement_csv(dp: GridDPResult, policy: StoppingPolicy) -> str:
-    """CSV of the disagreeing (x1, x2) cells: the sparse disagreement map.
-
-    Only mismatched cells are listed (a thin band along the decision
-    boundaries when everything works), so the file stays small even for
-    fine grids.
-    """
-    if dp.stop_second is None:
-        raise ValueError("two-step DP has no second-step decision grid")
-    lines = ["x1,x2,dp_stop,rule_stop"]
-    for lo, rule in _stage2_rule_blocks(dp, policy):
-        diff = rule != dp.stop_second[lo : lo + rule.shape[0]]
-        rows, cols = np.nonzero(diff)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            dp_stop = bool(dp.stop_second[lo + r, c])
-            lines.append(
-                f"{dp.atoms[lo + r]!r},{dp.atoms[c]!r},{int(dp_stop)},{int(not dp_stop)}"
-            )
-    return "\n".join(lines) + "\n"

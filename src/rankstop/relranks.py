@@ -49,8 +49,6 @@ __all__ = [
     "ConcentrationReport",
     "optimal_rank_policy",
     "optimal_rank_value",
-    "two_step_case_values",
-    "CaseValueReport",
 ]
 
 #: Default tolerance of q's inner integrals J, in the folded form.  The
@@ -189,61 +187,3 @@ def optimal_rank_value(p):
     if isinstance(p, Fraction):
         return min(Fraction(55, 24), Fraction(109, 48) + 2 * p)
     return min(55.0 / 24.0, 109.0 / 48.0 + 2.0 * p)
-
-
-@dataclass(frozen=True)
-class CaseValueReport:
-    """Stop/continue payoffs for the six two-step configurations.
-
-    Values are affine in (p, q) and derived from the ordering table; the
-    stage aggregates recombine them into the one-step values and the
-    overall optimum, which must match the closed-form rank value.
-    """
-
-    case1_stop: object            # S2 > S1 > 0: stop
-    case2_stop: object
-    case2_continue: object        # S1 > S2 > 0
-    case3_continue: object        # S1 > 0 > S2: forced continue
-    case4_stop: object            # S2 > 0 > S1: stop
-    case5_stop: object
-    case5_continue: object        # 0 > S2 > S1
-    case6_continue: object        # 0 > S1 > S2: forced continue
-    s1_positive_continue: object  # value of continuing past a positive first step
-    s1_negative_value: object     # value after a negative first step (forced continue)
-    overall: object
-
-
-def two_step_case_values(p, q) -> CaseValueReport:
-    """Evaluate every two-step case payoff at (p, q); exact for Fractions."""
-    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
-        raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
-    half = Fraction(1, 2) if isinstance(p, Fraction) else 0.5
-    one = 1 if isinstance(p, Fraction) else 1.0
-
-    def frac(a, b):
-        return Fraction(a, b) if isinstance(p, Fraction) else a / b
-
-    stop_mid = frac(5, 2)
-    case2_cont = frac(7, 3) + 16 * p
-    case3_cont = frac(17, 6) + 16 * q
-    case5_cont = frac(7, 3) + 16 * q
-    case6_cont = frac(37, 12) + 8 * p
-
-    v2_case2 = min(stop_mid, case2_cont)
-    v2_case5 = min(stop_mid, case5_cont)
-    s1_pos = half * frac(3, 2) + frac(1, 4) * v2_case2 + frac(1, 4) * case3_cont
-    s1_neg = frac(1, 4) * frac(3, 2) + frac(1, 4) * v2_case5 + half * case6_cont
-    overall = half * min(2 * one, s1_pos) + half * s1_neg
-    return CaseValueReport(
-        case1_stop=frac(3, 2),
-        case2_stop=stop_mid,
-        case2_continue=case2_cont,
-        case3_continue=case3_cont,
-        case4_stop=frac(3, 2),
-        case5_stop=stop_mid,
-        case5_continue=case5_cont,
-        case6_continue=case6_cont,
-        s1_positive_continue=s1_pos,
-        s1_negative_value=s1_neg,
-        overall=overall,
-    )

@@ -1,21 +1,15 @@
-"""Walk paths, rank bookkeeping, the stopping-policy interface and rank tables.
+"""The stopping-policy interface, rank-rule tables and the ordering table.
 
-The 24 strict orderings of S_0..S_3, their probability table in (p, q)
-and the optimal rank rules live here, beside the two-step rule, so that
-simulating a rank rule or enumerating rank policies at a given p loads no
-solver.
-
-Ranks follow the convention R_k = #(i : S_k <= S_i) including the
-self-comparison, so rank 1 is the best (the running maximum).  Relative
-ranks count only positions observed so far.  Tied positions are rejected
-at construction: they have probability zero for continuous steps, so a
-tie in a test fixture or simulator output signals a bug rather than an
-event to break arbitrarily.
+A policy sees a batch of paths at once, through exactly the data its
+observation model allows.  The 24 strict orderings of S_0..S_3, their
+probability table in (p, q) and the optimal rank rules live here, beside
+the two-step rule, so that simulating a rank rule or enumerating rank
+policies at a given p loads no solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -24,18 +18,11 @@ import numpy as np
 __all__ = [
     "FULL_INFORMATION",
     "RELATIVE_RANKS",
-    "TieError",
-    "MonotonicityError",
     "PolicyContractError",
-    "WalkPath",
-    "RankView",
-    "compute_ranks",
     "StoppingPolicy",
     "SECOND_STEP_HISTORIES",
     "RankPolicyTable",
     "TWO_STEP_BITS",
-    "run_policy",
-    "monotone_transform",
     "stop_at_policy",
     "two_step_policy",
     "PQ_SUM",
@@ -55,61 +42,8 @@ FULL_INFORMATION = "full"
 RELATIVE_RANKS = "ranks"
 
 
-class TieError(ValueError):
-    """Two walk positions coincide (a probability-zero event)."""
-
-
-class MonotonicityError(ValueError):
-    """A transform claimed to be increasing was not, on the evaluated points."""
-
-
 class PolicyContractError(RuntimeError):
     """A policy failed to stop by the horizon."""
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """Realized steps X_1..X_n together with the partial sums S_0..S_n."""
-
-    steps: tuple[float, ...]
-    sums: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        steps = tuple(float(x) for x in self.steps)
-        if len(steps) < 1:
-            raise ValueError("a walk needs at least one step")
-        sums = (0.0, *np.cumsum(steps).tolist())
-        if len(set(sums)) != len(sums):
-            raise TieError(f"walk positions contain ties: {sums}")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "sums", sums)
-
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
-class RankView:
-    """Overall and relative ranks of every position of one path."""
-
-    overall: tuple[int, ...]
-    relative: tuple[int, ...]
-
-    def overall_rank(self, k: int) -> int:
-        return self.overall[k]
-
-    def relative_rank(self, k: int) -> int:
-        return self.relative[k]
-
-
-def compute_ranks(path: WalkPath) -> RankView:
-    """Exact integer ranks of S_0..S_n, overall and among the prefix."""
-    s = np.array(path.sums)
-    ge = s[:, None] <= s[None, :]  # ge[k, i]: S_k <= S_i
-    overall = ge.sum(axis=1)
-    relative = np.array([ge[k, : k + 1].sum() for k in range(len(s))])
-    return RankView(tuple(int(r) for r in overall), tuple(int(r) for r in relative))
 
 
 @dataclass(frozen=True)
@@ -134,18 +68,6 @@ class StoppingPolicy:
             raise ValueError(f"unknown observation mode {self.mode!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-
-    def decide(self, k: int, observed) -> bool:
-        """Scalar stop decision for one observed prefix."""
-        if not 0 <= k <= self.horizon:
-            raise ValueError(f"decision time {k} outside 0..{self.horizon}")
-        width = k if self.mode == FULL_INFORMATION else k + 1
-        arr = np.asarray(observed, dtype=float).reshape(1, -1)
-        if arr.shape[1] != width:
-            raise ValueError(
-                f"{self.mode} policy at k={k} expects a prefix of length {width}, got {arr.shape[1]}"
-            )
-        return bool(np.asarray(self.batch_rule(k, arr)).reshape(-1)[0])
 
 
 #: The (R~_1, R~_2) histories of the second decision, in slot order.
@@ -225,34 +147,6 @@ class RankPolicyTable:
                       if self.bits[slot] and not self.bits[h[0]]]
             parts.append(f"stop at 2 if history in {second}" if second else "never stop at 2")
         return "; ".join(parts) or "stop at 1"
-
-
-def run_policy(policy: StoppingPolicy, path: WalkPath) -> tuple[int, int]:
-    """First stopping time of the policy on the path and the rank obtained."""
-    if path.n != policy.horizon:
-        raise ValueError(f"policy horizon {policy.horizon} does not match path length {path.n}")
-    ranks = compute_ranks(path)
-    for k in range(path.n + 1):
-        observed = path.steps[:k] if policy.mode == FULL_INFORMATION else ranks.relative[: k + 1]
-        if policy.decide(k, observed):
-            return k, ranks.overall[k]
-    raise PolicyContractError(f"policy {policy.name!r} never stopped by k={path.n}")
-
-
-def monotone_transform(path: WalkPath, g) -> tuple[float, ...]:
-    """Positions g(S_0)..g(S_n) for a strictly increasing g.
-
-    Ranks are invariant under such transforms; callers can therefore map a
-    walk onto, say, discretely sampled geometric Brownian motion without
-    changing any stopping problem.  Non-monotonicity of g on the evaluated
-    points is detected and rejected.
-    """
-    values = tuple(float(g(s)) for s in path.sums)
-    order = np.argsort(path.sums)
-    transformed = np.array(values)[order]
-    if np.any(np.diff(transformed) <= 0):
-        raise MonotonicityError("transform is not strictly increasing on the walk positions")
-    return values
 
 
 def stop_at_policy(k: int, horizon: int) -> StoppingPolicy:
@@ -335,20 +229,10 @@ class PermutationTable:
     q: float | Fraction
     rows: tuple[TableRow, ...]
 
-    def probability(self, chain: tuple[int, ...]):
-        chain = tuple(chain)
-        for row in self.rows:
-            if chain in (row.negative, row.positive):
-                return row.probability(self.p, self.q)
-        raise KeyError(f"not an ordering of four positions: {chain}")
-
     def probabilities(self):
         """Probabilities of ALL_ORDERINGS, in canonical order."""
         one_column = [row.probability(self.p, self.q) for row in self.rows]
         return one_column + one_column
-
-    def total(self):
-        return sum(self.probabilities())
 
     def as_records(self) -> list[dict]:
         out = []

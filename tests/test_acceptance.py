@@ -38,14 +38,12 @@ from rankstop.simulate import (
     permutation_frequencies,
 )
 from rankstop.walkcore import (
-    WalkPath,
-    compute_ranks,
-    monotone_transform,
     permutation_table,
     rank_policy_a,
     rank_policy_b,
     two_step_policy,
 )
+from test_walkcore import WalkPath, compute_ranks, monotone_transform
 
 UNIFORM_X1 = 2.0 * (math.sqrt(2.0) - 1.0)
 UNIFORM_V = 11.0 / 4.0 - math.sqrt(2.0) / 3.0

@@ -125,6 +125,7 @@ class TestVerify:
         assert checks["p_closed_form"]["passed"] is True
         assert detail["closed_form"] == pytest.approx(23 / 1120, abs=1e-17)
         assert detail["defect"] <= detail["error_bound"] + 4 * math.ulp(1 / 48)
+        assert checks["enumeration_matches_closed_form"]["detail"]["p"] == "23/1120"
         uniform = {c["check"] for c in json.loads(invoke(runner, [
             "verify", "--dist", UNIFORM, "--paths", "2000", "--seed", "5"]).output)["checks"]}
         assert "p_closed_form" not in uniform
@@ -316,6 +317,24 @@ class TestEnumerate:
         payload = json.loads(res.output)
         assert payload["optimal_value"] == "55/24"
         assert payload["manifest"]["p_rationalized_from_quadrature"] is True
+
+    @pytest.mark.parametrize("delta, p", [(2, "5/288"), (4, "23/1120")])
+    def test_integer_powerfold_takes_exact_p(self, runner, monkeypatch, delta, p):
+        # p = 1/48 - 1/(96 C(2 delta - 1, delta)), with no quadrature run
+        def no_work(*a, **k):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "compute_pq", no_work)
+        res = invoke(runner, ["enumerate", "--dist", f'{{"kind": "powerfold", "delta": {delta}}}'])
+        payload = json.loads(res.output)
+        assert payload["manifest"]["p"] == p
+        assert payload["manifest"]["p_rationalized_from_quadrature"] is False
+        assert payload["optimal_value"] == "55/24"
+
+    def test_powerfold_past_the_exact_range_is_rationalized(self, runner):
+        delta = cli._EXACT_P_MAX_DELTA + 1
+        res = invoke(runner, ["enumerate", "--dist", f'{{"kind": "powerfold", "delta": {delta}}}'])
+        assert json.loads(res.output)["manifest"]["p_rationalized_from_quadrature"] is True
 
     @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--q", "1/96"]], ids=["p", "q"])
     def test_from_distribution_rejects_p_and_q(self, runner, monkeypatch, extra):

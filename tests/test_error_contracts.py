@@ -16,15 +16,9 @@ from rankstop.fullinfo import continuation_curve, solve_full_info
 from rankstop.numerics import (RootConfig, find_root, integrate_batch, integrate_detailed,
                               integrate_pieces)
 from rankstop.oracle import enumerate_rank_policies, grid_dp_full_info, stage2_disagreement
-from rankstop.relranks import optimal_rank_value, shift_concentration_check, two_step_case_values
+from rankstop.relranks import optimal_rank_value, shift_concentration_check
 from rankstop.simulate import SimConfig, chunk_partials, permutation_frequencies
-from rankstop.walkcore import (
-    RELATIVE_RANKS,
-    StoppingPolicy,
-    WalkPath,
-    permutation_table,
-    stop_at_policy,
-)
+from rankstop.walkcore import StoppingPolicy, permutation_table, stop_at_policy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,23 +109,9 @@ class TestNumericsErrors:
 
 
 class TestWalkcoreErrors:
-    def test_empty_walk(self):
-        with pytest.raises(ValueError):
-            WalkPath(())
-
     def test_policy_mode_validation(self):
         with pytest.raises(ValueError):
             StoppingPolicy("psychic", 3, "bad", lambda k, obs: None)
-
-    def test_decide_prefix_width(self):
-        policy = stop_at_policy(0, 3)
-        with pytest.raises(ValueError):
-            policy.decide(2, [1, 2])  # ranks prefix at k=2 needs 3 entries
-
-    def test_decide_time_range(self):
-        policy = stop_at_policy(0, 3)
-        with pytest.raises(ValueError):
-            policy.decide(4, [1, 1, 1, 1, 1])
 
     def test_stop_at_out_of_range(self):
         with pytest.raises(ValueError):
@@ -161,10 +141,6 @@ class TestRelranksErrors:
         # a negative Fraction gave 107/48 = 109/48 - 2/48, below the floor
         with pytest.raises(ValueError, match="nonnegative"):
             optimal_rank_value(p)
-
-    def test_case_values_sum_constraint(self):
-        with pytest.raises(ValueError):
-            two_step_case_values(Fraction(1, 96), Fraction(1, 96) + Fraction(1, 10))
 
 
 class TestOracleErrors:

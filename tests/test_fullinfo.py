@@ -20,13 +20,13 @@ from rankstop.fullinfo import (
     solve_full_info,
     solve_threshold,
     stage2_stop_region,
-    stage2_value,
 )
 from rankstop.numerics import QuadratureConfig
 from rankstop.relranks import compute_pq
-from rankstop.walkcore import PQ_SUM, WalkPath, permutation_table, rank_policy_a, run_policy
+from rankstop.walkcore import PQ_SUM, permutation_table, rank_policy_a
 from test_table_oracle import SLOW_CROSSING, Table, knot_grid
 from test_tabulated_crosscheck import Delegate
+from test_walkcore import WalkPath, decide, run_policy
 
 UNIFORM = Uniform(1)
 LAPLACE = Laplace(1)
@@ -94,6 +94,19 @@ POWERFOLD_V = {
     4: lambda r: (7 / 3 - r**4 / 8 + 8 * r**5 / 35 - r**6 / 3 + 8 * r**7 / 35 - r**8 / 16
                   + 73 * r**12 / 3360),
 }
+
+
+def stage2_value(dist: SymmetricDistribution, x1: float, x2: float) -> float:
+    """Best expected rank after observing the first two steps.
+
+    The stop payoff is the relative rank of S_2 plus 1/2 for the remaining
+    step; the continuation payoff is 3.5 - F(x2) - F(x1 + x2).
+    """
+    s1, s2 = x1, x1 + x2
+    r2 = 1 + (s2 <= 0.0) + (s2 <= s1)
+    stop = r2 + 0.5
+    cont = 3.5 - float(dist.cdf(x2)) - float(dist.cdf(x1 + x2))
+    return min(stop, cont)
 
 
 class TestStage2Value:
@@ -752,17 +765,17 @@ class TestAdaptiveSearchStructure:
 class TestPolicy:
     def test_stop_at_one_inside_threshold(self):
         policy = full_info_policy(UNIFORM, UNIFORM_X1)
-        assert policy.decide(1, [0.5]) is True
-        assert policy.decide(1, [0.9]) is False
-        assert policy.decide(1, [-0.1]) is False
+        assert decide(policy, 1, [0.5]) is True
+        assert decide(policy, 1, [0.9]) is False
+        assert decide(policy, 1, [-0.1]) is False
 
     def test_stage2_examples(self):
         policy = full_info_policy(UNIFORM, UNIFORM_X1)
         # X1 beyond the threshold, fallback into (-X1, -X1/2]: stop
-        assert policy.decide(2, [0.9, -0.5]) is True
+        assert decide(policy, 2, [0.9, -0.5]) is True
         # both steps down: running minimum, continue
-        assert policy.decide(2, [-0.3, -0.1]) is False
-        assert policy.decide(3, [0.1, 0.1, 0.1]) is True
+        assert decide(policy, 2, [-0.3, -0.1]) is False
+        assert decide(policy, 3, [0.1, 0.1, 0.1]) is True
 
     def test_full_path_runs(self):
         policy = full_info_policy(UNIFORM, UNIFORM_X1)

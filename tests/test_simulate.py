@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from test_walkcore import brute_force_ranks
+from test_walkcore import WalkPath, brute_force_ranks, run_policy
 
 from rankstop import simulate
 from rankstop.distributions import IntervalUnionUniform, Laplace, SymmetricDistribution, Uniform
@@ -31,11 +31,9 @@ from rankstop.walkcore import (
     RELATIVE_RANKS,
     PolicyContractError,
     StoppingPolicy,
-    WalkPath,
     permutation_table,
     rank_policy_a,
     rank_policy_b,
-    run_policy,
     stop_at_policy,
     two_step_policy,
 )

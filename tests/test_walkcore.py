@@ -1,4 +1,13 @@
+"""Tests of walkcore, and the per-path references other test modules use.
+
+``WalkPath``, ``compute_ranks``, ``run_policy``, ``monotone_transform``
+and ``decide`` follow one walk at a time.  They share nothing with
+``simulate``'s sign-code ranks, which they check path by path, and the
+O(n^2) ``brute_force_ranks`` checks them in turn.
+"""
+
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,19 +17,127 @@ from rankstop.distributions import Laplace, Uniform
 from rankstop.walkcore import (
     FULL_INFORMATION,
     RELATIVE_RANKS,
-    MonotonicityError,
+    PolicyContractError,
     RankPolicyTable,
     StoppingPolicy,
-    TieError,
-    WalkPath,
-    compute_ranks,
-    monotone_transform,
     rank_policy_a,
     rank_policy_b,
-    run_policy,
     stop_at_policy,
     two_step_policy as table_two_step_policy,
 )
+
+
+class TieError(ValueError):
+    """Two walk positions coincide (a probability-zero event)."""
+
+
+class MonotonicityError(ValueError):
+    """A transform claimed to be increasing was not, on the evaluated points."""
+
+
+@dataclass(frozen=True)
+class WalkPath:
+    """Realized steps X_1..X_n together with the partial sums S_0..S_n.
+
+    Tied positions are rejected: they have probability zero for continuous
+    steps, so a tie in a fixture signals a bug rather than an event to
+    break arbitrarily.
+    """
+
+    steps: tuple[float, ...]
+    sums: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        steps = tuple(float(x) for x in self.steps)
+        if len(steps) < 1:
+            raise ValueError("a walk needs at least one step")
+        sums = (0.0, *np.cumsum(steps).tolist())
+        if len(set(sums)) != len(sums):
+            raise TieError(f"walk positions contain ties: {sums}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "sums", sums)
+
+    @property
+    def n(self) -> int:
+        return len(self.steps)
+
+
+@dataclass(frozen=True)
+class RankView:
+    """Overall and relative ranks of every position of one path."""
+
+    overall: tuple[int, ...]
+    relative: tuple[int, ...]
+
+    def overall_rank(self, k: int) -> int:
+        return self.overall[k]
+
+    def relative_rank(self, k: int) -> int:
+        return self.relative[k]
+
+
+def compute_ranks(path: WalkPath) -> RankView:
+    """Exact integer ranks of S_0..S_n, overall and among the prefix.
+
+    Ranks follow the convention R_k = #(i : S_k <= S_i) including the
+    self-comparison, so rank 1 is the best (the running maximum).
+    Relative ranks count only positions observed so far.
+    """
+    s = np.array(path.sums)
+    ge = s[:, None] <= s[None, :]  # ge[k, i]: S_k <= S_i
+    overall = ge.sum(axis=1)
+    relative = np.array([ge[k, : k + 1].sum() for k in range(len(s))])
+    return RankView(tuple(int(r) for r in overall), tuple(int(r) for r in relative))
+
+
+def decide(policy: StoppingPolicy, k: int, observed) -> bool:
+    """The policy's stop decision for one observed prefix."""
+    if not 0 <= k <= policy.horizon:
+        raise ValueError(f"decision time {k} outside 0..{policy.horizon}")
+    width = k if policy.mode == FULL_INFORMATION else k + 1
+    arr = np.asarray(observed, dtype=float).reshape(1, -1)
+    if arr.shape[1] != width:
+        raise ValueError(
+            f"{policy.mode} policy at k={k} expects a prefix of length {width}, got {arr.shape[1]}"
+        )
+    return bool(np.asarray(policy.batch_rule(k, arr)).reshape(-1)[0])
+
+
+def run_policy(policy: StoppingPolicy, path: WalkPath) -> tuple[int, int]:
+    """First stopping time of the policy on the path and the rank obtained."""
+    if path.n != policy.horizon:
+        raise ValueError(f"policy horizon {policy.horizon} does not match path length {path.n}")
+    ranks = compute_ranks(path)
+    for k in range(path.n + 1):
+        observed = path.steps[:k] if policy.mode == FULL_INFORMATION else ranks.relative[: k + 1]
+        if decide(policy, k, observed):
+            return k, ranks.overall[k]
+    raise PolicyContractError(f"policy {policy.name!r} never stopped by k={path.n}")
+
+
+def monotone_transform(path: WalkPath, g) -> tuple[float, ...]:
+    """Positions g(S_0)..g(S_n) for a strictly increasing g.
+
+    Ranks are invariant under such transforms, so a walk can be mapped
+    onto, say, discretely sampled geometric Brownian motion without
+    changing any stopping problem.  Non-monotonicity of g on the evaluated
+    points is detected and rejected.
+    """
+    values = tuple(float(g(s)) for s in path.sums)
+    order = np.argsort(path.sums)
+    transformed = np.array(values)[order]
+    if np.any(np.diff(transformed) <= 0):
+        raise MonotonicityError("transform is not strictly increasing on the walk positions")
+    return values
+
+
+def table_probability(table, chain: tuple[int, ...]):
+    """Probability of one ordering in a ``PermutationTable``."""
+    chain = tuple(chain)
+    for row in table.rows:
+        if chain in (row.negative, row.positive):
+            return row.probability(table.p, table.q)
+    raise KeyError(f"not an ordering of four positions: {chain}")
 
 
 def brute_force_ranks(sums):
@@ -50,6 +167,10 @@ class TestWalkPath:
         path = WalkPath((1.0, -2.0, 0.5))
         assert path.sums == (0.0, 1.0, -1.0, -0.5)
         assert path.n == 3
+
+    def test_empty_walk(self):
+        with pytest.raises(ValueError):
+            WalkPath(())
 
     def test_rejects_ties(self):
         with pytest.raises(TieError):
@@ -104,8 +225,6 @@ class TestRunPolicy:
         assert (tau, rank) == (2, 1)  # sums (0, -0.3, 0.6)
 
     def test_policy_that_never_stops(self):
-        from rankstop.walkcore import PolicyContractError
-
         broken = StoppingPolicy(
             RELATIVE_RANKS, 2, "broken",
             lambda k, obs: np.zeros(obs.shape[0], dtype=bool),
@@ -129,6 +248,18 @@ class TestRunPolicy:
     def test_horizon_mismatch(self):
         with pytest.raises(ValueError):
             run_policy(stop_at_policy(0, 3), WalkPath((1.0, 2.0)))
+
+
+class TestDecide:
+    def test_decide_prefix_width(self):
+        policy = stop_at_policy(0, 3)
+        with pytest.raises(ValueError):
+            decide(policy, 2, [1, 2])  # ranks prefix at k=2 needs 3 entries
+
+    def test_decide_time_range(self):
+        policy = stop_at_policy(0, 3)
+        with pytest.raises(ValueError):
+            decide(policy, 4, [1, 1, 1, 1, 1])
 
 
 def _histories(horizon):
