@@ -36,7 +36,6 @@ for bits, value in sorted(result.values.items(), key=lambda kv: kv[1]):
 print()
 print("million-path check on two step laws (target 1.875):")
 for label, dist in [("uniform", Uniform(1)), ("laplace", Laplace(1))]:
-    res = estimate_expected_rank(dist, two_step_policy(),
-                                 SimConfig(n_paths=10**6, horizon=2, seed=2))
+    res = estimate_expected_rank(dist, two_step_policy(), SimConfig(n_paths=10**6, seed=2))
     z = (res.mean_rank - 15 / 8) / res.std_error
     print(f"  {label:8s} mean {res.mean_rank:.5f} +- {res.std_error:.5f}  (z = {z:+.2f})")

@@ -49,7 +49,7 @@ print()
 print("the 24-ordering table at the uniform point p = q = 1/96,")
 print("against 10^7 simulated walks:")
 print("-" * 64)
-table = permutation_table(Fraction(1, 96), Fraction(1, 96))
+table = permutation_table(Fraction(1, 96))
 freq = permutation_frequencies(Uniform(1), 10**7, seed=11)
 probs = [float(v) for v in table.probabilities()]
 rows = table.rows

@@ -61,7 +61,7 @@ print(f"   a finite grid, so a thin band of boundary cells is expected)")
 print()
 print("monte carlo closes the loop")
 print("-" * 60)
-mc = estimate_expected_rank(uniform, policy, SimConfig(n_paths=10**6, horizon=3, seed=1))
+mc = estimate_expected_rank(uniform, policy, SimConfig(n_paths=10**6, seed=1))
 print(f"  simulated optimal-rule value {mc.mean_rank:.5f} +- {mc.std_error:.5f}")
 print(f"  analytic {sol.value:.5f}, DP {dp.value:.5f}")
 print(f"  stop-time split: {mc.stop_time_histogram}, "

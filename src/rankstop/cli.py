@@ -22,8 +22,8 @@ import click
 import numpy as np
 
 from . import __version__, _lazy_attributes
-from .distributions import (CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError, PowerFold,
-                            from_spec)
+from .distributions import (CDF_SYMMETRY_TOL, QUANTILE_ROUNDTRIP_TOL, DistributionError,
+                            IntervalUnionUniform, Laplace, PowerFold, Uniform, from_spec)
 
 # The solver names a command runs load on first access, so each command
 # imports only the solver modules it needs.  Commands look them up on
@@ -120,32 +120,29 @@ def _exact_p(dist) -> Fraction | None:
     return Fraction(1, 48) - Fraction(1, 96 * math.comb(2 * d - 1, d))
 
 
-def _emit(payload: dict, out: str | None):
+def _write(text: str, out: str | None):
+    """Write text to the file ``out`` and say so on stderr, else to stdout."""
     # Streams are passed explicitly: click.echo's default-stream cache maps a
     # stream to itself, so every stream it ever saw (each CliRunner
     # invocation's, say) would stay alive.
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        click.echo(f"wrote {out}", file=sys.stderr)
-    else:
-        click.echo(text, file=sys.stdout)
-
-
-def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         click.echo(f"wrote {out}", file=sys.stderr)
     else:
         click.echo(text, nl=False, file=sys.stdout)
+
+
+def _emit(payload: dict, out: str | None):
+    _write(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(buf.getvalue(), out)
 
 
 def _z_score(mean: float, target: float, std_error: float) -> float:
@@ -280,7 +277,7 @@ def verify(dist_spec, paths, seed, out):
                {"p": str(p_frac), "enumeration": str(enum.optimal_value), "closed_form": str(closed)})
 
         rank_pol, branch = _cli.optimal_rank_policy(pq)
-        cfg = _cli.SimConfig(n_paths=paths, horizon=3, seed=seed)
+        cfg = _cli.SimConfig(n_paths=paths, seed=seed)
         mc = _cli.estimate_expected_rank(dist, rank_pol, cfg)
         target = _cli.optimal_rank_value(pq)
         z = _z_score(mc.mean_rank, target, mc.std_error)
@@ -310,38 +307,21 @@ def verify(dist_spec, paths, seed, out):
 def table2(as_csv, out):
     """Summary of the three-step results, all rows computed live."""
     def run():
-        uniform, _ = _load_dist('{"kind": "uniform", "a": 1.0}')
-        laplace, _ = _load_dist('{"kind": "laplace", "b": 1.0}')
-        extremal, _ = _load_dist('{"kind": "interval_union", "c": 1.0, "d": 2.0}')
-        v_lap = _cli.solve_full_info(laplace).value
-        v_uni = _cli.solve_full_info(uniform).value
-        v_max = _cli.solve_full_info(extremal).value
-        p_lap = _cli.compute_pq(laplace)
-        p_uni = _cli.compute_pq(uniform)
-        p_max = _cli.compute_pq(extremal)
+        full = [("Lower bound", _cli.V_LOWER_BOUND)]
+        ranks = [("Greatest Lower Bound", float(_cli.optimal_rank_value(Fraction(0))))]
+        for name, dist in [("Laplace Distribution", Laplace(1.0)),
+                           ("Uniform Distribution", Uniform(1.0)),
+                           ("Maximum", IntervalUnionUniform(1.0, 2.0))]:
+            full.append((name, _cli.solve_full_info(dist).value))
+            ranks.append((name, _cli.optimal_rank_value(_cli.compute_pq(dist))))
         stop_now = _cli.enumerate_rank_policies(Fraction(1, 96), n=3).values[
             _cli.canonical_rules(3)["stop_at_start"]
         ]
-        return [
-            {"version": "Full Information", "description": "Lower bound",
-             "expected_rank": _cli.V_LOWER_BOUND},
-            {"version": "Full Information", "description": "Laplace Distribution",
-             "expected_rank": v_lap},
-            {"version": "Full Information", "description": "Uniform Distribution",
-             "expected_rank": v_uni},
-            {"version": "Full Information", "description": "Maximum",
-             "expected_rank": v_max},
-            {"version": "Relative Ranks", "description": "Greatest Lower Bound",
-             "expected_rank": float(_cli.optimal_rank_value(Fraction(0)))},
-            {"version": "Relative Ranks", "description": "Laplace Distribution",
-             "expected_rank": _cli.optimal_rank_value(p_lap)},
-            {"version": "Relative Ranks", "description": "Uniform Distribution",
-             "expected_rank": _cli.optimal_rank_value(p_uni)},
-            {"version": "Relative Ranks", "description": "Maximum",
-             "expected_rank": _cli.optimal_rank_value(p_max)},
-            {"version": "Both Versions", "description": "Stopping Immediately",
-             "expected_rank": float(stop_now)},
-        ]
+        both = [("Stopping Immediately", float(stop_now))]
+        return [{"version": version, "description": name, "expected_rank": value}
+                for version, rows in [("Full Information", full), ("Relative Ranks", ranks),
+                                      ("Both Versions", both)]
+                for name, value in rows]
 
     rows = _numeric_guard(run)
     if as_csv:
@@ -439,7 +419,7 @@ def simulate_cmd(dist_spec, policy_spec, paths, horizon, seed, chunk_size, worke
     horizon = policy.horizon
 
     def run():
-        cfg = _cli.SimConfig(n_paths=paths, horizon=horizon, seed=seed, chunk_size=chunk_size)
+        cfg = _cli.SimConfig(n_paths=paths, seed=seed, chunk_size=chunk_size)
         return _cli.chunk_partials(dist, policy, cfg, workers=workers)
 
     parts = _numeric_guard(run)
@@ -476,7 +456,7 @@ def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
     dist, spec = _load_dist(dist_spec)
     cfg = _quad_cfg(abs_tol, rel_tol, _cli.PQ_INNER_CFG)
     params = _numeric_guard(lambda: _cli.compute_pq(dist, cfg))
-    tab = _cli.permutation_table(params.p, params.q)
+    tab = _cli.permutation_table(params.p)
     if as_csv:
         _emit_csv(tab.as_records(),
                   ["ordering", "reflection", "constant", "p_coefficient",
@@ -495,28 +475,27 @@ def pq(dist_spec, table, abs_tol, rel_tol, as_csv, out):
 
 
 @main.command("enumerate")
-@click.option("--p", "p_text", default=None, help="exact p as a fraction, e.g. 1/96")
-@click.option("--q", "q_text", default=None, help="exact q (defaults to 1/48 - p)")
+@click.option("--p", "p_text", default=None, help="exact p as a fraction, e.g. 1/96; q = 1/48 - p")
 @click.option("--dist", "dist_spec", default=None,
               help="compute p from a distribution instead (exact for a powerfold of "
                    "integer delta, else rationalized from quadrature)")
 @click.option("--n", "horizon", type=click.Choice(["2", "3"]), default="3")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
+def enumerate_cmd(p_text, dist_spec, horizon, out):
     """Exact enumeration of every rank-adapted stopping rule."""
     horizon = int(horizon)
-    p = q = None
+    p = None
     spec = None
     rationalized = False
-    given = [name for name, value in (("--p", p_text), ("--q", q_text), ("--dist", dist_spec))
-             if value is not None]
     if horizon == 2:
+        given = [name for name, value in (("--p", p_text), ("--dist", dist_spec))
+                 if value is not None]
         if given:
             raise click.UsageError(f"two-step enumeration takes no {', '.join(given)}: "
                                    "its ordering probabilities do not depend on the law")
     elif dist_spec is not None:
-        if given != ["--dist"]:
-            raise click.UsageError(f"enumeration from --dist takes no {', '.join(given[:-1])}: "
+        if p_text is not None:
+            raise click.UsageError("enumeration from --dist takes no --p: "
                                    "p and q come from the distribution")
         dist, spec = _load_dist(dist_spec)
         p = _exact_p(dist)
@@ -524,22 +503,17 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
         if rationalized:
             params = _numeric_guard(lambda: _cli.compute_pq(dist))
             p = Fraction(params.p).limit_denominator(10**9)
-        q = Fraction(1, 48) - p
     elif p_text is not None:
         try:
             p = Fraction(p_text)
-            q = Fraction(q_text) if q_text else Fraction(1, 48) - p
         except (ValueError, ZeroDivisionError) as exc:
             raise click.UsageError(f"bad fraction: {exc}") from exc
-        if p < 0 or q < 0 or p + q != Fraction(1, 48):
-            raise click.UsageError(f"need p >= 0, q >= 0 and p + q = 1/48, got p = {p}, q = {q}")
+        if not 0 <= p <= Fraction(1, 48):
+            raise click.UsageError(f"need 0 <= p <= 1/48, got p = {p}")
     else:
         raise click.UsageError("three-step enumeration needs --p or --dist")
 
-    def run():
-        return _cli.enumerate_rank_policies(p, q, n=horizon)
-
-    res = _numeric_guard(run)
+    res = _numeric_guard(lambda: _cli.enumerate_rank_policies(p, n=horizon))
     named = {
         name: res.is_minimizer(bits) for name, bits in _cli.canonical_rules(horizon).items()
     }
@@ -547,7 +521,7 @@ def enumerate_cmd(p_text, q_text, dist_spec, horizon, out):
     payload = {
         "manifest": _manifest("enumerate", spec, n=horizon,
                               p=str(p) if p is not None else None,
-                              q=str(q) if q is not None else None,
+                              q=str(Fraction(1, 48) - p) if p is not None else None,
                               p_rationalized_from_quadrature=rationalized),
         "optimal_value": str(res.optimal_value),
         "optimal_value_float": float(res.optimal_value),

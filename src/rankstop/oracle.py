@@ -27,7 +27,6 @@ import numpy as np
 from .distributions import SymmetricDistribution
 from .walkcore import (
     ALL_ORDERINGS,
-    PQ_SUM,
     RANK_RULE_A_BITS,
     RANK_RULE_B_BITS,
     SECOND_STEP_HISTORIES,
@@ -106,7 +105,6 @@ class EnumerationResult:
     values: dict
     n: int
     p: Fraction | None = None
-    q: Fraction | None = None
 
     def is_minimizer(self, bits) -> bool:
         """Whether a bit table is behaviorally one of the minimizers.
@@ -118,13 +116,14 @@ class EnumerationResult:
         return any((target == row).all() for row in optima)
 
 
-def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
+def enumerate_rank_policies(p=None, n: int = 3) -> EnumerationResult:
     """Exact expected rank of every total rank-adapted rule; returns the optimum.
 
-    For n = 3 the expectation of each rule is affine in (p, q) through the
-    ordering table, so with Fraction inputs the minimum and the set of
-    minimizers are exact.  For n = 2 the ordering probabilities are
-    distribution-free and no parameters are needed.
+    For n = 3 the expectation of each rule is affine in p through the
+    ordering table, so with a Fraction p the minimum and the set of
+    minimizers are exact; a float p is rationalized first.  For n = 2 the
+    ordering probabilities are distribution-free and no parameters are
+    needed.
 
     The 2^n_bits rules are the rows of one 0/1 table, in the order of
     itertools.product.  Each chain's stop time under every rule is one
@@ -135,18 +134,12 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
     if n == 2:
         orderings = _TWO_STEP_ORDERINGS
         n_bits = 3
-        p = q = None
+        p = None
     elif n == 3:
         if p is None:
-            raise ValueError("three-step enumeration needs p (and optionally q)")
+            raise ValueError("three-step enumeration needs p")
         p = p if isinstance(p, Fraction) else Fraction(p).limit_denominator(10**12)
-        q = PQ_SUM - p if q is None else (q if isinstance(q, Fraction) else Fraction(q).limit_denominator(10**12))
-        if p + q != PQ_SUM:
-            raise ValueError(f"p + q must be exactly 1/48, got {p} + {q}")
-        if p < 0 or q < 0:
-            raise ValueError("p and q must be nonnegative")
-        table = permutation_table(p, q)
-        orderings = list(zip(ALL_ORDERINGS, table.probabilities()))
+        orderings = list(zip(ALL_ORDERINGS, permutation_table(p).probabilities()))
         n_bits = 9
     else:
         raise ValueError("enumeration supports horizons 2 and 3 only")
@@ -175,7 +168,6 @@ def enumerate_rank_policies(p=None, q=None, n: int = 3) -> EnumerationResult:
         values=values,
         n=n,
         p=p,
-        q=q,
     )
 
 

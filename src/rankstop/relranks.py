@@ -24,8 +24,8 @@ sums, so that one fixed-rule call is exact up to rounding.  Both forms
 are ``fullinfo._q``, which V = 109/48 + p + T calls too; ``compute_pq``
 wraps it.
 The probabilities of all 24 strict orderings of S_0..S_3 are affine in
-(p, q); the table (``walkcore.permutation_table``) drives both the optimal
-rank rule and the exact policy-enumeration oracle.
+(p, q), so in p alone; the table (``walkcore.permutation_table``) drives
+both the optimal rank rule and the exact policy-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .distributions import SymmetricDistribution
 from .fullinfo import _Law, _q
 # integrate_detailed is unused here; perfbench/tracer.py patches it by attribute.
 from .numerics import QuadratureConfig, integrate_detailed, tolerance_record
-from .walkcore import PQ_SUM, PQ_TOL, StoppingPolicy, rank_policy_a, rank_policy_b
+from .walkcore import PQ_SUM, StoppingPolicy, permutation_table, rank_policy_a, rank_policy_b
 
 __all__ = [
     "PQ_INNER_CFG",
@@ -62,6 +62,10 @@ PQ_INNER_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 class PQParams:
     """The pair (p, q) for one distribution, with provenance and error bound.
 
+    q is the number computed; p is ``float(PQ_SUM) - q``.  A q of up to
+    1e-12 below 0, quadrature noise on a vanishing integrand, is clamped
+    to 0, and q must lie in [0, 1/48), so that p > 0.
+
     ``method`` is "quadrature" or, for a ``TabulatedCdf``,
     "exact_piecewise_linear", whose ``error_bound`` is a rounding bound.
     ``panels`` counts the quadrature panels evaluated, outer and inner, or
@@ -71,7 +75,6 @@ class PQParams:
     which has none.
     """
 
-    p: float
     q: float
     method: str = "quadrature"
     error_bound: float = 0.0
@@ -79,17 +82,14 @@ class PQParams:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        q = self.q
-        if -1e-12 <= q < 0.0:  # quadrature of a vanishing integrand
-            q = 0.0
-            object.__setattr__(self, "q", q)
-        if not self.p > 0:
-            raise ValueError(f"p must be strictly positive, got {self.p}")
-        if q < 0:
-            raise ValueError(f"q must be nonnegative, got {q}")
-        slack = max(self.error_bound, PQ_TOL)
-        if abs(self.p + q - float(PQ_SUM)) > slack:
-            raise ValueError(f"p + q = {self.p + q} is not 1/48 within {slack}")
+        if -1e-12 <= self.q < 0.0:  # quadrature of a vanishing integrand
+            object.__setattr__(self, "q", 0.0)
+        if not 0.0 <= self.q < float(PQ_SUM):
+            raise ValueError(f"q must lie in [0, 1/48), got {self.q}")
+
+    @property
+    def p(self) -> float:
+        return float(PQ_SUM) - self.q
 
 
 def compute_pq(dist: SymmetricDistribution,
@@ -101,7 +101,7 @@ def compute_pq(dist: SymmetricDistribution,
     law = _Law(dist)
     cfg = cfg or PQ_INNER_CFG
     q, err, panels = _q(law, cfg)
-    return PQParams(p=float(PQ_SUM) - q, q=q, method=law.method, error_bound=err, panels=panels,
+    return PQParams(q=q, method=law.method, error_bound=err, panels=panels,
                     tolerances={} if law.exact else tolerance_record(inner=cfg, outer=cfg.outer()))
 
 
@@ -115,24 +115,17 @@ class ConcentrationReport:
     n_checked: int
 
 
-def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
-                              tol: float = 1e-12) -> ConcentrationReport:
+def shift_concentration_check(dist: SymmetricDistribution) -> ConcentrationReport:
     """Check that an interval at the origin always carries at least as much
     mass as an equal-length interval shifted away from it.
 
     This is the defining property of the class of distributions (all
     symmetric unimodal ones included) for which p <= 1/96 is guaranteed.
-    A grid check can only ever exhibit violations, not prove membership.
+    A grid check can only ever exhibit violations, not prove membership:
+    x and y run over the same 100 points, geometric from 1e-4 to 1 times
+    the 1 - 1e-9 quantile, and a gap above 1e-12 is a violation.
     """
-    hi = dist.quantile(1.0 - 1e-9)
-    if xs is None:
-        xs = hi * np.geomspace(1e-4, 1.0, 100)
-    if ys is None:
-        ys = hi * np.geomspace(1e-4, 1.0, 100)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("grid points must be strictly positive")
+    xs = ys = dist.quantile(1.0 - 1e-9) * np.geomspace(1e-4, 1.0, 100)
     f0 = float(dist.cdf(0.0))
     lhs = dist.cdf(xs)[:, None] - f0
     rhs = dist.cdf(xs[:, None] + ys[None, :]) - dist.cdf(ys)[None, :]
@@ -140,7 +133,7 @@ def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
     i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
     worst = float(gaps[i, j])
     return ConcentrationReport(
-        member=worst <= tol,
+        member=worst <= 1e-12,
         max_violation=worst,
         worst_pair=(float(xs[i]), float(ys[j])),
         n_checked=gaps.size,
@@ -153,22 +146,17 @@ def shift_concentration_check(dist: SymmetricDistribution, xs=None, ys=None,
 
 
 def optimal_rank_policy(pq) -> tuple[StoppingPolicy, str]:
-    """The optimal rank rule for given (p, q) and its branch tag 'a' or 'b'.
+    """The optimal rank rule for a PQParams or a p, and its branch tag 'a' or 'b'.
 
     Branch a applies when p <= q, branch b when p > q; at p = q the two
     rules achieve the same value and branch a is returned for determinism.
+    A p takes q = 1/48 - p as ``walkcore.permutation_table`` does.
     """
-    p, q = _pq_pair(pq)
-    if p <= q:
+    if not isinstance(pq, PQParams):
+        pq = permutation_table(pq)
+    if pq.p <= pq.q:
         return rank_policy_a(), "a"
     return rank_policy_b(), "b"
-
-
-def _pq_pair(pq):
-    if isinstance(pq, PQParams):
-        return pq.p, pq.q
-    p, q = pq
-    return p, q
 
 
 def optimal_rank_value(p):

@@ -51,15 +51,12 @@ __all__ = [
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
-    horizon: int
     seed: int = 0
     chunk_size: int = 1 << 18
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not 1 <= self.horizon <= 3:
-            raise ValueError(f"horizon must be 1, 2 or 3, got {self.horizon}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
 
@@ -166,23 +163,24 @@ def _code_blocks(dist, rng, n, horizon, ties=False):
         yield steps, codes, tied
 
 
-def _stop_times(policy, horizon, size, observed):
+def _stop_times(policy, size, observed):
     """First k at which the policy stops on each row of observed(k); -1 if never."""
     tau = np.full(size, -1, dtype=np.intp)
-    for k in range(horizon + 1):
+    for k in range(policy.horizon + 1):
         stop_now = (tau < 0) & np.asarray(policy.batch_rule(k, observed(k)), dtype=bool)
         tau[stop_now] = k
     return tau
 
 
-def _simulate_chunk(dist, policy, horizon, n, rng):
+def _simulate_chunk(dist, policy, n, rng):
+    horizon = policy.horizon
     overall, relative, _ = _code_tables(horizon)
     blocks = _code_blocks(dist, rng, n, horizon)
     if policy.mode == FULL_INFORMATION:
         rank_sum = rank_sq_sum = unstopped = 0
         hist = np.zeros(horizon + 1, dtype=np.int64)
         for steps, codes, _ in blocks:
-            tau = _stop_times(policy, horizon, codes.size, lambda k: steps[:, :k])
+            tau = _stop_times(policy, codes.size, lambda k: steps[:, :k])
             unstopped += int(np.count_nonzero(tau < 0))
             tau = np.maximum(tau, 0)  # an unstopped path fails the chunk below
             rank_tau = overall[codes, tau]
@@ -194,7 +192,7 @@ def _simulate_chunk(dist, policy, horizon, n, rng):
         counts = np.zeros(len(overall), dtype=np.int64)
         for _, codes, _ in blocks:
             counts += np.bincount(codes, minlength=len(overall))
-        tau = _stop_times(policy, horizon, counts.size, lambda k: relative[:, : k + 1])
+        tau = _stop_times(policy, counts.size, lambda k: relative[:, : k + 1])
         unstopped = int(counts[tau < 0].sum())
         tau = np.maximum(tau, 0)  # codes still undecided carry no paths
         rank_tau = overall[np.arange(tau.size), tau]
@@ -221,22 +219,21 @@ class ChunkPartial:
 
 def chunk_partials(dist: SymmetricDistribution, policy: StoppingPolicy,
                    cfg: SimConfig, workers: int = 1) -> list[ChunkPartial]:
-    """Simulate every chunk and return its partial sums, in chunk order.
+    """Simulate every chunk at the policy's horizon and return its partial
+    sums, in chunk order.
 
     Chunks run on min(workers, chunk count, CPU count) threads.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if policy.horizon != cfg.horizon:
-        raise ValueError(
-            f"policy horizon {policy.horizon} does not match simulation horizon {cfg.horizon}"
-        )
+    if policy.horizon > 3:  # the uint8 sign code holds 6 segment bits
+        raise ValueError(f"simulation horizons run up to 3, got {policy.horizon}")
     tasks = [(idx, min(cfg.chunk_size, cfg.n_paths - start))
              for idx, start in enumerate(range(0, cfg.n_paths, cfg.chunk_size))]
 
     def job(task):
         idx, size = task
-        sums = _simulate_chunk(dist, policy, cfg.horizon, size, chunk_rng(cfg.seed, idx))
+        sums = _simulate_chunk(dist, policy, size, chunk_rng(cfg.seed, idx))
         return ChunkPartial(idx, size, *sums)  # rank_sum, rank_sq_sum, histogram
 
     threads = min(workers, len(tasks), os.cpu_count() or 1)

@@ -2,7 +2,7 @@
 
 A policy sees a batch of paths at once, through exactly the data its
 observation model allows.  The 24 strict orderings of S_0..S_3, their
-probability table in (p, q) and the optimal rank rules live here, beside
+probability table in p and the optimal rank rules live here, beside
 the two-step rule, so that simulating a rank rule or enumerating rank
 policies at a given p loads no solver.
 """
@@ -167,14 +167,15 @@ def two_step_policy() -> StoppingPolicy:
 # Orderings are descending chains of position indices: (2, 0, 3, 1) means
 # S2 > S0 > S3 > S1 (index 0 is the origin S0 = 0).  Each row pairs an
 # ordering having S1 < 0 with its sign flip, which reverses the chain and
-# has the same probability.  Probabilities are affine in (p, q), the two
-# numbers of ``relranks.compute_pq``, with p + q = 1/48.
+# has the same probability.  Probabilities are affine in the two numbers
+# (p, q) of ``relranks.compute_pq``; symmetry fixes q = 1/48 - p, so the
+# table takes p alone.
 # ---------------------------------------------------------------------------
 
 #: p + q for every continuous symmetric step distribution.
 PQ_SUM = Fraction(1, 48)
 
-#: Slack on p + q = 1/48 and on p <= 1/96, here, in ``relranks`` and in ``verify``.
+#: Slack of ``verify``'s checks of p + q = 1/48 and of p <= 1/96.
 PQ_TOL = 1e-9
 
 _ROW_SPEC = [
@@ -211,10 +212,14 @@ def ordering_string(chain: tuple[int, ...], ascending: bool = False) -> str:
 @dataclass(frozen=True)
 class TableRow:
     negative: tuple[int, ...]   # chain with S1 < 0
-    positive: tuple[int, ...]   # its reflection, with S1 > 0
     const: Fraction
     p_coeff: int
     q_coeff: int
+
+    @property
+    def positive(self) -> tuple[int, ...]:
+        """The reflection of ``negative``, with S1 > 0."""
+        return self.negative[::-1]
 
     def probability(self, p, q):
         """Row probability at (p, q); exact for Fraction inputs."""
@@ -248,14 +253,13 @@ class PermutationTable:
         return out
 
 
-def permutation_table(p, q) -> PermutationTable:
-    """Instantiate the 24-row ordering table at a given (p, q)."""
-    if float(p) < 0 or float(q) < 0:
-        raise ValueError(f"p and q must be nonnegative, got p={p}, q={q}")
-    if abs(float(p) + float(q) - float(PQ_SUM)) > PQ_TOL:
-        raise ValueError(f"p + q must equal 1/48, got {float(p) + float(q)}")
-    rows = tuple(TableRow(neg, neg[::-1], c, cp, cq) for neg, c, cp, cq in _ROW_SPEC)
-    return PermutationTable(p=p, q=q, rows=rows)
+def permutation_table(p) -> PermutationTable:
+    """Instantiate the 24-row ordering table at p, with q = 1/48 - p in p's
+    own type: exact for a Fraction, a float for anything else."""
+    total = PQ_SUM if isinstance(p, Fraction) else float(PQ_SUM)
+    if not 0 <= p <= total:
+        raise ValueError(f"p must lie in [0, 1/48], got {p}")
+    return PermutationTable(p=p, q=total - p, rows=tuple(TableRow(*spec) for spec in _ROW_SPEC))
 
 
 #: Stop bits (RankPolicyTable layout) of the two optimal three-step rank rules.

@@ -201,19 +201,19 @@ def test_criterion_10_monte_carlo_cross_checks(solutions):
         uniform, laplace = Uniform(1), Laplace(1)
         interval = IntervalUnionUniform(1, 2)
         runs = [
-            (laplace, two_step_policy(), 2, 15 / 8),
-            (uniform, full_info_policy(uniform, solutions["uniform"].x1_star), 3,
+            (laplace, two_step_policy(), 15 / 8),
+            (uniform, full_info_policy(uniform, solutions["uniform"].x1_star),
              solutions["uniform"].value),
-            (uniform, rank_policy_a(), 3, 55 / 24),
-            (interval, rank_policy_b(), 3, 55 / 24),
+            (uniform, rank_policy_a(), 55 / 24),
+            (interval, rank_policy_b(), 55 / 24),
         ]
-        for i, (dist, policy, horizon, target) in enumerate(runs):
-            cfg = SimConfig(n_paths=10**6, horizon=horizon, seed=1000 + i)
+        for i, (dist, policy, target) in enumerate(runs):
+            cfg = SimConfig(n_paths=10**6, seed=1000 + i)
             res = estimate_expected_rank(dist, policy, cfg)
             assert abs(res.mean_rank - target) <= 3 * res.std_error, policy.name
 
         freq = permutation_frequencies(uniform, 10**7, seed=2026)
-        table = permutation_table(Fraction(1, 96), Fraction(1, 96))
+        table = permutation_table(Fraction(1, 96))
         probs = np.array([float(v) for v in table.probabilities()])
         se = np.sqrt(probs * (1 - probs) / 10**7)
         assert np.all(np.abs(freq.frequencies - probs) <= 4 * se)
@@ -252,7 +252,7 @@ def test_criterion_12_property_suite(suite):
         vals = [continuation_value(dist, x) for x in xs]
         assert np.all(np.diff(vals) <= 1e-9)
 
-        cfg = SimConfig(n_paths=200_000, horizon=3, seed=12, chunk_size=1 << 15)
+        cfg = SimConfig(n_paths=200_000, seed=12, chunk_size=1 << 15)
         one = estimate_expected_rank(dist, rank_policy_a(), cfg)
         again = estimate_expected_rank(dist, rank_policy_a(), cfg)
         many = estimate_expected_rank(dist, rank_policy_a(), cfg, workers=8)

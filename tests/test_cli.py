@@ -336,7 +336,7 @@ class TestEnumerate:
         res = invoke(runner, ["enumerate", "--dist", f'{{"kind": "powerfold", "delta": {delta}}}'])
         assert json.loads(res.output)["manifest"]["p_rationalized_from_quadrature"] is True
 
-    @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--q", "1/96"]], ids=["p", "q"])
+    @pytest.mark.parametrize("extra", [["--p", "1/10"]], ids=["p"])
     def test_from_distribution_rejects_p_and_q(self, runner, monkeypatch, extra):
         # p and q come from the law: input that would be dropped is refused
         # before any work
@@ -353,9 +353,9 @@ class TestEnumerate:
         res = runner.invoke(main, ["enumerate"])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--q", "1/96"], ["--dist", LAPLACE],
+    @pytest.mark.parametrize("extra", [["--p", "1/10"], ["--dist", LAPLACE],
                                        ["--p", "1/10", "--dist", LAPLACE]],
-                             ids=["p", "q", "dist", "p_and_dist"])
+                             ids=["p", "dist", "p_and_dist"])
     def test_two_step_rejects_p_q_and_dist(self, runner, extra):
         # two-step ordering probabilities do not depend on the law: input
         # that would be dropped is refused before any work

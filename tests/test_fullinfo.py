@@ -460,7 +460,7 @@ class TestNegativeHalf:
         # each ordering of S0..S3 with S1 < 0 as a walk, its rank under rank
         # rule a, weighted by the ordering table at (p, 1/48 - p)
         total = Fraction(0)
-        for row in permutation_table(p, PQ_SUM - p).rows:
+        for row in permutation_table(p).rows:
             height = {i: -n for n, i in enumerate(row.negative)}  # a descending chain
             s = [height[i] - height[0] for i in range(4)]
             path = WalkPath([s[k] - s[k - 1] for k in (1, 2, 3)])
@@ -825,7 +825,7 @@ class TestPolicyValueConsistency:
         for i, (name, dist) in enumerate(builtins.items()):
             sol = solutions[name]
             policy = full_info_policy(dist, sol.x1_star)
-            cfg = SimConfig(n_paths=10**6, horizon=3, seed=300 + i)
+            cfg = SimConfig(n_paths=10**6, seed=300 + i)
             res = estimate_expected_rank(dist, policy, cfg)
             assert abs(res.mean_rank - sol.value) <= 3 * res.std_error, name
 

@@ -95,13 +95,15 @@ class TestComputePQ:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PQParams(p=0.0, q=1 / 48)
+            PQParams(q=1 / 48)  # p = 0
         with pytest.raises(ValueError):
-            PQParams(p=1 / 96, q=-1e-3)
-        with pytest.raises(ValueError):
-            PQParams(p=0.02, q=0.02)  # sum far from 1/48
+            PQParams(q=-1e-3)
         # tiny negative quadrature noise on q is clamped to zero
-        assert PQParams(p=1 / 48 + 1e-13, q=-1e-13).q == 0.0
+        assert PQParams(q=-1e-13).q == 0.0
+
+    def test_p_is_1_48_minus_q_to_the_bit(self, pq_params):
+        for name, pq in pq_params.items():
+            assert pq.p.hex() == (float(PQ_SUM) - pq.q).hex(), name
 
 
 class TestLastBits:
@@ -242,17 +244,17 @@ class TestConcentrationClass:
 
 class TestPermutationTable:
     def test_row_examples(self):
-        tab = permutation_table(Fraction(1, 96), Fraction(1, 96))
+        tab = permutation_table(Fraction(1, 96))
         assert table_probability(tab, (0, 3, 1, 2)) == Fraction(1, 48) + Fraction(2, 96)
         assert table_probability(tab, (2, 0, 3, 1)) == Fraction(2, 96)
 
     def test_total_probability(self):
         for p in (Fraction(1, 192), Fraction(1, 96), Fraction(1, 48)):
-            tab = permutation_table(p, PQ_SUM - p)
+            tab = permutation_table(p)
             assert sum(tab.probabilities()) == 1
 
     def test_reflection_symmetry(self):
-        tab = permutation_table(Fraction(1, 100), PQ_SUM - Fraction(1, 100))
+        tab = permutation_table(Fraction(1, 100))
         for row in tab.rows:
             assert table_probability(tab, row.negative) == table_probability(tab, row.positive)
 
@@ -263,11 +265,21 @@ class TestPermutationTable:
         assert set(ALL_ORDERINGS) == set(itertools.permutations(range(4)))
 
     def test_rejects_inconsistent_pq(self):
-        with pytest.raises(ValueError):
-            permutation_table(0.02, 0.02)
+        # p above 1/48 leaves q = 1/48 - p negative; test_error_contracts has p < 0
+        with pytest.raises(ValueError, match=r"\[0, 1/48\]"):
+            permutation_table(0.03)
+        with pytest.raises(ValueError, match=r"\[0, 1/48\]"):
+            permutation_table(Fraction(1, 47))
+
+    @pytest.mark.parametrize("p, total", [(Fraction(0), PQ_SUM), (Fraction(1, 192), PQ_SUM),
+                                          (0.0, float(PQ_SUM)), (1 / 96, float(PQ_SUM)),
+                                          (1 / 48, float(PQ_SUM))], ids=str)
+    def test_q_is_1_48_minus_p_in_the_type_of_p(self, p, total):
+        q = permutation_table(p).q
+        assert type(q) is type(total) and q == total - p
 
     def test_negative_column_has_first_step_down(self):
-        tab = permutation_table(Fraction(1, 96), Fraction(1, 96))
+        tab = permutation_table(Fraction(1, 96))
         for row in tab.rows:
             assert row.negative.index(1) > row.negative.index(0)
             assert row.positive.index(1) < row.positive.index(0)
@@ -275,7 +287,7 @@ class TestPermutationTable:
 
 class TestOptimalPolicy:
     def test_branch_a_examples(self):
-        policy, branch = optimal_rank_policy((1 / 96, 1 / 96))
+        policy, branch = optimal_rank_policy(1 / 96)
         assert branch == "a"
         # second position above the first: stop at 2
         assert decide(policy, 2, [1, 2, 2]) is True
@@ -283,7 +295,7 @@ class TestOptimalPolicy:
         assert decide(policy, 2, [1, 2, 3]) is False
 
     def test_branch_b_examples(self):
-        policy, branch = optimal_rank_policy((1 / 48, 0.0))
+        policy, branch = optimal_rank_policy(1 / 48)
         assert branch == "b"
         # only a new maximum stops at 2
         assert decide(policy, 2, [1, 2, 1]) is True
@@ -295,7 +307,7 @@ class TestOptimalPolicy:
             assert decide(policy, 1, [1, 2]) is False
 
     def test_tie_resolves_to_branch_a(self):
-        _, branch = optimal_rank_policy((1 / 96, 1 / 96))
+        _, branch = optimal_rank_policy(1 / 96)
         assert branch == "a"
 
 
@@ -432,7 +444,7 @@ class TestCaseValues:
         """Independent oracle: recompute each continuation payoff directly
         from the ordering table as E[R_3 | two-step configuration]."""
         p, q = Fraction(1, 192), Fraction(1, 64)
-        tab = permutation_table(p, q)
+        tab = permutation_table(p)
         configs = {
             "case2": (1, 2),   # chain restricted to (0, S1, S2): S1 > S2 > 0
             "case3": (1, 0),   # S1 > 0 > S2

@@ -41,40 +41,40 @@ from rankstop.walkcore import (
 
 class TestEstimateExpectedRank:
     def test_stop_at_origin_mean(self):
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=1)
+        cfg = SimConfig(n_paths=10**6, seed=1)
         res = estimate_expected_rank(Uniform(1), stop_at_policy(0, 3), cfg)
         assert abs(res.mean_rank - 2.5) <= 3 * res.std_error
         assert res.stop_time_histogram == (10**6, 0, 0, 0)
 
     def test_stop_at_horizon_mean(self):
         # E[R_n] = 1 + 3/2 by symmetry of each comparison
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=2)
+        cfg = SimConfig(n_paths=10**6, seed=2)
         res = estimate_expected_rank(Laplace(1), stop_at_policy(3, 3), cfg)
         assert abs(res.mean_rank - 2.5) <= 3 * res.std_error
 
     def test_two_step_rule_on_laplace(self):
-        cfg = SimConfig(n_paths=10**6, horizon=2, seed=3)
+        cfg = SimConfig(n_paths=10**6, seed=3)
         res = estimate_expected_rank(Laplace(1), two_step_policy(), cfg)
         assert abs(res.mean_rank - 15 / 8) <= 3 * res.std_error
 
     def test_rank_rule_a_on_uniform(self):
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=4)
+        cfg = SimConfig(n_paths=10**6, seed=4)
         res = estimate_expected_rank(Uniform(1), rank_policy_a(), cfg)
         assert abs(res.mean_rank - 55 / 24) <= 3 * res.std_error
 
     def test_rank_rule_a_on_laplace(self):
         # p = 1/192 makes the optimal rank value 73/32
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=14)
+        cfg = SimConfig(n_paths=10**6, seed=14)
         res = estimate_expected_rank(Laplace(1), rank_policy_a(), cfg)
         assert abs(res.mean_rank - 73 / 32) <= 3 * res.std_error
 
     def test_rank_rule_b_on_interval_union(self):
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=15)
+        cfg = SimConfig(n_paths=10**6, seed=15)
         res = estimate_expected_rank(IntervalUnionUniform(1, 2), rank_policy_b(), cfg)
         assert abs(res.mean_rank - 55 / 24) <= 3 * res.std_error
 
     def test_histogram_accounts_for_all_paths(self):
-        cfg = SimConfig(n_paths=12345, horizon=3, seed=5)
+        cfg = SimConfig(n_paths=12345, seed=5)
         res = estimate_expected_rank(Uniform(1), rank_policy_b(), cfg)
         assert sum(res.stop_time_histogram) == 12345
         assert res.stop_time_histogram[0] == 0  # the rule never stops at 0
@@ -82,17 +82,24 @@ class TestEstimateExpectedRank:
     def test_full_info_stop_time_structure(self):
         # P(stop at 1) = F(x1*) - 1/2: a sharper check than the mean alone
         sol = solve_full_info(Uniform(1))
-        cfg = SimConfig(n_paths=10**6, horizon=3, seed=6)
+        cfg = SimConfig(n_paths=10**6, seed=6)
         res = estimate_expected_rank(Uniform(1), full_info_policy(Uniform(1), sol.x1_star), cfg)
         target = sol.F_at_threshold - 0.5
         observed = res.stop_time_histogram[1] / res.n_paths
         se = math.sqrt(target * (1 - target) / res.n_paths)
         assert abs(observed - target) <= 4 * se
 
-    def test_policy_horizon_mismatch(self):
-        cfg = SimConfig(n_paths=100, horizon=3, seed=0)
-        with pytest.raises(ValueError):
-            estimate_expected_rank(Uniform(1), two_step_policy(), cfg)
+    @pytest.mark.parametrize("horizon", [4, 40])
+    def test_horizon_above_3_is_rejected_before_any_draw(self, monkeypatch, horizon):
+        # the kernel's uint8 sign code holds the 6 segment bits of horizon 3
+        def no_draw(*_):
+            raise AssertionError("a chunk generator was made")
+
+        monkeypatch.setattr(simulate, "chunk_rng", no_draw)
+        policy = StoppingPolicy(RELATIVE_RANKS, horizon, "late",
+                                lambda k, obs: np.full(obs.shape[0], k >= horizon))
+        with pytest.raises(ValueError, match=f"up to 3, got {horizon}"):
+            chunk_partials(Uniform(1), policy, SimConfig(n_paths=100, seed=0))
 
     def test_policy_contract_violation(self):
         never = StoppingPolicy(
@@ -100,7 +107,7 @@ class TestEstimateExpectedRank:
             lambda k, obs: np.zeros(obs.shape[0], dtype=bool),
         )
         with pytest.raises(PolicyContractError):
-            estimate_expected_rank(Uniform(1), never, SimConfig(n_paths=10, horizon=3, seed=0))
+            estimate_expected_rank(Uniform(1), never, SimConfig(n_paths=10, seed=0))
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -111,14 +118,14 @@ class TestEstimateExpectedRank:
 
 class TestReproducibility:
     def test_identical_config_identical_result(self):
-        cfg = SimConfig(n_paths=300_000, horizon=3, seed=42)
+        cfg = SimConfig(n_paths=300_000, seed=42)
         a = estimate_expected_rank(Uniform(1), rank_policy_a(), cfg)
         b = estimate_expected_rank(Uniform(1), rank_policy_a(), cfg)
         assert a == b
 
     @pytest.mark.parametrize("workers", [4, 16])
     def test_worker_count_does_not_change_result(self, workers):
-        cfg = SimConfig(n_paths=300_000, horizon=3, seed=42, chunk_size=1 << 15)
+        cfg = SimConfig(n_paths=300_000, seed=42, chunk_size=1 << 15)
         serial = estimate_expected_rank(Uniform(1), rank_policy_a(), cfg)
         parallel = estimate_expected_rank(Uniform(1), rank_policy_a(), cfg, workers=workers)
         assert serial == parallel
@@ -135,7 +142,7 @@ class TestReproducibility:
         # standard normal, so their spread sits near 1
         zs = []
         for seed in range(50):
-            cfg = SimConfig(n_paths=20_000, horizon=3, seed=seed)
+            cfg = SimConfig(n_paths=20_000, seed=seed)
             res = estimate_expected_rank(Uniform(1), stop_at_policy(0, 3), cfg)
             zs.append((res.mean_rank - 2.5) / res.std_error)
         spread = float(np.std(zs, ddof=1))
@@ -146,7 +153,7 @@ class TestPermutationFrequencies:
     def test_uniform_against_table(self):
         n = 2 * 10**6
         freq = permutation_frequencies(Uniform(1), n, seed=9)
-        table = permutation_table(Fraction(1, 96), Fraction(1, 96))
+        table = permutation_table(Fraction(1, 96))
         probs = np.array([float(v) for v in table.probabilities()])
         se = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freq.frequencies - probs) <= 4 * se)
@@ -174,14 +181,14 @@ class TestPermutationFrequencies:
 
 class TestChunkPartials:
     def test_reduction_equals_estimate(self):
-        cfg = SimConfig(n_paths=100_000, horizon=3, seed=21, chunk_size=1 << 14)
+        cfg = SimConfig(n_paths=100_000, seed=21, chunk_size=1 << 14)
         parts = chunk_partials(Uniform(1), rank_policy_a(), cfg)
         assert len(parts) == math.ceil(cfg.n_paths / cfg.chunk_size)
         assert [p.index for p in parts] == list(range(len(parts)))
         assert reduce_partials(parts) == estimate_expected_rank(Uniform(1), rank_policy_a(), cfg)
 
     def test_partials_account_for_every_path(self):
-        cfg = SimConfig(n_paths=50_001, horizon=2, seed=22, chunk_size=10_000)
+        cfg = SimConfig(n_paths=50_001, seed=22, chunk_size=10_000)
         parts = chunk_partials(Laplace(1), two_step_policy(), cfg)
         assert sum(p.n_paths for p in parts) == 50_001
         assert parts[-1].n_paths == 1
@@ -209,7 +216,7 @@ class TestScalarBatchConsistency:
                 ranks.append(rank)
                 hist[tau] += 1
             total, total_sq, chunk_hist = _simulate_chunk(
-                Uniform(1), policy, 3, 200, np.random.default_rng(123))
+                Uniform(1), policy, 200, np.random.default_rng(123))
             assert (total, total_sq) == (sum(ranks), sum(r * r for r in ranks))
             assert chunk_hist == tuple(hist)
 
@@ -296,7 +303,7 @@ class TestBlocks:
     ], ids=["rank_a", "full_info", "two_step", "stop_at_0"])
     def test_chunk_equals_whole_chunk_reference(self, dist, make_policy, horizon):
         policy = make_policy()
-        got = _simulate_chunk(dist, policy, horizon, self.N, chunk_rng(31, 2))
+        got = _simulate_chunk(dist, policy, self.N, chunk_rng(31, 2))
         assert got == whole_chunk_reference(dist, policy, horizon, self.N, chunk_rng(31, 2))
         assert sum(got[2]) == self.N
 
@@ -318,7 +325,7 @@ class TestBlocks:
         unstopped = int((chunk_rng(4, 0).random((self.N, 3))[:, 0] > 0.5).sum())
         assert unstopped > _BLOCK
         with pytest.raises(PolicyContractError, match=f"left {unstopped} paths unstopped"):
-            _simulate_chunk(Uniform(1), up_never, 3, self.N, chunk_rng(4, 0))
+            _simulate_chunk(Uniform(1), up_never, self.N, chunk_rng(4, 0))
 
 
 class TestCodeTables:
@@ -389,7 +396,7 @@ class TestWorkerCap:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-        cfg = SimConfig(n_paths=10 * n_chunks, horizon=3, seed=1, chunk_size=10)
+        cfg = SimConfig(n_paths=10 * n_chunks, seed=1, chunk_size=10)
         parts = chunk_partials(Uniform(1), rank_policy_a(), cfg, workers=workers)
         assert len(parts) == n_chunks
         assert seen == expected
@@ -406,17 +413,17 @@ _CUSTOM_BITS = (0, 0, 1, 1, 0, 1, 0, 1, 1)
 _UNIFORM_X1 = 0.8284271247460231
 
 _PINNED_RUNS = {
-    "a.uniform": (Uniform(1), rank_policy_a, 3),
-    "a.laplace": (Laplace(1), rank_policy_a, 3),
-    "b.uniform": (Uniform(1), rank_policy_b, 3),
-    "b.laplace": (Laplace(1), rank_policy_b, 3),
-    "stop3.uniform": (Uniform(1), lambda: stop_at_policy(3, 3), 3),
-    "stop3.laplace": (Laplace(1), lambda: stop_at_policy(3, 3), 3),
-    "custom.uniform": (Uniform(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy(), 3),
-    "custom.laplace": (Laplace(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy(), 3),
-    "two_step.laplace": (Laplace(1), two_step_policy, 2),
-    "full_info.uniform": (Uniform(1), lambda: full_info_policy(Uniform(1), _UNIFORM_X1), 3),
-    "a.quartered": (Quartered(), rank_policy_a, 3),
+    "a.uniform": (Uniform(1), rank_policy_a),
+    "a.laplace": (Laplace(1), rank_policy_a),
+    "b.uniform": (Uniform(1), rank_policy_b),
+    "b.laplace": (Laplace(1), rank_policy_b),
+    "stop3.uniform": (Uniform(1), lambda: stop_at_policy(3, 3)),
+    "stop3.laplace": (Laplace(1), lambda: stop_at_policy(3, 3)),
+    "custom.uniform": (Uniform(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy()),
+    "custom.laplace": (Laplace(1), lambda: RankPolicyTable(_CUSTOM_BITS).to_policy()),
+    "two_step.laplace": (Laplace(1), two_step_policy),
+    "full_info.uniform": (Uniform(1), lambda: full_info_policy(Uniform(1), _UNIFORM_X1)),
+    "a.quartered": (Quartered(), rank_policy_a),
 }
 
 # (index, n_paths, rank_sum, rank_sq_sum, histogram) of every chunk for run i
@@ -494,9 +501,9 @@ class TestPinnedResults:
 
     @pytest.mark.parametrize("name", list(_PINNED_RUNS))
     def test_chunk_partials(self, name):
-        dist, make_policy, horizon = _PINNED_RUNS[name]
+        dist, make_policy = _PINNED_RUNS[name]
         seed = 100 + list(_PINNED_RUNS).index(name)
-        cfg = SimConfig(n_paths=10_007, horizon=horizon, seed=seed, chunk_size=4096)
+        cfg = SimConfig(n_paths=10_007, seed=seed, chunk_size=4096)
         expected = [ChunkPartial(*row) for row in _PINNED_PARTIALS[name]]
         assert chunk_partials(dist, make_policy(), cfg, workers=1) == expected
         assert chunk_partials(dist, make_policy(), cfg, workers=2) == expected
